@@ -24,7 +24,8 @@ from .diagonal import (NonUniqueSolutionError, NoSolutionError, ResidualEntry,
 from .linalg import (Matrix, Vector, SingularMatrixError, frac, invert,
                      nullspace, rank, solve)
 from .ring import (GradedBasis, MissingTopClassError, RingStructure,
-                   ValidationReport, basis_element, multiply, validate)
+                   ValidationReport, associativity_defects, basis_element,
+                   multiply, validate)
 
 ModuleElement = Vector
 
@@ -122,20 +123,11 @@ def validate_module(mp: ModulePair,
                 report.add("unit-action", (j, k),
                            f"unit acts with {actual}, expected {expected}")
 
-    for i in range(mp.ring.size):
-        yi = basis_element(mp.ring, i)
-        for j in range(mp.ring.size):
-            yj = basis_element(mp.ring, j)
-            yij = multiply(mp.ring, yi, yj)
-            for k in range(mp.module_basis.size):
-                xk = module_basis_element(mp, k)
-                left = act(mp, yij, xk)
-                right = act(mp, yi, act(mp, yj, xk))
-                if left != right:
-                    for s in range(mp.module_basis.size):
-                        if left[s] != right[s]:
-                            report.add("module-associativity", (i, j, k, s),
-                                       f"{left[s]} != {right[s]}")
+    for indices, a, b in associativity_defects(mp.ring._products,
+                                               mp._action_products,
+                                               mp.ring.size,
+                                               mp.module_basis.size):
+        report.add("module-associativity", indices, f"{a} != {b}")
     return report
 
 

@@ -48,6 +48,10 @@ def _parse_rational(raw: Any, location: str) -> Fraction:
         return Fraction(raw)
     except ZeroDivisionError:
         raise DocumentError("zero denominator", location) from None
+    except ValueError:  # more digits than int() converts from a string
+        raise DocumentError(
+            f"rational string of {len(raw)} characters is too long to "
+            "convert exactly", location) from None
 
 
 def _expect(mapping: Any, key: str, kind: type, location: str) -> Any:

@@ -1,10 +1,21 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything here works with ``fractions.Fraction`` entries, so results are
 exact: a computed inverse really multiplies back to the identity, and a
-nullspace vector really annihilates the matrix.  Kernels and solution sets
-are returned in reduced-echelon normal form so that two runs (or two
-different call sites) can be compared with plain equality.
+nullspace vector really annihilates the matrix.
+
+``rref``, ``rank``, ``invert``, ``nullspace`` and ``solve`` share one
+elimination kernel, a sparse incremental Gauss-Jordan over rows stored as
+``{column: Fraction}`` maps (cf. LaMacchia and Odlyzko, "Solving large
+sparse linear systems over finite fields", CRYPTO '90).  The systems this
+package builds are tall and almost entirely zero, with many repeated
+equations; stored sparsely, zero and repeated rows cost one cheap
+reduction each and then drop out.  The kernel keeps its pivot rows fully
+reduced after every insertion, so what it returns is the reduced row
+echelon form of the row space.  That form is unique, whatever order the
+rows arrive in, and kernels and solution sets are read off it in echelon
+normal form; two runs (or two different call sites) can be compared with
+plain equality.
 """
 
 from __future__ import annotations
@@ -75,10 +86,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self._data)
 
-    def row_list(self) -> list[list[Fraction]]:
-        """Mutable copy of the entries, for elimination routines."""
-        return [list(row) for row in self._data]
-
     def transpose(self) -> "Matrix":
         return Matrix([[self._data[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
@@ -145,40 +152,78 @@ class Matrix:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
 
-def _rref_in_place(data: list[list[Fraction]]) -> list[int]:
-    """Reduce ``data`` to reduced row echelon form; return pivot columns."""
-    n_rows = len(data)
-    n_cols = len(data[0]) if data else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if data[i][c] != 0), None)
-        if pivot_row is None:
+SparseRow = dict[int, Fraction]
+
+
+def _sparse_rows(m: Matrix) -> list[SparseRow]:
+    return [{c: v for c, v in enumerate(m.row(i)) if v} for i in range(m.rows)]
+
+
+def _reduce(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """Sparse incremental Gauss-Jordan: the reduced row echelon form.
+
+    Returns ``{pivot column: row}``.  Each pivot row holds 1 at its pivot,
+    0 at every other pivot column, and nothing left of its pivot.  An
+    inserted row is first cleared at every pivot column; what is left, if
+    anything, is normalized at its leading column, which becomes a new
+    pivot and is cleared from the earlier pivot rows.  Zero, duplicate and
+    dependent rows reduce to nothing and drop out.  The input rows are
+    consumed.
+    """
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row[c], pivots[c])
+        if not row:
             continue
-        if pivot_row != r:
-            data[r], data[pivot_row] = data[pivot_row], data[r]
-        inv = 1 / data[r][c]
-        data[r] = [v * inv for v in data[r]]
-        for i in range(n_rows):
-            if i != r and data[i][c] != 0:
-                f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
+        lead = min(row)
+        inv = 1 / row[lead]
+        row = {c: v * inv for c, v in row.items()}
+        for other in pivots.values():
+            f = other.get(lead)
+            if f is not None:
+                _subtract(other, f, row)
+        pivots[lead] = row
     return pivots
+
+
+def _subtract(row: SparseRow, f: Fraction, pivot_row: SparseRow) -> None:
+    """``row -= f * pivot_row`` in place, dropping entries that vanish."""
+    for c, v in pivot_row.items():
+        value = row.get(c, 0) - f * v
+        if value:
+            row[c] = value
+        else:
+            del row[c]
+
+
+def _kernel(pivots: dict[int, SparseRow], n_cols: int) -> list[Vector]:
+    """Echelon-normalized basis of the kernel, read off a reduction."""
+    basis = []
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * n_cols
+        v[f] = Fraction(1)
+        for p, row in pivots.items():
+            if f in row:
+                v[p] = -row[f]
+        basis.append(tuple(v))
+    return basis
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form of ``m`` and its pivot columns."""
-    data = m.row_list()
-    pivots = _rref_in_place(data)
-    return Matrix(data), pivots
+    pivots = _reduce(_sparse_rows(m))
+    order = sorted(pivots)
+    zero = Fraction(0)
+    data = [[pivots[p].get(c, zero) for c in range(m.cols)] for p in order]
+    data += [[zero] * m.cols for _ in range(m.rows - len(order))]
+    return Matrix(data), order
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_reduce(_sparse_rows(m)))
 
 
 def invert(m: Matrix) -> Matrix:
@@ -189,12 +234,15 @@ def invert(m: Matrix) -> Matrix:
     if not m.is_square():
         raise ValueError(f"cannot invert non-square matrix {m.shape}")
     n = m.rows
-    data = [list(m.row(i)) + [Fraction(i == j) for j in range(n)]
-            for i in range(n)]
-    pivots = _rref_in_place(data)
-    if pivots != list(range(n)):
+    rows = _sparse_rows(m)
+    for i, row in enumerate(rows):
+        row[n + i] = Fraction(1)
+    pivots = _reduce(rows)
+    if any(p >= n for p in pivots):
         raise SingularMatrixError("matrix is singular")
-    return Matrix([row[n:] for row in data])
+    zero = Fraction(0)
+    return Matrix([[pivots[i].get(n + j, zero) for j in range(n)]
+                   for i in range(n)])
 
 
 def nullspace(m: Matrix) -> list[Vector]:
@@ -204,17 +252,7 @@ def nullspace(m: Matrix) -> list[Vector]:
     0 at every other free column, listed in increasing column order.  The
     basis is therefore canonical: equal spaces give equal output.
     """
-    reduced, pivots = rref(m)
-    n_cols = m.cols
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r, f]
-        basis.append(tuple(v))
-    return basis
+    return _kernel(_reduce(_sparse_rows(m)), m.cols)
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> tuple[Vector, list[Vector]] | None:
@@ -222,16 +260,22 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> tuple[Vector, list[Vector]] | Non
 
     Returns ``(particular, kernel_basis)`` with free variables of the
     particular solution pinned to zero, or ``None`` when the system is
-    inconsistent.
+    inconsistent.  Both come from one reduction of the augmented matrix:
+    its pivot rows, restricted to the columns of ``m``, are the reduced
+    echelon form of ``m`` itself.
     """
     if len(b) != m.rows:
         raise ValueError(f"right-hand side length {len(b)} != rows {m.rows}")
     n_cols = m.cols
-    data = [list(m.row(i)) + [frac(b[i])] for i in range(m.rows)]
-    pivots = _rref_in_place(data)
+    rows = _sparse_rows(m)
+    for row, value in zip(rows, b):
+        value = frac(value)
+        if value:
+            row[n_cols] = value
+    pivots = _reduce(rows)
     if n_cols in pivots:
         return None  # a pivot in the augmented column: 0 = 1
     x = [Fraction(0)] * n_cols
-    for r, p in enumerate(pivots):
-        x[p] = data[r][n_cols]
-    return tuple(x), nullspace(m)
+    for p, row in pivots.items():
+        x[p] = row.get(n_cols, Fraction(0))
+    return tuple(x), _kernel(pivots, n_cols)

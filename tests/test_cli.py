@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from frobdiag.catalog import resolve
+from frobdiag.diagonal import pairing_inverse
 from frobdiag.document import emit_document
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -159,6 +160,15 @@ class TestExitCodes:
         code, _, err = invoke("diag", corpus["junk"])
         assert code == 2
 
+    def test_value_over_digit_limit_is_parse_error(self, invoke, tmp_path):
+        doc = json.loads(emit_document("huge", resolve("sphere:2").payload))
+        doc["lambda"][0]["value"] = "1" * 5001
+        path = write(tmp_path, "huge.json", json.dumps(doc))
+        code, out, err = invoke("validate", path)
+        assert code == 2
+        assert out == ""
+        assert "lambda[0].value" in err and "too long" in err
+
     def test_unknown_catalog_id_is_parse_error(self, invoke):
         assert invoke("diag", "mobius:1")[0] == 2
 
@@ -198,6 +208,37 @@ class TestSolveVerb:
                               "--output", "json")
         assert code == 0
         assert json.loads(out)["inverse_class_member"] is None
+
+
+def _mu_is_pairing_inverse(data):
+    ring = resolve("torus:4").payload
+    inverse = pairing_inverse(ring)
+    assert data["mu"] == [[str(v) for v in inverse.row(i)]
+                          for i in range(inverse.rows)]
+
+
+def _sixteen_dimensional_inverse_member(data):
+    assert data["dimension"] == 16
+    assert data["inverse_class_member"] is True
+
+
+def _valid(data):
+    assert data["ok"] is True
+
+
+SIXTEEN_ELEMENT_CASES = [
+    (["diag", "torus:4", "--mode", "graded"], _mu_is_pairing_inverse),
+    (["solve", "product:cp:3,cp:3"], _sixteen_dimensional_inverse_member),
+    (["validate", "torus:4"], _valid),
+]
+
+
+@pytest.mark.parametrize("argv,check", SIXTEEN_ELEMENT_CASES,
+                         ids=[" ".join(c[0]) for c in SIXTEEN_ELEMENT_CASES])
+def test_sixteen_element_rings(invoke, argv, check):
+    code, out, err = invoke(*argv, "--output", "json")
+    assert code == 0, err
+    check(json.loads(out))
 
 
 class TestPairVerb:
