@@ -10,10 +10,10 @@ where the relative cohomology is a module over the absolute ring.
 from .linalg import (Matrix, SingularMatrixError, Vector, frac, invert,
                      nullspace, rank, rref, solve, vector)
 from .ring import (GradedBasis, MissingTopClassError, RingElement,
-                   RingStructure, ValidationReport, Violation, add_elements,
-                   basis_element, change_basis, check_frobenius_chain,
+                   RingStructure, ValidationReport, Violation, basis_element,
+                   change_basis, check_frobenius_chain,
                    check_poincare_duality, multiply, pairing_matrix,
-                   scale_element, unit_element, validate, zero_element)
+                   unit_element, validate)
 from .diagonal import (NonUniqueSolutionError, NoSolutionError,
                        ResidualEntry, SignMode, SingularPairingError,
                        SymmetryReport, TensorClass, check_symmetry,
@@ -22,7 +22,7 @@ from .diagonal import (NonUniqueSolutionError, NoSolutionError,
                        left_factor, pairing_inverse, pure_tensor,
                        right_factor, solve_symmetric_space, symmetric_family,
                        tensor_class, tensor_multiply)
-from .boundary import (ModulePair, RelativeTensorClass, act,
+from .boundary import (ModulePair, act,
                        check_relative_duality, check_relative_symmetry,
                        check_relative_top_normalization,
                        module_basis_element, relative_class,
@@ -39,17 +39,16 @@ __all__ = [
     "Matrix", "SingularMatrixError", "Vector", "frac", "invert", "nullspace",
     "rank", "rref", "solve", "vector",
     "GradedBasis", "MissingTopClassError", "RingElement", "RingStructure",
-    "ValidationReport", "Violation", "add_elements", "basis_element",
-    "change_basis", "check_frobenius_chain", "check_poincare_duality",
-    "multiply", "pairing_matrix", "scale_element", "unit_element", "validate",
-    "zero_element",
+    "ValidationReport", "Violation", "basis_element", "change_basis",
+    "check_frobenius_chain", "check_poincare_duality", "multiply",
+    "pairing_matrix", "unit_element", "validate",
     "NonUniqueSolutionError", "NoSolutionError", "ResidualEntry", "SignMode",
     "SingularPairingError", "SymmetryReport", "TensorClass", "check_symmetry",
     "check_top_normalization", "class_in_span", "diagonal_class",
     "koszul_sign", "kunneth_product", "left_factor", "pairing_inverse",
     "pure_tensor", "right_factor", "solve_symmetric_space",
     "symmetric_family", "tensor_class", "tensor_multiply",
-    "ModulePair", "RelativeTensorClass", "act", "check_relative_duality",
+    "ModulePair", "act", "check_relative_duality",
     "check_relative_symmetry", "check_relative_top_normalization",
     "module_basis_element", "relative_class", "relative_class_in_span",
     "relative_diagonal_class", "relative_pairing_matrix",

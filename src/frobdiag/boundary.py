@@ -14,18 +14,20 @@ gives a regression path back to the absolute case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .diagonal import (NonUniqueSolutionError, NoSolutionError, ResidualEntry,
-                       SignMode, SingularPairingError, SymmetryReport,
-                       koszul_sign)
-from .linalg import (Matrix, Vector, SingularMatrixError, frac, invert,
-                     nullspace, rank, solve)
+from .diagonal import (ResidualEntry, SignMode, SingularPairingError,
+                       SymmetryReport, TensorClass, _normalized_solve,
+                       _symmetry_system, class_in_span, koszul_sign,
+                       unflatten)
+# solve stays imported: the benchmark's traced run (perfbench/spans.py)
+# wraps every linalg name in this module by name
+from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
+                     invert, nullspace, rank, solve)
 from .ring import (GradedBasis, MissingTopClassError, RingStructure,
                    ValidationReport, associativity_defects, basis_element,
-                   multiply, validate)
+                   multiply, sparse_tensor, validate)
 
 ModuleElement = Vector
 
@@ -37,22 +39,11 @@ class ModulePair:
 
     def __init__(self, ring: RingStructure, module_basis: GradedBasis,
                  action: Mapping[tuple[int, int, int], int | str | Fraction]):
-        nr = ring.size
         nm = module_basis.size
-        clean: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j, k), raw in action.items():
-            if not (0 <= i < nr and 0 <= j < nm and 0 <= k < nm):
-                raise ValueError(f"action index {(i, j, k)} out of range")
-            v = frac(raw)
-            if v != 0:
-                clean[(i, j, k)] = v
         self.ring = ring
         self.module_basis = module_basis
-        self.action = clean
-        products: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j, k), v in clean.items():
-            products.setdefault((i, j), {})[k] = v
-        self._action_products = products
+        self.action, self._action_products = sparse_tensor(
+            action, (ring.size, nm, nm), "action")
 
     @property
     def formal_dimension(self) -> int:
@@ -150,43 +141,17 @@ def relative_pairing_matrix(mp: ModulePair) -> Matrix:
 def check_relative_duality(mp: ModulePair) -> bool:
     """True iff the relative pairing matrix is square and invertible."""
     p = relative_pairing_matrix(mp)
-    if not p.is_square():
-        return False
-    try:
-        invert(p)
-    except SingularMatrixError:
-        return False
-    return True
+    return p.is_square() and rank(p) == p.rows
 
 
-@dataclass(frozen=True)
-class RelativeTensorClass:
+def relative_class(mp: ModulePair, mu: Matrix) -> TensorClass:
     """Class in module (x) ring: ``mu[i, j]`` multiplies ``x_i (x) y_j``."""
-
-    mu: Matrix
-    module_basis: GradedBasis
-    ring_basis: GradedBasis
-
-    def __post_init__(self):
-        if self.mu.shape != (self.module_basis.size, self.ring_basis.size):
-            raise ValueError(
-                f"coefficient matrix {self.mu.shape} does not match bases "
-                f"({self.module_basis.size}, {self.ring_basis.size})")
-
-    def is_zero(self) -> bool:
-        return self.mu.is_zero()
-
-    def flatten(self) -> Vector:
-        return tuple(v for i in range(self.mu.rows) for v in self.mu.row(i))
-
-
-def relative_class(mp: ModulePair, mu: Matrix) -> RelativeTensorClass:
-    return RelativeTensorClass(mu, mp.module_basis, mp.ring.basis)
+    return TensorClass(mu, mp.module_basis, mp.ring.basis)
 
 
 def relative_diagonal_class(mp: ModulePair,
                             mode: SignMode = SignMode.LITERAL
-                            ) -> RelativeTensorClass:
+                            ) -> TensorClass:
     """The normalized symmetric class of the pair.
 
     LITERAL mode inverts the relative pairing matrix.  GRADED mode solves
@@ -204,32 +169,18 @@ def relative_diagonal_class(mp: ModulePair,
             raise SingularPairingError(
                 f"relative pairing matrix {p.shape} is not square") from exc
 
-    nm, nr = mp.module_basis.size, mp.ring.size
     top = mp.module_basis.top_index
     if top is None:
         raise MissingTopClassError("module has no top basis index")
-    unit = mp.ring.basis.unit_index
-    rows, rhs = _relative_symmetry_system(mp, mode)
-    for j in range(nr):
-        row = [Fraction(0)] * (nm * nr)
-        row[top * nr + j] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(int(j == unit)))
-    result = solve(Matrix(rows), rhs)
-    if result is None:
-        raise NoSolutionError(
-            "normalized relative symmetry system is inconsistent")
-    particular, kernel = result
-    if kernel:
-        raise NonUniqueSolutionError(
-            f"normalized relative symmetry system has a {len(kernel)}-"
-            "dimensional solution family")
-    mu = Matrix([particular[i * nr:(i + 1) * nr] for i in range(nm)])
-    return relative_class(mp, mu)
+    rows, _ = _relative_symmetry_system(mp, mode)
+    nr, unit = mp.ring.size, mp.ring.basis.unit_index
+    pins = [(top * nr + j, Fraction(int(j == unit))) for j in range(nr)]
+    return _normalized_solve(rows, pins, mp.module_basis, mp.ring.basis,
+                             "relative symmetry system")
 
 
 def check_relative_top_normalization(mp: ModulePair,
-                                     w: RelativeTensorClass) -> bool:
+                                     w: TensorClass) -> bool:
     """True iff the top row of ``w.mu`` is the ring-unit indicator."""
     top = mp.module_basis.top_index
     if top is None:
@@ -243,7 +194,7 @@ def check_relative_top_normalization(mp: ModulePair,
 # the relative symmetry condition
 
 def check_relative_symmetry(mp: ModulePair, mode: SignMode,
-                            w: RelativeTensorClass) -> SymmetryReport:
+                            w: TensorClass) -> SymmetryReport:
     """Residuals of ``w.(1(x)y_k) - (y_k(x)1).w`` for every ring element.
 
     The right multiplication applies the ring product to the second tensor
@@ -252,8 +203,8 @@ def check_relative_symmetry(mp: ModulePair, mode: SignMode,
     the Koszul factor is trivial in either mode; it is still looked up per
     term to keep the convention explicit.
     """
-    if (w.module_basis != mp.module_basis
-            or w.ring_basis != mp.ring.basis):
+    if (w.left_basis != mp.module_basis
+            or w.right_basis != mp.ring.basis):
         raise ValueError("class does not live over this module pair")
     nm, nr = mp.module_basis.size, mp.ring.size
     mod_deg = mp.module_basis.degrees
@@ -283,52 +234,18 @@ def check_relative_symmetry(mp: ModulePair, mode: SignMode,
 def _relative_symmetry_system(mp: ModulePair,
                               mode: SignMode) -> tuple[list[list[Fraction]],
                                                        list[Fraction]]:
-    """Linear system in the flattened unknowns ``mu[i*nr + j]``.
-
-    One equation per (probe k, module slot i, ring slot s), assembled
-    straight from the two tensors.
-    """
-    nm, nr = mp.module_basis.size, mp.ring.size
-    ring_deg = mp.ring.basis.degrees
-    mod_deg = mp.module_basis.degrees
-    rows: list[list[Fraction]] = []
-    for k in range(nr):
-        for i in range(nm):
-            for s in range(nr):
-                row = [Fraction(0)] * (nm * nr)
-                for j in range(nr):
-                    c = mp.ring.tensor.get((j, k, s))
-                    if c is not None:
-                        row[i * nr + j] += c * koszul_sign(mode, ring_deg[j],
-                                                           0)
-                for l in range(nm):
-                    c = mp.action.get((k, l, i))
-                    if c is not None:
-                        row[l * nr + s] -= c * koszul_sign(mode, 0, mod_deg[l])
-                if any(v != 0 for v in row):
-                    rows.append(row)
-    if not rows:
-        rows.append([Fraction(0)] * (nm * nr))
-    return rows, [Fraction(0)] * len(rows)
+    """The symmetry system of the pair, unknowns ``mu[i*nr + j]``."""
+    return _symmetry_system(mp.ring, mode, mp.module_basis, mp.action)
 
 
 def solve_relative_symmetric_space(mp: ModulePair,
                                    mode: SignMode = SignMode.LITERAL
-                                   ) -> list[RelativeTensorClass]:
+                                   ) -> list[TensorClass]:
     """Echelon-normalized basis of all relatively symmetric classes."""
-    nm, nr = mp.module_basis.size, mp.ring.size
     rows, _ = _relative_symmetry_system(mp, mode)
-    kernel = nullspace(Matrix(rows))
-    return [relative_class(mp, Matrix([vec[i * nr:(i + 1) * nr]
-                                       for i in range(nm)]))
-            for vec in kernel]
+    return [unflatten(vec, mp.module_basis, mp.ring.basis)
+            for vec in nullspace(Matrix(rows))]
 
 
-def relative_class_in_span(space: Sequence[RelativeTensorClass],
-                           w: RelativeTensorClass) -> bool:
-    """Membership of ``w`` in the rational span of ``space``."""
-    if not space:
-        return w.is_zero()
-    rows = [s.flatten() for s in space]
-    base_rank = rank(Matrix.from_rows(rows))
-    return rank(Matrix.from_rows(rows + [w.flatten()])) == base_rank
+# one span check serves both cases; the pair name is kept for callers
+relative_class_in_span = class_in_span

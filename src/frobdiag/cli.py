@@ -5,7 +5,7 @@ Verbs:
 * ``validate`` - run the axiom checks on a file or catalog entry
 * ``diag``     - pairing matrix, diagonal class, symmetry residual
 * ``solve``    - basis of the full symmetric solution space
-* ``pair``     - like ``diag`` but always through the relative machinery
+* ``pair``     - ``diag`` with a ring first embedded as a module pair
 * ``kunneth``  - emit the product of two rings as a document
 * ``catalog``  - list built-in entries
 
@@ -62,6 +62,9 @@ def _load_input(text: str, mode: SignMode) -> tuple[str, Any]:
                 return parse_document(fh.read())
         except OSError as exc:
             raise CliFailure(EXIT_PARSE, f"cannot read {text}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise CliFailure(EXIT_PARSE, f"{text}: not UTF-8 text: "
+                             f"{exc.reason} at byte {exc.start}")
         except DocumentError as exc:
             raise CliFailure(EXIT_PARSE, f"{text}: {exc}")
     try:
@@ -125,14 +128,25 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _validate(payload, allow_noncommutative: bool
+              ) -> tuple[ValidationReport, str]:
+    """Axiom report of a ring or module pair, and which of the two it is."""
+    if isinstance(payload, ModulePair):
+        return validate_module(
+            payload, allow_noncommutative=allow_noncommutative), "pair"
+    return validate(payload,
+                    allow_noncommutative=allow_noncommutative), "ring"
+
+
+def _pairing(payload) -> Matrix:
+    if isinstance(payload, ModulePair):
+        return relative_pairing_matrix(payload)
+    return pairing_matrix(payload)
+
+
 def _require_valid(name: str, payload, allow_noncommutative: bool,
                    output: str) -> None:
-    if isinstance(payload, ModulePair):
-        report = validate_module(payload,
-                                 allow_noncommutative=allow_noncommutative)
-    else:
-        report = validate(payload,
-                          allow_noncommutative=allow_noncommutative)
+    report, _ = _validate(payload, allow_noncommutative)
     if not report.ok:
         if output == "json":
             _print_json({"name": name, "ok": False,
@@ -149,14 +163,7 @@ def _require_valid(name: str, payload, allow_noncommutative: bool,
 
 def cmd_validate(args: argparse.Namespace) -> int:
     name, payload = _load_input(args.input, SignMode(args.mode))
-    if isinstance(payload, ModulePair):
-        report = validate_module(
-            payload, allow_noncommutative=args.allow_noncommutative)
-        kind = "pair"
-    else:
-        report = validate(
-            payload, allow_noncommutative=args.allow_noncommutative)
-        kind = "ring"
+    report, kind = _validate(payload, args.allow_noncommutative)
     if args.output == "json":
         _print_json({"name": name, "kind": kind, "ok": report.ok,
                      "violations": _validation_json(report)})
@@ -170,72 +177,49 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _diag_ring(name: str, ring: RingStructure, mode: SignMode,
-               args: argparse.Namespace) -> int:
-    pairing = pairing_matrix(ring)
-    w = diagonal_class(ring, mode)
-    residual = check_symmetry(ring, mode, w)
-    normalized = check_top_normalization(ring, w)
-    labels = ring.basis.labels
-    if args.output == "json":
+def _diag_report(name: str, payload, mode: SignMode, output: str) -> int:
+    """Pairing, diagonal class and its checks, for a ring or a pair."""
+    pairing = _pairing(payload)
+    if isinstance(payload, ModulePair):
+        w = relative_diagonal_class(payload, mode)
+        residual = check_relative_symmetry(payload, mode, w)
+        normalized = check_relative_top_normalization(payload, w)
+        kind = "pair"
+        summary = (f"module of {payload.module_basis.size} over ring of "
+                   f"{payload.ring.size}, formal dimension "
+                   f"{payload.formal_dimension}")
+        titles = ("relative pairing matrix (ring rows, module columns)",
+                  "diagonal coefficients (module rows, ring columns)")
+    else:
+        w = diagonal_class(payload, mode)
+        residual = check_symmetry(payload, mode, w)
+        normalized = check_top_normalization(payload, w)
+        kind = "ring"
+        summary = (f"{payload.size} basis elements, formal dimension "
+                   f"{payload.basis.formal_dimension}")
+        titles = ("pairing matrix",
+                  "diagonal coefficients (inverse pairing)")
+    labels = (w.left_basis.labels, w.right_basis.labels)
+    if output == "json":
         _print_json({
             "name": name,
-            "kind": "ring",
+            "kind": kind,
             "mode": mode.value,
             "pairing": _matrix_json(pairing),
             "mu": _matrix_json(w.mu),
-            "class": _class_terms(w.mu, labels, labels),
+            "class": _class_terms(w.mu, *labels),
             "residual": _residual_json(residual),
             "symmetric": residual.ok,
             "top_normalization": normalized,
         })
     else:
-        print(f"entry: {name} (ring, {ring.size} basis elements, "
-              f"formal dimension {ring.basis.formal_dimension})")
+        print(f"entry: {name} ({kind}, {summary})")
         print(f"mode: {mode.value}")
-        print("pairing matrix:")
+        print(f"{titles[0]}:")
         print(_matrix_text(pairing))
-        print("diagonal coefficients (inverse pairing):")
+        print(f"{titles[1]}:")
         print(_matrix_text(w.mu))
-        print(f"class: {_class_text(w.mu, labels, labels)}")
-        print(f"symmetry residual: {'empty' if residual.ok else 'NONZERO'}")
-        if not residual.ok:
-            for e in residual:
-                print(f"  {e}")
-        print(f"top normalization: {'ok' if normalized else 'VIOLATED'}")
-    return EXIT_OK if (residual.ok and normalized) else EXIT_INVALID
-
-
-def _diag_pair(name: str, mp: ModulePair, mode: SignMode,
-               args: argparse.Namespace) -> int:
-    pairing = relative_pairing_matrix(mp)
-    w = relative_diagonal_class(mp, mode)
-    residual = check_relative_symmetry(mp, mode, w)
-    normalized = check_relative_top_normalization(mp, w)
-    mod_labels = mp.module_basis.labels
-    ring_labels = mp.ring.basis.labels
-    if args.output == "json":
-        _print_json({
-            "name": name,
-            "kind": "pair",
-            "mode": mode.value,
-            "pairing": _matrix_json(pairing),
-            "mu": _matrix_json(w.mu),
-            "class": _class_terms(w.mu, mod_labels, ring_labels),
-            "residual": _residual_json(residual),
-            "symmetric": residual.ok,
-            "top_normalization": normalized,
-        })
-    else:
-        print(f"entry: {name} (pair, module of {mp.module_basis.size} over "
-              f"ring of {mp.ring.size}, formal dimension "
-              f"{mp.formal_dimension})")
-        print(f"mode: {mode.value}")
-        print("relative pairing matrix (ring rows, module columns):")
-        print(_matrix_text(pairing))
-        print("diagonal coefficients (module rows, ring columns):")
-        print(_matrix_text(w.mu))
-        print(f"class: {_class_text(w.mu, mod_labels, ring_labels)}")
+        print(f"class: {_class_text(w.mu, *labels)}")
         print(f"symmetry residual: {'empty' if residual.ok else 'NONZERO'}")
         if not residual.ok:
             for e in residual:
@@ -245,30 +229,17 @@ def _diag_pair(name: str, mp: ModulePair, mode: SignMode,
 
 
 def cmd_diag(args: argparse.Namespace) -> int:
+    """``diag``, and ``pair``, which first embeds a ring as a pair."""
     mode = SignMode(args.mode)
     name, payload = _load_input(args.input, mode)
-    _require_valid(name, payload, args.allow_noncommutative, args.output)
-    try:
-        if isinstance(payload, ModulePair):
-            return _diag_pair(name, payload, mode, args)
-        return _diag_ring(name, payload, mode, args)
-    except (SingularPairingError, MissingTopClassError, NoSolutionError,
-            NonUniqueSolutionError) as exc:
-        _report_singular(name, payload, exc, args)
-        return EXIT_SINGULAR
-
-
-def cmd_pair(args: argparse.Namespace) -> int:
-    mode = SignMode(args.mode)
-    name, payload = _load_input(args.input, mode)
-    if isinstance(payload, RingStructure):
+    if args.verb == "pair" and isinstance(payload, RingStructure):
         try:
             payload = closed_as_pair(payload)
         except CatalogError as exc:
             raise CliFailure(EXIT_PARSE, str(exc))
     _require_valid(name, payload, args.allow_noncommutative, args.output)
     try:
-        return _diag_pair(name, payload, mode, args)
+        return _diag_report(name, payload, mode, args.output)
     except (SingularPairingError, MissingTopClassError, NoSolutionError,
             NonUniqueSolutionError) as exc:
         _report_singular(name, payload, exc, args)
@@ -278,10 +249,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
 def _report_singular(name: str, payload, exc: Exception,
                      args: argparse.Namespace) -> None:
     try:
-        if isinstance(payload, ModulePair):
-            pairing = _matrix_json(relative_pairing_matrix(payload))
-        else:
-            pairing = _matrix_json(pairing_matrix(payload))
+        pairing = _matrix_json(_pairing(payload))
     except MissingTopClassError:
         pairing = None
     if args.output == "json":
@@ -299,20 +267,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     mode = SignMode(args.mode)
     name, payload = _load_input(args.input, mode)
     _require_valid(name, payload, args.allow_noncommutative, args.output)
+    # relative_class_in_span is class_in_span; the pair name keeps the two
+    # cases apart in traced runs
     if isinstance(payload, ModulePair):
         space = solve_relative_symmetric_space(payload, mode)
-        try:
-            w = relative_diagonal_class(payload, SignMode.LITERAL)
-            member = relative_class_in_span(space, w)
-        except (SingularPairingError, MissingTopClassError):
-            member = None
+        diagonal, in_span = relative_diagonal_class, relative_class_in_span
     else:
         space = solve_symmetric_space(payload, mode)
-        try:
-            w = diagonal_class(payload, SignMode.LITERAL)
-            member = class_in_span(space, w)
-        except (SingularPairingError, MissingTopClassError):
-            member = None
+        diagonal, in_span = diagonal_class, class_in_span
+    try:
+        member = in_span(space, diagonal(payload, SignMode.LITERAL))
+    except (SingularPairingError, MissingTopClassError):
+        member = None
     if args.output == "json":
         _print_json({
             "name": name,
@@ -410,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative diagonal report (rings are embedded)")
     p.add_argument("input", help="document file or catalog id")
     _add_common(p)
-    p.set_defaults(func=cmd_pair)
+    p.set_defaults(func=cmd_diag)
 
     p = subs.add_parser("kunneth", help="emit the product of two rings")
     p.add_argument("left", help="document file or catalog id")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .linalg import (Matrix, Vector, SingularMatrixError, invert, nullspace,
                      rank, solve)
@@ -62,10 +62,11 @@ def koszul_sign(mode: SignMode, degree_b: int, degree_c: int) -> int:
 
 @dataclass(frozen=True)
 class TensorClass:
-    """Element of ring_left (x) ring_right with coefficient matrix ``mu``.
+    """Element of left (x) right with coefficient matrix ``mu``.
 
     ``mu[i, j]`` is the coefficient of ``x_i (x) x_j``; rows run over the
-    left basis, columns over the right basis.
+    left basis, columns over the right basis.  The left factor is the ring
+    itself for a closed ring, and the relative module for a pair.
     """
 
     mu: Matrix
@@ -83,6 +84,15 @@ class TensorClass:
 
     def flatten(self) -> Vector:
         return tuple(v for i in range(self.mu.rows) for v in self.mu.row(i))
+
+
+def unflatten(vec: Sequence[Fraction], left_basis: GradedBasis,
+              right_basis: GradedBasis) -> TensorClass:
+    """Inverse of :meth:`TensorClass.flatten`: ``vec[i*n_right + j]``."""
+    n = right_basis.size
+    return TensorClass(Matrix([vec[i * n:(i + 1) * n]
+                               for i in range(left_basis.size)]),
+                       left_basis, right_basis)
 
 
 def tensor_class(ring_left: RingStructure, ring_right: RingStructure,
@@ -166,31 +176,42 @@ def diagonal_class(ring: RingStructure,
     if mode is SignMode.LITERAL:
         return tensor_class(ring, ring, pairing_inverse(ring))
 
-    n = ring.size
-    a_rows, b_vals = _symmetry_system(ring, mode)
-    unit = ring.basis.unit_index
-    top = ring.basis.top_index
+    rows, _ = _symmetry_system(ring, mode, ring.basis, ring.tensor)
+    n, unit, top = ring.size, ring.basis.unit_index, ring.basis.top_index
     if top is None:
         raise SingularPairingError("ring has no top basis index")
-    for j in range(n):
-        row = [Fraction(0)] * (n * n)
-        row[top * n + j] = Fraction(1)
-        a_rows.append(row)
-        b_vals.append(Fraction(int(j == unit)))
-        row = [Fraction(0)] * (n * n)
-        row[j * n + top] = Fraction(1)
-        a_rows.append(row)
-        b_vals.append(Fraction(int(j == unit)))
-    result = solve(Matrix(a_rows), b_vals)
+    pins = [(index, Fraction(int(j == unit)))
+            for j in range(n) for index in (top * n + j, j * n + top)]
+    return _normalized_solve(rows, pins, ring.basis, ring.basis,
+                            "symmetry system")
+
+
+def _normalized_solve(rows: list[list[Fraction]],
+                     pins: Sequence[tuple[int, Fraction]],
+                     left_basis: GradedBasis, right_basis: GradedBasis,
+                     noun: str) -> TensorClass:
+    """The unique solution of a symmetry system with some entries pinned.
+
+    ``rows`` is a system from :func:`_symmetry_system` (extended in place);
+    ``pins`` lists ``(flat index, value)`` pairs fixing entries of ``mu``.
+    ``noun`` names the system in the error messages.
+    """
+    width = left_basis.size * right_basis.size
+    rhs = [Fraction(0)] * len(rows)
+    for index, value in pins:
+        row = [Fraction(0)] * width
+        row[index] = Fraction(1)
+        rows.append(row)
+        rhs.append(value)
+    result = solve(Matrix(rows), rhs)
     if result is None:
-        raise NoSolutionError("normalized symmetry system is inconsistent")
+        raise NoSolutionError(f"normalized {noun} is inconsistent")
     particular, kernel = result
     if kernel:
         raise NonUniqueSolutionError(
-            f"normalized symmetry system has a {len(kernel)}-dimensional "
-            "solution family")
-    mu = Matrix([particular[i * n:(i + 1) * n] for i in range(n)])
-    return tensor_class(ring, ring, mu)
+            f"normalized {noun} has a {len(kernel)}-dimensional solution "
+            "family")
+    return unflatten(particular, left_basis, right_basis)
 
 
 def check_top_normalization(ring: RingStructure, w: TensorClass) -> bool:
@@ -259,38 +280,45 @@ def check_symmetry(ring: RingStructure, mode: SignMode,
     return SymmetryReport(entries)
 
 
-def _symmetry_system(ring: RingStructure,
-                     mode: SignMode) -> tuple[list[list[Fraction]],
-                                              list[Fraction]]:
-    """Linear system in the flattened unknowns ``mu[i*n + j]``.
+def _symmetry_system(ring: RingStructure, mode: SignMode,
+                     module_basis: GradedBasis,
+                     action: Mapping[tuple[int, int, int], Fraction]
+                     ) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Linear system in the flattened unknowns ``mu[i*nr + j]``.
 
-    One equation per (probe k, output slot (e, f)): the coefficient of
-    ``x_e (x) x_f`` in ``w.(1(x)x_k) - (x_k(x)1).w`` must vanish.  Rows are
-    assembled straight from the structure tensor, independently of
+    The unknowns are the coefficients of a class in module (x) ring, where
+    ``action[(k, l, i)]`` expands ``y_k ^ x_l`` over the module basis; a
+    closed ring passes its own basis and structure tensor.  One equation
+    per (probe k, module slot i, ring slot s): the coefficient of
+    ``x_i (x) y_s`` in ``w.(1(x)y_k) - (y_k(x)1).w`` must vanish.  Rows are
+    assembled straight from the two tensors, independently of
     :func:`tensor_multiply`.
     """
-    n = ring.size
-    deg = ring.basis.degrees
+    nm, nr = module_basis.size, ring.size
+    ring_deg = ring.basis.degrees
+    mod_deg = module_basis.degrees
     rows: list[list[Fraction]] = []
-    for k in range(n):
-        for e in range(n):
-            for f in range(n):
-                row = [Fraction(0)] * (n * n)
-                for l in range(n):
-                    # w.(1(x)x_k): mu[e,l] times x_l.x_k -> x_f; the unit
-                    # passes x_l with sign koszul(|x_l|, 0) = +1
-                    c = ring.tensor.get((l, k, f))
+    for k in range(nr):
+        for i in range(nm):
+            for s in range(nr):
+                row = [Fraction(0)] * (nm * nr)
+                for j in range(nr):
+                    # w.(1(x)y_k): mu[i,j] times y_j.y_k -> y_s; the unit
+                    # passes y_j with sign koszul(|y_j|, 0) = +1
+                    c = ring.tensor.get((j, k, s))
                     if c is not None:
-                        row[e * n + l] += c * koszul_sign(mode, deg[l], 0)
-                    # (x_k(x)1).w: mu[l,f] times x_k.x_l -> x_e; the unit
+                        row[i * nr + j] += c * koszul_sign(mode, ring_deg[j],
+                                                           0)
+                for l in range(nm):
+                    # (y_k(x)1).w: mu[l,s] times y_k ^ x_l -> x_i; the unit
                     # passes x_l with sign koszul(0, |x_l|) = +1
-                    c = ring.tensor.get((k, l, e))
+                    c = action.get((k, l, i))
                     if c is not None:
-                        row[l * n + f] -= c * koszul_sign(mode, 0, deg[l])
+                        row[l * nr + s] -= c * koszul_sign(mode, 0, mod_deg[l])
                 if any(v != 0 for v in row):
                     rows.append(row)
     if not rows:
-        rows.append([Fraction(0)] * (n * n))
+        rows.append([Fraction(0)] * (nm * nr))
     return rows, [Fraction(0)] * len(rows)
 
 
@@ -304,16 +332,16 @@ def solve_symmetric_space(ring: RingStructure,
     serves as the oracle against which the closed-form diagonal class is
     compared.
     """
-    n = ring.size
-    rows, _ = _symmetry_system(ring, mode)
-    kernel = nullspace(Matrix(rows))
-    return [tensor_class(ring, ring,
-                         Matrix([vec[i * n:(i + 1) * n] for i in range(n)]))
-            for vec in kernel]
+    rows, _ = _symmetry_system(ring, mode, ring.basis, ring.tensor)
+    return [unflatten(vec, ring.basis, ring.basis)
+            for vec in nullspace(Matrix(rows))]
 
 
 def class_in_span(space: Sequence[TensorClass], w: TensorClass) -> bool:
-    """Membership of ``w`` in the rational span of ``space``."""
+    """Membership of ``w`` in the rational span of ``space``.
+
+    Serves closed rings and module pairs alike.
+    """
     if not space:
         return w.is_zero()
     rows = [s.flatten() for s in space]

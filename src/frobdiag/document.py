@@ -132,6 +132,8 @@ def parse_document(text: str) -> tuple[str, Payload]:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}", "") from None
+    except RecursionError:
+        raise DocumentError("JSON nested too deeply to parse", "") from None
     if not isinstance(raw, dict):
         raise DocumentError("top level must be an object", "")
     _reject_unknown(raw, {"name", "dimension", "basis", "unit", "top",
@@ -192,29 +194,23 @@ def _tensor_json(tensor: dict) -> list[dict]:
 
 def document_dict(name: str, payload: Payload) -> dict:
     """Canonical JSON-ready dictionary for a ring or module pair."""
-    if isinstance(payload, ModulePair):
-        ring = payload.ring
-        doc = {
-            "name": name,
-            "dimension": payload.module_basis.formal_dimension,
-            "basis": _basis_json(ring.basis),
-            "unit": ring.basis.unit_index,
-            "top": ring.basis.top_index,
-            "lambda": _tensor_json(ring.tensor),
-            "module": {
-                "basis": _basis_json(payload.module_basis),
-                "top": payload.module_basis.top_index,
-                "action": _tensor_json(payload.action),
-            },
-        }
-    else:
-        doc = {
-            "name": name,
-            "dimension": payload.basis.formal_dimension,
-            "basis": _basis_json(payload.basis),
-            "unit": payload.basis.unit_index,
-            "top": payload.basis.top_index,
-            "lambda": _tensor_json(payload.tensor),
+    pair = isinstance(payload, ModulePair)
+    ring = payload.ring if pair else payload
+    doc = {
+        "name": name,
+        "dimension": ring.basis.formal_dimension,
+        "basis": _basis_json(ring.basis),
+        "unit": ring.basis.unit_index,
+        "top": ring.basis.top_index,
+        "lambda": _tensor_json(ring.tensor),
+    }
+    if pair:
+        # a pair document's dimension is the module's
+        doc["dimension"] = payload.module_basis.formal_dimension
+        doc["module"] = {
+            "basis": _basis_json(payload.module_basis),
+            "top": payload.module_basis.top_index,
+            "action": _tensor_json(payload.action),
         }
     return doc
 

@@ -86,10 +86,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self._data)
 
-    def transpose(self) -> "Matrix":
-        return Matrix([[self._data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -116,10 +112,6 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         return Matrix([[-v for v in row] for row in self._data])
-
-    def scale(self, c: int | str | Fraction) -> "Matrix":
-        c = frac(c)
-        return Matrix([[c * v for v in row] for row in self._data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

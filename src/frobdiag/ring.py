@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .linalg import Matrix, Vector, frac, invert, SingularMatrixError
+from .linalg import Matrix, Vector, frac, invert, rank
 
 SparseTensor = Mapping[tuple[int, int, int], Fraction]
 ProductMap = Mapping[tuple[int, int], Mapping[int, Fraction]]
@@ -67,11 +67,30 @@ class GradedBasis:
     def size(self) -> int:
         return len(self.labels)
 
-    def indices(self) -> range:
-        return range(self.size)
-
 
 RingElement = Vector
+
+
+def sparse_tensor(raw: Mapping[tuple[int, int, int], int | str | Fraction],
+                  sizes: tuple[int, int, int], what: str
+                  ) -> tuple[SparseTensor, ProductMap]:
+    """Checked nonzero entries of a structure tensor, and its product map.
+
+    The product map ``(i, j) -> {k: value}`` is the working form for
+    products; ``what`` names the tensor in the out-of-range error.
+    """
+    ni, nj, nk = sizes
+    clean: dict[tuple[int, int, int], Fraction] = {}
+    for (i, j, k), value in raw.items():
+        if not (0 <= i < ni and 0 <= j < nj and 0 <= k < nk):
+            raise ValueError(f"{what} index {(i, j, k)} out of range")
+        v = frac(value)
+        if v != 0:
+            clean[(i, j, k)] = v
+    products: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (i, j, k), v in clean.items():
+        products.setdefault((i, j), {})[k] = v
+    return clean, products
 
 
 class RingStructure:
@@ -84,20 +103,9 @@ class RingStructure:
         if basis.unit_index is None:
             raise ValueError("a ring basis must carry a unit index")
         n = basis.size
-        clean: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j, k), raw in tensor.items():
-            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-                raise ValueError(f"tensor index {(i, j, k)} out of range")
-            v = frac(raw)
-            if v != 0:
-                clean[(i, j, k)] = v
         self.basis = basis
-        self.tensor = clean
-        # (i, j) -> {k: coefficient}; the working form for products
-        products: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j, k), v in clean.items():
-            products.setdefault((i, j), {})[k] = v
-        self._products = products
+        self.tensor, self._products = sparse_tensor(tensor, (n, n, n),
+                                                    "tensor")
 
     @property
     def size(self) -> int:
@@ -121,27 +129,12 @@ class RingStructure:
 # ---------------------------------------------------------------------------
 # elements
 
-def zero_element(ring: RingStructure) -> RingElement:
-    return (Fraction(0),) * ring.size
-
-
 def basis_element(ring: RingStructure, i: int) -> RingElement:
     return tuple(Fraction(int(j == i)) for j in range(ring.size))
 
 
 def unit_element(ring: RingStructure) -> RingElement:
     return basis_element(ring, ring.basis.unit_index)
-
-
-def add_elements(a: RingElement, b: RingElement) -> RingElement:
-    if len(a) != len(b):
-        raise ValueError("element length mismatch")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def scale_element(c: int | str | Fraction, a: RingElement) -> RingElement:
-    c = frac(c)
-    return tuple(c * x for x in a)
 
 
 def multiply(ring: RingStructure, a: Sequence[Fraction],
@@ -301,11 +294,8 @@ def pairing_matrix(ring: RingStructure) -> Matrix:
 
 def check_poincare_duality(ring: RingStructure) -> bool:
     """True iff the top-degree pairing matrix is invertible."""
-    try:
-        invert(pairing_matrix(ring))
-    except SingularMatrixError:
-        return False
-    return True
+    p = pairing_matrix(ring)
+    return rank(p) == p.rows
 
 
 def check_frobenius_chain(ring: RingStructure) -> bool:

@@ -11,8 +11,9 @@ from frobdiag.boundary import (ModulePair, act, check_relative_duality,
                                relative_pairing_matrix,
                                solve_relative_symmetric_space,
                                validate_module)
-from frobdiag.catalog import (closed_as_pair, complex_projective,
-                              cylinder_pair, disk_pair, sphere, torus)
+from frobdiag.catalog import (catalog_names, closed_as_pair,
+                              complex_projective, cylinder_pair, disk_pair,
+                              resolve, sphere, torus)
 from frobdiag.diagonal import (SignMode, SingularPairingError,
                                check_symmetry, diagonal_class,
                                solve_symmetric_space)
@@ -205,11 +206,19 @@ class TestRelativeSolutionSpace:
         assert space[0].mu == Matrix([[1]])
 
     def test_closed_embedding_space_matches_absolute(self):
-        for ring in (sphere(2), complex_projective(2)):
-            mp = closed_as_pair(ring)
-            rel = solve_relative_symmetric_space(mp, SignMode.LITERAL)
-            abs_ = solve_symmetric_space(ring, SignMode.LITERAL)
-            assert [s.mu for s in rel] == [s.mu for s in abs_]
+        # the closed case is the pair case with module = ring
+        for name in catalog_names():
+            for mode in SignMode:
+                ring = resolve(name, mode).payload
+                if isinstance(ring, ModulePair):
+                    continue
+                mp = closed_as_pair(ring)
+                rel = solve_relative_symmetric_space(mp, mode)
+                abs_ = solve_symmetric_space(ring, mode)
+                assert [s.mu for s in rel] == [s.mu for s in abs_], \
+                    (name, mode)
+                assert diagonal_class(ring, mode).mu == \
+                    relative_diagonal_class(mp, mode).mu, (name, mode)
 
     def test_cylinder_space_contains_class(self):
         mp = cylinder_pair(sphere(2))

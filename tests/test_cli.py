@@ -9,6 +9,7 @@ from frobdiag.document import emit_document
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# (fixture, argv) of runs that exit 0 with the fixture on stdout
 GOLDEN_CASES = [
     ("diag_sphere2_literal.json", ["diag", "sphere:2", "--output", "json"]),
     ("diag_cp2_literal.json", ["diag", "cp:2", "--output", "json"]),
@@ -19,16 +20,34 @@ GOLDEN_CASES = [
      ["diag", "torus:2", "--mode", "literal", "--output", "json"]),
     ("diag_torus2_graded.json",
      ["diag", "torus:2", "--mode", "graded", "--output", "json"]),
+    ("diag_cp2.txt", ["diag", "cp:2"]),
+    ("pair_cp2.txt", ["pair", "cp:2"]),
+    ("pair_cylinder_sphere2_graded.txt",
+     ["pair", "cylinder:sphere:2", "--mode", "graded"]),
+    ("solve_cylinder_sphere2.txt", ["solve", "cylinder:sphere:2"]),
 ]
+
+# (fixture, argv, exit code) of runs with the fixture on stderr and nothing
+# on stdout; an argument "{key}" names a document of the failure corpus
+GOLDEN_STDERR_CASES = [
+    ("diag_singular.stderr", ["diag", "{singular}"], 3),
+]
+
+ALL_GOLDEN = [(f, a, 0) for f, a in GOLDEN_CASES] + GOLDEN_STDERR_CASES
 
 
 class TestGolden:
-    @pytest.mark.parametrize("fixture,argv", GOLDEN_CASES,
-                             ids=[c[0] for c in GOLDEN_CASES])
-    def test_diag_output_matches_golden_file(self, invoke, fixture, argv):
-        code, out, err = invoke(*argv)
-        assert code == 0, err
-        assert out == (GOLDEN / fixture).read_text()
+    @pytest.mark.parametrize("fixture,argv,expected_code", ALL_GOLDEN,
+                             ids=[c[0] for c in ALL_GOLDEN])
+    def test_diag_output_matches_golden_file(self, invoke, corpus, fixture,
+                                             argv, expected_code):
+        code, out, err = invoke(*[a.format(**corpus) for a in argv])
+        assert code == expected_code, err
+        golden = (GOLDEN / fixture).read_text()
+        if fixture.endswith(".stderr"):
+            assert (out, err) == ("", golden)
+        else:
+            assert (out, err) == (golden, "")
 
     def test_torus_fixture_records_mode_agreement(self):
         lit = json.loads((GOLDEN / "diag_torus2_literal.json").read_text())
@@ -168,6 +187,21 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "lambda[0].value" in err and "too long" in err
+
+    def test_non_utf8_file_is_parse_error(self, invoke, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_bytes(b'\xff\xfe{"name": 1}')
+        code, out, err = invoke("validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"{path}: not UTF-8 text: invalid start byte at byte 0\n"
+
+    def test_deeply_nested_json_is_parse_error(self, invoke, tmp_path):
+        path = write(tmp_path, "deep.json", "[" * 100000 + "]" * 100000)
+        code, out, err = invoke("validate", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"{path}: JSON nested too deeply to parse\n"
 
     def test_unknown_catalog_id_is_parse_error(self, invoke):
         assert invoke("diag", "mobius:1")[0] == 2

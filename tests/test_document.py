@@ -41,6 +41,10 @@ class TestParseErrors:
         with pytest.raises(DocumentError, match="invalid JSON"):
             parse_document("{not json")
 
+    def test_deep_nesting_is_a_document_error(self):
+        with pytest.raises(DocumentError, match="nested too deeply"):
+            parse_document("[" * 100000 + "]" * 100000)
+
     def test_top_level_must_be_object(self):
         with pytest.raises(DocumentError):
             parse_document("[1, 2]")
