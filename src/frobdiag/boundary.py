@@ -18,13 +18,13 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .diagonal import (ResidualEntry, SignMode, SingularPairingError,
-                       SymmetryReport, TensorClass, _normalized_solve,
-                       _symmetry_system, class_in_span, koszul_sign,
-                       unflatten)
+                       SparseEquation, SymmetryReport, TensorClass,
+                       _normalized_solve, _symmetry_system, class_in_span,
+                       koszul_sign, unflatten)
 # solve stays imported: the benchmark's traced run (perfbench/spans.py)
 # wraps every linalg name in this module by name
-from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
-                     invert, nullspace, rank, solve)
+from .linalg import (Matrix, SparseMatrix, Vector,  # noqa: F401
+                     SingularMatrixError, invert, nullspace, rank, solve)
 from .ring import (GradedBasis, MissingTopClassError, RingStructure,
                    ValidationReport, associativity_defects, basis_element,
                    multiply, sparse_tensor, validate)
@@ -231,9 +231,8 @@ def check_relative_symmetry(mp: ModulePair, mode: SignMode,
     return SymmetryReport(entries)
 
 
-def _relative_symmetry_system(mp: ModulePair,
-                              mode: SignMode) -> tuple[list[list[Fraction]],
-                                                       list[Fraction]]:
+def _relative_symmetry_system(mp: ModulePair, mode: SignMode
+                              ) -> tuple[list[SparseEquation], int]:
     """The symmetry system of the pair, unknowns ``mu[i*nr + j]``."""
     return _symmetry_system(mp.ring, mode, mp.module_basis, mp.action)
 
@@ -242,9 +241,9 @@ def solve_relative_symmetric_space(mp: ModulePair,
                                    mode: SignMode = SignMode.LITERAL
                                    ) -> list[TensorClass]:
     """Echelon-normalized basis of all relatively symmetric classes."""
-    rows, _ = _relative_symmetry_system(mp, mode)
+    rows, width = _relative_symmetry_system(mp, mode)
     return [unflatten(vec, mp.module_basis, mp.ring.basis)
-            for vec in nullspace(Matrix(rows))]
+            for vec in nullspace(SparseMatrix(rows, width))]
 
 
 # one span check serves both cases; the pair name is kept for callers

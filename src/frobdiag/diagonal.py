@@ -28,10 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import (Matrix, Vector, SingularMatrixError, invert, nullspace,
-                     rank, solve)
+from .linalg import (Matrix, SparseMatrix, Vector, SingularMatrixError,
+                     invert, nullspace, rank, solve)
 from .ring import (GradedBasis, RingElement, RingStructure, basis_element,
                    multiply, pairing_matrix, unit_element)
+
+
+# one symmetry equation: its nonzero (column, coefficient) pairs, by column
+SparseEquation = tuple[tuple[int, Fraction], ...]
 
 
 class SingularPairingError(ValueError):
@@ -186,7 +190,7 @@ def diagonal_class(ring: RingStructure,
                             "symmetry system")
 
 
-def _normalized_solve(rows: list[list[Fraction]],
+def _normalized_solve(rows: list[SparseEquation],
                      pins: Sequence[tuple[int, Fraction]],
                      left_basis: GradedBasis, right_basis: GradedBasis,
                      noun: str) -> TensorClass:
@@ -196,14 +200,12 @@ def _normalized_solve(rows: list[list[Fraction]],
     ``pins`` lists ``(flat index, value)`` pairs fixing entries of ``mu``.
     ``noun`` names the system in the error messages.
     """
-    width = left_basis.size * right_basis.size
     rhs = [Fraction(0)] * len(rows)
     for index, value in pins:
-        row = [Fraction(0)] * width
-        row[index] = Fraction(1)
-        rows.append(row)
+        rows.append(((index, Fraction(1)),))
         rhs.append(value)
-    result = solve(Matrix(rows), rhs)
+    result = solve(SparseMatrix(rows, left_basis.size * right_basis.size),
+                   rhs)
     if result is None:
         raise NoSolutionError(f"normalized {noun} is inconsistent")
     particular, kernel = result
@@ -283,43 +285,51 @@ def check_symmetry(ring: RingStructure, mode: SignMode,
 def _symmetry_system(ring: RingStructure, mode: SignMode,
                      module_basis: GradedBasis,
                      action: Mapping[tuple[int, int, int], Fraction]
-                     ) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Linear system in the flattened unknowns ``mu[i*nr + j]``.
+                     ) -> tuple[list[SparseEquation], int]:
+    """Sparse linear system in the flattened unknowns ``mu[i*nr + j]``.
 
     The unknowns are the coefficients of a class in module (x) ring, where
     ``action[(k, l, i)]`` expands ``y_k ^ x_l`` over the module basis; a
     closed ring passes its own basis and structure tensor.  One equation
-    per (probe k, module slot i, ring slot s): the coefficient of
-    ``x_i (x) y_s`` in ``w.(1(x)y_k) - (y_k(x)1).w`` must vanish.  Rows are
-    assembled straight from the two tensors, independently of
-    :func:`tensor_multiply`.
+    per (probe k, module slot i, ring slot s), in that order: the
+    coefficient of ``x_i (x) y_s`` in ``w.(1(x)y_k) - (y_k(x)1).w`` must
+    vanish.  Each equation is its nonzero ``(column, value)`` pairs sorted
+    by column; equations that vanish identically are left out.  Returns
+    the equations and the number of unknowns.  Rows are assembled straight
+    from the two tensors, independently of :func:`tensor_multiply`.
     """
     nm, nr = module_basis.size, ring.size
     ring_deg = ring.basis.degrees
     mod_deg = module_basis.degrees
-    rows: list[list[Fraction]] = []
+    # w.(1(x)y_k): mu[i,j] times y_j.y_k -> y_s; the unit passes y_j with
+    # sign koszul(|y_j|, 0) = +1
+    right: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for (j, k, s), c in ring.tensor.items():
+        right.setdefault((k, s), []).append(
+            (j, c * koszul_sign(mode, ring_deg[j], 0)))
+    # (y_k(x)1).w: mu[l,s] times y_k ^ x_l -> x_i; the unit passes x_l
+    # with sign koszul(0, |x_l|) = +1
+    left: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for (k, l, i), c in action.items():
+        left.setdefault((k, i), []).append(
+            (l, c * koszul_sign(mode, 0, mod_deg[l])))
+    rows: list[SparseEquation] = []
     for k in range(nr):
         for i in range(nm):
+            acting = left.get((k, i), ())
             for s in range(nr):
-                row = [Fraction(0)] * (nm * nr)
-                for j in range(nr):
-                    # w.(1(x)y_k): mu[i,j] times y_j.y_k -> y_s; the unit
-                    # passes y_j with sign koszul(|y_j|, 0) = +1
-                    c = ring.tensor.get((j, k, s))
-                    if c is not None:
-                        row[i * nr + j] += c * koszul_sign(mode, ring_deg[j],
-                                                           0)
-                for l in range(nm):
-                    # (y_k(x)1).w: mu[l,s] times y_k ^ x_l -> x_i; the unit
-                    # passes x_l with sign koszul(0, |x_l|) = +1
-                    c = action.get((k, l, i))
-                    if c is not None:
-                        row[l * nr + s] -= c * koszul_sign(mode, 0, mod_deg[l])
-                if any(v != 0 for v in row):
-                    rows.append(row)
-    if not rows:
-        rows.append([Fraction(0)] * (nm * nr))
-    return rows, [Fraction(0)] * len(rows)
+                products = right.get((k, s), ())
+                if not products and not acting:
+                    continue
+                row = {i * nr + j: c for j, c in products}
+                for l, c in acting:
+                    column = l * nr + s
+                    row[column] = row.get(column, 0) - c
+                equation = tuple(sorted((column, v)
+                                        for column, v in row.items() if v))
+                if equation:
+                    rows.append(equation)
+    return rows, nm * nr
 
 
 def solve_symmetric_space(ring: RingStructure,
@@ -332,9 +342,9 @@ def solve_symmetric_space(ring: RingStructure,
     serves as the oracle against which the closed-form diagonal class is
     compared.
     """
-    rows, _ = _symmetry_system(ring, mode, ring.basis, ring.tensor)
+    rows, width = _symmetry_system(ring, mode, ring.basis, ring.tensor)
     return [unflatten(vec, ring.basis, ring.basis)
-            for vec in nullspace(Matrix(rows))]
+            for vec in nullspace(SparseMatrix(rows, width))]
 
 
 def class_in_span(space: Sequence[TensorClass], w: TensorClass) -> bool:

@@ -29,6 +29,7 @@ from .ring import GradedBasis, RingStructure
 Payload = RingStructure | ModulePair
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?\Z")
+_ECHO_LIMIT = 40   # characters of an offending value quoted in a message
 
 
 class DocumentError(ValueError):
@@ -39,11 +40,19 @@ class DocumentError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
+def _echo(raw: Any) -> str:
+    """``repr(raw)``, cut to :data:`_ECHO_LIMIT` characters plus ``...``."""
+    text = repr(raw)
+    if len(text) > _ECHO_LIMIT:
+        return text[:_ECHO_LIMIT] + "..."
+    return text
+
+
 def _parse_rational(raw: Any, location: str) -> Fraction:
     if not isinstance(raw, str) or not _RATIONAL_RE.match(raw):
         raise DocumentError(
-            f"expected a rational string like '2' or '-3/4', got {raw!r}",
-            location)
+            f"expected a rational string like '2' or '-3/4', got "
+            f"{_echo(raw)}", location)
     try:
         return Fraction(raw)
     except ZeroDivisionError:

@@ -16,6 +16,12 @@ echelon form of the row space.  That form is unique, whatever order the
 rows arrive in, and kernels and solution sets are read off it in echelon
 normal form; two runs (or two different call sites) can be compared with
 plain equality.
+
+Systems that are built sparse stay sparse: a :class:`SparseMatrix` holds
+only the nonzero entries of each row, as ``(column, value)`` pairs, and is
+accepted by ``rref``, ``rank``, ``nullspace`` and ``solve`` wherever a dense
+:class:`Matrix` is, with the same results.  The kernel copies its rows into
+dicts either way, so a sparse system never passes through a dense one.
 """
 
 from __future__ import annotations
@@ -144,10 +150,40 @@ class Matrix:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
 
+class SparseMatrix:
+    """Matrix given by the nonzero entries of its rows.
+
+    Each row is a sequence of ``(column, value)`` pairs with Fraction
+    values, sorted by column, with no zero value and no repeated column.
+    ``rows`` and ``cols`` are the shape; :meth:`row` expands one row into a
+    dense vector on demand.
+    """
+
+    __slots__ = ("rows", "cols", "_data")
+
+    def __init__(self, rows: Sequence[Sequence[tuple[int, Fraction]]],
+                 cols: int):
+        data = tuple(tuple(row) for row in rows)
+        if any(not 0 <= c < cols for row in data for c, _ in row):
+            raise ValueError(f"column index outside 0..{cols - 1}")
+        self.rows = len(data)
+        self.cols = cols
+        self._data = data
+
+    def row(self, i: int) -> Vector:
+        out = [Fraction(0)] * self.cols
+        for c, v in self._data[i]:
+            out[c] = v
+        return tuple(out)
+
+
 SparseRow = dict[int, Fraction]
 
 
-def _sparse_rows(m: Matrix) -> list[SparseRow]:
+def _sparse_rows(m: Matrix | SparseMatrix) -> list[SparseRow]:
+    """Fresh ``{column: value}`` copies of the rows, for :func:`_reduce`."""
+    if isinstance(m, SparseMatrix):
+        return [dict(row) for row in m._data]
     return [{c: v for c, v in enumerate(m.row(i)) if v} for i in range(m.rows)]
 
 
@@ -204,7 +240,7 @@ def _kernel(pivots: dict[int, SparseRow], n_cols: int) -> list[Vector]:
     return basis
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+def rref(m: Matrix | SparseMatrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form of ``m`` and its pivot columns."""
     pivots = _reduce(_sparse_rows(m))
     order = sorted(pivots)
@@ -214,7 +250,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix(data), order
 
 
-def rank(m: Matrix) -> int:
+def rank(m: Matrix | SparseMatrix) -> int:
     return len(_reduce(_sparse_rows(m)))
 
 
@@ -237,7 +273,7 @@ def invert(m: Matrix) -> Matrix:
                    for i in range(n)])
 
 
-def nullspace(m: Matrix) -> list[Vector]:
+def nullspace(m: Matrix | SparseMatrix) -> list[Vector]:
     """Echelon-normalized basis of ``{v : m @ v = 0}``.
 
     Each free column yields one basis vector carrying 1 at that column and
@@ -247,7 +283,8 @@ def nullspace(m: Matrix) -> list[Vector]:
     return _kernel(_reduce(_sparse_rows(m)), m.cols)
 
 
-def solve(m: Matrix, b: Sequence[Fraction]) -> tuple[Vector, list[Vector]] | None:
+def solve(m: Matrix | SparseMatrix, b: Sequence[Fraction]
+          ) -> tuple[Vector, list[Vector]] | None:
     """Solve ``m @ x = b`` exactly.
 
     Returns ``(particular, kernel_basis)`` with free variables of the

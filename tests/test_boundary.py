@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from frobdiag.boundary import (ModulePair, act, check_relative_duality,
+from frobdiag.boundary import (ModulePair, _relative_symmetry_system, act,
+                               check_relative_duality,
                                check_relative_symmetry,
                                check_relative_top_normalization,
                                module_basis_element, relative_class,
@@ -173,6 +174,23 @@ class TestRelativeSymmetry:
         mp = disk_pair(3)
         w = relative_diagonal_class(mp)
         assert check_relative_symmetry(mp, SignMode.LITERAL, w).ok
+
+    def test_system_rows_match_check_relative_symmetry_residuals(
+            self, residual_system):
+        # check_relative_symmetry multiplies and acts on the class; the
+        # system is built from the structure constants directly
+        for name in ("disk:3", "cylinder:sphere:2", "cylinder:cp:2",
+                     "cylinder:torus:2", "closed:sphere:2", "closed:cp:2",
+                     "closed:torus:2"):
+            for mode in SignMode:
+                mp = resolve(name, mode).payload
+                nm, nr = mp.module_basis.size, mp.ring.size
+                rows, width = _relative_symmetry_system(mp, mode)
+                expected = residual_system(
+                    nm, nr, lambda mu: check_relative_symmetry(
+                        mp, mode, relative_class(mp, mu)))
+                assert width == nm * nr, (name, mode)
+                assert rows == expected, (name, mode)
 
     def test_all_catalog_classes_symmetric_both_modes(self):
         for name, mp in PAIRS.items():

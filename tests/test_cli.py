@@ -245,15 +245,16 @@ class TestSolveVerb:
 
 
 def _mu_is_pairing_inverse(data):
-    ring = resolve("torus:4").payload
-    inverse = pairing_inverse(ring)
+    inverse = pairing_inverse(resolve(data["name"]).payload)
     assert data["mu"] == [[str(v) for v in inverse.row(i)]
                           for i in range(inverse.rows)]
 
 
-def _sixteen_dimensional_inverse_member(data):
-    assert data["dimension"] == 16
-    assert data["inverse_class_member"] is True
+def _inverse_member_of_dimension(n):
+    def check(data):
+        assert data["dimension"] == n
+        assert data["inverse_class_member"] is True
+    return check
 
 
 def _valid(data):
@@ -262,14 +263,28 @@ def _valid(data):
 
 SIXTEEN_ELEMENT_CASES = [
     (["diag", "torus:4", "--mode", "graded"], _mu_is_pairing_inverse),
-    (["solve", "product:cp:3,cp:3"], _sixteen_dimensional_inverse_member),
+    (["solve", "product:cp:3,cp:3"], _inverse_member_of_dimension(16)),
     (["validate", "torus:4"], _valid),
+]
+
+THIRTY_TWO_ELEMENT_CASES = [
+    (["diag", "torus:5", "--mode", "graded"], _mu_is_pairing_inverse),
+    (["solve", "torus:5"], _inverse_member_of_dimension(32)),
 ]
 
 
 @pytest.mark.parametrize("argv,check", SIXTEEN_ELEMENT_CASES,
                          ids=[" ".join(c[0]) for c in SIXTEEN_ELEMENT_CASES])
 def test_sixteen_element_rings(invoke, argv, check):
+    code, out, err = invoke(*argv, "--output", "json")
+    assert code == 0, err
+    check(json.loads(out))
+
+
+@pytest.mark.parametrize("argv,check", THIRTY_TWO_ELEMENT_CASES,
+                         ids=[" ".join(c[0])
+                              for c in THIRTY_TWO_ELEMENT_CASES])
+def test_thirty_two_element_rings(invoke, argv, check):
     code, out, err = invoke(*argv, "--output", "json")
     assert code == 0, err
     check(json.loads(out))

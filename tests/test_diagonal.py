@@ -3,16 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from frobdiag.catalog import complex_projective, point, product, sphere, torus
+from frobdiag.catalog import (catalog_names, complex_projective, point,
+                              product, resolve, sphere, torus)
 from frobdiag.diagonal import (NonUniqueSolutionError, SignMode,
-                               SingularPairingError, check_symmetry,
+                               SingularPairingError, _symmetry_system,
+                               check_symmetry,
                                check_top_normalization, class_in_span,
                                diagonal_class, kunneth_product, left_factor,
                                pairing_inverse, pure_tensor, right_factor,
                                solve_symmetric_space, symmetric_family,
                                tensor_class, tensor_multiply)
 from frobdiag.linalg import Matrix, rank
-from frobdiag.ring import (basis_element, unit_element, validate)
+from frobdiag.ring import (RingStructure, basis_element, unit_element,
+                           validate)
 
 EVEN_RINGS = {
     "sphere:2": sphere(2),
@@ -140,6 +143,24 @@ class TestCheckSymmetry:
         zero = tensor_class(ring, ring, Matrix.zeros(3, 3))
         for mode in SignMode:
             assert check_symmetry(ring, mode, zero).ok
+
+
+class TestSymmetrySystem:
+    def test_rows_match_check_symmetry_residuals(self, residual_system):
+        # check_symmetry multiplies tensor classes; the system is built
+        # from the structure constants directly
+        for name in catalog_names():
+            for mode in SignMode:
+                ring = resolve(name, mode).payload
+                if not isinstance(ring, RingStructure):
+                    continue
+                rows, width = _symmetry_system(ring, mode, ring.basis,
+                                               ring.tensor)
+                expected = residual_system(
+                    ring.size, ring.size, lambda mu: check_symmetry(
+                        ring, mode, tensor_class(ring, ring, mu)))
+                assert width == ring.size ** 2, (name, mode)
+                assert rows == expected, (name, mode)
 
 
 class TestSolveSymmetricSpace:

@@ -79,6 +79,29 @@ class TestParseErrors:
         with pytest.raises(DocumentError, match="rational"):
             parse_document(json.dumps(doc))
 
+    def test_short_offending_value_is_echoed_whole(self):
+        doc = valid_ring_doc()
+        doc["lambda"][0]["value"] = [1, 2]
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == (
+            "lambda[0].value: expected a rational string like '2' or "
+            "'-3/4', got [1, 2]")
+
+    def test_huge_offending_value_is_cut(self, invoke, tmp_path):
+        doc = valid_ring_doc()
+        doc["lambda"][0]["value"] = list(range(3000))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke("validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{path}: lambda[0].value: ")
+        message = err[len(f"{path}: "):].rstrip("\n")
+        assert len(message) < 200
+        assert message.endswith(
+            "got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1...")
+
     def test_zero_denominator(self):
         doc = valid_ring_doc()
         doc["lambda"][0]["value"] = "1/0"

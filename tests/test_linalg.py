@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from frobdiag.linalg import (Matrix, SingularMatrixError, frac, invert,
-                             nullspace, rank, rref, solve, vector)
+from frobdiag.linalg import (Matrix, SingularMatrixError, SparseMatrix, frac,
+                             invert, nullspace, rank, rref, solve, vector)
 
 
 def det_cofactor(m: Matrix) -> Fraction:
@@ -62,6 +62,23 @@ class TestMatrixBasics:
     def test_apply(self):
         m = Matrix([[1, 2], [3, 4]])
         assert m.apply(vector([1, 1])) == vector([3, 7])
+
+
+class TestSparseMatrix:
+    def test_row_is_dense_on_demand(self):
+        m = SparseMatrix([((0, Fraction(2)), (2, Fraction(-1))), ()], 3)
+        assert (m.rows, m.cols) == (2, 3)
+        assert m.row(0) == vector([2, 0, -1])
+        assert m.row(1) == vector([0, 0, 0])
+
+    def test_column_out_of_range(self):
+        with pytest.raises(ValueError):
+            SparseMatrix([((3, Fraction(1)),)], 3)
+
+    def test_no_rows_keeps_its_width(self):
+        m = SparseMatrix([], 2)
+        assert nullspace(m) == [vector([1, 0]), vector([0, 1])]
+        assert solve(m, []) == (vector([0, 0]), nullspace(m))
 
 
 class TestInvert:

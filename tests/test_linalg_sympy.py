@@ -11,8 +11,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobdiag.linalg import (Matrix, SingularMatrixError, invert, nullspace,
-                             rank, rref, solve)
+from frobdiag.linalg import (Matrix, SingularMatrixError, SparseMatrix,
+                             invert, nullspace, rank, rref, solve)
 
 # zero listed twice: two entries in three are zero, as in the symmetry systems
 entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
@@ -98,3 +98,23 @@ def test_invert_matches_sympy(m):
             invert(m)
     else:
         assert invert(m) == to_matrix(s.inv())
+
+
+def to_sparse(m: Matrix) -> SparseMatrix:
+    return SparseMatrix([[(c, v) for c, v in enumerate(m.row(i)) if v]
+                         for i in range(m.rows)], m.cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_sparse_input_matches_dense(m, data):
+    # the symmetry systems reach the kernel as SparseMatrix; the dense
+    # Matrix path is checked against sympy above
+    s = to_sparse(m)
+    assert (s.rows, s.cols) == (m.rows, m.cols)
+    assert [s.row(i) for i in range(s.rows)] == \
+        [m.row(i) for i in range(m.rows)]
+    assert rank(s) == rank(m)
+    assert nullspace(s) == nullspace(m)
+    b = data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))
+    assert solve(s, b) == solve(m, b)
