@@ -27,7 +27,7 @@ from .linalg import (Matrix, SparseMatrix, Vector,  # noqa: F401
                      SingularMatrixError, invert, nullspace, rank, solve)
 from .ring import (GradedBasis, MissingTopClassError, RingStructure,
                    ValidationReport, associativity_defects, basis_element,
-                   multiply, sparse_tensor, validate)
+                   bilinear_product, multiply, sparse_tensor, validate)
 
 ModuleElement = Vector
 
@@ -74,14 +74,7 @@ def act(mp: ModulePair, y: Sequence[Fraction],
     """Bilinear extension of the action tensor: ``y ^ x``."""
     if len(y) != mp.ring.size or len(x) != mp.module_basis.size:
         raise ValueError("element lengths do not match ring/module bases")
-    out = [Fraction(0)] * mp.module_basis.size
-    for (i, j), coeffs in mp._action_products.items():
-        c = y[i] * x[j]
-        if c == 0:
-            continue
-        for k, v in coeffs.items():
-            out[k] += c * v
-    return tuple(out)
+    return bilinear_product(mp._action_products, y, x, mp.module_basis.size)
 
 
 def validate_module(mp: ModulePair,
@@ -208,6 +201,14 @@ def check_relative_symmetry(mp: ModulePair, mode: SignMode,
         raise ValueError("class does not live over this module pair")
     nm, nr = mp.module_basis.size, mp.ring.size
     mod_deg = mp.module_basis.degrees
+    # (y_k (x) 1).w: each column of mu is a module element on the left
+    # factor, acted on by y_k after the unit passes the module factor; the
+    # signed columns do not depend on k
+    signed_cols = []
+    for j in range(nr):
+        col = w.mu.column(j)
+        signed_cols.append(tuple(koszul_sign(mode, 0, mod_deg[l]) * col[l]
+                                 for l in range(nm)))
     entries: list[ResidualEntry] = []
     for k in range(nr):
         yk = basis_element(mp.ring, k)
@@ -215,14 +216,7 @@ def check_relative_symmetry(mp: ModulePair, mode: SignMode,
         # factor; multiply it by y_k (only a unit crosses the left factor,
         # so no Koszul sign in either mode)
         lhs_rows = [multiply(mp.ring, w.mu.row(i), yk) for i in range(nm)]
-        # (y_k (x) 1).w: each column of mu is a module element on the left
-        # factor; act by y_k after the unit passes the module factor
-        rhs_cols = []
-        for j in range(nr):
-            col = w.mu.column(j)
-            signed = tuple(koszul_sign(mode, 0, mod_deg[l]) * col[l]
-                           for l in range(nm))
-            rhs_cols.append(act(mp, yk, signed))
+        rhs_cols = [act(mp, yk, signed) for signed in signed_cols]
         for i in range(nm):
             for s in range(nr):
                 value = lhs_rows[i][s] - rhs_cols[s][i]

@@ -11,6 +11,11 @@ Entry names double as stable identifiers for the command line::
     point            sphere:2         cp:3
     torus:2          product:cp:1,cp:1
     disk:3           cylinder:sphere:2       closed:cp:2
+
+An identifier whose basis would exceed :data:`MAX_BASIS` elements
+(``torus:n`` for n > 10, ``cp:n`` for n > 1023, products over the limit,
+and the ``cylinder:``/``closed:`` pairs of any of these) is a
+:class:`CatalogError`, raised before that basis is built.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from .ring import GradedBasis, RingStructure
 
 class CatalogError(ValueError):
     """Unknown or malformed catalog identifier."""
+
+
+MAX_BASIS = 1024  # basis elements of the largest entry the catalog builds
 
 
 def point() -> RingStructure:
@@ -178,6 +186,17 @@ def _parse_int(text: str, what: str) -> int:
                            f"{text!r}") from None
 
 
+def _check_size(name: str, size: int, shown: str | None = None) -> None:
+    """Refuse ``name`` if its basis would have more than MAX_BASIS elements.
+
+    ``shown`` is how the message writes the size, when not as a number.
+    """
+    if size > MAX_BASIS:
+        raise CatalogError(
+            f"{name} would have {shown or size} basis elements, more than "
+            f"the catalog's limit of {MAX_BASIS}")
+
+
 def resolve(name: str, mode: SignMode = SignMode.LITERAL) -> CatalogEntry:
     """Build the catalog entry for a stable identifier.
 
@@ -191,9 +210,14 @@ def resolve(name: str, mode: SignMode = SignMode.LITERAL) -> CatalogEntry:
     elif name.startswith("sphere:"):
         payload = sphere(_parse_int(name[len("sphere:"):], "sphere"))
     elif name.startswith("cp:"):
-        payload = complex_projective(_parse_int(name[len("cp:"):], "cp"))
+        n = _parse_int(name[len("cp:"):], "cp")
+        _check_size(name, n + 1)
+        payload = complex_projective(n)
     elif name.startswith("torus:"):
-        payload = torus(_parse_int(name[len("torus:"):], "torus"))
+        n = _parse_int(name[len("torus:"):], "torus")
+        # 2^n, without forming a huge power for a huge n
+        _check_size(name, 2 ** min(n, MAX_BASIS.bit_length()), f"2^{n}")
+        payload = torus(n)
     elif name.startswith("disk:"):
         payload = disk_pair(_parse_int(name[len("disk:"):], "disk"))
     elif name.startswith("cylinder:"):
@@ -216,6 +240,7 @@ def resolve(name: str, mode: SignMode = SignMode.LITERAL) -> CatalogEntry:
         right = resolve(parts[1], mode)
         if left.is_pair or right.is_pair:
             raise CatalogError("product factors must be rings")
+        _check_size(name, left.payload.size * right.payload.size)
         payload = product(left.payload, right.payload, mode)
     else:
         raise CatalogError(f"unknown catalog entry {name!r}")

@@ -106,10 +106,15 @@ def tensor_class(ring_left: RingStructure, ring_right: RingStructure,
 
 def pure_tensor(ring_left: RingStructure, ring_right: RingStructure,
                 a: RingElement, b: RingElement) -> TensorClass:
-    """The decomposable class ``a (x) b``."""
-    mu = Matrix([[a[i] * b[j] for j in range(ring_right.size)]
-                 for i in range(ring_left.size)])
-    return tensor_class(ring_left, ring_right, mu)
+    """The decomposable class ``a (x) b``; only nonzero pairs multiply."""
+    nr = ring_right.size
+    b_terms = [(j, b[j]) for j in range(nr) if b[j]]
+    mu = [[Fraction(0)] * nr for _ in range(ring_left.size)]
+    for i, row in enumerate(mu):
+        if a[i]:
+            for j, bj in b_terms:
+                row[j] = a[i] * bj
+    return tensor_class(ring_left, ring_right, Matrix(mu))
 
 
 def left_factor(ring_left: RingStructure, ring_right: RingStructure,
@@ -125,7 +130,14 @@ def right_factor(ring_left: RingStructure, ring_right: RingStructure,
 def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
                     mode: SignMode, u: TensorClass,
                     v: TensorClass) -> TensorClass:
-    """Product of two classes in the tensor-square algebra."""
+    """Product of two classes in the tensor-square algebra.
+
+    The product is taken term by term over the nonzero coefficients of
+    ``u`` and ``v``; zero coefficients are skipped, never multiplied.  It
+    multiplies classes through the two rings' products and shares no code
+    with the symmetry-system builder :func:`_symmetry_system`, which is
+    what makes :func:`check_symmetry` an independent check of it.
+    """
     for w in (u, v):
         if (w.left_basis != ring_left.basis
                 or w.right_basis != ring_right.basis):
@@ -133,21 +145,20 @@ def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
     deg_l = ring_left.basis.degrees
     deg_r = ring_right.basis.degrees
     nl, nr = ring_left.size, ring_right.size
+    v_rows = [[(d, vcd) for d, vcd in enumerate(v.mu.row(c)) if vcd]
+              for c in range(nl)]
     out = [[Fraction(0)] * nr for _ in range(nl)]
     for a in range(nl):
-        for b in range(nr):
-            uab = u.mu[a, b]
+        for b, uab in enumerate(u.mu.row(a)):
             if uab == 0:
                 continue
-            for c in range(nl):
+            for c, v_row in enumerate(v_rows):
                 left = ring_left.product_coefficients(a, c)
-                if not left:
+                if not left or not v_row:
                     continue
-                for d in range(nr):
-                    vcd = v.mu[c, d]
-                    if vcd == 0:
-                        continue
-                    coeff = uab * vcd * koszul_sign(mode, deg_r[b], deg_l[c])
+                sign = koszul_sign(mode, deg_r[b], deg_l[c])
+                for d, vcd in v_row:
+                    coeff = uab * vcd * sign
                     right = ring_right.product_coefficients(b, d)
                     for e, le in left.items():
                         for f, rf in right.items():
@@ -264,21 +275,23 @@ def check_symmetry(ring: RingStructure, mode: SignMode,
     """Residuals of ``w.(1(x)x_k) - (x_k(x)1).w`` over every basis element.
 
     An empty report means ``w`` is symmetric.  The check multiplies actual
-    tensor classes, so it exercises a different code path from the linear
-    system assembled by :func:`solve_symmetric_space`.
+    tensor classes with :func:`tensor_multiply`, which skips zero
+    coefficients, and compares the two sides entry by entry, subtracting
+    only where they differ.  It never calls :func:`_symmetry_system`, so
+    it exercises a different code path from the linear system assembled
+    by :func:`solve_symmetric_space`.
     """
     entries: list[ResidualEntry] = []
     for k in range(ring.size):
         xk = basis_element(ring, k)
         lhs = tensor_multiply(ring, ring, mode, w,
-                              right_factor(ring, ring, xk))
+                              right_factor(ring, ring, xk)).mu
         rhs = tensor_multiply(ring, ring, mode,
-                              left_factor(ring, ring, xk), w)
-        diff = lhs.mu - rhs.mu
+                              left_factor(ring, ring, xk), w).mu
         for i in range(ring.size):
-            for j in range(ring.size):
-                if diff[i, j] != 0:
-                    entries.append(ResidualEntry(k, i, j, diff[i, j]))
+            for j, (a, b) in enumerate(zip(lhs.row(i), rhs.row(i))):
+                if a != b:
+                    entries.append(ResidualEntry(k, i, j, a - b))
     return SymmetryReport(entries)
 
 

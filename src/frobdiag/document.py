@@ -30,6 +30,7 @@ Payload = RingStructure | ModulePair
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?\Z")
 _ECHO_LIMIT = 40   # characters of an offending value quoted in a message
+_UNKNOWN_LIMIT = 5  # unknown field names listed in a message
 
 
 class DocumentError(ValueError):
@@ -40,12 +41,15 @@ class DocumentError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
-def _echo(raw: Any) -> str:
-    """``repr(raw)``, cut to :data:`_ECHO_LIMIT` characters plus ``...``."""
-    text = repr(raw)
+def _cut(text: str) -> str:
+    """``text`` cut to :data:`_ECHO_LIMIT` characters plus ``...``."""
     if len(text) > _ECHO_LIMIT:
         return text[:_ECHO_LIMIT] + "..."
     return text
+
+
+def _echo(raw: Any) -> str:
+    return _cut(repr(raw))
 
 
 def _parse_rational(raw: Any, location: str) -> Fraction:
@@ -78,10 +82,13 @@ def _expect(mapping: Any, key: str, kind: type, location: str) -> Any:
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], location: str) -> None:
-    unknown = set(mapping) - allowed
+    """Name the first :data:`_UNKNOWN_LIMIT` unknown keys, each cut."""
+    unknown = sorted(set(mapping) - allowed)
     if unknown:
-        raise DocumentError(
-            f"unknown field(s): {', '.join(sorted(unknown))}", location)
+        names = ", ".join(_cut(key) for key in unknown[:_UNKNOWN_LIMIT])
+        if len(unknown) > _UNKNOWN_LIMIT:
+            names += f", ... ({len(unknown)} in all)"
+        raise DocumentError(f"unknown field(s): {names}", location)
 
 
 def _parse_basis(raw: Any, location: str) -> tuple[tuple[str, ...],

@@ -106,16 +106,6 @@ class Matrix:
     def __hash__(self) -> int:
         return hash(self._data)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix([[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self._data, other._data)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix([[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self._data, other._data)])
-
     def __neg__(self) -> "Matrix":
         return Matrix([[-v for v in row] for row in self._data])
 
@@ -144,10 +134,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self._data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
-
-    def _require_same_shape(self, other: "Matrix") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
 
 class SparseMatrix:

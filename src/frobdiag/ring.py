@@ -137,6 +137,27 @@ def unit_element(ring: RingStructure) -> RingElement:
     return basis_element(ring, ring.basis.unit_index)
 
 
+def bilinear_product(products: ProductMap, a: Sequence[Fraction],
+                     b: Sequence[Fraction], size: int) -> Vector:
+    """``sum a[i] b[j] products[(i, j)]`` as a length-``size`` tuple.
+
+    Only pairs of nonzero coefficients are multiplied, and only where
+    ``products`` has a term for them.
+    """
+    out = [Fraction(0)] * size
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in b_terms:
+            coeffs = products.get((i, j))
+            if coeffs:
+                c = ai * bj
+                for k, v in coeffs.items():
+                    out[k] += c * v
+    return tuple(out)
+
+
 def multiply(ring: RingStructure, a: Sequence[Fraction],
              b: Sequence[Fraction]) -> RingElement:
     """Bilinear extension of the structure tensor to ring elements."""
@@ -144,14 +165,7 @@ def multiply(ring: RingStructure, a: Sequence[Fraction],
     if len(a) != n or len(b) != n:
         raise ValueError(
             f"element length mismatch: {len(a)}, {len(b)} over basis of {n}")
-    out = [Fraction(0)] * n
-    for (i, j), coeffs in ring._products.items():
-        c = a[i] * b[j]
-        if c == 0:
-            continue
-        for k, v in coeffs.items():
-            out[k] += c * v
-    return tuple(out)
+    return bilinear_product(ring._products, a, b, n)
 
 
 # ---------------------------------------------------------------------------

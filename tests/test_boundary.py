@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobdiag.boundary import (ModulePair, _relative_symmetry_system, act,
                                check_relative_duality,
@@ -16,11 +18,12 @@ from frobdiag.catalog import (catalog_names, closed_as_pair,
                               complex_projective, cylinder_pair, disk_pair,
                               resolve, sphere, torus)
 from frobdiag.diagonal import (SignMode, SingularPairingError,
-                               check_symmetry, diagonal_class,
+                               check_symmetry, diagonal_class, koszul_sign,
                                solve_symmetric_space)
 from frobdiag.linalg import Matrix
 from frobdiag.ring import (GradedBasis, MissingTopClassError, RingStructure,
                            basis_element, pairing_matrix)
+from strategies import elements, matrices, modes, rings
 
 PAIRS = {
     "disk:1": disk_pair(1),
@@ -204,6 +207,20 @@ class TestRelativeSymmetry:
         report = check_relative_symmetry(mp, SignMode.LITERAL, w)
         assert not report.ok
 
+    def test_residual_report_pinned(self):
+        # a seeded random integer class on cylinder:torus:2; the entries
+        # come in (probe, left, right) order, the same in both modes
+        for mode in SignMode:
+            mp = resolve("cylinder:torus:2", mode).payload
+            w = relative_class(mp, Matrix([[0, 0, 0, 1], [0, -3, -3, 1],
+                                           [1, 2, 0, 2], [0, 2, -3, 0]]))
+            assert [(e.probe, e.left, e.right, e.value)
+                    for e in check_relative_symmetry(mp, mode, w)] == [
+                (1, 1, 3, -4), (1, 2, 1, 1), (1, 3, 0, 1), (1, 3, 1, 2),
+                (1, 3, 3, -1), (2, 1, 3, 3), (2, 2, 2, 1), (2, 2, 3, -3),
+                (2, 3, 1, 3), (2, 3, 2, 3), (2, 3, 3, -3), (3, 2, 3, 1),
+                (3, 3, 3, -1)], mode
+
     def test_closed_embedding_report_matches_absolute(self):
         ring = sphere(2)
         mp = closed_as_pair(ring)
@@ -249,3 +266,71 @@ class TestRelativeSolutionSpace:
             for mode in SignMode:
                 for s in solve_relative_symmetric_space(mp, mode):
                     assert check_relative_symmetry(mp, mode, s).ok, name
+
+
+# ---------------------------------------------------------------------------
+# the zero-skipping action and pair oracle against the dense loops they
+# replaced
+
+def dense_bilinear(products, a, b, size):
+    """``act``/``multiply`` as a loop over every key of the product map."""
+    out = [Fraction(0)] * size
+    for (i, j), coeffs in products.items():
+        c = a[i] * b[j]
+        if c == 0:
+            continue
+        for k, v in coeffs.items():
+            out[k] += c * v
+    return tuple(out)
+
+
+def dense_relative_residuals(mp, mode, w):
+    """``check_relative_symmetry`` entries, signed columns built per probe."""
+    nm, nr = mp.module_basis.size, mp.ring.size
+    mod_deg = mp.module_basis.degrees
+    entries = []
+    for k in range(nr):
+        yk = basis_element(mp.ring, k)
+        lhs_rows = [dense_bilinear(mp.ring._products, w.mu.row(i), yk, nr)
+                    for i in range(nm)]
+        rhs_cols = []
+        for j in range(nr):
+            col = w.mu.column(j)
+            signed = tuple(koszul_sign(mode, 0, mod_deg[l]) * col[l]
+                           for l in range(nm))
+            rhs_cols.append(dense_bilinear(mp._action_products, yk, signed,
+                                           nm))
+        for i in range(nm):
+            for s in range(nr):
+                value = lhs_rows[i][s] - rhs_cols[s][i]
+                if value != 0:
+                    entries.append((k, i, s, value))
+    return entries
+
+
+@st.composite
+def pairs(draw) -> ModulePair:
+    """The cylinder or the closed-case pair of a drawn ring."""
+    return draw(st.sampled_from((cylinder_pair, closed_as_pair)))(
+        draw(rings()))
+
+
+class TestSparseActionMatchesDense:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_act(self, data):
+        mp = data.draw(pairs())
+        y = data.draw(elements(mp.ring.size))
+        x = data.draw(elements(mp.module_basis.size))
+        assert act(mp, y, x) == dense_bilinear(mp._action_products, y, x,
+                                               mp.module_basis.size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_check_relative_symmetry(self, data):
+        mp, mode = data.draw(pairs()), data.draw(modes)
+        w = relative_class(mp, data.draw(matrices(mp.module_basis.size,
+                                                  mp.ring.size)))
+        assert [(e.probe, e.left, e.right, e.value)
+                for e in check_relative_symmetry(mp, mode, w)] == \
+            dense_relative_residuals(mp, mode, w)

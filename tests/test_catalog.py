@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from frobdiag import catalog
 from frobdiag.boundary import (ModulePair, relative_diagonal_class,
                                relative_pairing_matrix,
                                solve_relative_symmetric_space,
@@ -83,6 +86,53 @@ class TestResolve:
     def test_torus_ignores_mode(self):
         assert resolve("torus:2", SignMode.LITERAL).payload.tensor == \
             resolve("torus:2", SignMode.GRADED).payload.tensor
+
+
+class TestSizeBudget:
+    @pytest.mark.parametrize("name", [
+        "torus:20", "cp:100000", "product:torus:6,torus:6",
+        "cylinder:torus:20", "closed:cp:100000", "torus:1000000000000"])
+    def test_oversized_id_refused_before_building(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an oversized entry was built")
+
+        for builder in ("torus", "complex_projective", "product"):
+            monkeypatch.setattr(catalog, builder, refuse)
+        if name.startswith("product:"):
+            # the factors are within budget and get built; the product not
+            monkeypatch.setattr(catalog, "torus", torus)
+        start = time.perf_counter()
+        with pytest.raises(CatalogError, match="more than the catalog's "
+                                               "limit of 1024"):
+            resolve(name)
+        assert time.perf_counter() - start < 0.1
+
+    def test_message_names_the_size(self):
+        with pytest.raises(CatalogError) as excinfo:
+            resolve("torus:20")
+        assert str(excinfo.value) == (
+            "torus:20 would have 2^20 basis elements, more than the "
+            "catalog's limit of 1024")
+        with pytest.raises(CatalogError) as excinfo:
+            resolve("product:torus:6,torus:6")
+        assert str(excinfo.value) == (
+            "product:torus:6,torus:6 would have 4096 basis elements, more "
+            "than the catalog's limit of 1024")
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(catalog, "MAX_BASIS", 4)
+        for name in ("torus:2", "cp:3", "product:sphere:2,sphere:2",
+                     "cylinder:torus:2", "closed:cp:3"):
+            resolve(name)
+        for name in ("torus:3", "cp:4", "product:cp:1,cp:2",
+                     "cylinder:torus:3", "closed:cp:4"):
+            with pytest.raises(CatalogError):
+                resolve(name)
+
+    def test_cli_exit_code(self, invoke):
+        code, out, err = invoke("validate", "torus:20")
+        assert (code, out) == (2, "")
+        assert "limit of 1024" in err
 
 
 class TestStoredExpectations:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobdiag.catalog import (catalog_names, complex_projective, point,
                               product, resolve, sphere, torus)
@@ -9,13 +11,15 @@ from frobdiag.diagonal import (NonUniqueSolutionError, SignMode,
                                SingularPairingError, _symmetry_system,
                                check_symmetry,
                                check_top_normalization, class_in_span,
-                               diagonal_class, kunneth_product, left_factor,
+                               diagonal_class, koszul_sign, kunneth_product,
+                               left_factor,
                                pairing_inverse, pure_tensor, right_factor,
                                solve_symmetric_space, symmetric_family,
                                tensor_class, tensor_multiply)
 from frobdiag.linalg import Matrix, rank
-from frobdiag.ring import (RingStructure, basis_element, unit_element,
-                           validate)
+from frobdiag.ring import (RingStructure, basis_element, multiply,
+                           unit_element, validate)
+from strategies import ODD_RING_NAMES, elements, matrices, modes, rings
 
 EVEN_RINGS = {
     "sphere:2": sphere(2),
@@ -29,6 +33,15 @@ EVEN_RINGS = {
 
 ALL_RINGS = dict(EVEN_RINGS, **{"point": point(), "torus:2": torus(2),
                                 "sphere:1": sphere(1)})
+
+
+# drawn with random.Random(2) from (0, 0, 1, -1, 2, -3)
+ASYMMETRIC_MU = Matrix([[0, 0, 0, 1], [0, -3, -3, 1],
+                        [1, 2, 0, 2], [0, 2, -3, 0]])
+ASYMMETRIC_RESIDUALS = [
+    (1, 1, 3, -4), (1, 2, 1, 1), (1, 3, 0, 1), (1, 3, 1, 2), (1, 3, 3, -1),
+    (2, 1, 3, 3), (2, 2, 2, 1), (2, 2, 3, -3), (2, 3, 1, 3), (2, 3, 2, 3),
+    (2, 3, 3, -3), (3, 2, 3, 1), (3, 3, 3, -1)]
 
 
 class TestTensorMultiply:
@@ -143,6 +156,16 @@ class TestCheckSymmetry:
         zero = tensor_class(ring, ring, Matrix.zeros(3, 3))
         for mode in SignMode:
             assert check_symmetry(ring, mode, zero).ok
+
+    def test_residual_report_pinned(self):
+        # a seeded random integer class on torus:2; the entries come in
+        # (probe, left, right) order, the same in both modes
+        ring = torus(2)
+        w = tensor_class(ring, ring, ASYMMETRIC_MU)
+        for mode in SignMode:
+            assert [(e.probe, e.left, e.right, e.value)
+                    for e in check_symmetry(ring, mode, w)] == \
+                ASYMMETRIC_RESIDUALS, mode
 
 
 class TestSymmetrySystem:
@@ -305,3 +328,126 @@ class TestKunneth:
         report = validate(t)
         assert any(v.axiom == "graded-commutativity" for v in report)
         assert validate(t, allow_noncommutative=True).ok
+
+
+# ---------------------------------------------------------------------------
+# the zero-skipping products against the dense loops they replaced
+
+def dense_multiply(ring, a, b):
+    """``multiply`` as a loop over every key of the product map."""
+    out = [Fraction(0)] * ring.size
+    for (i, j), coeffs in ring._products.items():
+        c = a[i] * b[j]
+        if c == 0:
+            continue
+        for k, v in coeffs.items():
+            out[k] += c * v
+    return tuple(out)
+
+
+def dense_pure_tensor(ring_left, ring_right, a, b):
+    """``pure_tensor`` with every product ``a[i]*b[j]`` formed."""
+    return Matrix([[a[i] * b[j] for j in range(ring_right.size)]
+                   for i in range(ring_left.size)])
+
+
+def dense_tensor_multiply(ring_left, ring_right, mode, u, v):
+    """``tensor_multiply`` walking ``u`` and ``v`` entry by entry."""
+    deg_l = ring_left.basis.degrees
+    deg_r = ring_right.basis.degrees
+    nl, nr = ring_left.size, ring_right.size
+    out = [[Fraction(0)] * nr for _ in range(nl)]
+    for a in range(nl):
+        for b in range(nr):
+            uab = u.mu[a, b]
+            if uab == 0:
+                continue
+            for c in range(nl):
+                left = ring_left.product_coefficients(a, c)
+                if not left:
+                    continue
+                for d in range(nr):
+                    vcd = v.mu[c, d]
+                    if vcd == 0:
+                        continue
+                    coeff = uab * vcd * koszul_sign(mode, deg_r[b], deg_l[c])
+                    right = ring_right.product_coefficients(b, d)
+                    for e, le in left.items():
+                        for f, rf in right.items():
+                            out[e][f] += coeff * le * rf
+    return Matrix(out)
+
+
+def dense_residuals(ring, mode, w):
+    """``check_symmetry`` entries from dense products and a full difference."""
+    n = ring.size
+    entries = []
+    for k in range(n):
+        xk = basis_element(ring, k)
+        xr = tensor_class(ring, ring,
+                          dense_pure_tensor(ring, ring, unit_element(ring), xk))
+        xl = tensor_class(ring, ring,
+                          dense_pure_tensor(ring, ring, xk, unit_element(ring)))
+        lhs = dense_tensor_multiply(ring, ring, mode, w, xr)
+        rhs = dense_tensor_multiply(ring, ring, mode, xl, w)
+        for i in range(n):
+            for j in range(n):
+                value = lhs[i, j] - rhs[i, j]
+                if value != 0:
+                    entries.append((k, i, j, value))
+    return entries
+
+
+class TestSparseProductsMatchDense:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_moved_rings_stay_valid(self, data):
+        ring = data.draw(rings())
+        assert validate(ring, allow_noncommutative=True).ok
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_multiply(self, data):
+        ring = data.draw(rings())
+        a = data.draw(elements(ring.size))
+        b = data.draw(elements(ring.size))
+        assert multiply(ring, a, b) == dense_multiply(ring, a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_pure_tensor(self, data):
+        ring = data.draw(rings())
+        a = data.draw(elements(ring.size))
+        b = data.draw(elements(ring.size))
+        assert pure_tensor(ring, ring, a, b).mu == \
+            dense_pure_tensor(ring, ring, a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_tensor_multiply(self, data):
+        ring, mode = data.draw(rings()), data.draw(modes)
+        n = ring.size
+        u = tensor_class(ring, ring, data.draw(matrices(n, n)))
+        v = tensor_class(ring, ring, data.draw(matrices(n, n)))
+        assert tensor_multiply(ring, ring, mode, u, v).mu == \
+            dense_tensor_multiply(ring, ring, mode, u, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tensor_multiply_koszul_sign(self, data):
+        # the sign shows only where odd classes pass each other
+        ring = data.draw(rings(ODD_RING_NAMES))
+        n = ring.size
+        u = tensor_class(ring, ring, data.draw(matrices(n, n)))
+        v = tensor_class(ring, ring, data.draw(matrices(n, n)))
+        assert tensor_multiply(ring, ring, SignMode.GRADED, u, v).mu == \
+            dense_tensor_multiply(ring, ring, SignMode.GRADED, u, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_check_symmetry(self, data):
+        ring, mode = data.draw(rings()), data.draw(modes)
+        w = tensor_class(ring, ring, data.draw(matrices(ring.size, ring.size)))
+        assert [(e.probe, e.left, e.right, e.value)
+                for e in check_symmetry(ring, mode, w)] == \
+            dense_residuals(ring, mode, w)

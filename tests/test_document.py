@@ -61,6 +61,39 @@ class TestParseErrors:
         with pytest.raises(DocumentError, match="unknown field"):
             parse_document(json.dumps(doc))
 
+    def test_short_unknown_field_list_is_named_whole(self):
+        doc = valid_ring_doc()
+        doc.update({"extra": 1, "colour": 2, "a": 3, "b": 4, "c": 5})
+        doc["basis"][1]["weight"] = 1
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == \
+            "unknown field(s): a, b, c, colour, extra"
+        del doc["extra"], doc["colour"], doc["a"], doc["b"], doc["c"]
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == "basis[1]: unknown field(s): weight"
+
+    def test_long_unknown_field_list_is_cut(self, invoke, tmp_path):
+        doc = valid_ring_doc()
+        doc.update({f"x{i}": i for i in range(3000)})
+        path = tmp_path / "keys.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke("validate", str(path))
+        assert code == 2
+        assert out == ""
+        message = err[len(f"{path}: "):].rstrip("\n")
+        assert len(message) < 200
+        assert message == ("unknown field(s): x0, x1, x10, x100, x1000, "
+                           "... (3000 in all)")
+
+    def test_long_unknown_field_name_is_cut(self):
+        doc = valid_ring_doc()
+        doc["y" * 5000] = 1
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == f"unknown field(s): {'y' * 40}..."
+
     def test_duplicate_tensor_key(self):
         doc = valid_ring_doc()
         doc["lambda"].append(dict(doc["lambda"][0]))
