@@ -108,9 +108,7 @@ def validate_module(mp: ModulePair,
                            f"unit acts with {actual}, expected {expected}")
 
     for indices, a, b in associativity_defects(mp.ring._products,
-                                               mp._action_products,
-                                               mp.ring.size,
-                                               mp.module_basis.size):
+                                               mp._action_products):
         report.add("module-associativity", indices, f"{a} != {b}")
     return report
 
@@ -143,13 +141,15 @@ def relative_class(mp: ModulePair, mu: Matrix) -> TensorClass:
 
 
 def relative_diagonal_class(mp: ModulePair,
-                            mode: SignMode = SignMode.LITERAL
+                            mode: SignMode = SignMode.LITERAL,
+                            probes: Sequence[int] | None = None
                             ) -> TensorClass:
     """The normalized symmetric class of the pair.
 
     LITERAL mode inverts the relative pairing matrix.  GRADED mode solves
     the relative symmetry system subject to the normalization that the
     top row of ``mu`` is the unit indicator, demanding uniqueness.
+    ``probes`` is passed to :func:`frobdiag.diagonal._symmetry_system`.
     """
     if mode is SignMode.LITERAL:
         p = relative_pairing_matrix(mp)
@@ -165,7 +165,7 @@ def relative_diagonal_class(mp: ModulePair,
     top = mp.module_basis.top_index
     if top is None:
         raise MissingTopClassError("module has no top basis index")
-    rows, _ = _relative_symmetry_system(mp, mode)
+    rows, _ = _relative_symmetry_system(mp, mode, probes)
     nr, unit = mp.ring.size, mp.ring.basis.unit_index
     pins = [(top * nr + j, Fraction(int(j == unit))) for j in range(nr)]
     return _normalized_solve(rows, pins, mp.module_basis, mp.ring.basis,
@@ -225,17 +225,23 @@ def check_relative_symmetry(mp: ModulePair, mode: SignMode,
     return SymmetryReport(entries)
 
 
-def _relative_symmetry_system(mp: ModulePair, mode: SignMode
+def _relative_symmetry_system(mp: ModulePair, mode: SignMode,
+                              probes: Sequence[int] | None = None
                               ) -> tuple[list[SparseEquation], int]:
     """The symmetry system of the pair, unknowns ``mu[i*nr + j]``."""
-    return _symmetry_system(mp.ring, mode, mp.module_basis, mp.action)
+    return _symmetry_system(mp.ring, mode, mp.module_basis, mp.action,
+                            probes)
 
 
 def solve_relative_symmetric_space(mp: ModulePair,
-                                   mode: SignMode = SignMode.LITERAL
+                                   mode: SignMode = SignMode.LITERAL,
+                                   probes: Sequence[int] | None = None
                                    ) -> list[TensorClass]:
-    """Echelon-normalized basis of all relatively symmetric classes."""
-    rows, width = _relative_symmetry_system(mp, mode)
+    """Echelon-normalized basis of all relatively symmetric classes.
+
+    ``probes`` is passed to :func:`frobdiag.diagonal._symmetry_system`.
+    """
+    rows, width = _relative_symmetry_system(mp, mode, probes)
     return [unflatten(vec, mp.module_basis, mp.ring.basis)
             for vec in nullspace(SparseMatrix(rows, width))]
 

@@ -186,7 +186,7 @@ def _parse_int(text: str, what: str) -> int:
                            f"{text!r}") from None
 
 
-def _check_size(name: str, size: int, shown: str | None = None) -> None:
+def check_size(name: str, size: int, shown: str | None = None) -> None:
     """Refuse ``name`` if its basis would have more than MAX_BASIS elements.
 
     ``shown`` is how the message writes the size, when not as a number.
@@ -211,12 +211,12 @@ def resolve(name: str, mode: SignMode = SignMode.LITERAL) -> CatalogEntry:
         payload = sphere(_parse_int(name[len("sphere:"):], "sphere"))
     elif name.startswith("cp:"):
         n = _parse_int(name[len("cp:"):], "cp")
-        _check_size(name, n + 1)
+        check_size(name, n + 1)
         payload = complex_projective(n)
     elif name.startswith("torus:"):
         n = _parse_int(name[len("torus:"):], "torus")
         # 2^n, without forming a huge power for a huge n
-        _check_size(name, 2 ** min(n, MAX_BASIS.bit_length()), f"2^{n}")
+        check_size(name, 2 ** min(n, MAX_BASIS.bit_length()), f"2^{n}")
         payload = torus(n)
     elif name.startswith("disk:"):
         payload = disk_pair(_parse_int(name[len("disk:"):], "disk"))
@@ -240,7 +240,7 @@ def resolve(name: str, mode: SignMode = SignMode.LITERAL) -> CatalogEntry:
         right = resolve(parts[1], mode)
         if left.is_pair or right.is_pair:
             raise CatalogError("product factors must be rings")
-        _check_size(name, left.payload.size * right.payload.size)
+        check_size(name, left.payload.size * right.payload.size)
         payload = product(left.payload, right.payload, mode)
     else:
         raise CatalogError(f"unknown catalog entry {name!r}")

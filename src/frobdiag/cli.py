@@ -29,7 +29,8 @@ from .boundary import (ModulePair, check_relative_symmetry,
                        relative_class_in_span, relative_diagonal_class,
                        relative_pairing_matrix,
                        solve_relative_symmetric_space, validate_module)
-from .catalog import CatalogError, catalog_names, closed_as_pair, resolve
+from .catalog import (CatalogError, catalog_names, check_size,
+                      closed_as_pair, resolve)
 from .diagonal import (NonUniqueSolutionError, NoSolutionError, SignMode,
                        SingularPairingError, check_symmetry,
                        check_top_normalization, class_in_span, diagonal_class,
@@ -37,7 +38,7 @@ from .diagonal import (NonUniqueSolutionError, NoSolutionError, SignMode,
 from .document import DocumentError, emit_document, parse_document
 from .linalg import Matrix
 from .ring import (MissingTopClassError, RingStructure, ValidationReport,
-                   pairing_matrix, validate)
+                   generators, pairing_matrix, validate)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -81,13 +82,10 @@ def _matrix_json(m: Matrix) -> list[list[str]]:
 def _matrix_text(m: Matrix, indent: str = "  ") -> str:
     if m.rows == 0:
         return indent + "(empty)"
-    widths = [max(len(str(m[i, j])) for i in range(m.rows))
-              for j in range(m.cols)]
-    lines = []
-    for i in range(m.rows):
-        cells = [str(m[i, j]).rjust(widths[j]) for j in range(m.cols)]
-        lines.append(indent + " ".join(cells))
-    return "\n".join(lines)
+    cells = _matrix_json(m)
+    widths = [max(len(row[j]) for row in cells) for j in range(m.cols)]
+    return "\n".join(indent + " ".join(c.rjust(w) for c, w in zip(row, widths))
+                     for row in cells)
 
 
 def _class_terms(mu: Matrix, left_labels: Sequence[str],
@@ -138,6 +136,17 @@ def _validate(payload, allow_noncommutative: bool
                     allow_noncommutative=allow_noncommutative), "ring"
 
 
+def _probes(payload) -> list[int]:
+    """Ring generators: the probes a validated payload's system needs.
+
+    Validation has shown the ring and the action associative and unital,
+    which is what lets generators stand for every probe (see
+    ``diagonal._symmetry_system``).
+    """
+    return generators(payload.ring if isinstance(payload, ModulePair)
+                      else payload)
+
+
 def _pairing(payload) -> Matrix:
     if isinstance(payload, ModulePair):
         return relative_pairing_matrix(payload)
@@ -178,10 +187,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _diag_report(name: str, payload, mode: SignMode, output: str) -> int:
-    """Pairing, diagonal class and its checks, for a ring or a pair."""
+    """Pairing, diagonal class and its checks, for a validated payload."""
     pairing = _pairing(payload)
+    # only GRADED mode solves a symmetry system
+    probes = _probes(payload) if mode is SignMode.GRADED else None
     if isinstance(payload, ModulePair):
-        w = relative_diagonal_class(payload, mode)
+        w = relative_diagonal_class(payload, mode, probes)
         residual = check_relative_symmetry(payload, mode, w)
         normalized = check_relative_top_normalization(payload, w)
         kind = "pair"
@@ -191,7 +202,7 @@ def _diag_report(name: str, payload, mode: SignMode, output: str) -> int:
         titles = ("relative pairing matrix (ring rows, module columns)",
                   "diagonal coefficients (module rows, ring columns)")
     else:
-        w = diagonal_class(payload, mode)
+        w = diagonal_class(payload, mode, probes)
         residual = check_symmetry(payload, mode, w)
         normalized = check_top_normalization(payload, w)
         kind = "ring"
@@ -270,10 +281,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # relative_class_in_span is class_in_span; the pair name keeps the two
     # cases apart in traced runs
     if isinstance(payload, ModulePair):
-        space = solve_relative_symmetric_space(payload, mode)
+        space = solve_relative_symmetric_space(payload, mode,
+                                               _probes(payload))
         diagonal, in_span = relative_diagonal_class, relative_class_in_span
     else:
-        space = solve_symmetric_space(payload, mode)
+        space = solve_symmetric_space(payload, mode, _probes(payload))
         diagonal, in_span = diagonal_class, class_in_span
     try:
         member = in_span(space, diagonal(payload, SignMode.LITERAL))
@@ -305,6 +317,13 @@ def cmd_kunneth(args: argparse.Namespace) -> int:
     mode = SignMode(args.mode)
     name_a, ring_a = _load_input(args.left, mode)
     name_b, ring_b = _load_input(args.right, mode)
+    if isinstance(ring_a, RingStructure) and isinstance(ring_b, RingStructure):
+        # refuse an oversized product before any factor is validated
+        try:
+            check_size(f"product:{name_a},{name_b}",
+                       ring_a.size * ring_b.size)
+        except CatalogError as exc:
+            raise CliFailure(EXIT_PARSE, str(exc))
     for name, payload in ((name_a, ring_a), (name_b, ring_b)):
         if isinstance(payload, ModulePair):
             raise CliFailure(EXIT_PARSE,

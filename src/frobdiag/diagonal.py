@@ -179,19 +179,20 @@ def pairing_inverse(ring: RingStructure) -> Matrix:
 
 
 def diagonal_class(ring: RingStructure,
-                   mode: SignMode = SignMode.LITERAL) -> TensorClass:
+                   mode: SignMode = SignMode.LITERAL,
+                   probes: Sequence[int] | None = None) -> TensorClass:
     """The normalized symmetric class of ``ring (x) ring``.
 
     LITERAL mode returns the closed form: coefficients are the inverse of
     the pairing matrix.  GRADED mode never assumes a formula; it solves
     the symmetry system subject to the top-row/top-column normalization
     (top row and column of ``mu`` equal to the unit indicator) and demands
-    a unique solution.
+    a unique solution.  ``probes`` is passed to :func:`_symmetry_system`.
     """
     if mode is SignMode.LITERAL:
         return tensor_class(ring, ring, pairing_inverse(ring))
 
-    rows, _ = _symmetry_system(ring, mode, ring.basis, ring.tensor)
+    rows, _ = _symmetry_system(ring, mode, ring.basis, ring.tensor, probes)
     n, unit, top = ring.size, ring.basis.unit_index, ring.basis.top_index
     if top is None:
         raise SingularPairingError("ring has no top basis index")
@@ -297,7 +298,8 @@ def check_symmetry(ring: RingStructure, mode: SignMode,
 
 def _symmetry_system(ring: RingStructure, mode: SignMode,
                      module_basis: GradedBasis,
-                     action: Mapping[tuple[int, int, int], Fraction]
+                     action: Mapping[tuple[int, int, int], Fraction],
+                     probes: Sequence[int] | None = None
                      ) -> tuple[list[SparseEquation], int]:
     """Sparse linear system in the flattened unknowns ``mu[i*nr + j]``.
 
@@ -310,6 +312,19 @@ def _symmetry_system(ring: RingStructure, mode: SignMode,
     by column; equations that vanish identically are left out.  Returns
     the equations and the number of unknowns.  Rows are assembled straight
     from the two tensors, independently of :func:`tensor_multiply`.
+
+    ``probes`` lists the ring basis indices ``k`` to take equations for;
+    ``None`` takes every one.  A generating set of the ring is enough when
+    the ring multiplication and the action are associative and unital:
+    if ``w`` is symmetric for ``x`` and for ``y``, then
+    ``w.(1(x)xy) = (w.(1(x)x)).(1(x)y) = (x(x)1).w.(1(x)y)
+    = (x(x)1).(y(x)1).w = (xy(x)1).w``, the two multiplications act on
+    different tensor factors (the unit slot never moves an odd factor, so
+    in either sign mode), and the unit is symmetric outright.  So the
+    system for the generators (:func:`frobdiag.ring.generators`) has the
+    same solutions as the full one, and the same reduced row echelon
+    form.  Without that precondition the two may differ: pass a probe
+    list only for a ring or pair that has passed validation.
     """
     nm, nr = module_basis.size, ring.size
     ring_deg = ring.basis.degrees
@@ -327,7 +342,7 @@ def _symmetry_system(ring: RingStructure, mode: SignMode,
         left.setdefault((k, i), []).append(
             (l, c * koszul_sign(mode, 0, mod_deg[l])))
     rows: list[SparseEquation] = []
-    for k in range(nr):
+    for k in range(nr) if probes is None else probes:
         for i in range(nm):
             acting = left.get((k, i), ())
             for s in range(nr):
@@ -346,16 +361,18 @@ def _symmetry_system(ring: RingStructure, mode: SignMode,
 
 
 def solve_symmetric_space(ring: RingStructure,
-                          mode: SignMode = SignMode.LITERAL
+                          mode: SignMode = SignMode.LITERAL,
+                          probes: Sequence[int] | None = None
                           ) -> list[TensorClass]:
     """Echelon-normalized basis of all symmetric classes.
 
     This is the brute-force description of the symmetric elements: the
-    kernel of the full symmetry system, one coefficient at a time.  It
-    serves as the oracle against which the closed-form diagonal class is
-    compared.
+    kernel of the symmetry system, one coefficient at a time.  It serves
+    as the oracle against which the closed-form diagonal class is
+    compared.  ``probes`` is passed to :func:`_symmetry_system`.
     """
-    rows, width = _symmetry_system(ring, mode, ring.basis, ring.tensor)
+    rows, width = _symmetry_system(ring, mode, ring.basis, ring.tensor,
+                                   probes)
     return [unflatten(vec, ring.basis, ring.basis)
             for vec in nullspace(SparseMatrix(rows, width))]
 

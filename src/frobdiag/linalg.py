@@ -186,19 +186,29 @@ def _reduce(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     """
     pivots: dict[int, SparseRow] = {}
     for row in rows:
-        for c in [c for c in row if c in pivots]:
-            _subtract(row, row[c], pivots[c])
-        if not row:
-            continue
-        lead = min(row)
-        inv = 1 / row[lead]
-        row = {c: v * inv for c, v in row.items()}
-        for other in pivots.values():
-            f = other.get(lead)
-            if f is not None:
-                _subtract(other, f, row)
-        pivots[lead] = row
+        _insert(pivots, row)
     return pivots
+
+
+def _insert(pivots: dict[int, SparseRow], row: SparseRow) -> bool:
+    """One step of :func:`_reduce`: add ``row`` (consumed) to ``pivots``.
+
+    Returns True iff the row was independent of the pivot rows, that is,
+    iff it added a pivot.
+    """
+    for c in [c for c in row if c in pivots]:
+        _subtract(row, row[c], pivots[c])
+    if not row:
+        return False
+    lead = min(row)
+    inv = 1 / row[lead]
+    row = {c: v * inv for c, v in row.items()}
+    for other in pivots.values():
+        f = other.get(lead)
+        if f is not None:
+            _subtract(other, f, row)
+    pivots[lead] = row
+    return True
 
 
 def _subtract(row: SparseRow, f: Fraction, pivot_row: SparseRow) -> None:

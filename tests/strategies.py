@@ -1,8 +1,9 @@
-"""Hypothesis strategies shared by the product oracle tests.
+"""Hypothesis strategies shared by the product oracle and theorem tests.
 
 Rings are catalog rings, as they are or moved to another basis by
 ``change_basis`` with an integer, unimodular, degree-preserving matrix,
-so their structure constants are no longer mostly ones.  Elements and
+so their structure constants are no longer mostly ones; pairs are the
+``cylinder:`` and ``closed:`` pairs of such rings.  Elements and
 coefficient matrices carry integer or rational entries in random zero
 patterns; the all-zero and the one-nonzero cases are drawn on purpose.
 """
@@ -13,7 +14,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from frobdiag.catalog import catalog_names, resolve
+from frobdiag.boundary import ModulePair
+from frobdiag.catalog import (catalog_names, closed_as_pair, cylinder_pair,
+                              resolve)
 from frobdiag.diagonal import SignMode
 from frobdiag.linalg import Matrix
 from frobdiag.ring import RingStructure, change_basis
@@ -66,6 +69,13 @@ def rings(draw, names: list[str] = RING_NAMES) -> RingStructure:
     if draw(st.booleans()):
         ring = change_basis(ring, draw(unimodular_degree_preserving(ring)))
     return ring
+
+
+@st.composite
+def pairs(draw) -> ModulePair:
+    """The cylinder or the closed-case pair of a drawn ring."""
+    return draw(st.sampled_from((cylinder_pair, closed_as_pair)))(
+        draw(rings()))
 
 
 @st.composite

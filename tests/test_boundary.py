@@ -23,7 +23,7 @@ from frobdiag.diagonal import (SignMode, SingularPairingError,
 from frobdiag.linalg import Matrix
 from frobdiag.ring import (GradedBasis, MissingTopClassError, RingStructure,
                            basis_element, pairing_matrix)
-from strategies import elements, matrices, modes, rings
+from strategies import elements, matrices, modes, pairs
 
 PAIRS = {
     "disk:1": disk_pair(1),
@@ -306,13 +306,6 @@ def dense_relative_residuals(mp, mode, w):
                 if value != 0:
                     entries.append((k, i, s, value))
     return entries
-
-
-@st.composite
-def pairs(draw) -> ModulePair:
-    """The cylinder or the closed-case pair of a drawn ring."""
-    return draw(st.sampled_from((cylinder_pair, closed_as_pair)))(
-        draw(rings()))
 
 
 class TestSparseActionMatchesDense:

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from frobdiag.catalog import complex_projective, point, product, sphere, torus
+from frobdiag.boundary import ModulePair
+from frobdiag.catalog import (complex_projective, cylinder_pair, disk_pair,
+                              point, product, sphere, torus)
 from frobdiag.linalg import Matrix
 from frobdiag.ring import (GradedBasis, MissingTopClassError, RingStructure,
-                           basis_element, change_basis, check_frobenius_chain,
-                           check_poincare_duality, multiply, pairing_matrix,
-                           unit_element, validate)
+                           associativity_defects, basis_element, change_basis,
+                           check_frobenius_chain, check_poincare_duality,
+                           multiply, pairing_matrix, unit_element, validate)
 
 
 def degenerate_ring() -> RingStructure:
@@ -87,6 +89,118 @@ class TestValidate:
         assert any(v.axiom == "graded-commutativity" for v in report)
         assert all(v.axiom == "graded-commutativity" for v in report)
         assert validate(literal_torus, allow_noncommutative=True).ok
+
+
+def all_triples_defects(products, action, n_ring, n_module):
+    """``associativity_defects`` as it was: every ``(i, j, k)`` visited."""
+    by_ring, by_module = {}, {}
+    for (i, m), coeffs in action.items():
+        by_ring.setdefault(i, {})[m] = coeffs
+        by_module.setdefault(m, {})[i] = coeffs
+
+    def contract(outer, inner):
+        out = {}
+        for m, c in outer.items():
+            for s, v in inner.get(m, {}).items():
+                out[s] = out.get(s, 0) + c * v
+        return out
+
+    defects = []
+    for i in range(n_ring):
+        for j in range(n_ring):
+            for k in range(n_module):
+                left = contract(products.get((i, j), {}),
+                                by_module.get(k, {}))
+                right = contract(action.get((j, k), {}), by_ring.get(i, {}))
+                for s in sorted(left.keys() | right.keys()):
+                    a, b = left.get(s, Fraction(0)), right.get(s, Fraction(0))
+                    if a != b:
+                        defects.append(((i, j, k, s), a, b))
+    return defects
+
+
+def ideal_pair(n: int, first: int) -> ModulePair:
+    """cp:n acting on its ideal spanned by ``h^first .. h^n``.
+
+    The module is smaller than the ring, so a defect search that mixes up
+    ring and module indices cannot agree with the all-triples loop.
+    """
+    ring = complex_projective(n)
+    size = n + 1 - first
+    module_basis = GradedBasis(
+        labels=tuple(f"h^{first + a}" for a in range(size)),
+        degrees=tuple(2 * (first + a) for a in range(size)),
+        formal_dimension=2 * n, unit_index=None, top_index=size - 1)
+    action = {(i, a, a + i): 1
+              for i in range(n + 1) for a in range(size) if a + i < size}
+    return ModulePair(ring, module_basis, action)
+
+
+def corrupted(mp: ModulePair, rng: random.Random) -> ModulePair:
+    """``mp`` with one to three entries of its ring or action changed."""
+    tensor, action = dict(mp.ring.tensor), dict(mp.action)
+    nr, nm = mp.ring.size, mp.module_basis.size
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            target, sizes = action, (nr, nm, nm)
+        else:
+            target, sizes = tensor, (nr, nr, nr)
+        kind = rng.choice(("scale", "drop", "add"))
+        if kind == "add" or not target:
+            target[tuple(rng.randrange(n) for n in sizes)] = \
+                rng.choice((1, -1, 2))
+        elif kind == "drop":
+            del target[rng.choice(sorted(target))]
+        else:
+            target[rng.choice(sorted(target))] = rng.choice((2, -1, -3))
+    return ModulePair(RingStructure(mp.ring.basis, tensor), mp.module_basis,
+                      action)
+
+
+def defect_lists(mp: ModulePair):
+    nr, nm = mp.ring.size, mp.module_basis.size
+    return (list(associativity_defects(mp.ring._products,
+                                       mp._action_products)),
+            all_triples_defects(mp.ring._products, mp._action_products,
+                                nr, nm))
+
+
+class TestAssociativityDefects:
+    PAIRS = [disk_pair(1), disk_pair(3), cylinder_pair(sphere(2)),
+             cylinder_pair(complex_projective(3)), cylinder_pair(torus(3)),
+             cylinder_pair(product(complex_projective(2), sphere(2))),
+             ideal_pair(3, 1), ideal_pair(4, 2), ideal_pair(5, 5)]
+
+    @pytest.mark.parametrize("index", range(len(PAIRS)))
+    def test_valid_pairs_match_all_triples(self, index):
+        mp = self.PAIRS[index]
+        new, old = defect_lists(mp)
+        assert new == old == []
+
+    def test_corrupted_pairs_match_all_triples(self):
+        rng = random.Random(20)
+        with_defects = 0
+        for mp in self.PAIRS:
+            for _ in range(25):
+                new, old = defect_lists(corrupted(mp, rng))
+                assert new == old
+                with_defects += bool(old)
+        assert with_defects >= 100
+
+    def test_corrupted_rings_match_all_triples(self):
+        rng = random.Random(21)
+        with_defects = 0
+        for ring in (complex_projective(4), torus(3),
+                     product(complex_projective(2), torus(2))):
+            for _ in range(30):
+                bad = corrupted(ModulePair(ring, ring.basis, ring.tensor),
+                                rng).ring
+                new = list(associativity_defects(bad._products, bad._products))
+                old = all_triples_defects(bad._products, bad._products,
+                                          bad.size, bad.size)
+                assert new == old
+                with_defects += bool(old)
+        assert with_defects >= 30
 
 
 class TestMultiply:
