@@ -19,14 +19,15 @@ from typing import Mapping, Sequence
 
 from .diagonal import (ResidualEntry, SignMode, SingularPairingError,
                        SparseEquation, SymmetryReport, TensorClass,
-                       _normalized_solve, _symmetry_system, class_in_span,
+                       TermMap, _integral_terms, _normalized_solve,
+                       _residual_entries, _symmetry_system, class_in_span,
                        koszul_sign, unflatten)
-# solve stays imported: the benchmark's traced run (perfbench/spans.py)
-# wraps every linalg name in this module by name
+# solve and multiply stay imported: the benchmark's traced run
+# (perfbench/spans.py) wraps them in this module by name
 from .linalg import (Matrix, SparseMatrix, Vector,  # noqa: F401
                      SingularMatrixError, invert, nullspace, rank, solve)
-from .ring import (GradedBasis, MissingTopClassError, RingStructure,
-                   ValidationReport, associativity_defects, basis_element,
+from .ring import (GradedBasis, MissingTopClassError,  # noqa: F401
+                   RingStructure, ValidationReport, associativity_defects,
                    bilinear_product, multiply, sparse_tensor, validate)
 
 ModuleElement = Vector
@@ -49,7 +50,8 @@ class ModulePair:
     def formal_dimension(self) -> int:
         return self.module_basis.formal_dimension
 
-    def action_coefficients(self, i: int, j: int) -> Mapping[int, Fraction]:
+    def action_coefficients(self, i: int,
+                            j: int) -> Mapping[int, int | Fraction]:
         """Sparse coefficients of ``y_i ^ x_j``."""
         return self._action_products.get((i, j), {})
 
@@ -101,8 +103,8 @@ def validate_module(mp: ModulePair,
     for j in range(mp.module_basis.size):
         coeffs = mp.action_coefficients(unit, j)
         for k in range(mp.module_basis.size):
-            expected = Fraction(int(k == j))
-            actual = coeffs.get(k, Fraction(0))
+            expected = int(k == j)
+            actual = coeffs.get(k, 0)
             if actual != expected:
                 report.add("unit-action", (j, k),
                            f"unit acts with {actual}, expected {expected}")
@@ -194,34 +196,33 @@ def check_relative_symmetry(mp: ModulePair, mode: SignMode,
     factor; the left multiplication applies the module action to the first
     factor.  Multiplying through a unit slot never crosses odd degrees, so
     the Koszul factor is trivial in either mode; it is still looked up per
-    term to keep the convention explicit.
+    term to keep the convention explicit.  ``w`` is scaled to integer
+    terms once, each side is accumulated over the terms present only, and
+    the two are compared over the sorted union of their terms, in
+    ``(k, i, s)`` order.
     """
     if (w.left_basis != mp.module_basis
             or w.right_basis != mp.ring.basis):
         raise ValueError("class does not live over this module pair")
-    nm, nr = mp.module_basis.size, mp.ring.size
     mod_deg = mp.module_basis.degrees
-    # (y_k (x) 1).w: each column of mu is a module element on the left
-    # factor, acted on by y_k after the unit passes the module factor; the
-    # signed columns do not depend on k
-    signed_cols = []
-    for j in range(nr):
-        col = w.mu.column(j)
-        signed_cols.append(tuple(koszul_sign(mode, 0, mod_deg[l]) * col[l]
-                                 for l in range(nm)))
+    terms, den = _integral_terms(w.mu)
+    # (y_k (x) 1).w: the unit passes the module factor x_l, then y_k acts
+    # on it; the signed terms do not depend on k
+    signed = [(l, s, c * koszul_sign(mode, 0, mod_deg[l]))
+              for (l, s), c in terms.items()]
     entries: list[ResidualEntry] = []
-    for k in range(nr):
-        yk = basis_element(mp.ring, k)
-        # w.(1 (x) y_k): each row of mu is a ring element on the right
-        # factor; multiply it by y_k (only a unit crosses the left factor,
-        # so no Koszul sign in either mode)
-        lhs_rows = [multiply(mp.ring, w.mu.row(i), yk) for i in range(nm)]
-        rhs_cols = [act(mp, yk, signed) for signed in signed_cols]
-        for i in range(nm):
-            for s in range(nr):
-                value = lhs_rows[i][s] - rhs_cols[s][i]
-                if value != 0:
-                    entries.append(ResidualEntry(k, i, s, value))
+    for k in range(mp.ring.size):
+        # w.(1 (x) y_k): y_j.y_k on the ring factor; only a unit crosses
+        # the module factor, so no Koszul sign in either mode
+        lhs: TermMap = {}
+        for (i, j), c in terms.items():
+            for s, v in mp.ring.product_coefficients(j, k).items():
+                lhs[i, s] = lhs.get((i, s), 0) + c * v
+        rhs: TermMap = {}
+        for l, s, c in signed:
+            for i, v in mp.action_coefficients(k, l).items():
+                rhs[i, s] = rhs.get((i, s), 0) + c * v
+        entries += _residual_entries(k, lhs, rhs, den)
     return SymmetryReport(entries)
 
 

@@ -11,8 +11,9 @@ Verbs:
 
 Exit codes are a stable scripting contract: 0 success, 1 validation or
 symmetry failure, 2 parse error (including unknown inputs), 3 singular
-pairing.  All output is deterministic; ``--output json`` serializes every
-rational as a string.
+pairing.  Any other exception is a bug: it is reported in one stderr line
+with exit code 70, which is not part of the contract.  All output is
+deterministic; ``--output json`` serializes every rational as a string.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_SINGULAR = 3
+EXIT_SOFTWARE = 70   # an internal error (sysexits.h EX_SOFTWARE)
+_ERROR_LIMIT = 200   # characters of an internal error's message shown
 
 
 class CliFailure(Exception):
@@ -422,6 +425,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
+    except Exception as exc:
+        # a bug, not an outcome of the input: one line, no traceback
+        message = " ".join(str(exc).splitlines())
+        if len(message) > _ERROR_LIMIT:
+            message = message[:_ERROR_LIMIT] + "..."
+        print(f"frobdiag: internal error ({type(exc).__name__}): {message}",
+              file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -29,13 +29,15 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .linalg import (Matrix, SparseMatrix, Vector, SingularMatrixError,
-                     invert, nullspace, rank, solve)
-from .ring import (GradedBasis, RingElement, RingStructure, basis_element,
-                   multiply, pairing_matrix, unit_element)
+                     _integral, invert, nullspace, rank, solve)
+from .ring import (GradedBasis, RingElement, RingStructure, multiply,
+                   pairing_matrix, unit_element)
 
 
 # one symmetry equation: its nonzero (column, coefficient) pairs, by column
-SparseEquation = tuple[tuple[int, Fraction], ...]
+SparseEquation = tuple[tuple[int, int | Fraction], ...]
+# a class in a tensor square as its terms: (left, right) index -> coefficient
+TermMap = dict[tuple[int, int], int | Fraction]
 
 
 class SingularPairingError(ValueError):
@@ -127,42 +129,74 @@ def right_factor(ring_left: RingStructure, ring_right: RingStructure,
     return pure_tensor(ring_left, ring_right, unit_element(ring_left), b)
 
 
+def _require_over(ring_left: RingStructure, ring_right: RingStructure,
+                  w: TensorClass) -> None:
+    if w.left_basis != ring_left.basis or w.right_basis != ring_right.basis:
+        raise ValueError("tensor class does not live over the given rings")
+
+
+def _integral_terms(mu: Matrix) -> tuple[TermMap, int]:
+    """The nonzero entries of ``mu`` scaled to integers, and the scale.
+
+    Returns ``({(i, j): D * mu[i, j]}, D)`` with ``D`` the lcm of the
+    entries' denominators, so the terms multiply as ints.
+    """
+    return _integral({(i, j): v for i in range(mu.rows)
+                      for j, v in enumerate(mu.row(i)) if v})
+
+
+def _term_product(ring_left: RingStructure, ring_right: RingStructure,
+                  mode: SignMode, u: TermMap, v: TermMap) -> TermMap:
+    """Product of two classes given as ``{(left, right): coefficient}``.
+
+    Only the terms present are multiplied: ``(x_a (x) x_b).(x_c (x) x_d)
+    = sign x_a.x_c (x) x_b.x_d`` for each pair of terms, through the two
+    rings' products.  The result may hold zero coefficients.
+    """
+    deg_l = ring_left.basis.degrees
+    deg_r = ring_right.basis.degrees
+    v_by_left: dict[int, list[tuple[int, int | Fraction]]] = {}
+    for (c, d), vcd in v.items():
+        v_by_left.setdefault(c, []).append((d, vcd))
+    out: TermMap = {}
+    for (a, b), uab in u.items():
+        for c, v_row in v_by_left.items():
+            left = ring_left.product_coefficients(a, c)
+            if not left:
+                continue
+            signed = uab * koszul_sign(mode, deg_r[b], deg_l[c])
+            for d, vcd in v_row:
+                right = ring_right.product_coefficients(b, d)
+                if not right:
+                    continue
+                coeff = signed * vcd
+                for e, le in left.items():
+                    ce = coeff * le
+                    for f, rf in right.items():
+                        out[e, f] = out.get((e, f), 0) + ce * rf
+    return out
+
+
 def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
                     mode: SignMode, u: TensorClass,
                     v: TensorClass) -> TensorClass:
     """Product of two classes in the tensor-square algebra.
 
     The product is taken term by term over the nonzero coefficients of
-    ``u`` and ``v``; zero coefficients are skipped, never multiplied.  It
+    ``u`` and ``v``, scaled to integers, by :func:`_term_product`.  It
     multiplies classes through the two rings' products and shares no code
-    with the symmetry-system builder :func:`_symmetry_system`, which is
-    what makes :func:`check_symmetry` an independent check of it.
+    with the symmetry-system builder :func:`_symmetry_system`.
     """
     for w in (u, v):
-        if (w.left_basis != ring_left.basis
-                or w.right_basis != ring_right.basis):
-            raise ValueError("tensor class does not live over the given rings")
-    deg_l = ring_left.basis.degrees
-    deg_r = ring_right.basis.degrees
-    nl, nr = ring_left.size, ring_right.size
-    v_rows = [[(d, vcd) for d, vcd in enumerate(v.mu.row(c)) if vcd]
-              for c in range(nl)]
-    out = [[Fraction(0)] * nr for _ in range(nl)]
-    for a in range(nl):
-        for b, uab in enumerate(u.mu.row(a)):
-            if uab == 0:
-                continue
-            for c, v_row in enumerate(v_rows):
-                left = ring_left.product_coefficients(a, c)
-                if not left or not v_row:
-                    continue
-                sign = koszul_sign(mode, deg_r[b], deg_l[c])
-                for d, vcd in v_row:
-                    coeff = uab * vcd * sign
-                    right = ring_right.product_coefficients(b, d)
-                    for e, le in left.items():
-                        for f, rf in right.items():
-                            out[e][f] += coeff * le * rf
+        _require_over(ring_left, ring_right, w)
+    u_terms, u_den = _integral_terms(u.mu)
+    v_terms, v_den = _integral_terms(v.mu)
+    den = u_den * v_den
+    zero = Fraction(0)
+    out = [[zero] * ring_right.size for _ in range(ring_left.size)]
+    for (e, f), value in _term_product(ring_left, ring_right, mode,
+                                       u_terms, v_terms).items():
+        out[e][f] = Fraction(value, den)
     return tensor_class(ring_left, ring_right, Matrix(out))
 
 
@@ -275,30 +309,43 @@ def check_symmetry(ring: RingStructure, mode: SignMode,
                    w: TensorClass) -> SymmetryReport:
     """Residuals of ``w.(1(x)x_k) - (x_k(x)1).w`` over every basis element.
 
-    An empty report means ``w`` is symmetric.  The check multiplies actual
-    tensor classes with :func:`tensor_multiply`, which skips zero
-    coefficients, and compares the two sides entry by entry, subtracting
-    only where they differ.  It never calls :func:`_symmetry_system`, so
-    it exercises a different code path from the linear system assembled
-    by :func:`solve_symmetric_space`.
+    An empty report means ``w`` is symmetric.  The check scales ``w`` to
+    integer terms once, multiplies it by ``1(x)x_k`` and ``x_k(x)1`` with
+    :func:`_term_product`, and compares the two sides over the sorted
+    union of their terms, in ``(k, i, j)`` order; no dense matrix is
+    built.  It never calls :func:`_symmetry_system`, so it exercises a
+    different code path from the linear system assembled by
+    :func:`solve_symmetric_space`.
     """
+    _require_over(ring, ring, w)
+    terms, den = _integral_terms(w.mu)
+    unit = ring.basis.unit_index
     entries: list[ResidualEntry] = []
     for k in range(ring.size):
-        xk = basis_element(ring, k)
-        lhs = tensor_multiply(ring, ring, mode, w,
-                              right_factor(ring, ring, xk)).mu
-        rhs = tensor_multiply(ring, ring, mode,
-                              left_factor(ring, ring, xk), w).mu
-        for i in range(ring.size):
-            for j, (a, b) in enumerate(zip(lhs.row(i), rhs.row(i))):
-                if a != b:
-                    entries.append(ResidualEntry(k, i, j, a - b))
+        lhs = _term_product(ring, ring, mode, terms, {(unit, k): 1})
+        rhs = _term_product(ring, ring, mode, {(k, unit): 1}, terms)
+        entries += _residual_entries(k, lhs, rhs, den)
     return SymmetryReport(entries)
+
+
+def _residual_entries(probe: int, lhs: TermMap, rhs: TermMap,
+                      den: int) -> list[ResidualEntry]:
+    """Where two sides scaled by ``den`` differ, in ``(i, j)`` order.
+
+    Each entry carries ``(lhs - rhs) / den`` at a term where the sides
+    differ; a term missing from one side counts as 0 there.
+    """
+    entries = []
+    for i, j in sorted(lhs.keys() | rhs.keys()):
+        a, b = lhs.get((i, j), 0), rhs.get((i, j), 0)
+        if a != b:
+            entries.append(ResidualEntry(probe, i, j, Fraction(a - b, den)))
+    return entries
 
 
 def _symmetry_system(ring: RingStructure, mode: SignMode,
                      module_basis: GradedBasis,
-                     action: Mapping[tuple[int, int, int], Fraction],
+                     action: Mapping[tuple[int, int, int], int | Fraction],
                      probes: Sequence[int] | None = None
                      ) -> tuple[list[SparseEquation], int]:
     """Sparse linear system in the flattened unknowns ``mu[i*nr + j]``.
@@ -331,13 +378,13 @@ def _symmetry_system(ring: RingStructure, mode: SignMode,
     mod_deg = module_basis.degrees
     # w.(1(x)y_k): mu[i,j] times y_j.y_k -> y_s; the unit passes y_j with
     # sign koszul(|y_j|, 0) = +1
-    right: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    right: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
     for (j, k, s), c in ring.tensor.items():
         right.setdefault((k, s), []).append(
             (j, c * koszul_sign(mode, ring_deg[j], 0)))
     # (y_k(x)1).w: mu[l,s] times y_k ^ x_l -> x_i; the unit passes x_l
     # with sign koszul(0, |x_l|) = +1
-    left: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    left: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
     for (k, l, i), c in action.items():
         left.setdefault((k, i), []).append(
             (l, c * koszul_sign(mode, 0, mod_deg[l])))

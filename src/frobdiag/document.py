@@ -95,7 +95,7 @@ def _parse_basis(raw: Any, location: str) -> tuple[tuple[str, ...],
                                                    tuple[int, ...]]:
     if not isinstance(raw, list) or not raw:
         raise DocumentError("expected a nonempty list", location)
-    labels, degrees = [], []
+    labels, degrees, seen = [], [], set()
     for idx, item in enumerate(raw):
         here = f"{location}[{idx}]"
         label = _expect(item, "label", str, here)
@@ -103,6 +103,9 @@ def _parse_basis(raw: Any, location: str) -> tuple[tuple[str, ...],
         _reject_unknown(item, {"label", "degree"}, here)
         if degree < 0:
             raise DocumentError("degree must be nonnegative", here)
+        if label in seen:
+            raise DocumentError(f"duplicate label {_echo(label)}", here)
+        seen.add(label)
         labels.append(label)
         degrees.append(degree)
     return tuple(labels), tuple(degrees)

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .linalg import Matrix, Vector, _insert, frac, invert, rank
+from .linalg import Matrix, Vector, _Echelon, _insert, frac, invert, rank
 
-SparseTensor = Mapping[tuple[int, int, int], Fraction]
-ProductMap = Mapping[tuple[int, int], Mapping[int, Fraction]]
+# structure constants: int where integral, Fraction otherwise
+SparseTensor = Mapping[tuple[int, int, int], int | Fraction]
+ProductMap = Mapping[tuple[int, int], Mapping[int, int | Fraction]]
 
 
 class MissingTopClassError(ValueError):
@@ -77,17 +78,20 @@ def sparse_tensor(raw: Mapping[tuple[int, int, int], int | str | Fraction],
     """Checked nonzero entries of a structure tensor, and its product map.
 
     The product map ``(i, j) -> {k: value}`` is the working form for
-    products; ``what`` names the tensor in the out-of-range error.
+    products; ``what`` names the tensor in the out-of-range error.  A
+    value is stored as an ``int`` when it is integral and as a
+    ``Fraction`` otherwise: the two mix exactly, and products of ints
+    cost far less.  No value is ever divided (``1 / int`` is a float).
     """
     ni, nj, nk = sizes
-    clean: dict[tuple[int, int, int], Fraction] = {}
+    clean: dict[tuple[int, int, int], int | Fraction] = {}
     for (i, j, k), value in raw.items():
         if not (0 <= i < ni and 0 <= j < nj and 0 <= k < nk):
             raise ValueError(f"{what} index {(i, j, k)} out of range")
         v = frac(value)
         if v != 0:
-            clean[(i, j, k)] = v
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
+            clean[(i, j, k)] = v.numerator if v.denominator == 1 else v
+    products: dict[tuple[int, int], dict[int, int | Fraction]] = {}
     for (i, j, k), v in clean.items():
         products.setdefault((i, j), {})[k] = v
     return clean, products
@@ -111,7 +115,8 @@ class RingStructure:
     def size(self) -> int:
         return self.basis.size
 
-    def product_coefficients(self, i: int, j: int) -> Mapping[int, Fraction]:
+    def product_coefficients(self, i: int,
+                             j: int) -> Mapping[int, int | Fraction]:
         """Coefficients of ``x_i . x_j`` as a sparse map ``k -> value``."""
         return self._products.get((i, j), {})
 
@@ -201,7 +206,8 @@ class ValidationReport:
 
 def associativity_defects(products: ProductMap, action: ProductMap
                           ) -> Iterator[tuple[tuple[int, int, int, int],
-                                              Fraction, Fraction]]:
+                                              int | Fraction,
+                                              int | Fraction]]:
     """Where ``(y_i.y_j).x_k`` and ``y_i.(y_j.x_k)`` differ, in index order.
 
     ``products`` maps ``(i, j)`` to the coefficients of ``y_i.y_j``, and
@@ -213,8 +219,8 @@ def associativity_defects(products: ProductMap, action: ProductMap
     acts on ``x_k``, the right side an ``m`` in ``y_j.x_k`` that ``y_i``
     acts on.  Yields ``((i, j, k, s), left[s], right[s])``.
     """
-    by_ring: dict[int, dict[int, Mapping[int, Fraction]]] = {}
-    by_module: dict[int, dict[int, Mapping[int, Fraction]]] = {}
+    by_ring: dict[int, dict[int, Mapping[int, int | Fraction]]] = {}
+    by_module: dict[int, dict[int, Mapping[int, int | Fraction]]] = {}
     for (i, m), coeffs in action.items():
         by_ring.setdefault(i, {})[m] = coeffs
         by_module.setdefault(m, {})[i] = coeffs
@@ -227,21 +233,20 @@ def associativity_defects(products: ProductMap, action: ProductMap
         for m in jk:
             for i in by_module.get(m, ()):
                 triples.add((i, j, k))
-    zero = Fraction(0)
     for i, j, k in sorted(triples):
         left = _contract(products.get((i, j), {}), by_module.get(k, {}))
         right = _contract(action.get((j, k), {}), by_ring.get(i, {}))
         for s in sorted(left.keys() | right.keys()):
-            a, b = left.get(s, zero), right.get(s, zero)
+            a, b = left.get(s, 0), right.get(s, 0)
             if a != b:
                 yield (i, j, k, s), a, b
 
 
-def _contract(outer: Mapping[int, Fraction],
-              inner: Mapping[int, Mapping[int, Fraction]]
-              ) -> dict[int, Fraction]:
+def _contract(outer: Mapping[int, int | Fraction],
+              inner: Mapping[int, Mapping[int, int | Fraction]]
+              ) -> dict[int, int | Fraction]:
     """``sum_m outer[m] * inner[m]`` over sparse coefficient maps."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, int | Fraction] = {}
     for m, c in outer.items():
         for s, v in inner.get(m, {}).items():
             out[s] = out.get(s, 0) + c * v
@@ -271,8 +276,8 @@ def validate(ring: RingStructure,
         for side, coeffs in (("left", ring.product_coefficients(u, i)),
                              ("right", ring.product_coefficients(i, u))):
             for k in range(n):
-                expected = Fraction(int(k == i))
-                actual = coeffs.get(k, Fraction(0))
+                expected = int(k == i)
+                actual = coeffs.get(k, 0)
                 if actual != expected:
                     report.add("unit", (i, k),
                                f"{side} unit product gives {actual}, "
@@ -289,8 +294,8 @@ def validate(ring: RingStructure,
                 fwd = ring.product_coefficients(i, j)
                 bwd = ring.product_coefficients(j, i)
                 for k in set(fwd) | set(bwd):
-                    a = fwd.get(k, Fraction(0))
-                    b = bwd.get(k, Fraction(0))
+                    a = fwd.get(k, 0)
+                    b = bwd.get(k, 0)
                     if a != sign * b:
                         report.add("graded-commutativity", (i, j, k),
                                    f"{a} != {'-' if sign < 0 else ''}{b}")
@@ -325,11 +330,11 @@ def generators(ring: RingStructure) -> list[int]:
                         key=lambda i: (deg[i], i))
     if any(deg[i] == 0 for i in candidates):
         return candidates
-    pivots: dict[int, dict[int, Fraction]] = {}
+    echelon = _Echelon()
     for (i, j), coeffs in ring._products.items():
         if i != unit and j != unit:
-            _insert(pivots, dict(coeffs))
-    return [k for k in candidates if _insert(pivots, {k: Fraction(1)})]
+            _insert(echelon, coeffs)
+    return [k for k in candidates if _insert(echelon, {k: 1})]
 
 
 # ---------------------------------------------------------------------------

@@ -311,8 +311,33 @@ def test_sixty_four_element_rings(invoke, argv, check):
     """The graded solve at n = 64, where it probes only 6 generators.
 
     In-process on a shared 2-vCPU Xeon VM with CPython 3.11.7, the diag
-    case took 1.3-1.8 s and the pair case 1.6-2.1 s over six runs each;
-    with every probe they took 2.2-2.3 s and 2.8-3.1 s over two runs.
+    case took 0.17-0.23 s and the pair case 0.17-0.23 s over six and
+    four runs.
+    With a Fraction elimination kernel and dense residual checks they
+    took 1.3-1.8 s and 1.6-2.1 s over six runs, and with every probe as
+    well 2.2-2.3 s and 2.8-3.1 s over two runs.
+    """
+    code, out, err = invoke(*argv, "--output", "json")
+    assert code == 0, err
+    check(json.loads(out))
+
+
+LADDER_CASES = [
+    (["diag", "cp:120"], _mu_is_pairing_inverse),
+    (["validate", "cp:120"], _valid),
+]
+
+
+@pytest.mark.parametrize("argv,check", LADDER_CASES,
+                         ids=[" ".join(c[0]) for c in LADDER_CASES])
+def test_ladder_rings(invoke, argv, check):
+    """cp:120, whose associativity check visits about n^3/6 index triples.
+
+    In-process on a shared 2-vCPU Xeon VM with CPython 3.11.7, the diag
+    case took 1.4-1.8 s and the validate case 1.35-1.6 s over eight and
+    six runs; with a Fraction elimination kernel, Fraction structure
+    constants and a dense residual check they took 7.2-10.1 s and
+    4.1-5.2 s over six and four runs.
     """
     code, out, err = invoke(*argv, "--output", "json")
     assert code == 0, err
@@ -400,6 +425,28 @@ class TestKunnethVerb:
         monkeypatch.setattr("frobdiag.catalog.MAX_BASIS", 4)
         assert invoke("kunneth", "sphere:2", "sphere:2")[0] == 0
         assert invoke("kunneth", "cp:2", "sphere:2")[0] == 2
+
+
+class TestInternalError:
+    def test_unexpected_exception_is_one_line_and_exit_70(self, invoke,
+                                                          monkeypatch):
+        def fail(args):
+            raise RuntimeError("lost a pivot\nsecond line " + "x" * 500)
+
+        monkeypatch.setattr(cli, "cmd_validate", fail)
+        code, out, err = invoke("validate", "cp:2")
+        assert (code, out) == (70, "")
+        assert "Traceback" not in err
+        assert err == ("frobdiag: internal error (RuntimeError): lost a "
+                       "pivot second line " + "x" * 175 + "...\n")
+
+    def test_keyboard_interrupt_is_not_caught(self, invoke, monkeypatch):
+        def interrupt(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_diag", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            invoke("diag", "cp:2")
 
 
 def test_matrix_text_pads_each_column_to_its_widest_entry():

@@ -1,10 +1,17 @@
+import hashlib
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobdiag.boundary import ModulePair
 from frobdiag.catalog import catalog_names, resolve
 from frobdiag.document import DocumentError, emit_document, parse_document
+from frobdiag.linalg import Matrix
+from frobdiag.ring import RingStructure, change_basis
 
 
 class TestRoundTrip:
@@ -167,3 +174,118 @@ class TestParseErrors:
         _, ring = parse_document(json.dumps(doc))
         from frobdiag.ring import validate
         assert not validate(ring).ok
+
+
+class TestDuplicateLabels:
+    def test_repeated_ring_label_is_a_document_error(self, invoke, tmp_path):
+        doc = valid_ring_doc()
+        doc["basis"][1]["label"] = "1"
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == "basis[1]: duplicate label '1'"
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        assert invoke("validate", str(path)) == \
+            (2, "", f"{path}: basis[1]: duplicate label '1'\n")
+
+    def test_repeated_module_label_is_a_document_error(self):
+        doc = json.loads(emit_document("cylinder:sphere:2",
+                                      resolve("cylinder:sphere:2").payload))
+        doc["module"]["basis"][1]["label"] = "z" * 500
+        doc["module"]["basis"][0]["label"] = "z" * 500
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == \
+            f"module.basis[1]: duplicate label '{'z' * 39}..."
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestEmittedBytes:
+    """Emission pinned to the bytes of an earlier release.
+
+    Structure constants are stored as ``int`` where integral and as
+    ``Fraction`` otherwise; documents must not show the difference.
+    ``emit_catalog.sha256`` holds the SHA-256 of each catalog entry's
+    document and ``emit_moved_torus3.json`` a ring with both kinds of
+    constant, both written before the constants became ints.
+    """
+
+    def test_catalog_documents_are_unchanged(self):
+        lines = (GOLDEN / "emit_catalog.sha256").read_text().splitlines()
+        assert len(lines) == len(catalog_names())
+        for line in lines:
+            digest, name = line.split("  ")
+            text = emit_document(name, resolve(name).payload)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+    def test_rational_moved_ring_document_is_unchanged(self):
+        moved = moved_torus3()
+        values = moved.tensor.values()
+        assert any(type(v) is int for v in values)
+        assert any(type(v) is Fraction for v in values)
+        assert emit_document("moved:torus:3", moved) == \
+            (GOLDEN / "emit_moved_torus3.json").read_text()
+
+
+def moved_torus3() -> RingStructure:
+    """torus:3 moved by a basis change of determinant 5 * 3: rational."""
+    p = [[int(i == j) for j in range(8)] for i in range(8)]
+    p[1][1], p[1][2], p[2][1], p[2][2] = 2, 1, 1, 3   # degree 1
+    p[3][5], p[5][5] = 1, 3                           # degree 2
+    return change_basis(resolve("torus:3").payload, Matrix(p))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=4)),
+    max_leaves=12)
+
+
+def _slots(node, out):
+    """Every ``(container, key)`` in a parsed JSON value, depth first."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = list(range(len(node)))
+    else:
+        return out
+    for key in keys:
+        out.append((node, key))
+        _slots(node[key], out)
+    return out
+
+
+@st.composite
+def mutated_documents(draw):
+    """A catalog document with one to three fields changed.
+
+    A field is replaced by any JSON value or a small integer, removed, or,
+    in a list, repeated.
+    """
+    name = draw(st.sampled_from(catalog_names()))
+    doc = json.loads(emit_document(name, resolve(name).payload))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        container, key = draw(st.sampled_from(_slots(doc, [])))
+        kind = draw(st.sampled_from(("replace", "small", "remove", "copy")))
+        if kind == "small":
+            container[key] = draw(st.integers(min_value=-2, max_value=9))
+        elif kind == "remove":
+            del container[key]
+        elif kind == "copy" and isinstance(container, list):
+            container.append(container[key])
+        else:
+            container[key] = draw(json_values)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(json_values.map(json.dumps), mutated_documents()))
+def test_any_json_text_parses_or_is_a_document_error(text):
+    try:
+        parse_document(text)
+    except DocumentError:
+        pass

@@ -2,9 +2,12 @@
 
 Matrices are drawn like the symmetry systems: mostly zeros, rational
 entries, and often tall, with repeated and all-zero rows in any order.
+Sparse matrices also mix ``int`` and ``Fraction`` values, with large
+coprime denominators, since the kernel scales its rows to integers.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -12,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobdiag.linalg import (Matrix, SingularMatrixError, SparseMatrix,
-                             invert, nullspace, rank, rref, solve)
+                             _reduce, _sparse_rows, invert, nullspace, rank,
+                             rref, solve)
 
 # zero listed twice: two entries in three are zero, as in the symmetry systems
 entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
@@ -72,21 +76,23 @@ def test_nullspace_matches_sympy(m):
     assert nullspace(m) == to_vectors(to_sympy(m).nullspace())
 
 
+def sympy_solve(m: Matrix, b):
+    """What :func:`solve` should return, read off sympy's augmented RREF."""
+    rhs = to_sympy(Matrix([[v] for v in b]))
+    augmented, pivots = to_sympy(m).row_join(rhs).rref()
+    if m.cols in pivots:
+        return None
+    particular = [Fraction(0)] * m.cols
+    for r, p in enumerate(pivots):
+        particular[p] = to_fraction(augmented[r, m.cols])
+    return tuple(particular), to_vectors(to_sympy(m).nullspace())
+
+
 @settings(max_examples=80, deadline=None)
 @given(matrices(), st.data())
 def test_solve_matches_sympy(m, data):
     b = data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))
-    rhs = to_sympy(Matrix([[v] for v in b]))
-    augmented, pivots = to_sympy(m).row_join(rhs).rref()
-    got = solve(m, b)
-    if m.cols in pivots:
-        assert got is None
-        return
-    particular = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        particular[p] = to_fraction(augmented[r, m.cols])
-    assert got == (tuple(particular),
-                   to_vectors(to_sympy(m).nullspace()))
+    assert solve(m, b) == sympy_solve(m, b)
 
 
 @settings(max_examples=80, deadline=None)
@@ -118,3 +124,104 @@ def test_sparse_input_matches_dense(m, data):
     assert nullspace(s) == nullspace(m)
     b = data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))
     assert solve(s, b) == solve(m, b)
+
+
+# primes just under 10**6, so that a row's denominators are coprime and
+# their lcm is large
+BIG_PRIMES = (999983, 999979, 999961, 999959, 999953)
+mixed_values = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.builds(Fraction, st.integers(min_value=-10**6, max_value=10**6),
+              st.integers(min_value=1, max_value=10**6)),
+    st.builds(Fraction, st.integers(min_value=-7, max_value=7),
+              st.sampled_from(BIG_PRIMES)),
+).filter(bool)
+
+
+@st.composite
+def mixed_rows(draw, c):
+    """One sparse row over ``c`` columns: ``int`` or ``Fraction`` values."""
+    columns = draw(st.sets(st.integers(min_value=0, max_value=c - 1),
+                           max_size=c))
+    return [(col, draw(mixed_values)) for col in sorted(columns)]
+
+
+@st.composite
+def mixed_sparse(draw, max_rows=5, max_cols=6, square=False):
+    """Drawn rows with duplicates and empty rows, shuffled, as a SparseMatrix."""
+    c = draw(st.integers(min_value=1, max_value=max_cols))
+    if square:
+        rows = draw(st.lists(mixed_rows(c), min_size=c, max_size=c))
+    else:
+        base = draw(st.lists(mixed_rows(c), min_size=1, max_size=max_rows))
+        repeats = draw(st.lists(st.sampled_from(base),
+                                max_size=2 * len(base)))
+        zeros = [[]] * draw(st.integers(min_value=0, max_value=2))
+        rows = draw(st.permutations(base + repeats + zeros))
+    return SparseMatrix(rows, c)
+
+
+def dense(s: SparseMatrix) -> Matrix:
+    return Matrix([s.row(i) for i in range(s.rows)])
+
+
+def all_fractions(*vectors) -> bool:
+    return all(type(v) is Fraction for vec in vectors for v in vec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_sparse(), st.data())
+def test_mixed_sparse_input_matches_sympy(s, data):
+    expected, pivots = to_sympy(dense(s)).rref()
+    reduced, got_pivots = rref(s)
+    assert (reduced, got_pivots) == (to_matrix(expected), list(pivots))
+    assert all_fractions(*(reduced.row(i) for i in range(reduced.rows)))
+    assert rank(s) == len(pivots)
+    kernel = nullspace(s)
+    assert kernel == to_vectors(to_sympy(dense(s)).nullspace())
+    assert all_fractions(*kernel)
+    b = data.draw(st.lists(st.one_of(st.just(0), mixed_values),
+                           min_size=s.rows, max_size=s.rows))
+    got = solve(s, b)
+    assert got == sympy_solve(dense(s), b)
+    if got is not None:
+        assert all_fractions(got[0], *got[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_sparse(square=True))
+def test_mixed_sparse_invert_matches_sympy(s):
+    m = to_sympy(dense(s))
+    if m.det() == 0:
+        with pytest.raises(SingularMatrixError):
+            invert(s)
+    else:
+        inverse = invert(s)
+        assert inverse == to_matrix(m.inv())
+        assert all_fractions(*(inverse.row(i) for i in range(inverse.rows)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_sparse())
+def test_kernel_rows_are_primitive_and_indexed(s):
+    """The invariants of the fraction-free reduction itself.
+
+    Every pivot row is a primitive integer row (content 1) with a positive
+    lead at its pivot column, nothing left of it and nothing at another
+    pivot column; the column index lists exactly the pivot rows holding
+    each non-pivot column.  The outputs checked against sympy would not
+    notice a row left unreduced by its content or with a negative lead.
+    """
+    echelon = _reduce(_sparse_rows(s))
+    pivots = echelon.pivots
+    for p, row in pivots.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert min(row) == p and row[p] > 0
+        assert gcd(*row.values()) == 1
+        assert not any(c in pivots for c in row if c != p)
+    expected = {}
+    for p, row in pivots.items():
+        for c in row:
+            if c != p:
+                expected.setdefault(c, set()).add(p)
+    assert {c: h for c, h in echelon.holders.items() if h} == expected

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from frobdiag.boundary import ModulePair
-from frobdiag.catalog import (complex_projective, cylinder_pair, disk_pair,
-                              point, product, sphere, torus)
+from frobdiag.catalog import (catalog_names, complex_projective,
+                              cylinder_pair, disk_pair, point, product,
+                              resolve, sphere, torus)
 from frobdiag.linalg import Matrix
 from frobdiag.ring import (GradedBasis, MissingTopClassError, RingStructure,
                            associativity_defects, basis_element, change_basis,
@@ -201,6 +202,56 @@ class TestAssociativityDefects:
                 assert new == old
                 with_defects += bool(old)
         assert with_defects >= 30
+
+
+def is_int_exactly_where_integral(values) -> bool:
+    return all(type(v) is (int if v.denominator == 1 else Fraction)
+               for v in values)
+
+
+class TestIntegralConstants:
+    """Structure constants are ``int`` where integral, ``Fraction`` else."""
+
+    def test_catalog_entries(self):
+        for name in catalog_names():
+            payload = resolve(name).payload
+            if isinstance(payload, ModulePair):
+                assert is_int_exactly_where_integral(payload.action.values())
+                payload = payload.ring
+            assert is_int_exactly_where_integral(payload.tensor.values())
+
+    def test_rational_moved_ring_and_its_pair(self):
+        ring = torus(3)
+        rng = random.Random(5)
+        moved = change_basis(ring, random_degree_preserving_change(ring, rng))
+        values = list(moved.tensor.values())
+        assert {type(v) for v in values} == {int, Fraction}
+        assert is_int_exactly_where_integral(values)
+        assert is_int_exactly_where_integral(
+            cylinder_pair(moved).action.values())
+        # given as Fractions or strings, integral values still become ints
+        again = RingStructure(moved.basis, {key: str(v) for key, v
+                                            in moved.tensor.items()})
+        assert is_int_exactly_where_integral(again.tensor.values())
+        assert again == moved
+
+    def test_defects_of_int_and_fraction_twins_agree(self):
+        rng = random.Random(22)
+        with_defects = 0
+        for ring in (complex_projective(4), torus(3)):
+            for _ in range(30):
+                bad = corrupted(ModulePair(ring, ring.basis, ring.tensor),
+                                rng).ring
+                twin = {key: {k: Fraction(v) for k, v in coeffs.items()}
+                        for key, coeffs in bad._products.items()}
+                ints = list(associativity_defects(bad._products,
+                                                  bad._products))
+                fractions = list(associativity_defects(twin, twin))
+                assert ints == fractions
+                assert [f"{a} != {b}" for _, a, b in ints] == \
+                    [f"{a} != {b}" for _, a, b in fractions]
+                with_defects += bool(ints)
+        assert with_defects >= 20
 
 
 class TestMultiply:
