@@ -17,15 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .diagonal import (ResidualEntry, SignMode, SingularPairingError,
-                       SparseEquation, SymmetryReport, TensorClass,
-                       TermMap, _integral_terms, _normalized_solve,
-                       _residual_entries, _symmetry_system, class_in_span,
-                       koszul_sign, unflatten)
-# solve and multiply stay imported: the benchmark's traced run
+from .diagonal import (SignMode, SingularPairingError, SparseEquation,
+                       SymmetryReport, TensorClass, _normalized_solve,
+                       _symmetric_space, _symmetry_residuals,
+                       _symmetry_system, class_in_span)
+# nullspace, solve and multiply stay imported: the benchmark's traced run
 # (perfbench/spans.py) wraps them in this module by name
-from .linalg import (Matrix, SparseMatrix, Vector,  # noqa: F401
-                     SingularMatrixError, invert, nullspace, rank, solve)
+from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
+                     invert, nullspace, rank, solve)
 from .ring import (GradedBasis, MissingTopClassError,  # noqa: F401
                    RingStructure, ValidationReport, associativity_defects,
                    bilinear_product, multiply, sparse_tensor, validate)
@@ -192,38 +191,15 @@ def check_relative_symmetry(mp: ModulePair, mode: SignMode,
                             w: TensorClass) -> SymmetryReport:
     """Residuals of ``w.(1(x)y_k) - (y_k(x)1).w`` for every ring element.
 
-    The right multiplication applies the ring product to the second tensor
-    factor; the left multiplication applies the module action to the first
-    factor.  Multiplying through a unit slot never crosses odd degrees, so
-    the Koszul factor is trivial in either mode; it is still looked up per
-    term to keep the convention explicit.  ``w`` is scaled to integer
-    terms once, each side is accumulated over the terms present only, and
-    the two are compared over the sorted union of their terms, in
-    ``(k, i, s)`` order.
+    The residual oracle :func:`frobdiag.diagonal._symmetry_residuals`
+    with the pair's module basis and action; for the pair whose module is
+    the ring this is :func:`frobdiag.diagonal.check_symmetry`.
     """
     if (w.left_basis != mp.module_basis
             or w.right_basis != mp.ring.basis):
         raise ValueError("class does not live over this module pair")
-    mod_deg = mp.module_basis.degrees
-    terms, den = _integral_terms(w.mu)
-    # (y_k (x) 1).w: the unit passes the module factor x_l, then y_k acts
-    # on it; the signed terms do not depend on k
-    signed = [(l, s, c * koszul_sign(mode, 0, mod_deg[l]))
-              for (l, s), c in terms.items()]
-    entries: list[ResidualEntry] = []
-    for k in range(mp.ring.size):
-        # w.(1 (x) y_k): y_j.y_k on the ring factor; only a unit crosses
-        # the module factor, so no Koszul sign in either mode
-        lhs: TermMap = {}
-        for (i, j), c in terms.items():
-            for s, v in mp.ring.product_coefficients(j, k).items():
-                lhs[i, s] = lhs.get((i, s), 0) + c * v
-        rhs: TermMap = {}
-        for l, s, c in signed:
-            for i, v in mp.action_coefficients(k, l).items():
-                rhs[i, s] = rhs.get((i, s), 0) + c * v
-        entries += _residual_entries(k, lhs, rhs, den)
-    return SymmetryReport(entries)
+    return _symmetry_residuals(mp.ring, mode, mp.module_basis,
+                               mp._action_products, w)
 
 
 def _relative_symmetry_system(mp: ModulePair, mode: SignMode,
@@ -242,9 +218,8 @@ def solve_relative_symmetric_space(mp: ModulePair,
 
     ``probes`` is passed to :func:`frobdiag.diagonal._symmetry_system`.
     """
-    rows, width = _relative_symmetry_system(mp, mode, probes)
-    return [unflatten(vec, mp.module_basis, mp.ring.basis)
-            for vec in nullspace(SparseMatrix(rows, width))]
+    return _symmetric_space(_relative_symmetry_system(mp, mode, probes),
+                            mp.module_basis, mp.ring.basis)
 
 
 # one span check serves both cases; the pair name is kept for callers

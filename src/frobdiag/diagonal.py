@@ -28,10 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import (Matrix, SparseMatrix, Vector, SingularMatrixError,
-                     _integral, invert, nullspace, rank, solve)
-from .ring import (GradedBasis, RingElement, RingStructure, multiply,
-                   pairing_matrix, unit_element)
+# rank stays imported: the benchmark's traced run (perfbench/spans.py)
+# wraps it in this module by name
+from .linalg import (Matrix, SparseMatrix, Vector,  # noqa: F401
+                     SingularMatrixError, _insert, _integral, _reduce,
+                     invert, nullspace, rank, solve)
+from .ring import (GradedBasis, ProductMap, RingElement, RingStructure,
+                   multiply, pairing_matrix, unit_element)
 
 
 # one symmetry equation: its nonzero (column, coefficient) pairs, by column
@@ -145,21 +148,28 @@ def _integral_terms(mu: Matrix) -> tuple[TermMap, int]:
                       for j, v in enumerate(mu.row(i)) if v})
 
 
-def _term_product(ring_left: RingStructure, ring_right: RingStructure,
-                  mode: SignMode, u: TermMap, v: TermMap) -> TermMap:
-    """Product of two classes given as ``{(left, right): coefficient}``.
+def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
+                    mode: SignMode, u: TensorClass,
+                    v: TensorClass) -> TensorClass:
+    """Product of two classes in the tensor-square algebra.
 
-    Only the terms present are multiplied: ``(x_a (x) x_b).(x_c (x) x_d)
+    The product is taken term by term over the nonzero coefficients of
+    ``u`` and ``v``, scaled to integers: ``(x_a (x) x_b).(x_c (x) x_d)
     = sign x_a.x_c (x) x_b.x_d`` for each pair of terms, through the two
-    rings' products.  The result may hold zero coefficients.
+    rings' products.  It shares no code with the symmetry-system builder
+    :func:`_symmetry_system`.
     """
+    for w in (u, v):
+        _require_over(ring_left, ring_right, w)
+    u_terms, u_den = _integral_terms(u.mu)
+    v_terms, v_den = _integral_terms(v.mu)
     deg_l = ring_left.basis.degrees
     deg_r = ring_right.basis.degrees
-    v_by_left: dict[int, list[tuple[int, int | Fraction]]] = {}
-    for (c, d), vcd in v.items():
+    v_by_left: dict[int, list[tuple[int, int]]] = {}
+    for (c, d), vcd in v_terms.items():
         v_by_left.setdefault(c, []).append((d, vcd))
     out: TermMap = {}
-    for (a, b), uab in u.items():
+    for (a, b), uab in u_terms.items():
         for c, v_row in v_by_left.items():
             left = ring_left.product_coefficients(a, c)
             if not left:
@@ -174,30 +184,12 @@ def _term_product(ring_left: RingStructure, ring_right: RingStructure,
                     ce = coeff * le
                     for f, rf in right.items():
                         out[e, f] = out.get((e, f), 0) + ce * rf
-    return out
-
-
-def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
-                    mode: SignMode, u: TensorClass,
-                    v: TensorClass) -> TensorClass:
-    """Product of two classes in the tensor-square algebra.
-
-    The product is taken term by term over the nonzero coefficients of
-    ``u`` and ``v``, scaled to integers, by :func:`_term_product`.  It
-    multiplies classes through the two rings' products and shares no code
-    with the symmetry-system builder :func:`_symmetry_system`.
-    """
-    for w in (u, v):
-        _require_over(ring_left, ring_right, w)
-    u_terms, u_den = _integral_terms(u.mu)
-    v_terms, v_den = _integral_terms(v.mu)
     den = u_den * v_den
     zero = Fraction(0)
-    out = [[zero] * ring_right.size for _ in range(ring_left.size)]
-    for (e, f), value in _term_product(ring_left, ring_right, mode,
-                                       u_terms, v_terms).items():
-        out[e][f] = Fraction(value, den)
-    return tensor_class(ring_left, ring_right, Matrix(out))
+    mu = [[zero] * ring_right.size for _ in range(ring_left.size)]
+    for (e, f), value in out.items():
+        mu[e][f] = Fraction(value, den)
+    return tensor_class(ring_left, ring_right, Matrix(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -309,38 +301,56 @@ def check_symmetry(ring: RingStructure, mode: SignMode,
                    w: TensorClass) -> SymmetryReport:
     """Residuals of ``w.(1(x)x_k) - (x_k(x)1).w`` over every basis element.
 
-    An empty report means ``w`` is symmetric.  The check scales ``w`` to
-    integer terms once, multiplies it by ``1(x)x_k`` and ``x_k(x)1`` with
-    :func:`_term_product`, and compares the two sides over the sorted
-    union of their terms, in ``(k, i, j)`` order; no dense matrix is
-    built.  It never calls :func:`_symmetry_system`, so it exercises a
-    different code path from the linear system assembled by
-    :func:`solve_symmetric_space`.
+    An empty report means ``w`` is symmetric.  This is the residual
+    oracle :func:`_symmetry_residuals` of the pair whose module is the
+    ring, as :func:`frobdiag.boundary.check_relative_symmetry` is.
     """
     _require_over(ring, ring, w)
+    return _symmetry_residuals(ring, mode, ring.basis, ring._products, w)
+
+
+def _symmetry_residuals(ring: RingStructure, mode: SignMode,
+                        module_basis: GradedBasis,
+                        action_products: ProductMap,
+                        w: TensorClass) -> SymmetryReport:
+    """Residuals of ``w.(1(x)y_k) - (y_k(x)1).w`` for every ring element.
+
+    ``w`` lives in module (x) ring and ``action_products[(k, l)]`` expands
+    ``y_k ^ x_l`` over the module basis; a closed ring passes its own
+    basis and product map.  ``w`` is scaled to integer terms once, each
+    side is accumulated over the terms present only, and the sides are
+    compared over the sorted union of their terms, in ``(k, i, s)``
+    order.  The oracle never calls :func:`_symmetry_system`, so it checks
+    the solvers' systems by a different code path.
+
+    Precondition: the unit acts as the identity on both factors,
+    ``x_i.1 = x_i`` and ``1.y_s = y_s``; no product with the unit is
+    formed.  For a ring or pair that fails a unit axiom the report may
+    differ from the residual that :func:`tensor_multiply` gives.
+    """
+    mod_deg = module_basis.degrees
     terms, den = _integral_terms(w.mu)
-    unit = ring.basis.unit_index
+    # (y_k (x) 1).w: the unit passes the module factor x_l, then y_k acts
+    # on it; the signed terms do not depend on k
+    signed = [(l, s, c * koszul_sign(mode, 0, mod_deg[l]))
+              for (l, s), c in terms.items()]
     entries: list[ResidualEntry] = []
     for k in range(ring.size):
-        lhs = _term_product(ring, ring, mode, terms, {(unit, k): 1})
-        rhs = _term_product(ring, ring, mode, {(k, unit): 1}, terms)
-        entries += _residual_entries(k, lhs, rhs, den)
+        # w.(1 (x) y_k): y_j.y_k on the ring factor; only a unit crosses
+        # the module factor, so no Koszul sign in either mode
+        lhs: TermMap = {}
+        for (i, j), c in terms.items():
+            for s, v in ring.product_coefficients(j, k).items():
+                lhs[i, s] = lhs.get((i, s), 0) + c * v
+        rhs: TermMap = {}
+        for l, s, c in signed:
+            for i, v in action_products.get((k, l), {}).items():
+                rhs[i, s] = rhs.get((i, s), 0) + c * v
+        for i, s in sorted(lhs.keys() | rhs.keys()):
+            a, b = lhs.get((i, s), 0), rhs.get((i, s), 0)
+            if a != b:
+                entries.append(ResidualEntry(k, i, s, Fraction(a - b, den)))
     return SymmetryReport(entries)
-
-
-def _residual_entries(probe: int, lhs: TermMap, rhs: TermMap,
-                      den: int) -> list[ResidualEntry]:
-    """Where two sides scaled by ``den`` differ, in ``(i, j)`` order.
-
-    Each entry carries ``(lhs - rhs) / den`` at a term where the sides
-    differ; a term missing from one side counts as 0 there.
-    """
-    entries = []
-    for i, j in sorted(lhs.keys() | rhs.keys()):
-        a, b = lhs.get((i, j), 0), rhs.get((i, j), 0)
-        if a != b:
-            entries.append(ResidualEntry(probe, i, j, Fraction(a - b, den)))
-    return entries
 
 
 def _symmetry_system(ring: RingStructure, mode: SignMode,
@@ -418,22 +428,34 @@ def solve_symmetric_space(ring: RingStructure,
     as the oracle against which the closed-form diagonal class is
     compared.  ``probes`` is passed to :func:`_symmetry_system`.
     """
-    rows, width = _symmetry_system(ring, mode, ring.basis, ring.tensor,
-                                   probes)
-    return [unflatten(vec, ring.basis, ring.basis)
+    return _symmetric_space(
+        _symmetry_system(ring, mode, ring.basis, ring.tensor, probes),
+        ring.basis, ring.basis)
+
+
+def _symmetric_space(system: tuple[list[SparseEquation], int],
+                     left_basis: GradedBasis,
+                     right_basis: GradedBasis) -> list[TensorClass]:
+    """The kernel of a :func:`_symmetry_system` as classes, in the
+    echelon-normalized order of :func:`frobdiag.linalg.nullspace`."""
+    rows, width = system
+    return [unflatten(vec, left_basis, right_basis)
             for vec in nullspace(SparseMatrix(rows, width))]
 
 
 def class_in_span(space: Sequence[TensorClass], w: TensorClass) -> bool:
     """Membership of ``w`` in the rational span of ``space``.
 
-    Serves closed rings and module pairs alike.
+    Serves closed rings and module pairs alike.  The nonzero coefficients
+    of the space's classes are reduced once, as sparse rows over the flat
+    index ``i*n_right + j``; ``w`` is in the span iff inserting it adds no
+    pivot.  Raises ``ValueError`` if a class differs in shape from ``w``.
     """
-    if not space:
-        return w.is_zero()
-    rows = [s.flatten() for s in space]
-    base_rank = rank(Matrix.from_rows(rows))
-    return rank(Matrix.from_rows(rows + [w.flatten()])) == base_rank
+    if any(s.mu.shape != w.mu.shape for s in space):
+        raise ValueError("classes of different shapes have no common span")
+    rows = [{c: v for c, v in enumerate(s.flatten()) if v}
+            for s in (*space, w)]
+    return not _insert(_reduce(rows[:-1]), rows[-1])
 
 
 def symmetric_family(ring: RingStructure, mode: SignMode, w: TensorClass,

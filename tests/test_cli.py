@@ -91,6 +91,18 @@ class TestValidateVerb:
         assert code == 2
         assert "unknown catalog entry" in err
 
+    def test_existing_file_wins_over_catalog_id(self, invoke, tmp_path,
+                                                monkeypatch):
+        (tmp_path / "sphere:2").write_text(
+            emit_document("cp:2", resolve("cp:2").payload))
+        monkeypatch.chdir(tmp_path)
+        assert invoke("validate", "sphere:2") == \
+            (0, "cp:2: valid ring\n", "")
+        code, out, _ = invoke("diag", "sphere:2", "--output", "json")
+        assert code == 0
+        assert json.loads(out)["name"] == "cp:2"
+        assert len(json.loads(out)["mu"]) == 3
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
