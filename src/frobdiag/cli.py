@@ -1,19 +1,15 @@
 """Command-line front end.
 
-Verbs:
-
-* ``validate`` - run the axiom checks on a file or catalog entry
-* ``diag``     - pairing matrix, diagonal class, symmetry residual
-* ``solve``    - basis of the full symmetric solution space
-* ``pair``     - ``diag`` with a ring first embedded as a module pair
-* ``kunneth``  - emit the product of two rings as a document
-* ``catalog``  - list built-in entries
+The verbs (``validate``, ``diag``, ``solve``, ``pair``, ``kunneth``,
+``catalog``), their inputs and options are listed once, in ``_verbs``.
+Each report verb routes a ring and a module pair through ``_route``.
 
 Exit codes are a stable scripting contract: 0 success, 1 validation or
-symmetry failure, 2 parse error (including unknown inputs), 3 singular
-pairing.  Any other exception is a bug: it is reported in one stderr line
-with exit code 70, which is not part of the contract.  All output is
-deterministic; ``--output json`` serializes every rational as a string.
+symmetry failure, 2 parse or usage error (including unknown inputs), 3
+singular pairing.  Any other exception is a bug: it is reported in one
+stderr line with exit code 70, which is not part of the contract.  All
+output is deterministic; ``--output json`` serializes every rational as a
+string.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .boundary import (ModulePair, check_relative_symmetry,
                        check_relative_top_normalization,
@@ -129,36 +125,59 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _validate(payload, allow_noncommutative: bool
-              ) -> tuple[ValidationReport, str]:
-    """Axiom report of a ring or module pair, and which of the two it is."""
-    if isinstance(payload, ModulePair):
-        return validate_module(
-            payload, allow_noncommutative=allow_noncommutative), "pair"
-    return validate(payload,
-                    allow_noncommutative=allow_noncommutative), "ring"
+class _Route(NamedTuple):
+    """A payload's kind, its report texts, and the library calls for it."""
+
+    kind: str
+    summary: str
+    titles: tuple[str, str]
+    # validation shows the ring and action associative and unital, so the
+    # generators of this ring stand for every probe of a symmetry system
+    # (see ``diagonal._symmetry_system``)
+    probe_ring: RingStructure
+    validate: Callable[..., ValidationReport]
+    pairing: Callable[..., Matrix]
+    diagonal: Callable
+    residual: Callable
+    normalized: Callable[..., bool]
+    space: Callable
+    in_span: Callable[..., bool]
 
 
-def _probes(payload) -> list[int]:
-    """Ring generators: the probes a validated payload's system needs.
+def _route(payload) -> _Route:
+    """The route of a ring, or of a module pair over its ring.
 
-    Validation has shown the ring and the action associative and unital,
-    which is what lets generators stand for every probe (see
-    ``diagonal._symmetry_system``).
+    The names are read when a verb runs, so a name replaced on this module
+    after import is the one called.  ``relative_class_in_span`` is
+    ``class_in_span``: the pair name keeps the cases apart in traced runs.
     """
-    return generators(payload.ring if isinstance(payload, ModulePair)
-                      else payload)
-
-
-def _pairing(payload) -> Matrix:
     if isinstance(payload, ModulePair):
-        return relative_pairing_matrix(payload)
-    return pairing_matrix(payload)
+        return _Route(
+            "pair",
+            f"module of {payload.module_basis.size} over ring of "
+            f"{payload.ring.size}, formal dimension "
+            f"{payload.formal_dimension}",
+            ("relative pairing matrix (ring rows, module columns)",
+             "diagonal coefficients (module rows, ring columns)"),
+            payload.ring, validate_module, relative_pairing_matrix,
+            relative_diagonal_class, check_relative_symmetry,
+            check_relative_top_normalization, solve_relative_symmetric_space,
+            relative_class_in_span)
+    return _Route(
+        "ring",
+        f"{payload.size} basis elements, formal dimension "
+        f"{payload.basis.formal_dimension}",
+        ("pairing matrix", "diagonal coefficients (inverse pairing)"),
+        payload, validate, pairing_matrix, diagonal_class, check_symmetry,
+        check_top_normalization, solve_symmetric_space, class_in_span)
 
 
 def _require_valid(name: str, payload, allow_noncommutative: bool,
-                   output: str) -> None:
-    report, _ = _validate(payload, allow_noncommutative)
+                   output: str) -> _Route:
+    """The payload's route, once the payload passes validation."""
+    route = _route(payload)
+    report = route.validate(payload,
+                            allow_noncommutative=allow_noncommutative)
     if not report.ok:
         if output == "json":
             _print_json({"name": name, "ok": False,
@@ -168,6 +187,7 @@ def _require_valid(name: str, payload, allow_noncommutative: bool,
             print(f"{name}: invalid ({len(report)} violation(s)); "
                   f"first: {first}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
+    return route
 
 
 # ---------------------------------------------------------------------------
@@ -175,49 +195,36 @@ def _require_valid(name: str, payload, allow_noncommutative: bool,
 
 def cmd_validate(args: argparse.Namespace) -> int:
     name, payload = _load_input(args.input, SignMode(args.mode))
-    report, kind = _validate(payload, args.allow_noncommutative)
+    route = _route(payload)
+    report = route.validate(payload,
+                            allow_noncommutative=args.allow_noncommutative)
     if args.output == "json":
-        _print_json({"name": name, "kind": kind, "ok": report.ok,
+        _print_json({"name": name, "kind": route.kind, "ok": report.ok,
                      "violations": _validation_json(report)})
+    elif report.ok:
+        print(f"{name}: valid {route.kind}")
     else:
-        if report.ok:
-            print(f"{name}: valid {kind}")
-        else:
-            print(f"{name}: {len(report)} violation(s)")
-            for v in report:
-                print(f"  {v}")
+        print(f"{name}: {len(report)} violation(s)")
+        for v in report:
+            print(f"  {v}")
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _diag_report(name: str, payload, mode: SignMode, output: str) -> int:
+def _diag_report(name: str, payload, route: _Route, mode: SignMode,
+                 output: str) -> int:
     """Pairing, diagonal class and its checks, for a validated payload."""
-    pairing = _pairing(payload)
+    pairing = route.pairing(payload)
     # only GRADED mode solves a symmetry system
-    probes = _probes(payload) if mode is SignMode.GRADED else None
-    if isinstance(payload, ModulePair):
-        w = relative_diagonal_class(payload, mode, probes)
-        residual = check_relative_symmetry(payload, mode, w)
-        normalized = check_relative_top_normalization(payload, w)
-        kind = "pair"
-        summary = (f"module of {payload.module_basis.size} over ring of "
-                   f"{payload.ring.size}, formal dimension "
-                   f"{payload.formal_dimension}")
-        titles = ("relative pairing matrix (ring rows, module columns)",
-                  "diagonal coefficients (module rows, ring columns)")
-    else:
-        w = diagonal_class(payload, mode, probes)
-        residual = check_symmetry(payload, mode, w)
-        normalized = check_top_normalization(payload, w)
-        kind = "ring"
-        summary = (f"{payload.size} basis elements, formal dimension "
-                   f"{payload.basis.formal_dimension}")
-        titles = ("pairing matrix",
-                  "diagonal coefficients (inverse pairing)")
+    probes = generators(route.probe_ring) if mode is SignMode.GRADED \
+        else None
+    w = route.diagonal(payload, mode, probes)
+    residual = route.residual(payload, mode, w)
+    normalized = route.normalized(payload, w)
     labels = (w.left_basis.labels, w.right_basis.labels)
     if output == "json":
         _print_json({
             "name": name,
-            "kind": kind,
+            "kind": route.kind,
             "mode": mode.value,
             "pairing": _matrix_json(pairing),
             "mu": _matrix_json(w.mu),
@@ -227,11 +234,11 @@ def _diag_report(name: str, payload, mode: SignMode, output: str) -> int:
             "top_normalization": normalized,
         })
     else:
-        print(f"entry: {name} ({kind}, {summary})")
+        print(f"entry: {name} ({route.kind}, {route.summary})")
         print(f"mode: {mode.value}")
-        print(f"{titles[0]}:")
+        print(f"{route.titles[0]}:")
         print(_matrix_text(pairing))
-        print(f"{titles[1]}:")
+        print(f"{route.titles[1]}:")
         print(_matrix_text(w.mu))
         print(f"class: {_class_text(w.mu, *labels)}")
         print(f"symmetry residual: {'empty' if residual.ok else 'NONZERO'}")
@@ -251,22 +258,23 @@ def cmd_diag(args: argparse.Namespace) -> int:
             payload = closed_as_pair(payload)
         except CatalogError as exc:
             raise CliFailure(EXIT_PARSE, str(exc))
-    _require_valid(name, payload, args.allow_noncommutative, args.output)
+    route = _require_valid(name, payload, args.allow_noncommutative,
+                           args.output)
     try:
-        return _diag_report(name, payload, mode, args.output)
+        return _diag_report(name, payload, route, mode, args.output)
     except (SingularPairingError, MissingTopClassError, NoSolutionError,
             NonUniqueSolutionError) as exc:
-        _report_singular(name, payload, exc, args)
+        _report_singular(name, payload, route, exc, args.output)
         return EXIT_SINGULAR
 
 
-def _report_singular(name: str, payload, exc: Exception,
-                     args: argparse.Namespace) -> None:
+def _report_singular(name: str, payload, route: _Route, exc: Exception,
+                     output: str) -> None:
     try:
-        pairing = _matrix_json(_pairing(payload))
+        pairing = _matrix_json(route.pairing(payload))
     except MissingTopClassError:
         pairing = None
-    if args.output == "json":
+    if output == "json":
         _print_json({"name": name, "error": "singular-pairing",
                      "detail": str(exc), "pairing": pairing})
     else:
@@ -280,18 +288,12 @@ def _report_singular(name: str, payload, exc: Exception,
 def cmd_solve(args: argparse.Namespace) -> int:
     mode = SignMode(args.mode)
     name, payload = _load_input(args.input, mode)
-    _require_valid(name, payload, args.allow_noncommutative, args.output)
-    # relative_class_in_span is class_in_span; the pair name keeps the two
-    # cases apart in traced runs
-    if isinstance(payload, ModulePair):
-        space = solve_relative_symmetric_space(payload, mode,
-                                               _probes(payload))
-        diagonal, in_span = relative_diagonal_class, relative_class_in_span
-    else:
-        space = solve_symmetric_space(payload, mode, _probes(payload))
-        diagonal, in_span = diagonal_class, class_in_span
+    route = _require_valid(name, payload, args.allow_noncommutative,
+                           args.output)
+    space = route.space(payload, mode, generators(route.probe_ring))
     try:
-        member = in_span(space, diagonal(payload, SignMode.LITERAL))
+        member = route.in_span(space,
+                               route.diagonal(payload, SignMode.LITERAL))
     except (SingularPairingError, MissingTopClassError):
         member = None
     if args.output == "json":
@@ -361,15 +363,38 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sub: argparse.ArgumentParser, with_mode: bool = True) -> None:
-    if with_mode:
-        sub.add_argument("--mode", choices=["literal", "graded"],
-                         default="literal",
-                         help="sign convention for tensor products")
-    sub.add_argument("--output", choices=["text", "json"], default="text",
-                     help="report format")
-    sub.add_argument("--allow-noncommutative", action="store_true",
-                     help="skip only the graded-commutativity axiom")
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "--name": {"help": "name for the emitted document"},
+    "--mode": {"choices": ["literal", "graded"], "default": "literal",
+               "help": "sign convention for tensor products"},
+    "--output": {"choices": ["text", "json"], "default": "text",
+                 "help": "report format"},
+    "--allow-noncommutative": {
+        "action": "store_true",
+        "help": "skip only the graded-commutativity axiom"},
+}
+_REPORT_OPTIONS = ("--mode", "--output", "--allow-noncommutative")
+
+
+def _verbs() -> tuple[tuple, ...]:
+    """(verb, handler, positional inputs, options, help) of every verb.
+
+    Read when a parser is built: a handler replaced after import runs.
+    """
+    return (
+        ("validate", cmd_validate, ("input",), _REPORT_OPTIONS,
+         "run the axiom checks"),
+        ("diag", cmd_diag, ("input",), _REPORT_OPTIONS,
+         "pairing matrix, diagonal class, residual"),
+        ("solve", cmd_solve, ("input",), _REPORT_OPTIONS,
+         "basis of the symmetric space"),
+        ("pair", cmd_diag, ("input",), _REPORT_OPTIONS,
+         "relative diagonal report (rings are embedded)"),
+        ("kunneth", cmd_kunneth, ("left", "right"),
+         ("--name", "--mode", "--allow-noncommutative"),
+         "emit the product of two rings"),
+        ("catalog", cmd_catalog, (), ("--output",), "list built-in entries"),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,48 +402,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="frobdiag",
         description="Exact diagonal classes of Poincare duality algebras")
     subs = parser.add_subparsers(dest="verb", required=True)
-
-    p = subs.add_parser("validate", help="run the axiom checks")
-    p.add_argument("input", help="document file or catalog id")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = subs.add_parser("diag",
-                        help="pairing matrix, diagonal class, residual")
-    p.add_argument("input", help="document file or catalog id")
-    _add_common(p)
-    p.set_defaults(func=cmd_diag)
-
-    p = subs.add_parser("solve", help="basis of the symmetric space")
-    p.add_argument("input", help="document file or catalog id")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = subs.add_parser("pair",
-                        help="relative diagonal report (rings are embedded)")
-    p.add_argument("input", help="document file or catalog id")
-    _add_common(p)
-    p.set_defaults(func=cmd_diag)
-
-    p = subs.add_parser("kunneth", help="emit the product of two rings")
-    p.add_argument("left", help="document file or catalog id")
-    p.add_argument("right", help="document file or catalog id")
-    p.add_argument("--name", help="name for the emitted document")
-    _add_common(p)
-    p.set_defaults(func=cmd_kunneth)
-
-    p = subs.add_parser("catalog", help="list built-in entries")
-    _add_common(p, with_mode=False)
-    p.set_defaults(func=cmd_catalog)
+    for verb, handler, inputs, options, text in _verbs():
+        sub = subs.add_parser(verb, help=text)
+        for name in inputs:
+            sub.add_argument(name, help="document file or catalog id")
+        for option in options:
+            sub.add_argument(option, **_OPTIONS[option])
+        sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "mode"):
-        args.mode = "literal"
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliFailure as exc:
         print(exc.message, file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 from pathlib import Path
@@ -459,6 +460,37 @@ class TestInternalError:
         monkeypatch.setattr(cli, "cmd_diag", interrupt)
         with pytest.raises(KeyboardInterrupt):
             invoke("diag", "cp:2")
+
+
+class TestUsageErrors:
+    """A command line argparse refuses returns 2; it does not raise."""
+
+    @pytest.mark.parametrize("argv", [
+        ("diag",),
+        ("frobnicate",),
+        ("kunneth", "sphere:1", "sphere:1", "--output", "json"),
+        ("catalog", "--allow-noncommutative"),
+    ], ids=["missing-input", "unknown-verb", "kunneth-output",
+            "catalog-allow-noncommutative"])
+    def test_exit_2_with_usage_on_stderr(self, invoke, argv):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: frobdiag")
+
+
+def test_each_verb_has_its_options():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    options = {verb: {s for a in sub._actions for s in a.option_strings
+                      if s not in ("-h", "--help")}
+               for verb, sub in subs.choices.items()}
+    report = {"--mode", "--output", "--allow-noncommutative"}
+    assert options == {
+        "validate": report, "diag": report, "solve": report, "pair": report,
+        "kunneth": {"--mode", "--allow-noncommutative", "--name"},
+        "catalog": {"--output"},
+    }
 
 
 def test_matrix_text_pads_each_column_to_its_widest_entry():

@@ -1,15 +1,19 @@
-"""Every name the benchmark's traced run wraps exists in the package.
+"""Every name the benchmark's traced run wraps exists and is called.
 
 The traced run (``perfbench/spans.py``) replaces ``frobdiag.<caller>.<attr>``
 for each ``(caller, attr)`` in its ``WRAPPED`` table, looked up by name;
-a name that a refactor drops or renames makes that run fail.  The table
-is read from the source file, which is compiled in memory and not
-imported, so no bytecode is written next to it.
+a name that a refactor drops or renames makes that run fail, and a name
+the CLI bound before the replacement is never traced.  The table is read
+from the source file, which is compiled in memory and not imported, so no
+bytecode is written next to it.
 """
 
 import importlib
 import types
+from collections import Counter
 from pathlib import Path
+
+from frobdiag import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -27,3 +31,29 @@ def test_every_wrapped_name_is_an_attribute_of_its_caller():
                if not hasattr(importlib.import_module(f"frobdiag.{caller}"),
                               attr)]
     assert not missing, missing
+
+
+def test_every_wrapped_cli_name_is_called_through_the_module(
+        invoke, monkeypatch, tmp_path):
+    """The CLI reads each wrapped name when a verb runs, not at import."""
+    calls = Counter()
+
+    def counting(attr, fn):
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    names = [attr for caller, attr in wrapped_names() if caller == "cli"]
+    for attr in names:
+        monkeypatch.setattr(cli, attr, counting(attr, getattr(cli, attr)))
+    code, product, _ = invoke("kunneth", "sphere:1", "sphere:1",
+                              "--mode", "graded")
+    assert code == 0
+    document = tmp_path / "product.json"
+    document.write_text(product, encoding="utf-8")
+    for argv in (("diag", "cp:2"), ("solve", "cp:2"), ("pair", "cp:2"),
+                 ("solve", "cylinder:sphere:2"),
+                 ("validate", str(document))):
+        assert invoke(*argv)[0] == 0, argv
+    assert [attr for attr in names if not calls[attr]] == []
