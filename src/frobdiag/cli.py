@@ -89,16 +89,9 @@ def _matrix_text(m: Matrix, indent: str = "  ") -> str:
 
 def _class_terms(mu: Matrix, left_labels: Sequence[str],
                  right_labels: Sequence[str]) -> list[dict]:
-    terms = []
-    for i in range(mu.rows):
-        for j in range(mu.cols):
-            v = mu[i, j]
-            if v != 0:
-                terms.append({"i": i, "j": j,
-                              "left": left_labels[i],
-                              "right": right_labels[j],
-                              "value": str(v)})
-    return terms
+    return [{"i": i, "j": j, "left": left_labels[i],
+             "right": right_labels[j], "value": str(v)}
+            for (i, j), v in mu.terms()]
 
 
 def _class_text(mu: Matrix, left_labels: Sequence[str],

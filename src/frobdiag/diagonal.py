@@ -30,11 +30,12 @@ from typing import Mapping, Sequence
 
 # rank stays imported: the benchmark's traced run (perfbench/spans.py)
 # wraps it in this module by name
-from .linalg import (Matrix, SparseMatrix, Vector,  # noqa: F401
-                     SingularMatrixError, _insert, _integral, _reduce,
-                     invert, nullspace, rank, solve)
-from .ring import (GradedBasis, ProductMap, RingElement, RingStructure,
-                   multiply, pairing_matrix, unit_element)
+from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
+                     _insert, _integral, _reduce, invert, nullspace, rank,
+                     solve)
+from .ring import (GradedBasis, MissingTopClassError, ProductMap,
+                   RingElement, RingStructure, multiply, pairing_matrix,
+                   unit_element)
 
 
 # one symmetry equation: its nonzero (column, coefficient) pairs, by column
@@ -114,12 +115,9 @@ def pure_tensor(ring_left: RingStructure, ring_right: RingStructure,
     """The decomposable class ``a (x) b``; only nonzero pairs multiply."""
     nr = ring_right.size
     b_terms = [(j, b[j]) for j in range(nr) if b[j]]
-    mu = [[Fraction(0)] * nr for _ in range(ring_left.size)]
-    for i, row in enumerate(mu):
-        if a[i]:
-            for j, bj in b_terms:
-                row[j] = a[i] * bj
-    return tensor_class(ring_left, ring_right, Matrix(mu))
+    mu = Matrix.sparse([[(j, a[i] * bj) for j, bj in b_terms] if a[i] else ()
+                        for i in range(ring_left.size)], nr)
+    return tensor_class(ring_left, ring_right, mu)
 
 
 def left_factor(ring_left: RingStructure, ring_right: RingStructure,
@@ -138,16 +136,6 @@ def _require_over(ring_left: RingStructure, ring_right: RingStructure,
         raise ValueError("tensor class does not live over the given rings")
 
 
-def _integral_terms(mu: Matrix) -> tuple[TermMap, int]:
-    """The nonzero entries of ``mu`` scaled to integers, and the scale.
-
-    Returns ``({(i, j): D * mu[i, j]}, D)`` with ``D`` the lcm of the
-    entries' denominators, so the terms multiply as ints.
-    """
-    return _integral({(i, j): v for i in range(mu.rows)
-                      for j, v in enumerate(mu.row(i)) if v})
-
-
 def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
                     mode: SignMode, u: TensorClass,
                     v: TensorClass) -> TensorClass:
@@ -161,8 +149,8 @@ def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
     """
     for w in (u, v):
         _require_over(ring_left, ring_right, w)
-    u_terms, u_den = _integral_terms(u.mu)
-    v_terms, v_den = _integral_terms(v.mu)
+    u_terms, u_den = _integral(dict(u.mu.terms()))
+    v_terms, v_den = _integral(dict(v.mu.terms()))
     deg_l = ring_left.basis.degrees
     deg_r = ring_right.basis.degrees
     v_by_left: dict[int, list[tuple[int, int]]] = {}
@@ -185,11 +173,11 @@ def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
                     for f, rf in right.items():
                         out[e, f] = out.get((e, f), 0) + ce * rf
     den = u_den * v_den
-    zero = Fraction(0)
-    mu = [[zero] * ring_right.size for _ in range(ring_left.size)]
+    rows: list[list] = [[] for _ in range(ring_left.size)]
     for (e, f), value in out.items():
-        mu[e][f] = Fraction(value, den)
-    return tensor_class(ring_left, ring_right, Matrix(mu))
+        rows[e].append((f, Fraction(value, den)))
+    return tensor_class(ring_left, ring_right,
+                        Matrix.sparse(rows, ring_right.size))
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +206,10 @@ def diagonal_class(ring: RingStructure,
     if mode is SignMode.LITERAL:
         return tensor_class(ring, ring, pairing_inverse(ring))
 
-    rows, _ = _symmetry_system(ring, mode, ring.basis, ring.tensor, probes)
     n, unit, top = ring.size, ring.basis.unit_index, ring.basis.top_index
     if top is None:
-        raise SingularPairingError("ring has no top basis index")
+        raise MissingTopClassError("ring has no top basis index")
+    rows, _ = _symmetry_system(ring, mode, ring.basis, ring.tensor, probes)
     pins = [(index, Fraction(int(j == unit)))
             for j in range(n) for index in (top * n + j, j * n + top)]
     return _normalized_solve(rows, pins, ring.basis, ring.basis,
@@ -242,7 +230,7 @@ def _normalized_solve(rows: list[SparseEquation],
     for index, value in pins:
         rows.append(((index, Fraction(1)),))
         rhs.append(value)
-    result = solve(SparseMatrix(rows, left_basis.size * right_basis.size),
+    result = solve(Matrix.sparse(rows, left_basis.size * right_basis.size),
                    rhs)
     if result is None:
         raise NoSolutionError(f"normalized {noun} is inconsistent")
@@ -259,7 +247,7 @@ def check_top_normalization(ring: RingStructure, w: TensorClass) -> bool:
     top = ring.basis.top_index
     unit = ring.basis.unit_index
     if top is None:
-        raise SingularPairingError("ring has no top basis index")
+        raise MissingTopClassError("ring has no top basis index")
     for j in range(ring.size):
         expected = Fraction(int(j == unit))
         if w.mu[top, j] != expected or w.mu[j, top] != expected:
@@ -329,7 +317,7 @@ def _symmetry_residuals(ring: RingStructure, mode: SignMode,
     differ from the residual that :func:`tensor_multiply` gives.
     """
     mod_deg = module_basis.degrees
-    terms, den = _integral_terms(w.mu)
+    terms, den = _integral(dict(w.mu.terms()))
     # (y_k (x) 1).w: the unit passes the module factor x_l, then y_k acts
     # on it; the signed terms do not depend on k
     signed = [(l, s, c * koszul_sign(mode, 0, mod_deg[l]))
@@ -440,7 +428,7 @@ def _symmetric_space(system: tuple[list[SparseEquation], int],
     echelon-normalized order of :func:`frobdiag.linalg.nullspace`."""
     rows, width = system
     return [unflatten(vec, left_basis, right_basis)
-            for vec in nullspace(SparseMatrix(rows, width))]
+            for vec in nullspace(Matrix.sparse(rows, width))]
 
 
 def class_in_span(space: Sequence[TensorClass], w: TensorClass) -> bool:
@@ -453,7 +441,8 @@ def class_in_span(space: Sequence[TensorClass], w: TensorClass) -> bool:
     """
     if any(s.mu.shape != w.mu.shape for s in space):
         raise ValueError("classes of different shapes have no common span")
-    rows = [{c: v for c, v in enumerate(s.flatten()) if v}
+    n = w.mu.cols
+    rows = [{i * n + j: v for (i, j), v in s.mu.terms()}
             for s in (*space, w)]
     return not _insert(_reduce(rows[:-1]), rows[-1])
 

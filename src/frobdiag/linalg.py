@@ -31,18 +31,18 @@ entries.  A column index (column -> pivot rows holding it) lets a new
 pivot be cleared from just the rows that hold its column, instead of
 from every pivot row.
 
-Systems that are built sparse stay sparse: a :class:`SparseMatrix` holds
-only the nonzero entries of each row, as ``(column, value)`` pairs, and is
-accepted wherever a dense :class:`Matrix` is, with the same results.  The
-kernel copies its rows into dicts either way, so a sparse system never
-passes through a dense one.
+A :class:`Matrix` stores only the nonzero entries of each row, as a
+``{column: value}`` map, so the kernel reads its rows as they are, and a
+system built from its nonzero ``(column, value)`` pairs with
+:meth:`Matrix.sparse` never passes through a dense one.  Results are
+built the same way, from the nonzero entries of the pivot rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Vector = tuple[Fraction, ...]
 K = TypeVar("K", bound=Hashable)
@@ -66,129 +66,125 @@ def vector(values: Iterable[int | str | Fraction]) -> Vector:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable matrix of Fractions that stores only its nonzero entries.
+
+    Row ``i`` is held as a ``{column: value}`` map of its nonzero entries,
+    with ``int`` or ``Fraction`` values; every read returns ``Fraction``s.
+    ``Matrix(entries)`` takes dense rows, :meth:`sparse` the nonzero
+    ``(column, value)`` pairs of each row, and :meth:`terms` gives the
+    nonzero entries back.  No zero is stored, so equal matrices compare
+    and hash equal whichever constructor built them.
+    """
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries: Sequence[Sequence[int | str | Fraction]]):
-        data = tuple(tuple(frac(v) for v in row) for row in entries)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("rows have unequal lengths")
-        else:
-            width = 0
-        self.rows = len(data)
+        rows = list(entries)
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise ValueError("rows have unequal lengths")
+        self.rows = len(rows)
         self.cols = width
-        self._data = data
+        self._data = tuple({c: v for c, v in enumerate(map(frac, row)) if v}
+                           for row in rows)
+
+    @staticmethod
+    def sparse(rows: Iterable[Iterable[tuple[int, int | Fraction]]],
+               cols: int) -> "Matrix":
+        """Matrix of width ``cols`` whose rows have the given nonzero
+        ``(column, value)`` pairs; zero values are dropped."""
+        data = tuple({c: v for c, v in row if v} for row in rows)
+        if any(not 0 <= c < cols for row in data for c in row):
+            raise ValueError(f"column index outside 0..{cols - 1}")
+        m = object.__new__(Matrix)
+        m.rows, m.cols, m._data = len(data), cols, data
+        return m
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return Matrix.sparse([((i, 1),) for i in range(n)], n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[Fraction(0)] * cols for _ in range(rows)])
+        return Matrix([[0] * cols for _ in range(rows)])
 
     @staticmethod
     def from_rows(rows: Sequence[Vector]) -> "Matrix":
-        return Matrix([list(r) for r in rows])
+        return Matrix(rows)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    def terms(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
+        """The nonzero entries as ``((i, j), value)``, in row-major order."""
+        for i, row in enumerate(self._data):
+            for j in sorted(row):
+                yield (i, j), frac(row[j])
+
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self._data[i][j]
+        row = self._data[i]
+        if not -self.cols <= j < self.cols:
+            raise IndexError("matrix column index out of range")
+        return frac(row.get(j % self.cols, 0))
 
     def row(self, i: int) -> Vector:
-        return self._data[i]
+        out = [Fraction(0)] * self.cols
+        for c, v in self._data[i].items():
+            out[c] = frac(v)
+        return tuple(out)
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self._data)
+        return tuple(self[i, j] for i in range(self.rows))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self._data for v in row)
+        return not any(self._data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self._data == other._data
+        # as for dense rows, a matrix with no rows has no width to compare
+        return self._data == other._data and (
+            self.cols == other.cols or not self._data)
 
     def __hash__(self) -> int:
-        return hash(self._data)
+        return hash(tuple(frozenset(row.items()) for row in self._data))
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-v for v in row] for row in self._data])
+        return Matrix.sparse([((c, -v) for c, v in row.items())
+                              for row in self._data], self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch for product: {self.shape} @ {other.shape}")
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Fraction(0)
-                for k in range(self.cols):
-                    acc += self._data[i][k] * other._data[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(out)
+        for row in self._data:
+            acc: dict[int, int | Fraction] = {}
+            for k, a in row.items():
+                for j, b in other._data[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(acc.items())
+        return Matrix.sparse(out, other.cols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(sum((row[k] * v[k] for k in range(self.cols)),
-                         Fraction(0)) for row in self._data)
+        return tuple(sum((x * v[c] for c, x in row.items()), Fraction(0))
+                     for row in self._data)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(v) for v in row) for row in self._data)
+        body = "; ".join(" ".join(str(v) for v in self.row(i))
+                         for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-class SparseMatrix:
-    """Matrix given by the nonzero entries of its rows.
-
-    Each row is a sequence of ``(column, value)`` pairs with ``int`` or
-    ``Fraction`` values, sorted by column, with no zero value and no
-    repeated column.  ``rows`` and ``cols`` are the shape; :meth:`row`
-    expands one row into a dense vector of Fractions on demand.
-    """
-
-    __slots__ = ("rows", "cols", "_data")
-
-    def __init__(self,
-                 rows: Sequence[Sequence[tuple[int, int | Fraction]]],
-                 cols: int):
-        data = tuple(tuple(row) for row in rows)
-        if any(not 0 <= c < cols for row in data for c, _ in row):
-            raise ValueError(f"column index outside 0..{cols - 1}")
-        self.rows = len(data)
-        self.cols = cols
-        self._data = data
-
-    def row(self, i: int) -> Vector:
-        out = [Fraction(0)] * self.cols
-        for c, v in self._data[i]:
-            out[c] = frac(v)
-        return tuple(out)
-
-
 SparseRow = dict[int, int]
-
-
-def _sparse_rows(m: Matrix | SparseMatrix
-                 ) -> list[dict[int, int | Fraction]]:
-    """The nonzero entries of each row as ``{column: value}`` maps."""
-    if isinstance(m, SparseMatrix):
-        return [dict(row) for row in m._data]
-    return [{c: v for c, v in enumerate(m.row(i)) if v} for i in range(m.rows)]
 
 
 def _integral(values: Mapping[K, int | Fraction]) -> tuple[dict[K, int], int]:
@@ -316,25 +312,21 @@ def _kernel(echelon: _Echelon, n_cols: int) -> list[Vector]:
     return basis
 
 
-def rref(m: Matrix | SparseMatrix) -> tuple[Matrix, list[int]]:
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form of ``m`` and its pivot columns."""
-    pivots = _reduce(_sparse_rows(m)).pivots
+    pivots = _reduce(m._data).pivots
     order = sorted(pivots)
-    zero = Fraction(0)
-    data = []
-    for p in order:
-        row = pivots[p]
-        data.append([Fraction(row[c], row[p]) if c in row else zero
-                     for c in range(m.cols)])
-    data += [[zero] * m.cols for _ in range(m.rows - len(order))]
-    return Matrix(data), order
+    reduced = [[(c, Fraction(v, pivots[p][p])) for c, v in pivots[p].items()]
+               for p in order]
+    return Matrix.sparse(reduced + [()] * (m.rows - len(order)),
+                         m.cols), order
 
 
-def rank(m: Matrix | SparseMatrix) -> int:
-    return len(_reduce(_sparse_rows(m)).pivots)
+def rank(m: Matrix) -> int:
+    return len(_reduce(m._data).pivots)
 
 
-def invert(m: Matrix | SparseMatrix) -> Matrix:
+def invert(m: Matrix) -> Matrix:
     """Exact inverse of a square matrix.
 
     Raises :class:`SingularMatrixError` when the determinant is zero.
@@ -343,32 +335,26 @@ def invert(m: Matrix | SparseMatrix) -> Matrix:
         raise ValueError(
             f"cannot invert non-square matrix ({m.rows}, {m.cols})")
     n = m.rows
-    rows = _sparse_rows(m)
-    for i, row in enumerate(rows):
-        row[n + i] = 1
-    pivots = _reduce(rows).pivots
+    pivots = _reduce({**row, n + i: 1}
+                     for i, row in enumerate(m._data)).pivots
     if any(p >= n for p in pivots):
         raise SingularMatrixError("matrix is singular")
-    zero = Fraction(0)
-    out = []
-    for i in range(n):
-        row, lead = pivots[i], pivots[i][i]
-        out.append([Fraction(row[n + j], lead) if n + j in row else zero
-                    for j in range(n)])
-    return Matrix(out)
+    return Matrix.sparse([[(c - n, Fraction(v, pivots[i][i]))
+                           for c, v in pivots[i].items() if c >= n]
+                          for i in range(n)], n)
 
 
-def nullspace(m: Matrix | SparseMatrix) -> list[Vector]:
+def nullspace(m: Matrix) -> list[Vector]:
     """Echelon-normalized basis of ``{v : m @ v = 0}``.
 
     Each free column yields one basis vector carrying 1 at that column and
     0 at every other free column, listed in increasing column order.  The
     basis is therefore canonical: equal spaces give equal output.
     """
-    return _kernel(_reduce(_sparse_rows(m)), m.cols)
+    return _kernel(_reduce(m._data), m.cols)
 
 
-def solve(m: Matrix | SparseMatrix, b: Sequence[Fraction]
+def solve(m: Matrix, b: Sequence[Fraction]
           ) -> tuple[Vector, list[Vector]] | None:
     """Solve ``m @ x = b`` exactly.
 
@@ -381,12 +367,8 @@ def solve(m: Matrix | SparseMatrix, b: Sequence[Fraction]
     if len(b) != m.rows:
         raise ValueError(f"right-hand side length {len(b)} != rows {m.rows}")
     n_cols = m.cols
-    rows = _sparse_rows(m)
-    for row, value in zip(rows, b):
-        value = frac(value)
-        if value:
-            row[n_cols] = value
-    echelon = _reduce(rows)
+    echelon = _reduce({**row, n_cols: value} if value else row
+                      for row, value in zip(m._data, map(frac, b)))
     pivots = echelon.pivots
     if n_cols in pivots:
         return None  # a pivot in the augmented column: 0 = 1

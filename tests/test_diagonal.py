@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobdiag import diagonal
 from frobdiag.catalog import (catalog_names, complex_projective, point,
                               product, resolve, sphere, torus)
 from frobdiag.diagonal import (NonUniqueSolutionError, SignMode,
@@ -17,8 +19,8 @@ from frobdiag.diagonal import (NonUniqueSolutionError, SignMode,
                                solve_symmetric_space, symmetric_family,
                                tensor_class, tensor_multiply)
 from frobdiag.linalg import Matrix, rank
-from frobdiag.ring import (RingStructure, basis_element, multiply,
-                           unit_element, validate)
+from frobdiag.ring import (MissingTopClassError, RingStructure,
+                           basis_element, multiply, unit_element, validate)
 from strategies import ODD_RING_NAMES, elements, matrices, modes, rings
 
 EVEN_RINGS = {
@@ -124,6 +126,20 @@ class TestDiagonalClass:
         for name, ring in ALL_RINGS.items():
             wg = diagonal_class(ring, SignMode.GRADED)
             assert wg.mu == pairing_inverse(ring), name
+
+    def test_missing_top_raises_missing_top_class(self, monkeypatch):
+        # the top index is checked before any symmetry system is built
+        ring = sphere(2)
+        naked = RingStructure(replace(ring.basis, top_index=None),
+                              ring.tensor)
+        w = diagonal_class(ring, SignMode.LITERAL)
+        monkeypatch.setattr(diagonal, "_symmetry_system", None)
+        message = "^ring has no top basis index$"
+        for mode in SignMode:
+            with pytest.raises(MissingTopClassError, match=message):
+                diagonal_class(naked, mode)
+        with pytest.raises(MissingTopClassError, match=message):
+            check_top_normalization(naked, w)
 
     def test_degenerate_graded_has_no_normalized_solution(self):
         # a singular pairing admits no class whose top row/column hit the

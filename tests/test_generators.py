@@ -20,7 +20,7 @@ from frobdiag.diagonal import (SignMode, _symmetry_system, class_in_span,
                                diagonal_class, pairing_inverse,
                                solve_symmetric_space)
 from frobdiag.document import emit_document
-from frobdiag.linalg import Matrix, SparseMatrix, rank, rref
+from frobdiag.linalg import Matrix, rank, rref
 from frobdiag.ring import (GradedBasis, RingStructure, basis_element,
                            generators, multiply, unit_element, validate)
 from strategies import modes, pairs, rings
@@ -33,7 +33,7 @@ def system_rref(payload, mode, probes=None):
                                        payload.tensor, probes)
     else:
         rows, width = _relative_symmetry_system(payload, mode, probes)
-    reduced, pivots = rref(SparseMatrix(rows, width))
+    reduced, pivots = rref(Matrix.sparse(rows, width))
     # rref pads with zero rows up to the row count, which differs
     return [reduced.row(i) for i in range(len(pivots))], pivots
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from frobdiag.linalg import (Matrix, SingularMatrixError, SparseMatrix, frac,
-                             invert, nullspace, rank, rref, solve, vector)
+from frobdiag.linalg import (Matrix, SingularMatrixError, frac, invert,
+                             nullspace, rank, rref, solve, vector)
 
 
 def det_cofactor(m: Matrix) -> Fraction:
@@ -64,21 +64,75 @@ class TestMatrixBasics:
         assert m.apply(vector([1, 1])) == vector([3, 7])
 
 
-class TestSparseMatrix:
+class TestSparseConstructor:
     def test_row_is_dense_on_demand(self):
-        m = SparseMatrix([((0, Fraction(2)), (2, Fraction(-1))), ()], 3)
+        m = Matrix.sparse([((0, Fraction(2)), (2, Fraction(-1))), ()], 3)
         assert (m.rows, m.cols) == (2, 3)
         assert m.row(0) == vector([2, 0, -1])
         assert m.row(1) == vector([0, 0, 0])
 
     def test_column_out_of_range(self):
         with pytest.raises(ValueError):
-            SparseMatrix([((3, Fraction(1)),)], 3)
+            Matrix.sparse([((3, Fraction(1)),)], 3)
 
     def test_no_rows_keeps_its_width(self):
-        m = SparseMatrix([], 2)
+        m = Matrix.sparse([], 2)
         assert nullspace(m) == [vector([1, 0]), vector([0, 1])]
         assert solve(m, []) == (vector([0, 0]), nullspace(m))
+
+
+mixed_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+@st.composite
+def dense_lists(draw, max_n=4):
+    """Dense rows with int and Fraction entries, zero rows, any shape."""
+    r = draw(st.integers(min_value=0, max_value=max_n))
+    c = draw(st.integers(min_value=0, max_value=max_n))
+    row = st.one_of(st.lists(mixed_entries, min_size=c, max_size=c),
+                    st.just([0] * c))
+    return draw(st.lists(row, min_size=r, max_size=r)), c
+
+
+class TestOneMatrixType:
+    @settings(max_examples=100, deadline=None)
+    @given(dense_lists())
+    def test_dense_and_sparse_constructors_agree(self, drawn):
+        entries, width = drawn
+        nonzeros = [[(j, v) for j, v in enumerate(row) if v]
+                    for row in entries]
+        dense = Matrix(entries)
+        sparse = Matrix.sparse(nonzeros, width)
+        assert dense == sparse and hash(dense) == hash(sparse)
+        if not entries:
+            # dense rows give a matrix with no rows the shape (0, 0)
+            sparse = Matrix.sparse(nonzeros, 0)
+        assert sparse.shape == dense.shape
+        assert repr(sparse) == repr(dense)
+        expected = [tuple(Fraction(v) for v in row) for row in entries]
+        for m in (dense, sparse):
+            rows = [m.row(i) for i in range(m.rows)]
+            items = [m[i, j] for i in range(m.rows) for j in range(m.cols)]
+            columns = [m.column(j) for j in range(m.cols)]
+            terms = list(m.terms())
+            assert rows == expected
+            assert items == [v for row in expected for v in row]
+            assert columns == list(zip(*expected))
+            assert terms == [((i, j), v) for i, row in enumerate(expected)
+                             for j, v in enumerate(row) if v]
+            assert all(type(v) is Fraction
+                       for v in (*items, *(v for _, v in terms),
+                                 *(v for vec in rows + columns for v in vec)))
+
+    def test_index_errors(self):
+        for m in (Matrix([[1, 0], [0, 2]]),
+                  Matrix.sparse([((0, 1),), ((1, 2),)], 2)):
+            assert m[-1, -1] == 2
+            for key in ((2, 0), (0, 2), (-3, 0), (0, -3)):
+                with pytest.raises(IndexError):
+                    m[key]
 
 
 class TestInvert:

@@ -14,9 +14,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobdiag.linalg import (Matrix, SingularMatrixError, SparseMatrix,
-                             _reduce, _sparse_rows, invert, nullspace, rank,
-                             rref, solve)
+from frobdiag.linalg import (Matrix, SingularMatrixError, _reduce, invert,
+                             nullspace, rank, rref, solve)
 
 # zero listed twice: two entries in three are zero, as in the symmetry systems
 entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
@@ -106,16 +105,16 @@ def test_invert_matches_sympy(m):
         assert invert(m) == to_matrix(s.inv())
 
 
-def to_sparse(m: Matrix) -> SparseMatrix:
-    return SparseMatrix([[(c, v) for c, v in enumerate(m.row(i)) if v]
-                         for i in range(m.rows)], m.cols)
+def to_sparse(m: Matrix) -> Matrix:
+    return Matrix.sparse([[(c, v) for c, v in enumerate(m.row(i)) if v]
+                          for i in range(m.rows)], m.cols)
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices(), st.data())
 def test_sparse_input_matches_dense(m, data):
-    # the symmetry systems reach the kernel as SparseMatrix; the dense
-    # Matrix path is checked against sympy above
+    # the symmetry systems reach the kernel through Matrix.sparse; the
+    # dense constructor is checked against sympy above
     s = to_sparse(m)
     assert (s.rows, s.cols) == (m.rows, m.cols)
     assert [s.row(i) for i in range(s.rows)] == \
@@ -148,7 +147,7 @@ def mixed_rows(draw, c):
 
 @st.composite
 def mixed_sparse(draw, max_rows=5, max_cols=6, square=False):
-    """Drawn rows with duplicates and empty rows, shuffled, as a SparseMatrix."""
+    """Drawn rows with duplicates and empty rows, shuffled, as a Matrix."""
     c = draw(st.integers(min_value=1, max_value=max_cols))
     if square:
         rows = draw(st.lists(mixed_rows(c), min_size=c, max_size=c))
@@ -158,11 +157,7 @@ def mixed_sparse(draw, max_rows=5, max_cols=6, square=False):
                                 max_size=2 * len(base)))
         zeros = [[]] * draw(st.integers(min_value=0, max_value=2))
         rows = draw(st.permutations(base + repeats + zeros))
-    return SparseMatrix(rows, c)
-
-
-def dense(s: SparseMatrix) -> Matrix:
-    return Matrix([s.row(i) for i in range(s.rows)])
+    return Matrix.sparse(rows, c)
 
 
 def all_fractions(*vectors) -> bool:
@@ -172,18 +167,18 @@ def all_fractions(*vectors) -> bool:
 @settings(max_examples=80, deadline=None)
 @given(mixed_sparse(), st.data())
 def test_mixed_sparse_input_matches_sympy(s, data):
-    expected, pivots = to_sympy(dense(s)).rref()
+    expected, pivots = to_sympy(s).rref()
     reduced, got_pivots = rref(s)
     assert (reduced, got_pivots) == (to_matrix(expected), list(pivots))
     assert all_fractions(*(reduced.row(i) for i in range(reduced.rows)))
     assert rank(s) == len(pivots)
     kernel = nullspace(s)
-    assert kernel == to_vectors(to_sympy(dense(s)).nullspace())
+    assert kernel == to_vectors(to_sympy(s).nullspace())
     assert all_fractions(*kernel)
     b = data.draw(st.lists(st.one_of(st.just(0), mixed_values),
                            min_size=s.rows, max_size=s.rows))
     got = solve(s, b)
-    assert got == sympy_solve(dense(s), b)
+    assert got == sympy_solve(s, b)
     if got is not None:
         assert all_fractions(got[0], *got[1])
 
@@ -191,7 +186,7 @@ def test_mixed_sparse_input_matches_sympy(s, data):
 @settings(max_examples=80, deadline=None)
 @given(mixed_sparse(square=True))
 def test_mixed_sparse_invert_matches_sympy(s):
-    m = to_sympy(dense(s))
+    m = to_sympy(s)
     if m.det() == 0:
         with pytest.raises(SingularMatrixError):
             invert(s)
@@ -212,7 +207,7 @@ def test_kernel_rows_are_primitive_and_indexed(s):
     each non-pivot column.  The outputs checked against sympy would not
     notice a row left unreduced by its content or with a negative lead.
     """
-    echelon = _reduce(_sparse_rows(s))
+    echelon = _reduce(s._data)
     pivots = echelon.pivots
     for p, row in pivots.items():
         assert all(type(v) is int and v for v in row.values())
