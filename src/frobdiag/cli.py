@@ -15,6 +15,7 @@ string.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -126,7 +127,8 @@ class _Route(NamedTuple):
     titles: tuple[str, str]
     # validation shows the ring and action associative and unital, so the
     # generators of this ring stand for every probe of a symmetry system
-    # (see ``diagonal._symmetry_system``)
+    # and of the residual check (see ``diagonal._symmetry_system`` and
+    # ``diagonal._symmetry_residuals``)
     probe_ring: RingStructure
     validate: Callable[..., ValidationReport]
     pairing: Callable[..., Matrix]
@@ -207,11 +209,9 @@ def _diag_report(name: str, payload, route: _Route, mode: SignMode,
                  output: str) -> int:
     """Pairing, diagonal class and its checks, for a validated payload."""
     pairing = route.pairing(payload)
-    # only GRADED mode solves a symmetry system
-    probes = generators(route.probe_ring) if mode is SignMode.GRADED \
-        else None
+    probes = generators(route.probe_ring)
     w = route.diagonal(payload, mode, probes)
-    residual = route.residual(payload, mode, w)
+    residual = route.residual(payload, mode, w, probes)
     normalized = route.normalized(payload, w)
     labels = (w.left_basis.labels, w.right_basis.labels)
     if output == "json":
@@ -370,23 +370,26 @@ _REPORT_OPTIONS = ("--mode", "--output", "--allow-noncommutative")
 
 
 def _verbs() -> tuple[tuple, ...]:
-    """(verb, handler, positional inputs, options, help) of every verb.
+    """(verb, handler name, positional inputs, options, help) of every verb.
 
-    Read when a parser is built: a handler replaced after import runs.
+    A handler is named, not bound: :func:`main` looks the name up on this
+    module when the verb runs, so one parser serves every call and a
+    handler replaced after the parser was built is the one that runs.
     """
     return (
-        ("validate", cmd_validate, ("input",), _REPORT_OPTIONS,
+        ("validate", "cmd_validate", ("input",), _REPORT_OPTIONS,
          "run the axiom checks"),
-        ("diag", cmd_diag, ("input",), _REPORT_OPTIONS,
+        ("diag", "cmd_diag", ("input",), _REPORT_OPTIONS,
          "pairing matrix, diagonal class, residual"),
-        ("solve", cmd_solve, ("input",), _REPORT_OPTIONS,
+        ("solve", "cmd_solve", ("input",), _REPORT_OPTIONS,
          "basis of the symmetric space"),
-        ("pair", cmd_diag, ("input",), _REPORT_OPTIONS,
+        ("pair", "cmd_diag", ("input",), _REPORT_OPTIONS,
          "relative diagonal report (rings are embedded)"),
-        ("kunneth", cmd_kunneth, ("left", "right"),
+        ("kunneth", "cmd_kunneth", ("left", "right"),
          ("--name", "--mode", "--allow-noncommutative"),
          "emit the product of two rings"),
-        ("catalog", cmd_catalog, (), ("--output",), "list built-in entries"),
+        ("catalog", "cmd_catalog", (), ("--output",),
+         "list built-in entries"),
     )
 
 
@@ -401,14 +404,20 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(name, help="document file or catalog id")
         for option in options:
             sub.add_argument(option, **_OPTIONS[option])
-        sub.set_defaults(func=handler)
+        sub.set_defaults(handler=handler)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call, built on the first."""
+    return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        return globals()[args.handler](args)
     except CliFailure as exc:
         print(exc.message, file=sys.stderr)
         return exc.code

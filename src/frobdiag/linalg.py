@@ -106,7 +106,7 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[0] * cols for _ in range(rows)])
+        return Matrix.sparse([()] * rows, cols)
 
     @staticmethod
     def from_rows(rows: Sequence[Vector]) -> "Matrix":
@@ -147,9 +147,7 @@ class Matrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        # as for dense rows, a matrix with no rows has no width to compare
-        return self._data == other._data and (
-            self.cols == other.cols or not self._data)
+        return self.cols == other.cols and self._data == other._data
 
     def __hash__(self) -> int:
         return hash(tuple(frozenset(row.items()) for row in self._data))

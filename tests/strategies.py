@@ -6,6 +6,8 @@ so their structure constants are no longer mostly ones; pairs are the
 ``cylinder:`` and ``closed:`` pairs of such rings.  Elements and
 coefficient matrices carry integer or rational entries in random zero
 patterns; the all-zero and the one-nonzero cases are drawn on purpose.
+Corrupted rings and pairs have one structure constant changed where the
+grading and the unit axioms cannot see it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from frobdiag.catalog import (catalog_names, closed_as_pair, cylinder_pair,
                               resolve)
 from frobdiag.diagonal import SignMode
 from frobdiag.linalg import Matrix
-from frobdiag.ring import RingStructure, change_basis
+from frobdiag.ring import GradedBasis, RingStructure, change_basis
 
 RING_NAMES = [name for name in catalog_names()
               if isinstance(resolve(name).payload, RingStructure)]
@@ -96,3 +98,66 @@ def matrices(draw, rows: int, cols: int) -> Matrix:
     """``rows`` x ``cols`` coefficients, drawn like :func:`elements`."""
     flat = draw(elements(rows * cols))
     return Matrix([flat[i * cols:(i + 1) * cols] for i in range(rows)])
+
+
+def non_associative_ring() -> RingStructure:
+    """1, x, y (degree 2), z (4), t (6) with x.x = z, x.z = y.z = t.
+
+    Graded, unital and commutative, but ``(x.x).y = t`` while
+    ``x.(x.y) = 0``.  Its generators are x and y.
+    """
+    basis = GradedBasis(labels=("1", "x", "y", "z", "t"),
+                        degrees=(0, 2, 2, 4, 6), formal_dimension=6,
+                        unit_index=0, top_index=4)
+    tensor = {(0, i, i): 1 for i in range(5)}
+    tensor.update({(i, 0, i): 1 for i in range(1, 5)})
+    tensor.update({(1, 1, 3): 1, (1, 3, 4): 1, (3, 1, 4): 1,
+                   (2, 3, 4): 1, (3, 2, 4): 1})
+    return RingStructure(basis, tensor)
+
+
+def graded_slots(ring_basis: GradedBasis, left_basis: GradedBasis,
+                 out_basis: GradedBasis) -> list[tuple[int, int, int]]:
+    """``(i, j, k)`` with ``i`` not the ring unit, ``j`` not a unit, and
+    degree ``|i| + |j| = |k|``: where a changed constant keeps the
+    grading and the unit axioms."""
+    ring_deg, left_deg, out_deg = (ring_basis.degrees, left_basis.degrees,
+                                   out_basis.degrees)
+    return [(i, j, k) for i in range(ring_basis.size)
+            for j in range(left_basis.size)
+            for k in range(out_basis.size)
+            if i != ring_basis.unit_index and j != left_basis.unit_index
+            and out_deg[k] == ring_deg[i] + left_deg[j]]
+
+
+def changed(tensor, slot, amount):
+    """A copy of ``tensor`` with ``amount`` added at ``slot``."""
+    out = dict(tensor)
+    out[slot] = out.get(slot, 0) + amount
+    return out
+
+
+@st.composite
+def corrupted_rings(draw, names: list[str] = RING_NAMES) -> RingStructure:
+    """A drawn ring with one constant off, or the non-associative ring."""
+    ring = draw(rings(names))
+    slots = graded_slots(ring.basis, ring.basis, ring.basis)
+    if not slots or draw(st.integers(min_value=0, max_value=5)) == 0:
+        return non_associative_ring()
+    return RingStructure(ring.basis, changed(
+        ring.tensor, draw(st.sampled_from(slots)), draw(nonzero)))
+
+
+@st.composite
+def corrupted_pairs(draw) -> ModulePair:
+    """A pair with one action constant off, or the pair of a corrupted
+    ring."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from((cylinder_pair, closed_as_pair)))(
+            draw(corrupted_rings()))
+    mp = draw(pairs())
+    slots = graded_slots(mp.ring.basis, mp.module_basis, mp.module_basis)
+    if not slots:
+        return mp
+    return ModulePair(mp.ring, mp.module_basis, changed(
+        mp.action, draw(st.sampled_from(slots)), draw(nonzero)))

@@ -23,7 +23,7 @@ from frobdiag.document import emit_document
 from frobdiag.linalg import Matrix, rank, rref
 from frobdiag.ring import (GradedBasis, RingStructure, basis_element,
                            generators, multiply, unit_element, validate)
-from strategies import modes, pairs, rings
+from strategies import modes, non_associative_ring, pairs, rings
 
 
 def system_rref(payload, mode, probes=None):
@@ -56,22 +56,6 @@ def closure_rank(ring, picks):
                     grown.append(c)
         frontier = grown
     return len(span)
-
-
-def non_associative_ring() -> RingStructure:
-    """1, x, y (degree 2), z (4), t (6) with x.x = z, x.z = y.z = t.
-
-    Graded, unital and commutative, but ``(x.x).y = t`` while
-    ``x.(x.y) = 0``.  Its generators are x and y.
-    """
-    basis = GradedBasis(labels=("1", "x", "y", "z", "t"),
-                        degrees=(0, 2, 2, 4, 6), formal_dimension=6,
-                        unit_index=0, top_index=4)
-    tensor = {(0, i, i): 1 for i in range(5)}
-    tensor.update({(i, 0, i): 1 for i in range(1, 5)})
-    tensor.update({(1, 1, 3): 1, (1, 3, 4): 1, (3, 1, 4): 1,
-                   (2, 3, 4): 1, (3, 2, 4): 1})
-    return RingStructure(basis, tensor)
 
 
 class TestGenerators:

@@ -104,11 +104,11 @@ class TestOneMatrixType:
         nonzeros = [[(j, v) for j, v in enumerate(row) if v]
                     for row in entries]
         dense = Matrix(entries)
-        sparse = Matrix.sparse(nonzeros, width)
-        assert dense == sparse and hash(dense) == hash(sparse)
         if not entries:
             # dense rows give a matrix with no rows the shape (0, 0)
-            sparse = Matrix.sparse(nonzeros, 0)
+            width = 0
+        sparse = Matrix.sparse(nonzeros, width)
+        assert dense == sparse and hash(dense) == hash(sparse)
         assert sparse.shape == dense.shape
         assert repr(sparse) == repr(dense)
         expected = [tuple(Fraction(v) for v in row) for row in entries]
@@ -169,6 +169,14 @@ class TestNullspace:
     def test_zero_matrix_full_kernel(self):
         basis = nullspace(Matrix.zeros(2, 2))
         assert basis == [vector([1, 0]), vector([0, 1])]
+
+    def test_matrix_with_no_rows_keeps_its_width(self):
+        m = Matrix.zeros(0, 5)
+        assert m.shape == (0, 5)
+        assert nullspace(m) == [tuple(Fraction(int(i == j)) for i in range(5))
+                                for j in range(5)]
+        assert m == Matrix.sparse([], 5)
+        assert m != Matrix.zeros(0, 4) and m != Matrix([])
 
     def test_single_row(self):
         assert nullspace(Matrix([[1, 1]])) == [vector([-1, 1])]
