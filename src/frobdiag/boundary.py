@@ -34,16 +34,21 @@ ModuleElement = Vector
 
 
 class ModulePair:
-    """A ring acting on a graded module, with a relative top class."""
+    """A ring acting on a graded module, with a relative top class.
 
-    __slots__ = ("ring", "module_basis", "action", "_action_products")
+    ``_den`` is the lcm of the action's denominators (see
+    :func:`frobdiag.ring.sparse_tensor`).
+    """
+
+    __slots__ = ("ring", "module_basis", "action", "_action_products",
+                 "_den")
 
     def __init__(self, ring: RingStructure, module_basis: GradedBasis,
                  action: Mapping[tuple[int, int, int], int | str | Fraction]):
         nm = module_basis.size
         self.ring = ring
         self.module_basis = module_basis
-        self.action, self._action_products = sparse_tensor(
+        self.action, self._action_products, self._den = sparse_tensor(
             action, (ring.size, nm, nm), "action")
 
     @property
@@ -120,7 +125,7 @@ def validate_module(mp: ModulePair,
                            f"unit acts with {actual}, expected {expected}")
 
     for indices, a, b in _defects_unless_certified(
-            mp.ring, mp._action_products, report.ok):
+            mp.ring, mp._action_products, mp._den, report.ok):
         report.add("module-associativity", indices, f"{a} != {b}")
     return report
 
@@ -211,15 +216,15 @@ def check_relative_symmetry(mp: ModulePair, mode: SignMode,
             or w.right_basis != mp.ring.basis):
         raise ValueError("class does not live over this module pair")
     return _symmetry_residuals(mp.ring, mode, mp.module_basis,
-                               mp._action_products, w, probes)
+                               mp._action_products, mp._den, w, probes)
 
 
 def _relative_symmetry_system(mp: ModulePair, mode: SignMode,
                               probes: Sequence[int] | None = None
                               ) -> tuple[list[SparseEquation], int]:
     """The symmetry system of the pair, unknowns ``mu[i*nr + j]``."""
-    return _symmetry_system(mp.ring, mode, mp.module_basis, mp.action,
-                            probes)
+    return _symmetry_system(mp.ring, mode, mp.module_basis,
+                            mp._action_products, mp._den, probes)
 
 
 def solve_relative_symmetric_space(mp: ModulePair,

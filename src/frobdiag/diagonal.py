@@ -26,7 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Sequence
 
 # rank stays imported: the benchmark's traced run (perfbench/spans.py)
 # wraps it in this module by name
@@ -34,8 +35,8 @@ from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
                      _insert, _integral, _reduce, invert, nullspace, rank,
                      solve)
 from .ring import (GradedBasis, MissingTopClassError, ProductMap,
-                   RingElement, RingStructure, multiply, pairing_matrix,
-                   unit_element)
+                   RingElement, RingStructure, integral_maps, multiply,
+                   pairing_matrix, unit_element)
 
 
 # one symmetry equation: its nonzero (column, coefficient) pairs, by column
@@ -209,7 +210,8 @@ def diagonal_class(ring: RingStructure,
     n, unit, top = ring.size, ring.basis.unit_index, ring.basis.top_index
     if top is None:
         raise MissingTopClassError("ring has no top basis index")
-    rows, _ = _symmetry_system(ring, mode, ring.basis, ring.tensor, probes)
+    rows, _ = _symmetry_system(ring, mode, ring.basis, ring._products,
+                               ring._den, probes)
     pins = [(index, Fraction(int(j == unit)))
             for j in range(n) for index in (top * n + j, j * n + top)]
     return _normalized_solve(rows, pins, ring.basis, ring.basis,
@@ -295,25 +297,31 @@ def check_symmetry(ring: RingStructure, mode: SignMode, w: TensorClass,
     ``probes`` is passed to :func:`_symmetry_residuals`.
     """
     _require_over(ring, ring, w)
-    return _symmetry_residuals(ring, mode, ring.basis, ring._products, w,
-                               probes)
+    return _symmetry_residuals(ring, mode, ring.basis, ring._products,
+                               ring._den, w, probes)
 
 
 def _symmetry_residuals(ring: RingStructure, mode: SignMode,
                         module_basis: GradedBasis,
-                        action_products: ProductMap,
+                        action_products: ProductMap, action_den: int,
                         w: TensorClass,
                         probes: Sequence[int] | None = None
                         ) -> SymmetryReport:
     """Residuals of ``w.(1(x)y_k) - (y_k(x)1).w`` for every ring element.
 
     ``w`` lives in module (x) ring and ``action_products[(k, l)]`` expands
-    ``y_k ^ x_l`` over the module basis; a closed ring passes its own
-    basis and product map.  ``w`` is scaled to integer terms once, each
-    side is accumulated over the terms present only, and the sides are
-    compared over the sorted union of their terms, in ``(k, i, s)``
-    order.  The oracle never calls :func:`_symmetry_system`, so it checks
-    the solvers' systems by a different code path.
+    ``y_k ^ x_l`` over the module basis, with ``action_den`` the lcm of
+    its denominators; a closed ring passes its own basis, product map
+    and denominator.  The work is done in ints: ``w`` is scaled to
+    integer terms by the lcm ``den`` of its denominators, and the ring's
+    products and the action by one common ``D``
+    (:func:`frobdiag.ring.integral_maps`).  The residual is linear in
+    ``w`` and in the two maps together, so each entry is the integer
+    difference divided by ``den * D``, the value over the data as given.
+    Each side is accumulated over the terms present only, and the sides
+    are compared over the sorted union of their terms, in ``(k, i, s)``
+    order.  The oracle never calls :func:`_symmetry_system`, so it
+    checks the solvers' systems by a different code path.
 
     Precondition: the unit acts as the identity on both factors,
     ``x_i.1 = x_i`` and ``1.y_s = y_s``; no product with the unit is
@@ -332,7 +340,11 @@ def _symmetry_residuals(ring: RingStructure, mode: SignMode,
     pair that has passed validation.
     """
     mod_deg = module_basis.degrees
+    scale = lcm(ring._den, action_den)
+    products, action_products = integral_maps(scale, ring._products,
+                                              action_products)
     terms, den = _integral(dict(w.mu.terms()))
+    den *= scale
     # (y_k (x) 1).w: the unit passes the module factor x_l, then y_k acts
     # on it; the signed terms do not depend on k
     signed = [(l, s, c * koszul_sign(mode, 0, mod_deg[l]))
@@ -343,7 +355,7 @@ def _symmetry_residuals(ring: RingStructure, mode: SignMode,
         # the module factor, so no Koszul sign in either mode
         lhs: TermMap = {}
         for (i, j), c in terms.items():
-            for s, v in ring.product_coefficients(j, k).items():
+            for s, v in products.get((j, k), {}).items():
                 lhs[i, s] = lhs.get((i, s), 0) + c * v
         rhs: TermMap = {}
         for l, s, c in signed:
@@ -363,20 +375,26 @@ def _symmetry_residuals(ring: RingStructure, mode: SignMode,
 
 def _symmetry_system(ring: RingStructure, mode: SignMode,
                      module_basis: GradedBasis,
-                     action: Mapping[tuple[int, int, int], int | Fraction],
+                     action_products: ProductMap, action_den: int,
                      probes: Sequence[int] | None = None
                      ) -> tuple[list[SparseEquation], int]:
     """Sparse linear system in the flattened unknowns ``mu[i*nr + j]``.
 
     The unknowns are the coefficients of a class in module (x) ring, where
-    ``action[(k, l, i)]`` expands ``y_k ^ x_l`` over the module basis; a
-    closed ring passes its own basis and structure tensor.  One equation
-    per (probe k, module slot i, ring slot s), in that order: the
+    ``action_products[(k, l)]`` expands ``y_k ^ x_l`` over the module
+    basis, with ``action_den`` the lcm of its denominators; a closed ring
+    passes its own basis, product map and denominator.  One equation per
+    (probe k, module slot i, ring slot s), in that order: the
     coefficient of ``x_i (x) y_s`` in ``w.(1(x)y_k) - (y_k(x)1).w`` must
     vanish.  Each equation is its nonzero ``(column, value)`` pairs sorted
     by column; equations that vanish identically are left out.  Returns
     the equations and the number of unknowns.  Rows are assembled straight
-    from the two tensors, independently of :func:`tensor_multiply`.
+    from the two product maps, independently of :func:`tensor_multiply`.
+    The maps are first scaled to ints by one common denominator ``D``
+    (:func:`frobdiag.ring.integral_maps`), so every value is an int and
+    every equation is ``D`` times the one over the maps as given: the
+    system is homogeneous, so its solutions and its reduced row echelon
+    form are the same.
 
     ``probes`` lists the ring basis indices ``k`` to take equations for;
     ``None`` takes every one.  A generating set of the ring is enough when
@@ -394,18 +412,22 @@ def _symmetry_system(ring: RingStructure, mode: SignMode,
     nm, nr = module_basis.size, ring.size
     ring_deg = ring.basis.degrees
     mod_deg = module_basis.degrees
+    ring_products, action_products = integral_maps(
+        lcm(ring._den, action_den), ring._products, action_products)
     # w.(1(x)y_k): mu[i,j] times y_j.y_k -> y_s; the unit passes y_j with
     # sign koszul(|y_j|, 0) = +1
-    right: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
-    for (j, k, s), c in ring.tensor.items():
-        right.setdefault((k, s), []).append(
-            (j, c * koszul_sign(mode, ring_deg[j], 0)))
+    right: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (j, k), coeffs in ring_products.items():
+        sign = koszul_sign(mode, ring_deg[j], 0)
+        for s, c in coeffs.items():
+            right.setdefault((k, s), []).append((j, c * sign))
     # (y_k(x)1).w: mu[l,s] times y_k ^ x_l -> x_i; the unit passes x_l
     # with sign koszul(0, |x_l|) = +1
-    left: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
-    for (k, l, i), c in action.items():
-        left.setdefault((k, i), []).append(
-            (l, c * koszul_sign(mode, 0, mod_deg[l])))
+    left: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (k, l), coeffs in action_products.items():
+        sign = koszul_sign(mode, 0, mod_deg[l])
+        for i, c in coeffs.items():
+            left.setdefault((k, i), []).append((l, c * sign))
     rows: list[SparseEquation] = []
     for k in range(nr) if probes is None else probes:
         for i in range(nm):
@@ -437,7 +459,8 @@ def solve_symmetric_space(ring: RingStructure,
     compared.  ``probes`` is passed to :func:`_symmetry_system`.
     """
     return _symmetric_space(
-        _symmetry_system(ring, mode, ring.basis, ring.tensor, probes),
+        _symmetry_system(ring, mode, ring.basis, ring._products, ring._den,
+                         probes),
         ring.basis, ring.basis)
 
 

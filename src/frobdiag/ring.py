@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Matrix, Vector, _Echelon, _insert, frac, invert, rank
@@ -76,36 +77,71 @@ RingElement = Vector
 
 def sparse_tensor(raw: Mapping[tuple[int, int, int], int | str | Fraction],
                   sizes: tuple[int, int, int], what: str
-                  ) -> tuple[SparseTensor, ProductMap]:
-    """Checked nonzero entries of a structure tensor, and its product map.
+                  ) -> tuple[SparseTensor, ProductMap, int]:
+    """Checked nonzero entries of a structure tensor, its product map, and
+    the lcm of their denominators.
 
     The product map ``(i, j) -> {k: value}`` is the working form for
     products; ``what`` names the tensor in the out-of-range error.  A
     value is stored as an ``int`` when it is integral and as a
     ``Fraction`` otherwise: the two mix exactly, and products of ints
-    cost far less.  No value is ever divided (``1 / int`` is a float).
+    cost far less.  An ``int`` is kept as it is.  No value is ever
+    divided (``1 / int`` is a float).  The lcm, 1 for an integral
+    tensor, is what :func:`integral_maps` scales by.
     """
     ni, nj, nk = sizes
     clean: dict[tuple[int, int, int], int | Fraction] = {}
-    for (i, j, k), value in raw.items():
+    products: dict[tuple[int, int], dict[int, int | Fraction]] = {}
+    denominators = set()
+    for (i, j, k), v in raw.items():
         if not (0 <= i < ni and 0 <= j < nj and 0 <= k < nk):
             raise ValueError(f"{what} index {(i, j, k)} out of range")
-        v = frac(value)
-        if v != 0:
-            clean[(i, j, k)] = v.numerator if v.denominator == 1 else v
-    products: dict[tuple[int, int], dict[int, int | Fraction]] = {}
-    for (i, j, k), v in clean.items():
-        products.setdefault((i, j), {})[k] = v
-    return clean, products
+        if type(v) is not int:
+            v = frac(v)
+            if v.denominator == 1:
+                v = v.numerator
+            else:
+                denominators.add(v.denominator)
+        if v:
+            clean[i, j, k] = v
+            if (i, j) in products:
+                products[i, j][k] = v
+            else:
+                products[i, j] = {k: v}
+    return clean, products, lcm(*denominators)
+
+
+def integral_maps(den: int, *maps: ProductMap) -> tuple[ProductMap, ...]:
+    """``maps`` with every value times ``den``, as ints.
+
+    ``den`` must be a multiple of every value's denominator, such as the
+    lcm of the maps' own (:func:`sparse_tensor`).  Scaling by one common
+    ``den`` keeps every linear identity between the maps, and scales an
+    identity of degree ``d`` by ``den**d``, so zero patterns, kernels and
+    reduced forms stay as they are.  With ``den == 1`` the maps
+    themselves come back, not copies; a map passed twice is scaled once.
+    """
+    if den == 1:
+        return maps
+    scaled: dict[int, ProductMap] = {}
+    for m in maps:
+        if id(m) not in scaled:
+            scaled[id(m)] = {
+                key: {k: v.numerator * (den // v.denominator)
+                      for k, v in coeffs.items()}
+                for key, coeffs in m.items()}
+    return tuple(scaled[id(m)] for m in maps)
 
 
 class RingStructure:
     """A graded basis plus the sparse multiplication tensor.
 
-    ``_generators`` caches :func:`generators`, which is filled on first use.
+    ``_den`` is the lcm of the constants' denominators (see
+    :func:`sparse_tensor`); ``_generators`` caches :func:`generators`,
+    which is filled on first use.
     """
 
-    __slots__ = ("basis", "tensor", "_products", "_generators")
+    __slots__ = ("basis", "tensor", "_products", "_den", "_generators")
 
     def __init__(self, basis: GradedBasis,
                  tensor: Mapping[tuple[int, int, int], int | str | Fraction]):
@@ -113,8 +149,8 @@ class RingStructure:
             raise ValueError("a ring basis must carry a unit index")
         n = basis.size
         self.basis = basis
-        self.tensor, self._products = sparse_tensor(tensor, (n, n, n),
-                                                    "tensor")
+        self.tensor, self._products, self._den = sparse_tensor(
+            tensor, (n, n, n), "tensor")
         self._generators: tuple[int, ...] | None = None
 
     @property
@@ -265,21 +301,26 @@ def _contract(outer: Mapping[int, int | Fraction],
 
 
 def _defects_unless_certified(ring: RingStructure, action: ProductMap,
-                              certify: bool) -> Iterator[Defect]:
+                              den: int, certify: bool) -> Iterator[Defect]:
     """The associativity defects of ``action`` over ``ring``, unless a
     generator certificate shows there are none.
 
     With ``certify`` (the caller has found its preconditions clean), the
     defects with a generator of ``ring`` as middle index are looked for
-    first; when there are none, nothing is yielded.  Otherwise this is
-    :func:`associativity_defects` in full, so a failing report lists
-    every defect in index order.
+    first; when there are none, nothing is yielded.  That search runs on
+    both maps scaled to ints by one common denominator (``den`` is the
+    action's, see :func:`integral_maps`), which scales every defect by
+    its square and so finds one exactly where the maps as given have
+    one.  Otherwise this is :func:`associativity_defects` in full, on
+    the maps as given, so a failing report lists every defect in index
+    order and with its own values.
     """
     products = ring._products
-    if certify and next(associativity_defects(products, action,
-                                              generators(ring)),
-                        None) is None:
-        return iter(())
+    if certify:
+        scaled = integral_maps(lcm(ring._den, den), products, action)
+        if next(associativity_defects(*scaled, generators(ring)),
+                None) is None:
+            return iter(())
     return associativity_defects(products, action)
 
 
@@ -327,7 +368,7 @@ def validate(ring: RingStructure,
                                f"expected {expected}")
 
     for indices, a, b in _defects_unless_certified(ring, ring._products,
-                                                   report.ok):
+                                                   ring._den, report.ok):
         report.add("associativity", indices, f"{a} != {b}")
 
     if not allow_noncommutative:
@@ -374,17 +415,29 @@ def generators(ring: RingStructure) -> list[int]:
 
 
 def _pick_generators(ring: RingStructure) -> list[int]:
-    """The reduction behind :func:`generators`."""
+    """The reduction behind :func:`generators`.
+
+    Each distinct decomposable product is inserted once: the roughly
+    ``n**2/2`` products of ``cp:n`` have only ``n - 1`` distinct
+    coefficient maps, and a repeated row never adds a pivot.  The maps
+    are scaled to ints first (:func:`integral_maps`), which changes no
+    span.
+    """
     deg = ring.basis.degrees
     unit = ring.basis.unit_index
     candidates = sorted((i for i in range(ring.size) if i != unit),
                         key=lambda i: (deg[i], i))
     if any(deg[i] == 0 for i in candidates):
         return candidates
+    products, = integral_maps(ring._den, ring._products)
     echelon = _Echelon()
-    for (i, j), coeffs in ring._products.items():
+    seen = set()
+    for (i, j), coeffs in products.items():
         if i != unit and j != unit:
-            _insert(echelon, coeffs)
+            key = frozenset(coeffs.items())
+            if key not in seen:
+                seen.add(key)
+                _insert(echelon, coeffs)
     return [k for k in candidates if _insert(echelon, {k: 1})]
 
 

@@ -7,7 +7,9 @@ so their structure constants are no longer mostly ones; pairs are the
 coefficient matrices carry integer or rational entries in random zero
 patterns; the all-zero and the one-nonzero cases are drawn on purpose.
 Corrupted rings and pairs have one structure constant changed where the
-grading and the unit axioms cannot see it.
+grading and the unit axioms cannot see it.  Rational rings are drawn rings
+moved once more by a diagonal change with non-integral entries, so their
+structure constants have denominators.
 """
 
 from __future__ import annotations
@@ -74,10 +76,24 @@ def rings(draw, names: list[str] = RING_NAMES) -> RingStructure:
 
 
 @st.composite
-def pairs(draw) -> ModulePair:
-    """The cylinder or the closed-case pair of a drawn ring."""
+def rational_rings(draw, names: list[str] = RING_NAMES) -> RingStructure:
+    """A drawn ring with each basis element other than the unit and the
+    top class scaled by a drawn non-integral rational."""
+    ring = draw(rings(names))
+    fixed = (ring.basis.unit_index, ring.basis.top_index)
+    scale = [Fraction(1) if i in fixed
+             else draw(nonzero.filter(lambda v: v.denominator > 1))
+             for i in range(ring.size)]
+    return change_basis(ring, Matrix.sparse(
+        [((i, v),) for i, v in enumerate(scale)], ring.size))
+
+
+@st.composite
+def pairs(draw, ring_strategy: st.SearchStrategy = rings()) -> ModulePair:
+    """The cylinder or the closed-case pair of a ring drawn from
+    ``ring_strategy``."""
     return draw(st.sampled_from((cylinder_pair, closed_as_pair)))(
-        draw(rings()))
+        draw(ring_strategy))
 
 
 @st.composite

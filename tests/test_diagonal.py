@@ -194,7 +194,7 @@ class TestSymmetrySystem:
                 if not isinstance(ring, RingStructure):
                     continue
                 rows, width = _symmetry_system(ring, mode, ring.basis,
-                                               ring.tensor)
+                                               ring._products, ring._den)
                 expected = residual_system(
                     ring.size, ring.size, lambda mu: check_symmetry(
                         ring, mode, tensor_class(ring, ring, mu)))

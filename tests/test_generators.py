@@ -30,7 +30,8 @@ def system_rref(payload, mode, probes=None):
     """The pivot rows and pivot columns of the system's reduced form."""
     if isinstance(payload, RingStructure):
         rows, width = _symmetry_system(payload, mode, payload.basis,
-                                       payload.tensor, probes)
+                                       payload._products, payload._den,
+                                       probes)
     else:
         rows, width = _relative_symmetry_system(payload, mode, probes)
     reduced, pivots = rref(Matrix.sparse(rows, width))
