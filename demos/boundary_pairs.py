@@ -26,14 +26,14 @@ def show(name, mp):
         print("    " + "  ".join(str(p[i, j]) for j in range(p.cols)))
 
     w = relative_diagonal_class(mp, SignMode.LITERAL)
-    residual = check_relative_symmetry(mp, SignMode.LITERAL, w)
+    residual = check_relative_symmetry(mp, w)
     print(f"symmetry residual: {'empty' if residual.ok else 'nonzero'}")
     print(f"top row of mu = unit indicator: "
           f"{check_relative_top_normalization(mp, w)}")
     # the defining identity, restated without the matrix inverter
     print(f"pairing @ mu = identity: "
           f"{p @ w.mu == Matrix.identity(p.rows)}")
-    dim = len(solve_relative_symmetric_space(mp, SignMode.LITERAL))
+    dim = len(solve_relative_symmetric_space(mp))
     print(f"symmetric solution space dimension: {dim}")
     print()
 

@@ -40,10 +40,10 @@ def walkthrough(name, ring):
 
     w = diagonal_class(ring, SignMode.LITERAL)
     print(f"diagonal class: {class_string(ring, w)}")
-    residual = check_symmetry(ring, SignMode.LITERAL, w)
+    residual = check_symmetry(ring, w)
     print(f"symmetry residual: {'empty' if residual.ok else residual.entries}")
 
-    space = solve_symmetric_space(ring, SignMode.LITERAL)
+    space = solve_symmetric_space(ring)
     print(f"all symmetric classes form a space of dimension {len(space)}")
     print(f"closed form lies in that space: {class_in_span(space, w)}")
 

@@ -90,7 +90,8 @@ def validate_module(mp: ModulePair,
 
     Ring violations are reported with an ``nu-`` prefix; the action is
     checked for grading, the unit acting as identity, and associativity
-    over the ring (``(y.y') ^ x = y ^ (y' ^ x)``).
+    over the ring (``(y.y') ^ x = y ^ (y' ^ x)``); the unit's action is
+    read at its terms and at ``x_j`` only, as in :func:`validate`.
 
     When every other axiom holds, action associativity is checked with
     the ring's generators as middle factors first, and every triple is
@@ -117,7 +118,7 @@ def validate_module(mp: ModulePair,
     unit = mp.ring.basis.unit_index
     for j in range(mp.module_basis.size):
         coeffs = mp.action_coefficients(unit, j)
-        for k in range(mp.module_basis.size):
+        for k in sorted(coeffs.keys() | {j}):
             expected = int(k == j)
             actual = coeffs.get(k, 0)
             if actual != expected:
@@ -161,9 +162,10 @@ def relative_diagonal_class(mp: ModulePair,
                             ) -> TensorClass:
     """The normalized symmetric class of the pair.
 
-    LITERAL mode inverts the relative pairing matrix.  GRADED mode solves
-    the relative symmetry system subject to the normalization that the
-    top row of ``mu`` is the unit indicator, demanding uniqueness.
+    ``mode`` picks the route (the condition is sign-free).  LITERAL inverts
+    the relative pairing matrix.  GRADED solves the relative symmetry
+    system subject to the normalization that the top row of ``mu`` is the
+    unit indicator, demanding uniqueness.
     ``probes`` is passed to :func:`frobdiag.diagonal._symmetry_system`.
     """
     if mode is SignMode.LITERAL:
@@ -180,7 +182,7 @@ def relative_diagonal_class(mp: ModulePair,
     top = mp.module_basis.top_index
     if top is None:
         raise MissingTopClassError("module has no top basis index")
-    rows, _ = _relative_symmetry_system(mp, mode, probes)
+    rows, _ = _relative_symmetry_system(mp, probes)
     nr, unit = mp.ring.size, mp.ring.basis.unit_index
     pins = [(top * nr + j, Fraction(int(j == unit))) for j in range(nr)]
     return _normalized_solve(rows, pins, mp.module_basis, mp.ring.basis,
@@ -201,8 +203,7 @@ def check_relative_top_normalization(mp: ModulePair,
 # ---------------------------------------------------------------------------
 # the relative symmetry condition
 
-def check_relative_symmetry(mp: ModulePair, mode: SignMode,
-                            w: TensorClass,
+def check_relative_symmetry(mp: ModulePair, w: TensorClass,
                             probes: Sequence[int] | None = None
                             ) -> SymmetryReport:
     """Residuals of ``w.(1(x)y_k) - (y_k(x)1).w`` for every ring element.
@@ -215,27 +216,26 @@ def check_relative_symmetry(mp: ModulePair, mode: SignMode,
     if (w.left_basis != mp.module_basis
             or w.right_basis != mp.ring.basis):
         raise ValueError("class does not live over this module pair")
-    return _symmetry_residuals(mp.ring, mode, mp.module_basis,
-                               mp._action_products, mp._den, w, probes)
+    return _symmetry_residuals(mp.ring, mp._action_products, mp._den, w,
+                               probes)
 
 
-def _relative_symmetry_system(mp: ModulePair, mode: SignMode,
+def _relative_symmetry_system(mp: ModulePair,
                               probes: Sequence[int] | None = None
                               ) -> tuple[list[SparseEquation], int]:
     """The symmetry system of the pair, unknowns ``mu[i*nr + j]``."""
-    return _symmetry_system(mp.ring, mode, mp.module_basis,
-                            mp._action_products, mp._den, probes)
+    return _symmetry_system(mp.ring, mp.module_basis, mp._action_products,
+                            mp._den, probes)
 
 
 def solve_relative_symmetric_space(mp: ModulePair,
-                                   mode: SignMode = SignMode.LITERAL,
                                    probes: Sequence[int] | None = None
                                    ) -> list[TensorClass]:
     """Echelon-normalized basis of all relatively symmetric classes.
 
     ``probes`` is passed to :func:`frobdiag.diagonal._symmetry_system`.
     """
-    return _symmetric_space(_relative_symmetry_system(mp, mode, probes),
+    return _symmetric_space(_relative_symmetry_system(mp, probes),
                             mp.module_basis, mp.ring.basis)
 
 

@@ -19,7 +19,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .boundary import (ModulePair, check_relative_symmetry,
@@ -98,10 +97,9 @@ def _class_terms(mu: Matrix, left_labels: Sequence[str],
 def _class_text(mu: Matrix, left_labels: Sequence[str],
                 right_labels: Sequence[str]) -> str:
     parts = []
-    for term in _class_terms(mu, left_labels, right_labels):
-        v = Fraction(term["value"])
+    for (i, j), v in mu.terms():
         coeff = "" if v == 1 else ("-" if v == -1 else f"{v}*")
-        parts.append(f"{coeff}{term['left']}(x){term['right']}")
+        parts.append(f"{coeff}{left_labels[i]}(x){right_labels[j]}")
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
@@ -211,7 +209,7 @@ def _diag_report(name: str, payload, route: _Route, mode: SignMode,
     pairing = route.pairing(payload)
     probes = generators(route.probe_ring)
     w = route.diagonal(payload, mode, probes)
-    residual = route.residual(payload, mode, w, probes)
+    residual = route.residual(payload, w, probes)
     normalized = route.normalized(payload, w)
     labels = (w.left_basis.labels, w.right_basis.labels)
     if output == "json":
@@ -283,7 +281,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     name, payload = _load_input(args.input, mode)
     route = _require_valid(name, payload, args.allow_noncommutative,
                            args.output)
-    space = route.space(payload, mode, generators(route.probe_ring))
+    space = route.space(payload, generators(route.probe_ring))
     try:
         member = route.in_span(space,
                                route.diagonal(payload, SignMode.LITERAL))

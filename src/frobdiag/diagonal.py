@@ -14,11 +14,11 @@ Two product conventions are supported.  LITERAL multiplies tensor factors
 with no sign, matching component-by-component index manipulation, which
 is the correct reading for evenly graded rings.  GRADED inserts the
 Koszul sign ``(a(x)b).(c(x)d) = (-1)^(|b||c|) ac(x)bd``, the topologically
-meaningful product when odd-degree classes are present.  Multiplication
-by ``1 (x) x`` or ``x (x) 1`` never transposes factors of odd degree past
-each other, so the symmetry condition itself is convention-independent;
-the two modes are kept separate anyway so that nothing rests on that
-observation silently.
+meaningful product when odd-degree classes are present.  The symmetry
+condition is the same under both: the factors that pass each other are
+``b`` and ``1`` in ``(a(x)b).(1(x)x)`` and ``1`` and ``a`` in
+``(x(x)1).(a(x)b)``, so a unit is always one of them and the sign is
+``(-1)^(|b|.0) = +1``.  Its system and residuals take no convention.
 """
 
 from __future__ import annotations
@@ -198,11 +198,11 @@ def diagonal_class(ring: RingStructure,
                    probes: Sequence[int] | None = None) -> TensorClass:
     """The normalized symmetric class of ``ring (x) ring``.
 
-    LITERAL mode returns the closed form: coefficients are the inverse of
-    the pairing matrix.  GRADED mode never assumes a formula; it solves
-    the symmetry system subject to the top-row/top-column normalization
-    (top row and column of ``mu`` equal to the unit indicator) and demands
-    a unique solution.  ``probes`` is passed to :func:`_symmetry_system`.
+    ``mode`` picks the route (the condition is sign-free).  LITERAL inverts
+    the pairing matrix.  GRADED never assumes a formula; it solves the
+    symmetry system subject to the top-row/top-column normalization (top
+    row and column of ``mu`` equal to the unit indicator) and demands a
+    unique solution.  ``probes`` is passed to :func:`_symmetry_system`.
     """
     if mode is SignMode.LITERAL:
         return tensor_class(ring, ring, pairing_inverse(ring))
@@ -210,8 +210,8 @@ def diagonal_class(ring: RingStructure,
     n, unit, top = ring.size, ring.basis.unit_index, ring.basis.top_index
     if top is None:
         raise MissingTopClassError("ring has no top basis index")
-    rows, _ = _symmetry_system(ring, mode, ring.basis, ring._products,
-                               ring._den, probes)
+    rows, _ = _symmetry_system(ring, ring.basis, ring._products, ring._den,
+                               probes)
     pins = [(index, Fraction(int(j == unit)))
             for j in range(n) for index in (top * n + j, j * n + top)]
     return _normalized_solve(rows, pins, ring.basis, ring.basis,
@@ -287,7 +287,7 @@ class SymmetryReport:
         return iter(self.entries)
 
 
-def check_symmetry(ring: RingStructure, mode: SignMode, w: TensorClass,
+def check_symmetry(ring: RingStructure, w: TensorClass,
                    probes: Sequence[int] | None = None) -> SymmetryReport:
     """Residuals of ``w.(1(x)x_k) - (x_k(x)1).w`` over every basis element.
 
@@ -297,22 +297,19 @@ def check_symmetry(ring: RingStructure, mode: SignMode, w: TensorClass,
     ``probes`` is passed to :func:`_symmetry_residuals`.
     """
     _require_over(ring, ring, w)
-    return _symmetry_residuals(ring, mode, ring.basis, ring._products,
-                               ring._den, w, probes)
+    return _symmetry_residuals(ring, ring._products, ring._den, w, probes)
 
 
-def _symmetry_residuals(ring: RingStructure, mode: SignMode,
-                        module_basis: GradedBasis,
-                        action_products: ProductMap, action_den: int,
-                        w: TensorClass,
+def _symmetry_residuals(ring: RingStructure, action_products: ProductMap,
+                        action_den: int, w: TensorClass,
                         probes: Sequence[int] | None = None
                         ) -> SymmetryReport:
     """Residuals of ``w.(1(x)y_k) - (y_k(x)1).w`` for every ring element.
 
     ``w`` lives in module (x) ring and ``action_products[(k, l)]`` expands
     ``y_k ^ x_l`` over the module basis, with ``action_den`` the lcm of
-    its denominators; a closed ring passes its own basis, product map
-    and denominator.  The work is done in ints: ``w`` is scaled to
+    its denominators; a closed ring passes its own product map and
+    denominator.  The work is done in ints: ``w`` is scaled to
     integer terms by the lcm ``den`` of its denominators, and the ring's
     products and the action by one common ``D``
     (:func:`frobdiag.ring.integral_maps`).  The residual is linear in
@@ -339,26 +336,21 @@ def _symmetry_residuals(ring: RingStructure, mode: SignMode,
     = (x(x)1).(y(x)1).w = (xy(x)1).w``.  Pass probes only for a ring or
     pair that has passed validation.
     """
-    mod_deg = module_basis.degrees
     scale = lcm(ring._den, action_den)
     products, action_products = integral_maps(scale, ring._products,
                                               action_products)
     terms, den = _integral(dict(w.mu.terms()))
     den *= scale
-    # (y_k (x) 1).w: the unit passes the module factor x_l, then y_k acts
-    # on it; the signed terms do not depend on k
-    signed = [(l, s, c * koszul_sign(mode, 0, mod_deg[l]))
-              for (l, s), c in terms.items()]
 
     def residual(k: int) -> list[ResidualEntry]:
-        # w.(1 (x) y_k): y_j.y_k on the ring factor; only a unit crosses
-        # the module factor, so no Koszul sign in either mode
+        # w.(1 (x) y_k): y_j.y_k on the ring factor
         lhs: TermMap = {}
         for (i, j), c in terms.items():
             for s, v in products.get((j, k), {}).items():
                 lhs[i, s] = lhs.get((i, s), 0) + c * v
+        # (y_k (x) 1).w: y_k acts on the module factor x_l
         rhs: TermMap = {}
-        for l, s, c in signed:
+        for (l, s), c in terms.items():
             for i, v in action_products.get((k, l), {}).items():
                 rhs[i, s] = rhs.get((i, s), 0) + c * v
         entries = []
@@ -373,8 +365,7 @@ def _symmetry_residuals(ring: RingStructure, mode: SignMode,
     return SymmetryReport([e for k in range(ring.size) for e in residual(k)])
 
 
-def _symmetry_system(ring: RingStructure, mode: SignMode,
-                     module_basis: GradedBasis,
+def _symmetry_system(ring: RingStructure, module_basis: GradedBasis,
                      action_products: ProductMap, action_den: int,
                      probes: Sequence[int] | None = None
                      ) -> tuple[list[SparseEquation], int]:
@@ -386,8 +377,9 @@ def _symmetry_system(ring: RingStructure, mode: SignMode,
     passes its own basis, product map and denominator.  One equation per
     (probe k, module slot i, ring slot s), in that order: the
     coefficient of ``x_i (x) y_s`` in ``w.(1(x)y_k) - (y_k(x)1).w`` must
-    vanish.  Each equation is its nonzero ``(column, value)`` pairs sorted
-    by column; equations that vanish identically are left out.  Returns
+    vanish.  No sign enters, under either convention: in each product a
+    unit is one of the two factors that pass each other.  Each equation
+    is its nonzero ``(column, value)`` pairs sorted by column; equations that vanish identically are left out.  Returns
     the equations and the number of unknowns.  Rows are assembled straight
     from the two product maps, independently of :func:`tensor_multiply`.
     The maps are first scaled to ints by one common denominator ``D``
@@ -402,32 +394,25 @@ def _symmetry_system(ring: RingStructure, mode: SignMode,
     if ``w`` is symmetric for ``x`` and for ``y``, then
     ``w.(1(x)xy) = (w.(1(x)x)).(1(x)y) = (x(x)1).w.(1(x)y)
     = (x(x)1).(y(x)1).w = (xy(x)1).w``, the two multiplications act on
-    different tensor factors (the unit slot never moves an odd factor, so
-    in either sign mode), and the unit is symmetric outright.  So the
+    different tensor factors, and the unit is symmetric outright.  So the
     system for the generators (:func:`frobdiag.ring.generators`) has the
     same solutions as the full one, and the same reduced row echelon
     form.  Without that precondition the two may differ: pass a probe
     list only for a ring or pair that has passed validation.
     """
     nm, nr = module_basis.size, ring.size
-    ring_deg = ring.basis.degrees
-    mod_deg = module_basis.degrees
     ring_products, action_products = integral_maps(
         lcm(ring._den, action_den), ring._products, action_products)
-    # w.(1(x)y_k): mu[i,j] times y_j.y_k -> y_s; the unit passes y_j with
-    # sign koszul(|y_j|, 0) = +1
+    # w.(1(x)y_k): mu[i,j] times y_j.y_k -> y_s
     right: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (j, k), coeffs in ring_products.items():
-        sign = koszul_sign(mode, ring_deg[j], 0)
         for s, c in coeffs.items():
-            right.setdefault((k, s), []).append((j, c * sign))
-    # (y_k(x)1).w: mu[l,s] times y_k ^ x_l -> x_i; the unit passes x_l
-    # with sign koszul(0, |x_l|) = +1
+            right.setdefault((k, s), []).append((j, c))
+    # (y_k(x)1).w: mu[l,s] times y_k ^ x_l -> x_i
     left: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (k, l), coeffs in action_products.items():
-        sign = koszul_sign(mode, 0, mod_deg[l])
         for i, c in coeffs.items():
-            left.setdefault((k, i), []).append((l, c * sign))
+            left.setdefault((k, i), []).append((l, c))
     rows: list[SparseEquation] = []
     for k in range(nr) if probes is None else probes:
         for i in range(nm):
@@ -448,7 +433,6 @@ def _symmetry_system(ring: RingStructure, mode: SignMode,
 
 
 def solve_symmetric_space(ring: RingStructure,
-                          mode: SignMode = SignMode.LITERAL,
                           probes: Sequence[int] | None = None
                           ) -> list[TensorClass]:
     """Echelon-normalized basis of all symmetric classes.
@@ -459,8 +443,7 @@ def solve_symmetric_space(ring: RingStructure,
     compared.  ``probes`` is passed to :func:`_symmetry_system`.
     """
     return _symmetric_space(
-        _symmetry_system(ring, mode, ring.basis, ring._products, ring._den,
-                         probes),
+        _symmetry_system(ring, ring.basis, ring._products, ring._den, probes),
         ring.basis, ring.basis)
 
 
@@ -499,7 +482,7 @@ def symmetric_family(ring: RingStructure, mode: SignMode, w: TensorClass,
     odd-degree classes present the product can leave the symmetric space,
     so in that case the caller must re-check symmetry itself.
     """
-    if not check_symmetry(ring, mode, w).ok:
+    if not check_symmetry(ring, w).ok:
         raise ValueError("input class is not symmetric")
     step = tensor_multiply(ring, ring, mode, left_factor(ring, ring, x), w)
     result = tensor_multiply(ring, ring, mode, step,
@@ -510,7 +493,7 @@ def symmetric_family(ring: RingStructure, mode: SignMode, w: TensorClass,
     assert result.mu == via_product.mu, \
         "family product disagrees with multiplication through the ring"
     if all(d % 2 == 0 for d in ring.basis.degrees):
-        assert check_symmetry(ring, mode, result).ok, \
+        assert check_symmetry(ring, result).ok, \
             "family member lost symmetry on an evenly graded ring"
     return result
 

@@ -58,7 +58,7 @@ def test_criterion_1_inversion_theorem():
         mu = pairing_inverse(ring)
         w = diagonal_class(ring, SignMode.LITERAL)
         assert w.mu == mu
-        report = check_symmetry(ring, SignMode.LITERAL, w)
+        report = check_symmetry(ring, w)
         elapsed = time.monotonic() - started
         assert report.ok, f"{name}: nonzero residual {report.entries[:3]}"
         assert elapsed < 1.0, f"{name}: took {elapsed:.3f}s"
@@ -71,7 +71,7 @@ def test_criterion_2_boundary_theorem():
         assert isinstance(mp, ModulePair)
         started = time.monotonic()
         w = relative_diagonal_class(mp, SignMode.LITERAL)
-        report = check_relative_symmetry(mp, SignMode.LITERAL, w)
+        report = check_relative_symmetry(mp, w)
         normalized = check_relative_top_normalization(mp, w)
         elapsed = time.monotonic() - started
         assert report.ok, f"{name}: nonzero residual"
@@ -99,13 +99,13 @@ def test_criterion_3_oracle_equivalence():
         payload = resolve(name).payload
         for mode in SignMode:
             if isinstance(payload, ModulePair):
-                space = solve_relative_symmetric_space(payload, mode)
+                space = solve_relative_symmetric_space(payload)
                 w = relative_diagonal_class(payload, mode)
                 assert relative_class_in_span(space, w), (name, mode)
                 unique = _normalized_solution_unique(
                     space, payload.module_basis.top_index, both_sides=False)
             else:
-                space = solve_symmetric_space(payload, mode)
+                space = solve_symmetric_space(payload)
                 w = diagonal_class(payload, mode)
                 assert class_in_span(space, w), (name, mode)
                 unique = _normalized_solution_unique(
@@ -149,7 +149,7 @@ def test_criterion_5_family_closure():
     # covered by the pinned counterexample below
     for name in EVEN_RING_NAMES + ["point"]:
         ring = resolve(name).payload
-        space = solve_symmetric_space(ring, SignMode.LITERAL)
+        space = solve_symmetric_space(ring)
         for s in space:
             for k in range(ring.size):
                 y = basis_element(ring, k)
@@ -162,7 +162,7 @@ def test_criterion_5_footnote_torus_closure_fails():
     # recorded fact, not an acceptance gate: with odd degrees the family
     # construction can leave the symmetric space
     ring = resolve("torus:2").payload
-    space = solve_symmetric_space(ring, SignMode.LITERAL)
+    space = solve_symmetric_space(ring)
     w = diagonal_class(ring)
     prod = tensor_multiply(ring, ring, SignMode.LITERAL, w,
                            right_factor(ring, ring, basis_element(ring, 1)))
@@ -174,10 +174,10 @@ def test_criterion_6_sign_mode_separation():
     ring = resolve("torus:2").payload
     inverse = pairing_inverse(ring)
 
-    literal_residual = check_symmetry(ring, SignMode.LITERAL,
-                                      diagonal_class(ring, SignMode.LITERAL))
+    literal_residual = check_symmetry(
+        ring, diagonal_class(ring, SignMode.LITERAL))
     graded_class = diagonal_class(ring, SignMode.GRADED)  # exists + unique
-    graded_residual = check_symmetry(ring, SignMode.GRADED, graded_class)
+    graded_residual = check_symmetry(ring, graded_class)
 
     golden_literal = json.loads(
         (GOLDEN / "diag_torus2_literal.json").read_text())

@@ -145,12 +145,11 @@ class TestStoredExpectations:
             if isinstance(payload, ModulePair):
                 pairing = relative_pairing_matrix(payload)
                 mu = relative_diagonal_class(payload).mu
-                dim = len(solve_relative_symmetric_space(payload,
-                                                         SignMode.LITERAL))
+                dim = len(solve_relative_symmetric_space(payload))
             else:
                 pairing = pairing_matrix(payload)
                 mu = diagonal_class(payload).mu
-                dim = len(solve_symmetric_space(payload, SignMode.LITERAL))
+                dim = len(solve_symmetric_space(payload))
             assert pairing == entry.expected["pairing"], name
             assert mu == entry.expected["mu"], name
             assert dim == entry.expected["solution_dimension"], name

@@ -24,8 +24,7 @@ from frobdiag.diagonal import (SignMode, TensorClass, check_symmetry,
 from frobdiag.ring import (GradedBasis, RingStructure, associativity_defects,
                            generators, validate)
 from strategies import (RING_NAMES, changed, corrupted_pairs,
-                        corrupted_rings, graded_slots, matrices, modes, pairs,
-                        rings)
+                        corrupted_rings, graded_slots, matrices, pairs, rings)
 
 # larger rings, where generators leave out most middle factors
 NAMES = RING_NAMES + ["cp:5", "torus:3", "product:cp:2,sphere:3"]
@@ -127,7 +126,6 @@ class TestResidualCertificate:
     @given(st.data())
     def test_probed_report_equals_the_full_report(self, data):
         payload = data.draw(st.one_of(rings(NAMES), pairs()))
-        mode = data.draw(modes)
         if isinstance(payload, ModulePair):
             ring, left = payload.ring, payload.module_basis
             check, inverse = check_relative_symmetry, relative_diagonal_class
@@ -139,8 +137,8 @@ class TestResidualCertificate:
         else:
             w = TensorClass(data.draw(matrices(left.size, ring.size)), left,
                             ring.basis)
-        full = check(payload, mode, w)
-        assert check(payload, mode, w, generators(ring)).entries == \
+        full = check(payload, w)
+        assert check(payload, w, generators(ring)).entries == \
             full.entries
 
 

@@ -23,17 +23,17 @@ from frobdiag.document import emit_document
 from frobdiag.linalg import Matrix, rank, rref
 from frobdiag.ring import (GradedBasis, RingStructure, basis_element,
                            generators, multiply, unit_element, validate)
-from strategies import modes, non_associative_ring, pairs, rings
+from strategies import non_associative_ring, pairs, rings
 
 
-def system_rref(payload, mode, probes=None):
+def system_rref(payload, probes=None):
     """The pivot rows and pivot columns of the system's reduced form."""
     if isinstance(payload, RingStructure):
-        rows, width = _symmetry_system(payload, mode, payload.basis,
+        rows, width = _symmetry_system(payload, payload.basis,
                                        payload._products, payload._den,
                                        probes)
     else:
-        rows, width = _relative_symmetry_system(payload, mode, probes)
+        rows, width = _relative_symmetry_system(payload, probes)
     reduced, pivots = rref(Matrix.sparse(rows, width))
     # rref pads with zero rows up to the row count, which differs
     return [reduced.row(i) for i in range(len(pivots))], pivots
@@ -107,29 +107,24 @@ class TestGeneratorSystem:
     def test_catalog_entry_rref_matches_full_system(self, name, mode):
         payload = resolve(name, mode).payload
         probes = generators(ring_of(payload))
-        assert system_rref(payload, mode, probes) == \
-            system_rref(payload, mode)
+        assert system_rref(payload, probes) == system_rref(payload)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_drawn_ring_rref_matches_full_system(self, data):
-        ring, mode = data.draw(rings()), data.draw(modes)
-        assert system_rref(ring, mode, generators(ring)) == \
-            system_rref(ring, mode)
+        ring = data.draw(rings())
+        assert system_rref(ring, generators(ring)) == system_rref(ring)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_drawn_pair_rref_matches_full_system(self, data):
-        mp, mode = data.draw(pairs()), data.draw(modes)
-        assert system_rref(mp, mode, generators(mp.ring)) == \
-            system_rref(mp, mode)
+        mp = data.draw(pairs())
+        assert system_rref(mp, generators(mp.ring)) == system_rref(mp)
 
     def test_non_associative_ring_systems_differ(self):
         ring = non_associative_ring()
         assert [ring.basis.labels[k] for k in generators(ring)] == ["x", "y"]
-        for mode in SignMode:
-            assert system_rref(ring, mode, generators(ring)) != \
-                system_rref(ring, mode)
+        assert system_rref(ring, generators(ring)) != system_rref(ring)
 
     @pytest.mark.parametrize("verb", ["diag", "solve", "pair"])
     def test_cli_refuses_non_associative_ring(self, invoke, tmp_path, verb):
@@ -152,9 +147,9 @@ class TestTheoremsOnDrawnRings:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_inverse_class_in_symmetric_span(self, data):
-        ring, mode = data.draw(rings()), data.draw(modes)
-        space = solve_symmetric_space(ring, mode, generators(ring))
-        assert space == solve_symmetric_space(ring, mode)
+        ring = data.draw(rings())
+        space = solve_symmetric_space(ring, generators(ring))
+        assert space == solve_symmetric_space(ring)
         assert class_in_span(space, diagonal_class(ring, SignMode.LITERAL))
 
     @settings(max_examples=60, deadline=None)
@@ -168,8 +163,8 @@ class TestTheoremsOnDrawnRings:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_pair_inverse_class_in_symmetric_span(self, data):
-        mp, mode = data.draw(pairs()), data.draw(modes)
-        space = solve_relative_symmetric_space(mp, mode, generators(mp.ring))
-        assert space == solve_relative_symmetric_space(mp, mode)
+        mp = data.draw(pairs())
+        space = solve_relative_symmetric_space(mp, generators(mp.ring))
+        assert space == solve_relative_symmetric_space(mp)
         assert relative_class_in_span(
             space, relative_diagonal_class(mp, SignMode.LITERAL))

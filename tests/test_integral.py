@@ -234,7 +234,7 @@ class TestResiduals:
         w = tensor_class(ring, ring, mu)
         for probes in (None, generators(ring)):
             assert [(e.probe, e.left, e.right, e.value)
-                    for e in check_symmetry(ring, mode, w, probes)] == \
+                    for e in check_symmetry(ring, w, probes)] == \
                 expected
 
     @settings(max_examples=60, deadline=None)
@@ -250,8 +250,8 @@ class TestResiduals:
         w = relative_class(mp, mu)
         for probes in (None, generators(ring)):
             assert [(e.probe, e.left, e.right, e.value)
-                    for e in check_relative_symmetry(mp, mode, w,
-                                                     probes)] == expected
+                    for e in check_relative_symmetry(mp, w, probes)] == \
+                expected
 
 
 def unscaled(function, *args):
@@ -267,11 +267,10 @@ class TestSystem:
     def test_rows_are_den_times_the_unscaled_rows(self, data):
         payload = data.draw(st.one_of(rational_rings(),
                                       pairs(rational_rings())))
-        mode = data.draw(modes)
         ring, action, den = ring_and_action(payload)
         left = payload.module_basis if isinstance(payload, ModulePair) \
             else payload.basis
-        args = (ring, mode, left, action, den)
+        args = (ring, left, action, den)
         rows, width = _symmetry_system(*args)
         plain_rows, plain_width = unscaled(_symmetry_system, *args)
         common = lcm(ring._den, den)

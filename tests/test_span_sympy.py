@@ -1,7 +1,7 @@
 """``class_in_span`` against a sympy rank reference.
 
 Spaces are drawn subsets of the solved symmetric spaces of drawn rings
-and pairs, in either sign mode.  The reference says ``w`` is in the span
+and pairs.  The reference says ``w`` is in the span
 iff appending its flattened coefficients to the space's does not raise
 the rank, computed by sympy, which shares no code with the package.
 """
@@ -18,7 +18,7 @@ from frobdiag.catalog import resolve
 from frobdiag.diagonal import (TensorClass, class_in_span, pure_tensor,
                                solve_symmetric_space, unflatten)
 from frobdiag.ring import unit_element
-from strategies import matrices, modes, nonzero, pairs, rings
+from strategies import matrices, nonzero, pairs, rings
 
 
 def sympy_rank(vectors, width: int) -> int:
@@ -36,11 +36,10 @@ def reference_in_span(space, w: TensorClass) -> bool:
 @st.composite
 def spaces(draw) -> list[TensorClass]:
     """A drawn subset, in drawn order, of a solved symmetric space."""
-    mode = draw(modes)
     if draw(st.booleans()):
-        space = solve_symmetric_space(draw(rings()), mode)
+        space = solve_symmetric_space(draw(rings()))
     else:
-        space = solve_relative_symmetric_space(draw(pairs()), mode)
+        space = solve_relative_symmetric_space(draw(pairs()))
     return draw(st.lists(st.sampled_from(space), unique_by=id,
                          max_size=len(space)))
 
