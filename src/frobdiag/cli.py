@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Any, Callable, NamedTuple, Sequence
@@ -32,7 +31,8 @@ from .diagonal import (NonUniqueSolutionError, NoSolutionError, SignMode,
                        SingularPairingError, check_symmetry,
                        check_top_normalization, class_in_span, diagonal_class,
                        kunneth_product, solve_symmetric_space)
-from .document import DocumentError, emit_document, parse_document
+from .document import (DocumentError, emit_document, indented_json,
+                       parse_document)
 from .linalg import Matrix
 from .ring import (MissingTopClassError, RingStructure, ValidationReport,
                    generators, pairing_matrix, validate)
@@ -75,15 +75,20 @@ def _load_input(text: str, mode: SignMode) -> tuple[str, Any]:
 
 
 def _matrix_json(m: Matrix) -> list[list[str]]:
-    return [[str(v) for v in m.row(i)] for i in range(m.rows)]
+    """Every entry of ``m`` as a string; only the nonzero ones are
+    formatted."""
+    cells = [["0"] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.terms():
+        cells[i][j] = str(v)
+    return cells
 
 
 def _matrix_text(m: Matrix, indent: str = "  ") -> str:
     if m.rows == 0:
         return indent + "(empty)"
     cells = _matrix_json(m)
-    widths = [max(len(row[j]) for row in cells) for j in range(m.cols)]
-    return "\n".join(indent + " ".join(c.rjust(w) for c, w in zip(row, widths))
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join(indent + " ".join(map(str.rjust, row, widths))
                      for row in cells)
 
 
@@ -114,7 +119,7 @@ def _residual_json(report) -> list[dict]:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(indented_json(payload))
 
 
 class _Route(NamedTuple):

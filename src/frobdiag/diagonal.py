@@ -101,8 +101,8 @@ def unflatten(vec: Sequence[Fraction], left_basis: GradedBasis,
               right_basis: GradedBasis) -> TensorClass:
     """Inverse of :meth:`TensorClass.flatten`: ``vec[i*n_right + j]``."""
     n = right_basis.size
-    return TensorClass(Matrix([vec[i * n:(i + 1) * n]
-                               for i in range(left_basis.size)]),
+    return TensorClass(Matrix.sparse([enumerate(vec[i * n:(i + 1) * n])
+                                      for i in range(left_basis.size)], n),
                        left_basis, right_basis)
 
 

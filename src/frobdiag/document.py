@@ -21,14 +21,16 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from json.encoder import encode_basestring_ascii as _quote  # C escaper
+from typing import Any, Callable, NoReturn
 
 from .boundary import ModulePair
 from .ring import GradedBasis, RingStructure
 
 Payload = RingStructure | ModulePair
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
+_ENTRY_KEYS = frozenset({"i", "j", "k", "value"})
 _ECHO_LIMIT = 40   # characters of an offending value quoted in a message
 _UNKNOWN_LIMIT = 5  # unknown field names listed in a message
 
@@ -112,21 +114,49 @@ def _parse_basis(raw: Any, location: str) -> tuple[tuple[str, ...],
 
 
 def _parse_tensor(raw: Any, location: str) -> dict[tuple[int, int, int],
-                                                   Fraction]:
+                                                   int | Fraction]:
+    """The entries of a tensor list, each value an int or a Fraction.
+
+    An entry is read in one pass when it is an object with exactly the
+    keys ``i``, ``j``, ``k`` and ``value``, its indices are ints (not
+    bools), its key is new and its value matches the rational grammar
+    and converts.  Any other entry goes to :func:`_reject_entry`, which
+    raises the error of the first check it fails.
+    """
     if not isinstance(raw, list):
         raise DocumentError("expected a list of entries", location)
-    tensor: dict[tuple[int, int, int], Fraction] = {}
+    tensor: dict[tuple[int, int, int], int | Fraction] = {}
     for idx, item in enumerate(raw):
-        here = f"{location}[{idx}]"
-        i = _expect(item, "i", int, here)
-        j = _expect(item, "j", int, here)
-        k = _expect(item, "k", int, here)
-        _reject_unknown(item, {"i", "j", "k", "value"}, here)
-        value = _parse_rational(item.get("value"), f"{here}.value")
-        if (i, j, k) in tensor:
-            raise DocumentError(f"duplicate entry for ({i}, {j}, {k})", here)
-        tensor[(i, j, k)] = value
+        if type(item) is dict and item.keys() == _ENTRY_KEYS:
+            key = i, j, k = item["i"], item["j"], item["k"]
+            value = item["value"]
+            if (type(i) is int and type(j) is int and type(k) is int
+                    and key not in tensor and type(value) is str
+                    and (match := _RATIONAL_RE.match(value))):
+                num, den = match.groups()
+                try:
+                    tensor[key] = (int(num) if den is None
+                                   else Fraction(int(num), int(den)))
+                    continue
+                except (ValueError, ZeroDivisionError):
+                    pass
+        _reject_entry(item, tensor, f"{location}[{idx}]")
     return tensor
+
+
+def _reject_entry(item: Any, tensor: dict, here: str) -> NoReturn:
+    """Raise the error of an entry that :func:`_parse_tensor` could not
+    read, running the entry checks in order: object, indices, keys,
+    value, then a repeated key."""
+    i = _expect(item, "i", int, here)
+    j = _expect(item, "j", int, here)
+    k = _expect(item, "k", int, here)
+    _reject_unknown(item, _ENTRY_KEYS, here)
+    _parse_rational(item.get("value"), f"{here}.value")
+    if (i, j, k) in tensor:
+        raise DocumentError(f"duplicate entry for ({i}, {j}, {k})", here)
+    raise AssertionError(f"{here}: a JSON entry that passes every check "
+                         "is read by _parse_tensor")
 
 
 def _optional_index(mapping: dict, key: str, location: str) -> int | None:
@@ -236,4 +266,76 @@ def document_dict(name: str, payload: Payload) -> dict:
 
 def emit_document(name: str, payload: Payload) -> str:
     """Canonical text form; a fixed point of emit -> parse -> emit."""
-    return json.dumps(document_dict(name, payload), indent=2) + "\n"
+    return indented_json(document_dict(name, payload)) + "\n"
+
+
+def indented_json(value: Any) -> str:
+    """The text of ``json.dumps(value, indent=2)``, written faster.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever it is
+    given an indent, and visits every value in Python.  This writer
+    quotes strings with the encoder's C escaper, writes a scalar of an
+    exact type through one table lookup, and writes a list of strings,
+    such as a matrix row, in one ``join``.  It takes str, int, bool,
+    None, lists and dicts with str keys, and raises ``TypeError`` for any
+    other type, floats and tuples included.
+    """
+    out: list[str] = []
+    _write(value, "\n", out.append)
+    return "".join(out)
+
+
+# the JSON text of a scalar, by its exact type
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _write(value: Any, newline: str, out: Callable[[str], Any]) -> None:
+    """Append the text of ``value`` whose lines start with ``newline``."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        out(scalar(value))
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        head, comma = "{" + inner, "," + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(
+                    f"keys must be str, not {type(key).__name__}")
+            head += _quote(key) + ": "
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                out(head + scalar(item))
+            else:
+                out(head)
+                _write(item, inner, out)
+            head = comma
+        out(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        head, comma = "[" + inner, "," + inner
+        if all(map(str.__instancecheck__, value)):   # all strings
+            out(head + comma.join(map(_quote, value)) + newline + "]")
+            return
+        for item in value:
+            out(head)
+            _write(item, inner, out)
+            head = comma
+        out(newline + "]")
+    elif isinstance(value, str):    # subclasses, as json.dumps takes them
+        out(_quote(value))
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")

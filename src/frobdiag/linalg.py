@@ -169,13 +169,6 @@ class Matrix:
             out.append(acc.items())
         return Matrix.sparse(out, other.cols)
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(sum((x * v[c] for c, x in row.items()), Fraction(0))
-                     for row in self._data)
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in self.row(i))
                          for i in range(self.rows))

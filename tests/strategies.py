@@ -25,6 +25,18 @@ from frobdiag.diagonal import SignMode
 from frobdiag.linalg import Matrix
 from frobdiag.ring import GradedBasis, RingStructure, change_basis
 
+
+def apply(m: Matrix, v) -> tuple[Fraction, ...]:
+    """The matrix-vector product ``m v``, from the nonzero entries of
+    ``m``."""
+    if len(v) != m.cols:
+        raise ValueError(f"vector length {len(v)} != cols {m.cols}")
+    out = [Fraction(0)] * m.rows
+    for (i, j), x in m.terms():
+        out[i] += x * v[j]
+    return tuple(out)
+
+
 RING_NAMES = [name for name in catalog_names()
               if isinstance(resolve(name).payload, RingStructure)]
 # the rings whose odd classes make the Koszul sign show in GRADED mode

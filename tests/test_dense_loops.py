@@ -18,8 +18,8 @@ from frobdiag.boundary import ModulePair, validate_module
 from frobdiag.linalg import Matrix, invert
 from frobdiag.ring import (RingStructure, ValidationReport, change_basis,
                            multiply, validate)
-from strategies import (changed, corrupted_pairs, corrupted_rings, nonzero,
-                        rings, unimodular_degree_preserving)
+from strategies import (apply, changed, corrupted_pairs, corrupted_rings,
+                        nonzero, rings, unimodular_degree_preserving)
 
 
 def dense_change_basis(ring, p):
@@ -32,7 +32,7 @@ def dense_change_basis(ring, p):
         va = p.column(a)
         for b in range(n):
             vb = p.column(b)
-            prod_new = q.apply(multiply(ring, va, vb))
+            prod_new = apply(q, multiply(ring, va, vb))
             for c, v in enumerate(prod_new):
                 if v != 0:
                     tensor[(a, b, c)] = v

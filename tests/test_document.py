@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import json
 from fractions import Fraction
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from frobdiag.boundary import ModulePair
 from frobdiag.catalog import catalog_names, resolve
-from frobdiag.document import DocumentError, emit_document, parse_document
+from frobdiag.document import (DocumentError, emit_document, indented_json,
+                               parse_document)
 from frobdiag.linalg import Matrix
 from frobdiag.ring import RingStructure, change_basis
 
@@ -289,3 +291,51 @@ def test_any_json_text_parses_or_is_a_document_error(text):
         parse_document(text)
     except DocumentError:
         pass
+
+
+# strings that need escaping: quotes, backslashes, control characters,
+# non-ASCII letters, an astral character and a lone surrogate
+awkward_text = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\r'
+                                       'é€\u2028😀\ud800'),
+                       st.characters()),
+    max_size=10)
+writer_scalars = (st.none() | st.booleans() | awkward_text
+                  | st.integers()
+                  | st.integers(min_value=-10 ** 80, max_value=10 ** 80))
+writer_values = st.recursive(
+    writer_scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(awkward_text, max_size=4)
+                      | st.dictionaries(awkward_text, children, max_size=4)),
+    max_leaves=16)
+
+
+class _Colour(str, enum.Enum):
+    RED = "red"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class TestIndentedJson:
+    """``indented_json`` writes the text of ``json.dumps(v, indent=2)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(writer_values)
+    def test_equals_json_dumps(self, value):
+        assert indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [[], {}, [[]], {"": {}}, [{}, []],
+                                       [_Colour.RED, _Level.HIGH],
+                                       {"k": [True, None, "x"]}])
+    def test_empty_containers_and_subclasses(self, value):
+        assert indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, [0, 1.0], (1, 2), ["a", (1,)],
+                                       {1: "a"}, {"a": {None: 1}},
+                                       {(0, 1): 2}, Fraction(1, 2), {"a"}])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            indented_json(value)
