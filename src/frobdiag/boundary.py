@@ -26,7 +26,7 @@ from .diagonal import (SignMode, SingularPairingError, SparseEquation,
 from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
                      invert, nullspace, rank, solve)
 from .ring import (GradedBasis, MissingTopClassError,  # noqa: F401
-                   RingStructure, ValidationReport,
+                   ProductMap, RingStructure, ValidationReport,
                    _defects_unless_certified, _top_entries, bilinear_product,
                    multiply, sparse_tensor, validate)
 
@@ -37,11 +37,13 @@ class ModulePair:
     """A ring acting on a graded module, with a relative top class.
 
     ``_den`` is the lcm of the action's denominators (see
-    :func:`frobdiag.ring.sparse_tensor`).
+    :func:`frobdiag.ring.sparse_tensor`); ``_scaled`` keeps the action
+    map scaled to ints by each denominator asked for
+    (:func:`frobdiag.ring.scaled_action`).
     """
 
     __slots__ = ("ring", "module_basis", "action", "_action_products",
-                 "_den")
+                 "_den", "_scaled")
 
     def __init__(self, ring: RingStructure, module_basis: GradedBasis,
                  action: Mapping[tuple[int, int, int], int | str | Fraction]):
@@ -50,6 +52,7 @@ class ModulePair:
         self.module_basis = module_basis
         self.action, self._action_products, self._den = sparse_tensor(
             action, (ring.size, nm, nm), "action")
+        self._scaled: dict[int, ProductMap] = {}
 
     @property
     def formal_dimension(self) -> int:
@@ -125,8 +128,7 @@ def validate_module(mp: ModulePair,
                 report.add("unit-action", (j, k),
                            f"unit acts with {actual}, expected {expected}")
 
-    for indices, a, b in _defects_unless_certified(
-            mp.ring, mp._action_products, mp._den, report.ok):
+    for indices, a, b in _defects_unless_certified(mp.ring, mp, report.ok):
         report.add("module-associativity", indices, f"{a} != {b}")
     return report
 
@@ -216,16 +218,14 @@ def check_relative_symmetry(mp: ModulePair, w: TensorClass,
     if (w.left_basis != mp.module_basis
             or w.right_basis != mp.ring.basis):
         raise ValueError("class does not live over this module pair")
-    return _symmetry_residuals(mp.ring, mp._action_products, mp._den, w,
-                               probes)
+    return _symmetry_residuals(mp.ring, mp, w, probes)
 
 
 def _relative_symmetry_system(mp: ModulePair,
                               probes: Sequence[int] | None = None
                               ) -> tuple[list[SparseEquation], int]:
     """The symmetry system of the pair, unknowns ``mu[i*nr + j]``."""
-    return _symmetry_system(mp.ring, mp.module_basis, mp._action_products,
-                            mp._den, probes)
+    return _symmetry_system(mp.ring, mp.module_basis, mp, probes)
 
 
 def solve_relative_symmetric_space(mp: ModulePair,

@@ -27,16 +27,19 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 # rank stays imported: the benchmark's traced run (perfbench/spans.py)
 # wraps it in this module by name
 from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
                      _insert, _integral, _reduce, invert, nullspace, rank,
                      solve)
-from .ring import (GradedBasis, MissingTopClassError, ProductMap,
-                   RingElement, RingStructure, integral_maps, multiply,
-                   pairing_matrix, unit_element)
+from .ring import (GradedBasis, MissingTopClassError, RingElement,
+                   RingStructure, multiply, pairing_matrix, scaled_action,
+                   unit_element)
+
+if TYPE_CHECKING:
+    from .boundary import ModulePair
 
 
 # one symmetry equation: its nonzero (column, coefficient) pairs, by column
@@ -210,8 +213,7 @@ def diagonal_class(ring: RingStructure,
     n, unit, top = ring.size, ring.basis.unit_index, ring.basis.top_index
     if top is None:
         raise MissingTopClassError("ring has no top basis index")
-    rows, _ = _symmetry_system(ring, ring.basis, ring._products, ring._den,
-                               probes)
+    rows, _ = _symmetry_system(ring, ring.basis, ring, probes)
     pins = [(index, Fraction(int(j == unit)))
             for j in range(n) for index in (top * n + j, j * n + top)]
     return _normalized_solve(rows, pins, ring.basis, ring.basis,
@@ -297,22 +299,21 @@ def check_symmetry(ring: RingStructure, w: TensorClass,
     ``probes`` is passed to :func:`_symmetry_residuals`.
     """
     _require_over(ring, ring, w)
-    return _symmetry_residuals(ring, ring._products, ring._den, w, probes)
+    return _symmetry_residuals(ring, ring, w, probes)
 
 
-def _symmetry_residuals(ring: RingStructure, action_products: ProductMap,
-                        action_den: int, w: TensorClass,
+def _symmetry_residuals(ring: RingStructure,
+                        acting: RingStructure | ModulePair, w: TensorClass,
                         probes: Sequence[int] | None = None
                         ) -> SymmetryReport:
     """Residuals of ``w.(1(x)y_k) - (y_k(x)1).w`` for every ring element.
 
-    ``w`` lives in module (x) ring and ``action_products[(k, l)]`` expands
-    ``y_k ^ x_l`` over the module basis, with ``action_den`` the lcm of
-    its denominators; a closed ring passes its own product map and
-    denominator.  The work is done in ints: ``w`` is scaled to
+    ``w`` lives in module (x) ring, and ``acting`` is the pair whose
+    action map expands ``y_k ^ x_l`` over the module basis; a closed ring
+    passes itself.  The work is done in ints: ``w`` is scaled to
     integer terms by the lcm ``den`` of its denominators, and the ring's
     products and the action by one common ``D``
-    (:func:`frobdiag.ring.integral_maps`).  The residual is linear in
+    (:func:`frobdiag.ring.scaled_action`).  The residual is linear in
     ``w`` and in the two maps together, so each entry is the integer
     difference divided by ``den * D``, the value over the data as given.
     Each side is accumulated over the terms present only, and the sides
@@ -336,9 +337,9 @@ def _symmetry_residuals(ring: RingStructure, action_products: ProductMap,
     = (x(x)1).(y(x)1).w = (xy(x)1).w``.  Pass probes only for a ring or
     pair that has passed validation.
     """
-    scale = lcm(ring._den, action_den)
-    products, action_products = integral_maps(scale, ring._products,
-                                              action_products)
+    scale = lcm(ring._den, acting._den)
+    products = scaled_action(ring, scale)
+    action_products = scaled_action(acting, scale)
     terms, den = _integral(dict(w.mu.terms()))
     den *= scale
 
@@ -366,24 +367,24 @@ def _symmetry_residuals(ring: RingStructure, action_products: ProductMap,
 
 
 def _symmetry_system(ring: RingStructure, module_basis: GradedBasis,
-                     action_products: ProductMap, action_den: int,
+                     acting: RingStructure | ModulePair,
                      probes: Sequence[int] | None = None
                      ) -> tuple[list[SparseEquation], int]:
     """Sparse linear system in the flattened unknowns ``mu[i*nr + j]``.
 
     The unknowns are the coefficients of a class in module (x) ring, where
-    ``action_products[(k, l)]`` expands ``y_k ^ x_l`` over the module
-    basis, with ``action_den`` the lcm of its denominators; a closed ring
-    passes its own basis, product map and denominator.  One equation per
-    (probe k, module slot i, ring slot s), in that order: the
-    coefficient of ``x_i (x) y_s`` in ``w.(1(x)y_k) - (y_k(x)1).w`` must
-    vanish.  No sign enters, under either convention: in each product a
-    unit is one of the two factors that pass each other.  Each equation
-    is its nonzero ``(column, value)`` pairs sorted by column; equations that vanish identically are left out.  Returns
-    the equations and the number of unknowns.  Rows are assembled straight
+    ``acting`` is the pair whose action map expands ``y_k ^ x_l`` over
+    the module basis; a closed ring passes its own basis and itself.  One
+    equation per (probe k, module slot i, ring slot s), in that order:
+    the coefficient of ``x_i (x) y_s`` in ``w.(1(x)y_k) - (y_k(x)1).w``
+    must vanish.  No sign enters, under either convention: in each
+    product a unit is one of the two factors that pass each other.  Each
+    equation is its nonzero ``(column, value)`` pairs sorted by column;
+    equations that vanish identically are left out.  Returns the
+    equations and the number of unknowns.  Rows are assembled straight
     from the two product maps, independently of :func:`tensor_multiply`.
     The maps are first scaled to ints by one common denominator ``D``
-    (:func:`frobdiag.ring.integral_maps`), so every value is an int and
+    (:func:`frobdiag.ring.scaled_action`), so every value is an int and
     every equation is ``D`` times the one over the maps as given: the
     system is homogeneous, so its solutions and its reduced row echelon
     form are the same.
@@ -401,8 +402,9 @@ def _symmetry_system(ring: RingStructure, module_basis: GradedBasis,
     list only for a ring or pair that has passed validation.
     """
     nm, nr = module_basis.size, ring.size
-    ring_products, action_products = integral_maps(
-        lcm(ring._den, action_den), ring._products, action_products)
+    scale = lcm(ring._den, acting._den)
+    ring_products = scaled_action(ring, scale)
+    action_products = scaled_action(acting, scale)
     # w.(1(x)y_k): mu[i,j] times y_j.y_k -> y_s
     right: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (j, k), coeffs in ring_products.items():
@@ -443,7 +445,7 @@ def solve_symmetric_space(ring: RingStructure,
     compared.  ``probes`` is passed to :func:`_symmetry_system`.
     """
     return _symmetric_space(
-        _symmetry_system(ring, ring.basis, ring._products, ring._den, probes),
+        _symmetry_system(ring, ring.basis, ring, probes),
         ring.basis, ring.basis)
 
 

@@ -17,19 +17,30 @@ rows arrive in, and kernels and solution sets are read off it in echelon
 normal form; two runs (or two different call sites) can be compared with
 plain equality.
 
+Since the order is free, a reduction inserts its rows by decreasing
+leading column.  A pivot row holds nothing left of its lead, so a new
+pivot left of every existing one is held by no earlier row and nothing
+is cleared upward: the Gauss-Jordan back-substitution, which costs
+about n**3/3 eliminations on the chains ``w[i, j+1] - w[i+1, j]`` of a
+graded system when they arrive with increasing leads, does not occur.
+Only a row whose leading entry is eliminated can land among the
+existing pivots, and the column index below clears it from the rows
+that hold its column, as it does for rows that callers insert one at a
+time.
+
 The kernel is fraction-free, after Bareiss ("Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-1968): each input row is scaled by the lcm of its denominators and
-divided by the gcd of the result, and a row is cleared at a column by
-``d*row - f*pivot_row`` followed by division by its content, so every
-pivot row is a primitive integer row with a positive lead and the only
-division is an exact one.  Integer arithmetic is what makes this pay:
-the symmetry systems have integer coefficients, and an ``int`` product
-costs a small fraction of a ``Fraction`` one, which needs a gcd.  Rows
-are divided by their leads only on the way out, into ``Fraction``
-entries.  A column index (column -> pivot rows holding it) lets a new
-pivot be cleared from just the rows that hold its column, instead of
-from every pivot row.
+1968): an input row with a ``Fraction`` entry is scaled by the lcm of
+its denominators, every row is divided by the gcd of its values, and a
+row is cleared at a column by ``d*row - f*pivot_row`` followed by
+division by its content, so every pivot row is a primitive integer row
+with a positive lead and the only division is an exact one.  Integer
+arithmetic is what makes this pay: the symmetry systems have integer
+coefficients, and an ``int`` product costs a small fraction of a
+``Fraction`` one, which needs a gcd.  Rows are divided by their leads
+only on the way out, into ``Fraction`` entries.  A column index
+(column -> pivot rows holding it) lets a new pivot be cleared from just
+the rows that hold its column, instead of from every pivot row.
 
 A :class:`Matrix` stores only the nonzero entries of each row, as a
 ``{column: value}`` map, so the kernel reads its rows as they are, and a
@@ -189,16 +200,24 @@ def _integral(values: Mapping[K, int | Fraction]) -> tuple[dict[K, int], int]:
 
 
 def _primitive(row: Mapping[int, int | Fraction]) -> SparseRow:
-    """``row`` scaled to coprime integers with the same span.
+    """``row`` scaled to coprime integers with the same span; zero values
+    are dropped.
 
-    The row is scaled to integers by :func:`_integral` and divided by the
-    gcd of the result, its content.
+    The row is divided by the gcd of its values, its content; a row with
+    a ``Fraction`` value (``gcd`` takes ints only) is scaled to integers
+    by :func:`_integral` first.
     """
-    ints, _ = _integral(row)
-    g = gcd(*ints.values())
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a Fraction value
+        ints, _ = _integral(row)
+        g = gcd(*ints.values())
+        if g > 1:
+            return {c: v // g for c, v in ints.items()}
+        return ints
     if g > 1:
-        return {c: v // g for c, v in ints.items()}
-    return ints
+        return {c: v // g for c, v in row.items() if v}
+    return {c: v for c, v in row.items() if v}
 
 
 class _Echelon:
@@ -219,9 +238,17 @@ class _Echelon:
 
 
 def _reduce(rows: Iterable[Mapping[int, int | Fraction]]) -> _Echelon:
-    """Insert every row of ``rows`` into an empty :class:`_Echelon`."""
+    """Insert the nonempty rows of ``rows`` into an empty
+    :class:`_Echelon`, by decreasing leading column (stably).
+
+    A pivot row holds nothing left of its lead, so a new lead left of
+    every existing one is held by no pivot row and :func:`_insert` has
+    nothing to clear upward; only a row whose lead is eliminated can
+    land among the existing leads.  The order changes no result: the
+    reduced row echelon form of the row space is unique.
+    """
     echelon = _Echelon()
-    for row in rows:
+    for row in sorted(filter(None, rows), key=min, reverse=True):
         _insert(echelon, row)
     return echelon
 
@@ -267,20 +294,24 @@ def _eliminate(row: SparseRow, c: int, pivot_row: SparseRow) -> None:
     ``row`` becomes ``d*row - f*pivot_row`` for the smallest positive
     ``d`` and matching ``f`` that cancel at ``c`` (``pivot_row[c] > 0``),
     divided by its content; entries that vanish are dropped.  Every
-    division is exact.
+    division is exact.  A one-entry pivot row, ``{c: 1}``, only deletes
+    ``row[c]``.
     """
-    d, f = pivot_row[c], row[c]
-    g = gcd(d, f)
-    d, f = d // g, f // g
-    if d != 1:
-        for k in row:
-            row[k] *= d
-    for k, v in pivot_row.items():
-        value = row.get(k, 0) - f * v
-        if value:
-            row[k] = value
-        else:
-            del row[k]
+    if len(pivot_row) == 1:
+        del row[c]
+    else:
+        d, f = pivot_row[c], row[c]
+        g = gcd(d, f)
+        d, f = d // g, f // g
+        if d != 1:
+            for k in row:
+                row[k] *= d
+        for k, v in pivot_row.items():
+            value = row.get(k, 0) - f * v
+            if value:
+                row[k] = value
+            else:
+                del row[k]
     g = gcd(*row.values())
     if g > 1:
         for k in row:

@@ -18,9 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Matrix, Vector, _Echelon, _insert, frac, invert, rank
+
+if TYPE_CHECKING:
+    from .boundary import ModulePair
 
 # structure constants: int where integral, Fraction otherwise
 SparseTensor = Mapping[tuple[int, int, int], int | Fraction]
@@ -133,15 +136,36 @@ def integral_maps(den: int, *maps: ProductMap) -> tuple[ProductMap, ...]:
     return tuple(scaled[id(m)] for m in maps)
 
 
+def scaled_action(acting: RingStructure | ModulePair,
+                  den: int) -> ProductMap:
+    """The action map of ``acting`` times ``den``, as ints
+    (:func:`integral_maps`).
+
+    ``acting`` is a ring, acting on itself by its product, or a
+    :class:`frobdiag.boundary.ModulePair`.  The scaled map is built once
+    per ``den`` and kept on ``acting``, as ``_generators`` is: the
+    associativity certificate, :func:`generators`, the residual oracle
+    and the symmetry system all ask for the same one.
+    """
+    scaled = acting._scaled.get(den)
+    if scaled is None:
+        scaled, = integral_maps(den, acting._action_products)
+        acting._scaled[den] = scaled
+    return scaled
+
+
 class RingStructure:
     """A graded basis plus the sparse multiplication tensor.
 
     ``_den`` is the lcm of the constants' denominators (see
     :func:`sparse_tensor`); ``_generators`` caches :func:`generators`,
-    which is filled on first use.
+    which is filled on first use.  A ring acts on itself by its product,
+    so ``_action_products`` is ``_products``; ``_scaled`` keeps that map
+    scaled to ints by each denominator asked for (:func:`scaled_action`).
     """
 
-    __slots__ = ("basis", "tensor", "_products", "_den", "_generators")
+    __slots__ = ("basis", "tensor", "_products", "_den", "_generators",
+                 "_action_products", "_scaled")
 
     def __init__(self, basis: GradedBasis,
                  tensor: Mapping[tuple[int, int, int], int | str | Fraction]):
@@ -152,6 +176,8 @@ class RingStructure:
         self.tensor, self._products, self._den = sparse_tensor(
             tensor, (n, n, n), "tensor")
         self._generators: tuple[int, ...] | None = None
+        self._action_products = self._products
+        self._scaled: dict[int, ProductMap] = {}
 
     @property
     def size(self) -> int:
@@ -300,28 +326,29 @@ def _contract(outer: Mapping[int, int | Fraction],
     return out
 
 
-def _defects_unless_certified(ring: RingStructure, action: ProductMap,
-                              den: int, certify: bool) -> Iterator[Defect]:
-    """The associativity defects of ``action`` over ``ring``, unless a
-    generator certificate shows there are none.
+def _defects_unless_certified(ring: RingStructure,
+                              acting: RingStructure | ModulePair,
+                              certify: bool) -> Iterator[Defect]:
+    """The associativity defects of the action of ``acting`` (the ring
+    itself or a pair over it) over ``ring``, unless a generator
+    certificate shows there are none.
 
     With ``certify`` (the caller has found its preconditions clean), the
     defects with a generator of ``ring`` as middle index are looked for
     first; when there are none, nothing is yielded.  That search runs on
-    both maps scaled to ints by one common denominator (``den`` is the
-    action's, see :func:`integral_maps`), which scales every defect by
-    its square and so finds one exactly where the maps as given have
-    one.  Otherwise this is :func:`associativity_defects` in full, on
+    both maps scaled to ints by one common denominator
+    (:func:`scaled_action`), which scales every defect by its square and
+    so finds one exactly where the maps as given have one.  Otherwise this is :func:`associativity_defects` in full, on
     the maps as given, so a failing report lists every defect in index
     order and with its own values.
     """
-    products = ring._products
     if certify:
-        scaled = integral_maps(lcm(ring._den, den), products, action)
-        if next(associativity_defects(*scaled, generators(ring)),
-                None) is None:
+        den = lcm(ring._den, acting._den)
+        if next(associativity_defects(scaled_action(ring, den),
+                                      scaled_action(acting, den),
+                                      generators(ring)), None) is None:
             return iter(())
-    return associativity_defects(products, action)
+    return associativity_defects(ring._products, acting._action_products)
 
 
 def validate(ring: RingStructure,
@@ -371,8 +398,7 @@ def validate(ring: RingStructure,
                                f"{side} unit product gives {actual}, "
                                f"expected {expected}")
 
-    for indices, a, b in _defects_unless_certified(ring, ring._products,
-                                                   ring._den, report.ok):
+    for indices, a, b in _defects_unless_certified(ring, ring, report.ok):
         report.add("associativity", indices, f"{a} != {b}")
 
     if not allow_noncommutative:
@@ -429,7 +455,7 @@ def _pick_generators(ring: RingStructure) -> list[int]:
     Each distinct decomposable product is inserted once: the roughly
     ``n**2/2`` products of ``cp:n`` have only ``n - 1`` distinct
     coefficient maps, and a repeated row never adds a pivot.  The maps
-    are scaled to ints first (:func:`integral_maps`), which changes no
+    are scaled to ints first (:func:`scaled_action`), which changes no
     span.
     """
     deg = ring.basis.degrees
@@ -438,7 +464,7 @@ def _pick_generators(ring: RingStructure) -> list[int]:
                         key=lambda i: (deg[i], i))
     if any(deg[i] == 0 for i in candidates):
         return candidates
-    products, = integral_maps(ring._den, ring._products)
+    products = scaled_action(ring, ring._den)
     echelon = _Echelon()
     seen = set()
     for (i, j), coeffs in products.items():

@@ -342,6 +342,7 @@ LADDER_CASES = [
     (["validate", "cp:120"], _valid),
     (["validate", "cp:200"], _valid),
     (["diag", "cp:400"], _mu_is_pairing_inverse),
+    (["diag", "cp:200", "--mode", "graded"], _mu_is_pairing_inverse),
 ]
 LADDER_SECONDS = 10
 
@@ -357,7 +358,10 @@ def test_ladder_rings(invoke, argv, check):
     ``validate cp:200`` about 8 s, and ``diag cp:400`` more than 69 s.
     With generator certificates, which scan only the triples whose
     middle factor is the generator ``h``, they took 0.1 s, 0.1 s, 0.3 s
-    and 1.5 s.
+    and 1.5 s.  The graded ``diag cp:200`` solves chains
+    ``w[i, j+1] - w[i+1, j]``: 2.9-3.8 s when the kernel cleared each new
+    pivot from the earlier rows of its chain (1,373,900 eliminations),
+    0.3-0.6 s with rows inserted by decreasing lead (40,600).
     """
     start = time.perf_counter()
     code, out, err = invoke(*argv, "--output", "json")
@@ -426,16 +430,20 @@ LARGE_OUTPUTS = [
      "0a8c2ad79ba00c33102aeedc67d0f707d61edaab51bbc5c79bcb3bb17c4356c2"),
     ("kunneth cp:20 torus:3",
      "aaf534a1721ccd3284d518a6f2a11876efcbaa6d071a08e3ebc903935fce2459"),
+    ("diag cp:200 --mode graded --output json",
+     "944bb197c124583902185efb2d79693895f0096003878ab03fef0ee9ad175c03"),
+    ("solve cp:120 --output json",
+     "5a1811135b3045c6d320aff7a04f88b660b8b13ad77a54d24296d84fee332c41"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", LARGE_OUTPUTS,
                          ids=[c[0] for c in LARGE_OUTPUTS])
 def test_large_outputs_are_unchanged(invoke, args, digest):
-    """Outputs of 0.5-3 MB, byte for byte.
+    """Outputs of 0.5-23 MB, byte for byte.
 
-    In-process on a shared 2-vCPU Xeon VM with CPython 3.11.7, with the
-    standard library's indenting JSON encoder, each call took 0.13-0.40 s.
+    In-process on a shared 2-vCPU Xeon VM with CPython 3.11.7, each call
+    took 0.07-0.6 s.
     """
     code, out, err = invoke(*args.split())
     assert (code, err) == (0, "")

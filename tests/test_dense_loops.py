@@ -89,7 +89,7 @@ def dense_validate(ring, allow_noncommutative=False):
                                f"{side} unit product gives {actual}, "
                                f"expected {expected}")
     for indices, a, b in ring_module._defects_unless_certified(
-            ring, ring._products, ring._den, report.ok):
+            ring, ring, report.ok):
         report.add("associativity", indices, f"{a} != {b}")
     if not allow_noncommutative:
         for i in range(n):
@@ -129,7 +129,7 @@ def dense_validate_module(mp, allow_noncommutative=False):
                 report.add("unit-action", (j, k),
                            f"unit acts with {actual}, expected {expected}")
     for indices, a, b in ring_module._defects_unless_certified(
-            mp.ring, mp._action_products, mp._den, report.ok):
+            mp.ring, mp, report.ok):
         report.add("module-associativity", indices, f"{a} != {b}")
     return report
 

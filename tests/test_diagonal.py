@@ -189,8 +189,7 @@ class TestSymmetrySystem:
                 ring = resolve(name, mode).payload
                 if not isinstance(ring, RingStructure):
                     continue
-                rows, width = _symmetry_system(ring, ring.basis,
-                                               ring._products, ring._den)
+                rows, width = _symmetry_system(ring, ring.basis, ring)
                 expected = residual_system(
                     ring.size, ring.size, lambda mu: check_symmetry(
                         ring, tensor_class(ring, ring, mu)))

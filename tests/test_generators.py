@@ -29,8 +29,7 @@ from strategies import non_associative_ring, pairs, rings
 def system_rref(payload, probes=None):
     """The pivot rows and pivot columns of the system's reduced form."""
     if isinstance(payload, RingStructure):
-        rows, width = _symmetry_system(payload, payload.basis,
-                                       payload._products, payload._den,
+        rows, width = _symmetry_system(payload, payload.basis, payload,
                                        probes)
     else:
         rows, width = _relative_symmetry_system(payload, probes)

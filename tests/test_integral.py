@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from frobdiag import diagonal
 from frobdiag import ring as ring_module
 from frobdiag.boundary import (ModulePair, check_relative_symmetry,
-                               relative_class, validate_module)
+                               relative_class, relative_diagonal_class,
+                               validate_module)
 from frobdiag.catalog import catalog_names, resolve
 from frobdiag.diagonal import (SignMode, _symmetry_system, check_symmetry,
                                left_factor, right_factor, tensor_class,
@@ -127,6 +128,35 @@ class TestIntegralMaps:
         assert first[1, 1] == {2: 1}
 
 
+class TestScaledAction:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(rational_rings(), pairs(rational_rings())))
+    def test_each_map_is_scaled_once(self, payload):
+        # validation, the generator pick, the graded solve and the
+        # residual check all run on the scaled maps; each map is scaled
+        # the first time only, then read from the ring or pair
+        scaled = []
+
+        def counted(den, *maps):
+            scaled.extend(maps)
+            return integral_maps(den, *maps)
+
+        with mock.patch.object(ring_module, "integral_maps", counted):
+            if isinstance(payload, ModulePair):
+                validate_module(payload)
+                w = relative_diagonal_class(payload, SignMode.GRADED,
+                                            generators(payload.ring))
+                check_relative_symmetry(payload, w)
+            else:
+                validate(payload)
+                w = diagonal.diagonal_class(payload, SignMode.GRADED,
+                                            generators(payload))
+                check_symmetry(payload, w)
+        ring, action, _ = ring_and_action(payload)
+        assert len(scaled) == len({id(m) for m in scaled})
+        assert {id(m) for m in scaled} <= {id(ring._products), id(action)}
+
+
 class TestCertificate:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(any_ring, any_pair))
@@ -156,7 +186,7 @@ class TestCertificate:
             else validate
         assume(not any(v.axiom in CHEAP or v.axiom.startswith("nu-")
                        for v in check(payload)))
-        assert list(_defects_unless_certified(ring, action, den, True)) == \
+        assert list(_defects_unless_certified(ring, payload, True)) == \
             list(associativity_defects(ring._products, action))
 
 
@@ -256,8 +286,8 @@ class TestResiduals:
 
 def unscaled(function, *args):
     """``function(*args)`` with the constants left as given."""
-    with mock.patch.object(diagonal, "integral_maps",
-                           lambda den, *maps: maps):
+    with mock.patch.object(diagonal, "scaled_action",
+                           lambda acting, den: acting._action_products):
         return function(*args)
 
 
@@ -270,7 +300,7 @@ class TestSystem:
         ring, action, den = ring_and_action(payload)
         left = payload.module_basis if isinstance(payload, ModulePair) \
             else payload.basis
-        args = (ring, left, action, den)
+        args = (ring, left, payload)
         rows, width = _symmetry_system(*args)
         plain_rows, plain_width = unscaled(_symmetry_system, *args)
         common = lcm(ring._den, den)

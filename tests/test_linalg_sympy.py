@@ -14,7 +14,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobdiag.linalg import (Matrix, SingularMatrixError, _reduce, invert,
+from frobdiag.linalg import (Matrix, SingularMatrixError, _Echelon, _insert,
+                             _integral, _primitive, _reduce, invert,
                              nullspace, rank, rref, solve)
 
 # zero listed twice: two entries in three are zero, as in the symmetry systems
@@ -220,3 +221,58 @@ def test_kernel_rows_are_primitive_and_indexed(s):
             if c != p:
                 expected.setdefault(c, set()).add(p)
     assert {c: h for c, h in echelon.holders.items() if h} == expected
+
+
+def reduce_in_given_order(rows) -> _Echelon:
+    """Every row inserted in the order given, with no sort by lead."""
+    echelon = _Echelon()
+    for row in rows:
+        _insert(echelon, row)
+    return echelon
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_sparse(), st.data())
+def test_insertion_order_changes_no_pivot_row(s, data):
+    """``_reduce`` inserts by decreasing lead; the reduced row echelon
+    form is unique, so any order gives the same pivot rows and index."""
+    rows = data.draw(st.permutations(s._data))
+    echelon, reference = _reduce(rows), reduce_in_given_order(rows)
+    assert echelon.pivots == reference.pivots
+    assert {c: h for c, h in echelon.holders.items() if h} == \
+        {c: h for c, h in reference.holders.items() if h}
+
+
+def primitive_through_integral(row) -> dict:
+    """A row made primitive by scaling to integers first, whatever its
+    values."""
+    ints, _ = _integral(row)
+    g = gcd(*ints.values())
+    return {c: v // g for c, v in ints.items()} if g > 1 else ints
+
+
+int_values = st.integers(min_value=-60, max_value=60)
+integral_fractions = st.builds(Fraction, int_values)
+
+
+@st.composite
+def rows_to_make_primitive(draw):
+    """Rows of ints, of integral ``Fraction``s, or of both mixed with
+    proper fractions; zero values included."""
+    values = draw(st.sampled_from((
+        int_values, integral_fractions,
+        st.one_of(int_values, integral_fractions, mixed_values))))
+    return draw(st.dictionaries(st.integers(min_value=0, max_value=8),
+                                values, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_to_make_primitive())
+def test_primitive_equals_the_integral_path(row):
+    """The same primitive row, as ints, in a new dict, with ``row`` left
+    as it was."""
+    given_row = dict(row)
+    got = _primitive(row)
+    assert got == primitive_through_integral(given_row)
+    assert all(type(v) is int and v for v in got.values())
+    assert got is not row and row == given_row
