@@ -17,14 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .diagonal import (SignMode, SingularPairingError, SparseEquation,
-                       SymmetryReport, TensorClass, _normalized_solve,
+from .diagonal import (SignMode, SingularPairingError, SymmetryReport,
+                       TensorClass, _normalized_solve, _ProductIndex,
                        _symmetric_space, _symmetry_residuals,
                        _symmetry_system, class_in_span)
 # nullspace, solve and multiply stay imported: the benchmark's traced run
 # (perfbench/spans.py) wraps them in this module by name
-from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
-                     invert, nullspace, rank, solve)
+from .linalg import (Matrix, SparseRow, Vector,  # noqa: F401
+                     SingularMatrixError, invert, nullspace, rank, solve)
 from .ring import (GradedBasis, MissingTopClassError,  # noqa: F401
                    ProductMap, RingStructure, ValidationReport,
                    _defects_unless_certified, _top_entries, bilinear_product,
@@ -184,11 +184,12 @@ def relative_diagonal_class(mp: ModulePair,
     top = mp.module_basis.top_index
     if top is None:
         raise MissingTopClassError("module has no top basis index")
-    rows, _ = _relative_symmetry_system(mp, probes)
-    nr, unit = mp.ring.size, mp.ring.basis.unit_index
-    pins = [(top * nr + j, Fraction(int(j == unit))) for j in range(nr)]
-    return _normalized_solve(rows, pins, mp.module_basis, mp.ring.basis,
-                             "relative symmetry system")
+    unit = mp.ring.basis.unit_index
+    pins = [((top, j), int(j == unit)) for j in range(mp.ring.size)]
+    return _normalized_solve(
+        lambda degree, index: _relative_symmetry_system(mp, probes, degree,
+                                                       index),
+        mp.ring, mp.module_basis, mp, pins, "relative symmetry system")
 
 
 def check_relative_top_normalization(mp: ModulePair,
@@ -222,10 +223,15 @@ def check_relative_symmetry(mp: ModulePair, w: TensorClass,
 
 
 def _relative_symmetry_system(mp: ModulePair,
-                              probes: Sequence[int] | None = None
-                              ) -> tuple[list[SparseEquation], int]:
-    """The symmetry system of the pair, unknowns ``mu[i*nr + j]``."""
-    return _symmetry_system(mp.ring, mp.module_basis, mp, probes)
+                              probes: Sequence[int] | None = None,
+                              degree: int | None = None,
+                              index: _ProductIndex | None = None
+                              ) -> tuple[list[SparseRow], int]:
+    """The symmetry system of the pair, unknowns ``mu[i*nr + j]``, or its
+    block of total degree ``degree``
+    (:func:`frobdiag.diagonal._symmetry_system`)."""
+    return _symmetry_system(mp.ring, mp.module_basis, mp, probes, degree,
+                            index)
 
 
 def solve_relative_symmetric_space(mp: ModulePair,
@@ -235,8 +241,10 @@ def solve_relative_symmetric_space(mp: ModulePair,
 
     ``probes`` is passed to :func:`frobdiag.diagonal._symmetry_system`.
     """
-    return _symmetric_space(_relative_symmetry_system(mp, probes),
-                            mp.module_basis, mp.ring.basis)
+    return _symmetric_space(
+        lambda degree, index: _relative_symmetry_system(mp, probes, degree,
+                                                       index),
+        mp.ring, mp.module_basis, mp)
 
 
 # one span check serves both cases; the pair name is kept for callers

@@ -19,6 +19,13 @@ condition is the same under both: the factors that pass each other are
 ``b`` and ``1`` in ``(a(x)b).(1(x)x)`` and ``1`` and ``a`` in
 ``(x(x)1).(a(x)b)``, so a unit is always one of them and the sign is
 ``(-1)^(|b|.0) = +1``.  Its system and residuals take no convention.
+
+The symmetry system is built and reduced one block of total degree at a
+time, as fresh ``{column: int}`` rows that the elimination kernel reads
+as they are, and its solution and kernel classes are read off as sparse
+maps.  The split needs structure constants that respect degrees; a ring
+or pair that breaks grading is reduced as one block
+(:func:`_reduce_blocks` gives the argument).
 """
 
 from __future__ import annotations
@@ -27,13 +34,13 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-# rank stays imported: the benchmark's traced run (perfbench/spans.py)
-# wraps it in this module by name
-from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
-                     _insert, _integral, _reduce, invert, nullspace, rank,
-                     solve)
+# nullspace, rank and solve stay imported: the benchmark's traced run
+# (perfbench/spans.py) wraps them in this module by name
+from .linalg import (Matrix, SingularMatrixError, SparseRow,  # noqa: F401
+                     _Echelon, _insert, _integral, _kernel, _particular,
+                     _reduce, invert, nullspace, rank, solve)
 from .ring import (GradedBasis, MissingTopClassError, RingElement,
                    RingStructure, multiply, pairing_matrix, scaled_action,
                    unit_element)
@@ -42,8 +49,6 @@ if TYPE_CHECKING:
     from .boundary import ModulePair
 
 
-# one symmetry equation: its nonzero (column, coefficient) pairs, by column
-SparseEquation = tuple[tuple[int, int | Fraction], ...]
 # a class in a tensor square as its terms: (left, right) index -> coefficient
 TermMap = dict[tuple[int, int], int | Fraction]
 
@@ -96,17 +101,18 @@ class TensorClass:
     def is_zero(self) -> bool:
         return self.mu.is_zero()
 
-    def flatten(self) -> Vector:
-        return tuple(v for i in range(self.mu.rows) for v in self.mu.row(i))
 
-
-def unflatten(vec: Sequence[Fraction], left_basis: GradedBasis,
-              right_basis: GradedBasis) -> TensorClass:
-    """Inverse of :meth:`TensorClass.flatten`: ``vec[i*n_right + j]``."""
+def _sparse_class(entries: Mapping[int, Fraction], left_basis: GradedBasis,
+                  right_basis: GradedBasis) -> TensorClass:
+    """The class whose coefficient at flat index ``i*n_right + j`` is
+    ``entries.get(i*n_right + j, 0)``."""
     n = right_basis.size
-    return TensorClass(Matrix.sparse([enumerate(vec[i * n:(i + 1) * n])
-                                      for i in range(left_basis.size)], n),
-                       left_basis, right_basis)
+    rows: list[list[tuple[int, Fraction]]] = [[] for _ in
+                                              range(left_basis.size)]
+    for c, v in entries.items():
+        i, j = divmod(c, n)
+        rows[i].append((j, v))
+    return TensorClass(Matrix.sparse(rows, n), left_basis, right_basis)
 
 
 def tensor_class(ring_left: RingStructure, ring_right: RingStructure,
@@ -210,40 +216,38 @@ def diagonal_class(ring: RingStructure,
     if mode is SignMode.LITERAL:
         return tensor_class(ring, ring, pairing_inverse(ring))
 
-    n, unit, top = ring.size, ring.basis.unit_index, ring.basis.top_index
+    unit, top = ring.basis.unit_index, ring.basis.top_index
     if top is None:
         raise MissingTopClassError("ring has no top basis index")
-    rows, _ = _symmetry_system(ring, ring.basis, ring, probes)
-    pins = [(index, Fraction(int(j == unit)))
-            for j in range(n) for index in (top * n + j, j * n + top)]
-    return _normalized_solve(rows, pins, ring.basis, ring.basis,
-                            "symmetry system")
+    pins = [(slot, int(j == unit))
+            for j in range(ring.size) for slot in ((top, j), (j, top))]
+    return _normalized_solve(
+        lambda degree, index: _symmetry_system(
+            ring, ring.basis, ring, probes, degree, index),
+        ring, ring.basis, ring, pins, "symmetry system")
 
 
-def _normalized_solve(rows: list[SparseEquation],
-                     pins: Sequence[tuple[int, Fraction]],
-                     left_basis: GradedBasis, right_basis: GradedBasis,
-                     noun: str) -> TensorClass:
+def _normalized_solve(build: SystemBuilder, ring: RingStructure,
+                      module_basis: GradedBasis,
+                      acting: RingStructure | ModulePair,
+                      pins: Sequence[tuple[tuple[int, int], int]],
+                      noun: str) -> TensorClass:
     """The unique solution of a symmetry system with some entries pinned.
 
-    ``rows`` is a system from :func:`_symmetry_system` (extended in place);
-    ``pins`` lists ``(flat index, value)`` pairs fixing entries of ``mu``.
-    ``noun`` names the system in the error messages.
+    The system is reduced by :func:`_reduce_blocks` with ``pins``, a list
+    of ``((i, j), value)`` pairs fixing ``mu[i, j]``; the solution is
+    read off the pivot rows' right-hand sides.  ``noun`` names the
+    system in the error messages.
     """
-    rhs = [Fraction(0)] * len(rows)
-    for index, value in pins:
-        rows.append(((index, Fraction(1)),))
-        rhs.append(value)
-    result = solve(Matrix.sparse(rows, left_basis.size * right_basis.size),
-                   rhs)
-    if result is None:
+    echelon, width = _reduce_blocks(build, ring, module_basis, acting, pins)
+    if width in echelon.pivots:
         raise NoSolutionError(f"normalized {noun} is inconsistent")
-    particular, kernel = result
-    if kernel:
+    if len(echelon.pivots) < width:
         raise NonUniqueSolutionError(
-            f"normalized {noun} has a {len(kernel)}-dimensional solution "
-            "family")
-    return unflatten(particular, left_basis, right_basis)
+            f"normalized {noun} has a {width - len(echelon.pivots)}"
+            "-dimensional solution family")
+    return _sparse_class(_particular(echelon, width), module_basis,
+                         ring.basis)
 
 
 def check_top_normalization(ring: RingStructure, w: TensorClass) -> bool:
@@ -366,28 +370,67 @@ def _symmetry_residuals(ring: RingStructure,
     return SymmetryReport([e for k in range(ring.size) for e in residual(k)])
 
 
+class _ProductIndex(NamedTuple):
+    """The two product maps of a symmetry system, scaled to ints and keyed
+    by the probe ``k``, and the ring slots by degree."""
+
+    # (k, s) -> [(j, c)]: y_j.y_k has c y_s
+    right: dict[tuple[int, int], list[tuple[int, int]]]
+    # (k, i) -> [(l, c)]: y_k ^ x_l has c x_i
+    left: dict[tuple[int, int], list[tuple[int, int]]]
+    # degree -> the ring basis indices of that degree
+    slots: dict[int, list[int]]
+
+
+def _product_index(ring: RingStructure,
+                   acting: RingStructure | ModulePair) -> _ProductIndex:
+    """The :class:`_ProductIndex` of the ring's product and ``acting``'s
+    action, both scaled by one common denominator ``D``
+    (:func:`frobdiag.ring.scaled_action`); one pass over their terms."""
+    scale = lcm(ring._den, acting._den)
+    right: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (j, k), coeffs in scaled_action(ring, scale).items():
+        for s, c in coeffs.items():
+            right.setdefault((k, s), []).append((j, c))
+    left: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (k, l), coeffs in scaled_action(acting, scale).items():
+        for i, c in coeffs.items():
+            left.setdefault((k, i), []).append((l, c))
+    slots: dict[int, list[int]] = {}
+    for s, d in enumerate(ring.basis.degrees):
+        slots.setdefault(d, []).append(s)
+    return _ProductIndex(right, left, slots)
+
+
 def _symmetry_system(ring: RingStructure, module_basis: GradedBasis,
                      acting: RingStructure | ModulePair,
-                     probes: Sequence[int] | None = None
-                     ) -> tuple[list[SparseEquation], int]:
+                     probes: Sequence[int] | None = None,
+                     degree: int | None = None,
+                     index: _ProductIndex | None = None
+                     ) -> tuple[list[SparseRow], int]:
     """Sparse linear system in the flattened unknowns ``mu[i*nr + j]``.
 
     The unknowns are the coefficients of a class in module (x) ring, where
     ``acting`` is the pair whose action map expands ``y_k ^ x_l`` over
     the module basis; a closed ring passes its own basis and itself.  One
-    equation per (probe k, module slot i, ring slot s), in that order:
-    the coefficient of ``x_i (x) y_s`` in ``w.(1(x)y_k) - (y_k(x)1).w``
-    must vanish.  No sign enters, under either convention: in each
-    product a unit is one of the two factors that pass each other.  Each
-    equation is its nonzero ``(column, value)`` pairs sorted by column;
-    equations that vanish identically are left out.  Returns the
-    equations and the number of unknowns.  Rows are assembled straight
-    from the two product maps, independently of :func:`tensor_multiply`.
-    The maps are first scaled to ints by one common denominator ``D``
+    equation per (probe k, module slot i, ring slot s): the coefficient
+    of ``x_i (x) y_s`` in ``w.(1(x)y_k) - (y_k(x)1).w`` must vanish.  No
+    sign enters, under either convention: in each product a unit is one
+    of the two factors that pass each other.  Each equation is a fresh
+    ``{column: value}`` map of its nonzero values; equations that vanish
+    identically are left out.  Returns the equations and the number of
+    unknowns.  Rows are assembled straight from the two product maps,
+    independently of :func:`tensor_multiply`.  The maps are first scaled
+    to ints by one common denominator ``D``
     (:func:`frobdiag.ring.scaled_action`), so every value is an int and
     every equation is ``D`` times the one over the maps as given: the
     system is homogeneous, so its solutions and its reduced row echelon
     form are the same.
+
+    ``degree``, when given, keeps only the equations with ``|x_i| + |y_s|
+    - |y_k| == degree``: the block of that degree (:func:`_reduce_blocks`).
+    ``index`` is :func:`_product_index` of ``ring`` and ``acting``, for a
+    caller that builds several blocks; without it the call makes its own.
 
     ``probes`` lists the ring basis indices ``k`` to take equations for;
     ``None`` takes every one.  A generating set of the ring is enough when
@@ -402,36 +445,103 @@ def _symmetry_system(ring: RingStructure, module_basis: GradedBasis,
     list only for a ring or pair that has passed validation.
     """
     nm, nr = module_basis.size, ring.size
-    scale = lcm(ring._den, acting._den)
-    ring_products = scaled_action(ring, scale)
-    action_products = scaled_action(acting, scale)
-    # w.(1(x)y_k): mu[i,j] times y_j.y_k -> y_s
-    right: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (j, k), coeffs in ring_products.items():
-        for s, c in coeffs.items():
-            right.setdefault((k, s), []).append((j, c))
-    # (y_k(x)1).w: mu[l,s] times y_k ^ x_l -> x_i
-    left: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (k, l), coeffs in action_products.items():
-        for i, c in coeffs.items():
-            left.setdefault((k, i), []).append((l, c))
-    rows: list[SparseEquation] = []
+    ring_deg, module_deg = ring.basis.degrees, module_basis.degrees
+    right, left, slots = _product_index(ring, acting) if index is None \
+        else index
+    every = range(nr)
+    rows: list[SparseRow] = []
     for k in range(nr) if probes is None else probes:
         for i in range(nm):
-            acting = left.get((k, i), ())
-            for s in range(nr):
+            acted = left.get((k, i), ())
+            for s in every if degree is None else slots.get(
+                    degree + ring_deg[k] - module_deg[i], ()):
                 products = right.get((k, s), ())
-                if not products and not acting:
+                if not products and not acted:
                     continue
                 row = {i * nr + j: c for j, c in products}
-                for l, c in acting:
+                for l, c in acted:
                     column = l * nr + s
-                    row[column] = row.get(column, 0) - c
-                equation = tuple(sorted((column, v)
-                                        for column, v in row.items() if v))
-                if equation:
-                    rows.append(equation)
+                    value = row.get(column, 0) - c
+                    if value:
+                        row[column] = value
+                    else:
+                        del row[column]
+                if row:
+                    rows.append(row)
     return rows, nm * nr
+
+
+# builds the block of one total degree of a symmetry system (the whole
+# system for None) from a shared _ProductIndex: _symmetry_system with its
+# other arguments bound
+SystemBuilder = Callable[[int | None, _ProductIndex],
+                         tuple[list[SparseRow], int]]
+
+
+def _blocks(ring: RingStructure, module_basis: GradedBasis,
+            acting: RingStructure | ModulePair) -> list[int | None]:
+    """The blocks that :func:`_reduce_blocks` reduces one at a time.
+
+    If every term of the ring's product and of ``acting``'s action lands
+    in the sum of its factors' degrees, these are the total degrees of
+    the unknowns, in increasing order; otherwise ``[None]``, the whole
+    system as one block.  One pass over the terms decides it (a closed
+    ring, acting on itself, has one map).
+    """
+    ring_deg, module_deg = ring.basis.degrees, module_basis.degrees
+    maps = [(ring._products, ring_deg)]
+    if acting is not ring:
+        maps.append((acting._action_products, module_deg))
+    if all(deg[c] == ring_deg[a] + deg[b] for products, deg in maps
+           for (a, b), coeffs in products.items() for c in coeffs):
+        return sorted({a + b for a in set(module_deg) for b in set(ring_deg)})
+    return [None]
+
+
+def _reduce_blocks(build: SystemBuilder, ring: RingStructure,
+                   module_basis: GradedBasis,
+                   acting: RingStructure | ModulePair,
+                   pins: Sequence[tuple[tuple[int, int], int]] = ()
+                   ) -> tuple[_Echelon, int]:
+    """The reduced row echelon form of a symmetry system, built one block
+    of total degree at a time, and its number of unknowns.
+
+    ``build(degree, index)`` gives the block of ``degree`` (``None``: the
+    whole system) of :func:`_symmetry_system` for ``ring``,
+    ``module_basis`` and ``acting``; ``index`` is their
+    :func:`_product_index`, made once for every block.  ``pins`` lists
+    ``((i, j), value)`` pairs; each adds the row ``mu[i, j] = value``,
+    with ``value`` in the right-hand-side column numbered after the
+    unknowns, to the block of ``mu[i, j]``.
+
+    When the ring's product and the action respect degrees, equation
+    ``(k, i, s)`` touches ``mu[i, j]`` with ``|y_j| + |y_k| = |y_s|`` and
+    ``mu[l, s]`` with ``|y_k| + |x_l| = |x_i|``: every one of its
+    unknowns has total degree ``|x_i| + |y_s| - |y_k|``, one of the
+    degrees :func:`_blocks` lists.  So the blocks share no unknown, and
+    their rows go into one echelon block after block: no pivot row of
+    one block holds a column of another, so each block is reduced as if
+    alone, by decreasing lead with nothing cleared upward, and only one
+    block's rows are held at a time.  The reduced row echelon form is
+    unique, so the result is that of the whole system.  When a term
+    breaks the grading (a ring or pair that was not validated), an
+    equation may lie in no listed block, and :func:`_blocks` makes the
+    whole system one block.
+    """
+    width = module_basis.size * ring.size
+    ring_deg, module_deg = ring.basis.degrees, module_basis.degrees
+    index = _product_index(ring, acting)
+    echelon = _Echelon()
+    for degree in _blocks(ring, module_basis, acting):
+        rows, _ = build(degree, index)
+        for (i, j), value in pins:
+            if degree is None or module_deg[i] + ring_deg[j] == degree:
+                column = i * ring.size + j
+                rows.append({column: 1, width: value} if value
+                            else {column: 1})
+        _reduce(rows, echelon)
+        del rows  # so the next block is built without this one's rows
+    return echelon, width
 
 
 def solve_symmetric_space(ring: RingStructure,
@@ -445,18 +555,21 @@ def solve_symmetric_space(ring: RingStructure,
     compared.  ``probes`` is passed to :func:`_symmetry_system`.
     """
     return _symmetric_space(
-        _symmetry_system(ring, ring.basis, ring, probes),
-        ring.basis, ring.basis)
+        lambda degree, index: _symmetry_system(
+            ring, ring.basis, ring, probes, degree, index),
+        ring, ring.basis, ring)
 
 
-def _symmetric_space(system: tuple[list[SparseEquation], int],
-                     left_basis: GradedBasis,
-                     right_basis: GradedBasis) -> list[TensorClass]:
-    """The kernel of a :func:`_symmetry_system` as classes, in the
-    echelon-normalized order of :func:`frobdiag.linalg.nullspace`."""
-    rows, width = system
-    return [unflatten(vec, left_basis, right_basis)
-            for vec in nullspace(Matrix.sparse(rows, width))]
+def _symmetric_space(build: SystemBuilder, ring: RingStructure,
+                     module_basis: GradedBasis,
+                     acting: RingStructure | ModulePair
+                     ) -> list[TensorClass]:
+    """The kernel of a symmetry system (:func:`_reduce_blocks`) as
+    classes, in the echelon-normalized order of
+    :func:`frobdiag.linalg.nullspace`."""
+    echelon, width = _reduce_blocks(build, ring, module_basis, acting)
+    return [_sparse_class(v, module_basis, ring.basis)
+            for v in _kernel(echelon, width)]
 
 
 def class_in_span(space: Sequence[TensorClass], w: TensorClass) -> bool:

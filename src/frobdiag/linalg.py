@@ -43,10 +43,19 @@ only on the way out, into ``Fraction`` entries.  A column index
 the rows that hold its column, instead of from every pivot row.
 
 A :class:`Matrix` stores only the nonzero entries of each row, as a
-``{column: value}`` map, so the kernel reads its rows as they are, and a
-system built from its nonzero ``(column, value)`` pairs with
-:meth:`Matrix.sparse` never passes through a dense one.  Results are
-built the same way, from the nonzero entries of the pivot rows.
+``{column: value}`` map, so the kernel reads its rows as they are; so it
+does the ``{column: int}`` rows that :mod:`frobdiag.diagonal` builds for
+its symmetry systems, which never become a :class:`Matrix`.  Results are
+built the same way, from the nonzero entries of the pivot rows: kernel
+vectors and particular solutions come off a reduction as sparse
+``{column: Fraction}`` maps, and only the public :func:`nullspace` and
+:func:`solve` make them dense tuples, at their edge.
+
+A reduction can go on in an echelon that holds pivots already: a
+block-diagonal system, such as a symmetry system split by total degree,
+goes in one block at a time, each block's rows by decreasing lead.  No
+pivot row of one block holds a column of another, so each block is
+reduced as if alone, and the result is the reduced form of the whole.
 """
 
 from __future__ import annotations
@@ -237,9 +246,11 @@ class _Echelon:
         self.holders: dict[int, set[int]] = {}
 
 
-def _reduce(rows: Iterable[Mapping[int, int | Fraction]]) -> _Echelon:
-    """Insert the nonempty rows of ``rows`` into an empty
-    :class:`_Echelon`, by decreasing leading column (stably).
+def _reduce(rows: Iterable[Mapping[int, int | Fraction]],
+            echelon: _Echelon | None = None) -> _Echelon:
+    """Insert the nonempty rows of ``rows`` into ``echelon`` (by default a
+    new, empty :class:`_Echelon`), by decreasing leading column (stably),
+    and return it.
 
     A pivot row holds nothing left of its lead, so a new lead left of
     every existing one is held by no pivot row and :func:`_insert` has
@@ -247,7 +258,8 @@ def _reduce(rows: Iterable[Mapping[int, int | Fraction]]) -> _Echelon:
     land among the existing leads.  The order changes no result: the
     reduced row echelon form of the row space is unique.
     """
-    echelon = _Echelon()
+    if echelon is None:
+        echelon = _Echelon()
     for row in sorted(filter(None, rows), key=min, reverse=True):
         _insert(echelon, row)
     return echelon
@@ -318,20 +330,41 @@ def _eliminate(row: SparseRow, c: int, pivot_row: SparseRow) -> None:
             row[k] //= g
 
 
-def _kernel(echelon: _Echelon, n_cols: int) -> list[Vector]:
-    """Echelon-normalized basis of the kernel, read off a reduction."""
-    pivots = echelon.pivots
+def _kernel(echelon: _Echelon, n_cols: int) -> list[dict[int, Fraction]]:
+    """Echelon-normalized basis of the kernel, read off a reduction.
+
+    Each free column ``f`` below ``n_cols`` gives one vector, as its
+    nonzero entries: 1 at ``f``, 0 at every other free column, and
+    ``-row[f]/row[p]`` at each pivot ``p`` whose row holds ``f``.  The
+    vectors come in increasing order of their free columns.
+    """
+    pivots, holders = echelon.pivots, echelon.holders
     basis = []
     for f in range(n_cols):
         if f in pivots:
             continue
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
-        for p in echelon.holders.get(f, ()):
+        v = {f: Fraction(1)}
+        for p in holders.get(f, ()):
             row = pivots[p]
             v[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(v))
+        basis.append(v)
     return basis
+
+
+def _particular(echelon: _Echelon, n_cols: int) -> dict[int, Fraction]:
+    """The solution with every free variable 0, as its nonzero entries,
+    of a reduction whose column ``n_cols`` is the right-hand side; the
+    caller checks first that ``n_cols`` is not a pivot."""
+    pivots = echelon.pivots
+    return {p: Fraction(pivots[p][n_cols], pivots[p][p])
+            for p in echelon.holders.get(n_cols, ())}
+
+
+def _dense(entries: Mapping[int, Fraction], n: int) -> Vector:
+    out = [Fraction(0)] * n
+    for c, v in entries.items():
+        out[c] = v
+    return tuple(out)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -373,7 +406,8 @@ def nullspace(m: Matrix) -> list[Vector]:
     0 at every other free column, listed in increasing column order.  The
     basis is therefore canonical: equal spaces give equal output.
     """
-    return _kernel(_reduce(m._data), m.cols)
+    n = m.cols
+    return [_dense(v, n) for v in _kernel(_reduce(m._data), n)]
 
 
 def solve(m: Matrix, b: Sequence[Fraction]
@@ -391,11 +425,7 @@ def solve(m: Matrix, b: Sequence[Fraction]
     n_cols = m.cols
     echelon = _reduce({**row, n_cols: value} if value else row
                       for row, value in zip(m._data, map(frac, b)))
-    pivots = echelon.pivots
-    if n_cols in pivots:
+    if n_cols in echelon.pivots:
         return None  # a pivot in the augmented column: 0 = 1
-    x = [Fraction(0)] * n_cols
-    for p in echelon.holders.get(n_cols, ()):
-        row = pivots[p]
-        x[p] = Fraction(row[n_cols], row[p])
-    return tuple(x), _kernel(echelon, n_cols)
+    return (_dense(_particular(echelon, n_cols), n_cols),
+            [_dense(v, n_cols) for v in _kernel(echelon, n_cols)])

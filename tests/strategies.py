@@ -18,10 +18,11 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from frobdiag.boundary import ModulePair
+from frobdiag.boundary import ModulePair, _relative_symmetry_system
 from frobdiag.catalog import (catalog_names, closed_as_pair, cylinder_pair,
                               resolve)
-from frobdiag.diagonal import SignMode
+from frobdiag.diagonal import (SignMode, TensorClass, _blocks,
+                               _symmetry_system)
 from frobdiag.linalg import Matrix
 from frobdiag.ring import GradedBasis, RingStructure, change_basis
 
@@ -35,6 +36,48 @@ def apply(m: Matrix, v) -> tuple[Fraction, ...]:
     for (i, j), x in m.terms():
         out[i] += x * v[j]
     return tuple(out)
+
+
+def flatten(w: TensorClass) -> tuple[Fraction, ...]:
+    """The coefficients of ``w`` in row-major order: ``mu[i, j]`` at flat
+    index ``i*n_right + j``."""
+    return tuple(v for i in range(w.mu.rows) for v in w.mu.row(i))
+
+
+def unflatten(vec, left_basis: GradedBasis,
+              right_basis: GradedBasis) -> TensorClass:
+    """Inverse of :func:`flatten`: ``mu[i, j]`` is ``vec[i*n_right + j]``."""
+    n = right_basis.size
+    return TensorClass(Matrix.sparse([enumerate(vec[i * n:(i + 1) * n])
+                                      for i in range(left_basis.size)], n),
+                       left_basis, right_basis)
+
+
+def system_of(payload, probes=None) -> tuple:
+    """``(build, ring, module_basis, acting)`` for the symmetry system of a
+    ring or a pair, as its solvers pass them to
+    ``diagonal._reduce_blocks``: ``build(degree)`` is the block of that
+    total degree, or the whole system for ``None``, and takes the shared
+    product index as an optional second argument."""
+    if isinstance(payload, ModulePair):
+        return (lambda degree, index=None: _relative_symmetry_system(
+                    payload, probes, degree, index),
+                payload.ring, payload.module_basis, payload)
+    return (lambda degree, index=None: _symmetry_system(
+                payload, payload.basis, payload, probes, degree, index),
+            payload, payload.basis, payload)
+
+
+def block_rows(payload, probes=None) -> tuple[list[tuple], int]:
+    """The rows of the symmetry system of a ring or a pair, built block by
+    block as its solvers build them, each as its nonzero ``(column,
+    value)`` pairs sorted by column; and the number of unknowns."""
+    build, *args = system_of(payload, probes)
+    rows, width = [], None
+    for degree in _blocks(*args):
+        block, width = build(degree)
+        rows += [tuple(sorted(row.items())) for row in block]
+    return rows, width
 
 
 RING_NAMES = [name for name in catalog_names()

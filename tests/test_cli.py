@@ -420,7 +420,9 @@ def test_ladder_rational_ring(invoke, rational_cp, argv):
 
 
 # sha256 of the stdout of large outputs, written before the JSON writer,
-# the matrix formatter and the tensor parser were rewritten for speed
+# the matrix formatter and the tensor parser were rewritten for speed; the
+# torus:6 and product pins (odd degrees, graded route) were written before
+# the symmetry systems were split by total degree
 LARGE_OUTPUTS = [
     ("solve cp:60 --output json",
      "8d26bb7357f4f52eb546769dfc6fc10e4f69be2523d034803aae77239d778639"),
@@ -434,13 +436,21 @@ LARGE_OUTPUTS = [
      "944bb197c124583902185efb2d79693895f0096003878ab03fef0ee9ad175c03"),
     ("solve cp:120 --output json",
      "5a1811135b3045c6d320aff7a04f88b660b8b13ad77a54d24296d84fee332c41"),
+    ("diag torus:6 --mode graded --output json",
+     "3d343e1f2c4f623538e64237e6aa7f29042c588faf26582b3662f64e7e129a53"),
+    ("solve torus:6 --output json",
+     "dea3803d9b538b026eec02a4c8464a1a7ac9baa8112e465720024286d67813f1"),
+    ("pair cylinder:torus:6 --mode graded --output json",
+     "ea9e2006ca16b97541e5913a1ff4e39226f3bcb9eb5a1a2370efcfa5f01fdc1b"),
+    ("diag product:cp:6,torus:3 --mode graded --output json",
+     "0b617b3962e201f850c4fe42c44f6bb06810e695bae050f77cdb5556edbe0849"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", LARGE_OUTPUTS,
                          ids=[c[0] for c in LARGE_OUTPUTS])
 def test_large_outputs_are_unchanged(invoke, args, digest):
-    """Outputs of 0.5-23 MB, byte for byte.
+    """Outputs of 0.08-23 MB, byte for byte.
 
     In-process on a shared 2-vCPU Xeon VM with CPython 3.11.7, each call
     took 0.07-0.6 s.

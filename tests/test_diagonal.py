@@ -7,21 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobdiag import diagonal
+from frobdiag.boundary import ModulePair
 from frobdiag.catalog import (catalog_names, complex_projective, point,
                               product, resolve, sphere, torus)
 from frobdiag.diagonal import (NonUniqueSolutionError, SignMode,
-                               SingularPairingError, _symmetry_system,
-                               check_symmetry,
+                               SingularPairingError, check_symmetry,
                                check_top_normalization, class_in_span,
                                diagonal_class, koszul_sign, kunneth_product,
                                left_factor,
                                pairing_inverse, pure_tensor, right_factor,
                                solve_symmetric_space, symmetric_family,
                                tensor_class, tensor_multiply)
-from frobdiag.linalg import Matrix, rank
+from frobdiag.linalg import Matrix, _reduce, rank
 from frobdiag.ring import (MissingTopClassError, RingStructure,
                            basis_element, multiply, unit_element, validate)
-from strategies import ODD_RING_NAMES, elements, matrices, modes, rings
+from strategies import (ODD_RING_NAMES, block_rows, elements, flatten,
+                        matrices, modes, pairs, rings, system_of)
 
 EVEN_RINGS = {
     "sphere:2": sphere(2),
@@ -189,12 +190,73 @@ class TestSymmetrySystem:
                 ring = resolve(name, mode).payload
                 if not isinstance(ring, RingStructure):
                     continue
-                rows, width = _symmetry_system(ring, ring.basis, ring)
+                rows, width = block_rows(ring)
                 expected = residual_system(
                     ring.size, ring.size, lambda mu: check_symmetry(
                         ring, tensor_class(ring, ring, mu)))
                 assert width == ring.size ** 2, (name, mode)
-                assert rows == expected, (name, mode)
+                # blocks do not keep the (probe, left, right) order
+                assert sorted(rows) == sorted(expected), (name, mode)
+
+
+def normalization_pins(payload) -> list:
+    """The pins of the graded solvers: the top row (and, for a ring, the
+    top column) of ``mu`` is the unit indicator."""
+    closed = not isinstance(payload, ModulePair)
+    ring = payload if closed else payload.ring
+    top = (payload.basis if closed else payload.module_basis).top_index
+    unit = ring.basis.unit_index
+    return [(slot, int(j == unit)) for j in range(ring.size)
+            for slot in ([(top, j), (j, top)] if closed else [(top, j)])]
+
+
+def echelon_of(echelon) -> tuple:
+    """Pivot rows and column index; a column whose holders have all been
+    cleared may be left with an empty set, which holds nothing."""
+    return echelon.pivots, {c: held for c, held in echelon.holders.items()
+                            if held}
+
+
+def whole_echelon(payload, pins=()):
+    """One ``_reduce`` of the whole system and the pin rows, the
+    right-hand side in the column after the unknowns."""
+    build, ring, _, _ = system_of(payload)
+    rows, width = build(None)
+    for (i, j), value in pins:
+        row = {i * ring.size + j: 1}
+        if value:
+            row[width] = value
+        rows.append(row)
+    return _reduce(rows)
+
+
+class TestDegreeBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_blocked_reduction_is_the_whole_one(self, data):
+        payload = data.draw(st.one_of(rings(), pairs()))
+        pins = normalization_pins(payload) if data.draw(st.booleans()) \
+            else []
+        build, *args = system_of(payload)
+        assert diagonal._blocks(*args) != [None]
+        blocked, width = diagonal._reduce_blocks(build, *args, pins)
+        assert width == build(None)[1]
+        assert echelon_of(blocked) == echelon_of(whole_echelon(payload, pins))
+
+    def test_grading_violation_takes_one_block(self, monkeypatch):
+        # cp:2 with h^2.h^2 = 1, which lands in degree 0, not 8: equation
+        # (k, i, s) = (h^2, 1, 1) then reads mu[1, h^2] - mu[h^2, 1] = 0,
+        # of total degree 0 + 0 - 4, in no block of the degrees 0 to 8
+        base = complex_projective(2)
+        ring = RingStructure(base.basis, {**base.tensor, (2, 2, 0): 1})
+        assert [v.axiom for v in validate(ring)][0] == "grading"
+        build, *args = system_of(ring)
+        assert diagonal._blocks(*args) == [None]
+        whole = echelon_of(whole_echelon(ring))
+        assert echelon_of(diagonal._reduce_blocks(build, *args)[0]) == whole
+        # split by degree anyway, that equation is lost
+        monkeypatch.setattr(diagonal, "_blocks", lambda *_: [0, 2, 4, 6, 8])
+        assert echelon_of(diagonal._reduce_blocks(build, *args)[0]) != whole
 
 
 class TestSolveSymmetricSpace:
@@ -203,9 +265,9 @@ class TestSolveSymmetricSpace:
         space = solve_symmetric_space(ring)
         assert len(space) == 2
         expected = [Matrix([[0, 1], [1, 0]]), Matrix([[0, 0], [0, 1]])]
-        got_rank = rank(Matrix.from_rows([s.flatten() for s in space]))
-        both = [s.flatten() for s in space] + [
-            tensor_class(ring, ring, m).flatten() for m in expected]
+        got_rank = rank(Matrix.from_rows([flatten(s) for s in space]))
+        both = [flatten(s) for s in space] + [
+            flatten(tensor_class(ring, ring, m)) for m in expected]
         assert rank(Matrix.from_rows(both)) == got_rank == 2
         for s in space:
             assert check_symmetry(ring, s).ok
@@ -224,7 +286,7 @@ class TestSolveSymmetricSpace:
                                   right_factor(ring, ring,
                                                basis_element(ring, k)))
                   for k in range(ring.size)]
-        fam_rank = rank(Matrix.from_rows([f.flatten() for f in family]))
+        fam_rank = rank(Matrix.from_rows([flatten(f) for f in family]))
         assert fam_rank == len(space)
         for f in family:
             assert class_in_span(space, f)

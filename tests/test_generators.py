@@ -11,28 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobdiag.boundary import (_relative_symmetry_system,
-                               relative_class_in_span,
+from frobdiag.boundary import (relative_class_in_span,
                                relative_diagonal_class,
                                solve_relative_symmetric_space)
 from frobdiag.catalog import catalog_names, resolve
-from frobdiag.diagonal import (SignMode, _symmetry_system, class_in_span,
-                               diagonal_class, pairing_inverse,
-                               solve_symmetric_space)
+from frobdiag.diagonal import (SignMode, class_in_span, diagonal_class,
+                               pairing_inverse, solve_symmetric_space)
 from frobdiag.document import emit_document
 from frobdiag.linalg import Matrix, rank, rref
 from frobdiag.ring import (GradedBasis, RingStructure, basis_element,
                            generators, multiply, unit_element, validate)
-from strategies import non_associative_ring, pairs, rings
+from strategies import block_rows, non_associative_ring, pairs, rings
 
 
 def system_rref(payload, probes=None):
     """The pivot rows and pivot columns of the system's reduced form."""
-    if isinstance(payload, RingStructure):
-        rows, width = _symmetry_system(payload, payload.basis, payload,
-                                       probes)
-    else:
-        rows, width = _relative_symmetry_system(payload, probes)
+    rows, width = block_rows(payload, probes)
     reduced, pivots = rref(Matrix.sparse(rows, width))
     # rref pads with zero rows up to the row count, which differs
     return [reduced.row(i) for i in range(len(pivots))], pivots

@@ -23,9 +23,9 @@ from frobdiag.boundary import (ModulePair, check_relative_symmetry,
                                relative_class, relative_diagonal_class,
                                validate_module)
 from frobdiag.catalog import catalog_names, resolve
-from frobdiag.diagonal import (SignMode, _symmetry_system, check_symmetry,
-                               left_factor, right_factor, tensor_class,
-                               tensor_multiply)
+from frobdiag.diagonal import (SignMode, _blocks, _symmetry_system,
+                               check_symmetry, left_factor, right_factor,
+                               tensor_class, tensor_multiply)
 from frobdiag.linalg import Matrix, nullspace
 from frobdiag.ring import (RingStructure, _defects_unless_certified,
                            _Echelon, _insert, associativity_defects,
@@ -301,15 +301,20 @@ class TestSystem:
         left = payload.module_basis if isinstance(payload, ModulePair) \
             else payload.basis
         args = (ring, left, payload)
-        rows, width = _symmetry_system(*args)
-        plain_rows, plain_width = unscaled(_symmetry_system, *args)
         common = lcm(ring._den, den)
-        assert width == plain_width
-        assert rows == [tuple((c, common * v) for c, v in row)
-                        for row in plain_rows]
-        assert all(type(v) is int for row in rows for _, v in row)
-        assert nullspace(Matrix.sparse(rows, width)) == \
-            nullspace(Matrix.sparse(plain_rows, width))
+        # the whole system, then each block the solvers build
+        for degree in (None, *_blocks(*args)):
+            rows, width = _symmetry_system(*args, None, degree)
+            plain_rows, plain_width = unscaled(_symmetry_system, *args,
+                                               None, degree)
+            assert width == plain_width
+            assert rows == [{c: common * v for c, v in row.items()}
+                            for row in plain_rows]
+            assert all(type(v) is int for row in rows for v in row.values())
+            assert nullspace(Matrix.sparse((r.items() for r in rows),
+                                           width)) == \
+                nullspace(Matrix.sparse((r.items() for r in plain_rows),
+                                        width))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

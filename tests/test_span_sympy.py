@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from frobdiag.boundary import solve_relative_symmetric_space
 from frobdiag.catalog import resolve
 from frobdiag.diagonal import (TensorClass, class_in_span, pure_tensor,
-                               solve_symmetric_space, unflatten)
+                               solve_symmetric_space)
 from frobdiag.ring import unit_element
-from strategies import matrices, nonzero, pairs, rings
+from strategies import flatten, matrices, nonzero, pairs, rings, unflatten
 
 
 def sympy_rank(vectors, width: int) -> int:
@@ -28,9 +28,9 @@ def sympy_rank(vectors, width: int) -> int:
 
 
 def reference_in_span(space, w: TensorClass) -> bool:
-    rows = [s.flatten() for s in space]
-    width = len(w.flatten())
-    return sympy_rank(rows + [w.flatten()], width) == sympy_rank(rows, width)
+    rows = [flatten(s) for s in space]
+    width = len(flatten(w))
+    return sympy_rank(rows + [flatten(w)], width) == sympy_rank(rows, width)
 
 
 @st.composite
@@ -45,7 +45,7 @@ def spaces(draw) -> list[TensorClass]:
 
 
 def combination(space, coefficients) -> TensorClass:
-    flats = [s.flatten() for s in space]
+    flats = [flatten(s) for s in space]
     flat = [sum((c * f[at] for c, f in zip(coefficients, flats)),
                 Fraction(0)) for at in range(len(flats[0]))]
     return unflatten(flat, space[0].left_basis, space[0].right_basis)
@@ -74,8 +74,8 @@ class TestClassInSpan:
         if data.draw(st.booleans()):
             # a member moved off the span, or not, by the drawn class
             shifted = combination(space, [Fraction(1)] * len(space))
-            w = unflatten([a + b for a, b in zip(shifted.flatten(),
-                                                 w.flatten())],
+            w = unflatten([a + b for a, b in zip(flatten(shifted),
+                                                 flatten(w))],
                           first.left_basis, first.right_basis)
         assert class_in_span(space, w) == reference_in_span(space, w)
 
