@@ -11,9 +11,8 @@ from .linalg import (Matrix, SingularMatrixError, Vector, frac, invert,
                      nullspace, rank, rref, solve, vector)
 from .ring import (GradedBasis, MissingTopClassError, RingElement,
                    RingStructure, ValidationReport, Violation, basis_element,
-                   change_basis, check_frobenius_chain,
-                   check_poincare_duality, generators, multiply,
-                   pairing_matrix, unit_element, validate)
+                   change_basis, check_poincare_duality, generators,
+                   multiply, pairing_matrix, unit_element, validate)
 from .diagonal import (NonUniqueSolutionError, NoSolutionError,
                        ResidualEntry, SignMode, SingularPairingError,
                        SymmetryReport, TensorClass, check_symmetry,
@@ -40,8 +39,8 @@ __all__ = [
     "rank", "rref", "solve", "vector",
     "GradedBasis", "MissingTopClassError", "RingElement", "RingStructure",
     "ValidationReport", "Violation", "basis_element", "change_basis",
-    "check_frobenius_chain", "check_poincare_duality", "generators",
-    "multiply", "pairing_matrix", "unit_element", "validate",
+    "check_poincare_duality", "generators", "multiply", "pairing_matrix",
+    "unit_element", "validate",
     "NonUniqueSolutionError", "NoSolutionError", "ResidualEntry", "SignMode",
     "SingularPairingError", "SymmetryReport", "TensorClass", "check_symmetry",
     "check_top_normalization", "class_in_span", "diagonal_class",

@@ -105,6 +105,15 @@ def validate_module(mp: ModulePair,
     checked above, and the others have ``a`` or ``b`` as the middle
     factor.  So ``T`` is the whole ring once it holds a generating set,
     as for :func:`frobdiag.ring.validate`.
+
+    As there, action grading and the unit action are settled by
+    whole-map comparisons, and their ordered loops run only when one
+    fails.  The grading loop reports the entries with ``|k| != |i| +
+    |j|``, and one unsorted pass over the action's keys asks whether
+    there is one.  The unit-action loop reports the ``k`` where the
+    unit's action on ``x_j`` differs from the indicator of ``j``, over
+    the map's terms and ``j``; the action map holds no zeros, so it is
+    silent exactly when the map is ``{j: 1}``.
     """
     report = ValidationReport()
     for v in validate(mp.ring, allow_noncommutative=allow_noncommutative):
@@ -112,21 +121,24 @@ def validate_module(mp: ModulePair,
 
     ring_deg = mp.ring.basis.degrees
     mod_deg = mp.module_basis.degrees
-    for (i, j, k), v in sorted(mp.action.items()):
-        if mod_deg[k] != ring_deg[i] + mod_deg[j]:
-            report.add("action-grading", (i, j, k),
-                       f"entry {v} has degree {ring_deg[i]}+{mod_deg[j]} "
-                       f"-> {mod_deg[k]}")
+    if any(mod_deg[k] != ring_deg[i] + mod_deg[j] for i, j, k in mp.action):
+        for (i, j, k), v in sorted(mp.action.items()):
+            if mod_deg[k] != ring_deg[i] + mod_deg[j]:
+                report.add("action-grading", (i, j, k),
+                           f"entry {v} has degree {ring_deg[i]}+{mod_deg[j]} "
+                           f"-> {mod_deg[k]}")
 
     unit = mp.ring.basis.unit_index
-    for j in range(mp.module_basis.size):
-        coeffs = mp.action_coefficients(unit, j)
-        for k in sorted(coeffs.keys() | {j}):
-            expected = int(k == j)
-            actual = coeffs.get(k, 0)
-            if actual != expected:
-                report.add("unit-action", (j, k),
-                           f"unit acts with {actual}, expected {expected}")
+    if not all(mp._action_products.get((unit, j)) == {j: 1}
+               for j in range(mp.module_basis.size)):
+        for j in range(mp.module_basis.size):
+            coeffs = mp.action_coefficients(unit, j)
+            for k in sorted(coeffs.keys() | {j}):
+                expected = int(k == j)
+                actual = coeffs.get(k, 0)
+                if actual != expected:
+                    report.add("unit-action", (j, k),
+                               f"unit acts with {actual}, expected {expected}")
 
     for indices, a, b in _defects_unless_certified(mp.ring, mp, report.ok):
         report.add("module-associativity", indices, f"{a} != {b}")

@@ -42,10 +42,12 @@ only on the way out, into ``Fraction`` entries.  A column index
 (column -> pivot rows holding it) lets a new pivot be cleared from just
 the rows that hold its column, instead of from every pivot row.
 
-A :class:`Matrix` stores only the nonzero entries of each row, as a
-``{column: value}`` map, so the kernel reads its rows as they are; so it
-does the ``{column: int}`` rows that :mod:`frobdiag.diagonal` builds for
-its symmetry systems, which never become a :class:`Matrix`.  Results are
+The kernel owns the rows it is given: an int row is made primitive,
+reduced and kept as a pivot row in place.  The ``{column: int}`` rows
+that :mod:`frobdiag.diagonal` builds for its symmetry systems, which
+never become a :class:`Matrix`, go in as they are; a :class:`Matrix`,
+which stores only the nonzero entries of each row as a ``{column:
+value}`` map, hands the kernel copies, so it stays unchanged.  Results are
 built the same way, from the nonzero entries of the pivot rows: kernel
 vectors and particular solutions come off a reduction as sparse
 ``{column: Fraction}`` maps, and only the public :func:`nullspace` and
@@ -208,13 +210,14 @@ def _integral(values: Mapping[K, int | Fraction]) -> tuple[dict[K, int], int]:
             for key, v in values.items() if v}, den
 
 
-def _primitive(row: Mapping[int, int | Fraction]) -> SparseRow:
+def _primitive(row: dict[int, int | Fraction]) -> SparseRow:
     """``row`` scaled to coprime integers with the same span; zero values
     are dropped.
 
-    The row is divided by the gcd of its values, its content; a row with
-    a ``Fraction`` value (``gcd`` takes ints only) is scaled to integers
-    by :func:`_integral` first.
+    The row is divided by the gcd of its values, its content.  An int
+    row is made primitive in place and returned, so the caller must own
+    it; a row with a ``Fraction`` value (``gcd`` takes ints only) comes
+    back as a new dict, scaled to integers by :func:`_integral` first.
     """
     try:
         g = gcd(*row.values())
@@ -225,8 +228,12 @@ def _primitive(row: Mapping[int, int | Fraction]) -> SparseRow:
             return {c: v // g for c, v in ints.items()}
         return ints
     if g > 1:
-        return {c: v // g for c, v in row.items() if v}
-    return {c: v for c, v in row.items() if v}
+        for c in row:
+            row[c] //= g
+    if 0 in row.values():
+        for c in [c for c, v in row.items() if not v]:
+            del row[c]
+    return row
 
 
 class _Echelon:
@@ -246,11 +253,11 @@ class _Echelon:
         self.holders: dict[int, set[int]] = {}
 
 
-def _reduce(rows: Iterable[Mapping[int, int | Fraction]],
+def _reduce(rows: Iterable[dict[int, int | Fraction]],
             echelon: _Echelon | None = None) -> _Echelon:
     """Insert the nonempty rows of ``rows`` into ``echelon`` (by default a
     new, empty :class:`_Echelon`), by decreasing leading column (stably),
-    and return it.
+    and return it.  The rows are the kernel's from then on (:func:`_insert`).
 
     A pivot row holds nothing left of its lead, so a new lead left of
     every existing one is held by no pivot row and :func:`_insert` has
@@ -265,8 +272,12 @@ def _reduce(rows: Iterable[Mapping[int, int | Fraction]],
     return echelon
 
 
-def _insert(echelon: _Echelon, row: Mapping[int, int | Fraction]) -> bool:
-    """One step of :func:`_reduce`: add ``row`` (not modified) to ``echelon``.
+def _insert(echelon: _Echelon, row: dict[int, int | Fraction]) -> bool:
+    """One step of :func:`_reduce`: add ``row`` to ``echelon``.
+
+    The kernel owns ``row`` from then on: an int row is changed in place
+    (:func:`_primitive`) and may become a pivot row, so a caller passes a
+    row it may give away, or a copy.
 
     The row, made primitive, is cleared at every pivot column it holds;
     what is left, if anything, gets a positive lead at its leading column,
@@ -369,7 +380,7 @@ def _dense(entries: Mapping[int, Fraction], n: int) -> Vector:
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form of ``m`` and its pivot columns."""
-    pivots = _reduce(m._data).pivots
+    pivots = _reduce(map(dict, m._data)).pivots
     order = sorted(pivots)
     reduced = [[(c, Fraction(v, pivots[p][p])) for c, v in pivots[p].items()]
                for p in order]
@@ -378,7 +389,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_reduce(m._data).pivots)
+    return len(_reduce(map(dict, m._data)).pivots)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -407,7 +418,7 @@ def nullspace(m: Matrix) -> list[Vector]:
     basis is therefore canonical: equal spaces give equal output.
     """
     n = m.cols
-    return [_dense(v, n) for v in _kernel(_reduce(m._data), n)]
+    return [_dense(v, n) for v in _kernel(_reduce(map(dict, m._data)), n)]
 
 
 def solve(m: Matrix, b: Sequence[Fraction]
@@ -423,7 +434,7 @@ def solve(m: Matrix, b: Sequence[Fraction]
     if len(b) != m.rows:
         raise ValueError(f"right-hand side length {len(b)} != rows {m.rows}")
     n_cols = m.cols
-    echelon = _reduce({**row, n_cols: value} if value else row
+    echelon = _reduce({**row, n_cols: value} if value else dict(row)
                       for row, value in zip(m._data, map(frac, b)))
     if n_cols in echelon.pivots:
         return None  # a pivot in the augmented column: 0 = 1

@@ -326,6 +326,68 @@ def _contract(outer: Mapping[int, int | Fraction],
     return out
 
 
+def _generators_certify(products: ProductMap, action: ProductMap,
+                        middles: Iterable[int], width: int) -> bool:
+    """True iff ``associativity_defects(products, action, middles)``
+    yields nothing.
+
+    For each middle ``j`` and each ring index ``i`` this checks one
+    operator identity, ``A(y_i.y_j) = A(y_i) o A(y_j)``, where ``A(y)``
+    is the action of ``y``: ``x_k -> y.x_k``.  Its entry at ``(k, s)``
+    is ``sum_m t[i, j, m] a[m, k, s]`` on the left and ``sum_m a[j, k,
+    m] a[i, m, s]`` on the right, the two sides of
+    :func:`associativity_defects` at ``(i, j, k, s)``; so every entry of
+    every identity vanishes exactly when that scan finds no defect.  The
+    difference is one map over the flat index ``k*width + s`` (``width``
+    exceeds every module index).  The left side adds up the flat
+    operators ``A(y_m)``, each built once.  The right side goes through
+    the index ``m -> [(k, c)]`` of ``y_j``'s action, over whichever is
+    smaller, that index or ``y_i``'s support, so it costs about the
+    number of its terms.  ``i`` runs over the indices with a product
+    ``y_i.y_j`` and, when ``y_j`` acts at all, over those that act: an
+    ``i`` in neither has no term on either side.
+    """
+    acts: dict[int, dict[int, Mapping[int, int | Fraction]]] = {}
+    for (i, m), coeffs in action.items():
+        acts.setdefault(i, {})[m] = coeffs
+    lefts: dict[int, dict[int, Mapping[int, int | Fraction]]] = {}
+    keep = set(middles)
+    for (i, j), coeffs in products.items():
+        if j in keep:
+            lefts.setdefault(j, {})[i] = coeffs
+    flat = {m: {k * width + s: v for k, coeffs in row.items()
+                for s, v in coeffs.items()}
+            for m, row in acts.items()}
+    for j in keep:
+        index: dict[int, list[tuple[int, int | Fraction]]] = {}
+        for k, coeffs in acts.get(j, {}).items():
+            for m, c in coeffs.items():
+                index.setdefault(m, []).append((k, c))
+        left_of = lefts.get(j, {})
+        for i in (left_of.keys() | acts.keys()) if index else left_of:
+            diff: dict[int, int | Fraction] = {}
+            for m, c in left_of.get(i, {}).items():
+                for key, v in flat.get(m, {}).items():
+                    diff[key] = diff.get(key, 0) + c * v
+            support = acts.get(i)
+            if index and support:
+                if len(index) <= len(support):
+                    pairs = ((index[m], support[m])
+                             for m in index if m in support)
+                else:
+                    pairs = ((index[m], out)
+                             for m, out in support.items() if m in index)
+                for terms, out in pairs:
+                    for k, c in terms:
+                        base = k * width
+                        for s, v in out.items():
+                            key = base + s
+                            diff[key] = diff.get(key, 0) - c * v
+            if any(diff.values()):
+                return False
+    return True
+
+
 def _defects_unless_certified(ring: RingStructure,
                               acting: RingStructure | ModulePair,
                               certify: bool) -> Iterator[Defect]:
@@ -333,22 +395,33 @@ def _defects_unless_certified(ring: RingStructure,
     itself or a pair over it) over ``ring``, unless a generator
     certificate shows there are none.
 
-    With ``certify`` (the caller has found its preconditions clean), the
-    defects with a generator of ``ring`` as middle index are looked for
-    first; when there are none, nothing is yielded.  That search runs on
-    both maps scaled to ints by one common denominator
+    With ``certify`` (the caller has found its preconditions clean),
+    :func:`_generators_certify` checks the defects with a generator of
+    ``ring`` as middle index; when there are none, nothing is yielded.
+    It runs on both maps scaled to ints by one common denominator
     (:func:`scaled_action`), which scales every defect by its square and
-    so finds one exactly where the maps as given have one.  Otherwise this is :func:`associativity_defects` in full, on
-    the maps as given, so a failing report lists every defect in index
-    order and with its own values.
+    so finds one exactly where the maps as given have one.  Otherwise,
+    or when the certificate fails, this is :func:`associativity_defects`
+    in full, on the maps as given, so a failing report lists every
+    defect in index order and with its own values.
     """
     if certify:
         den = lcm(ring._den, acting._den)
-        if next(associativity_defects(scaled_action(ring, den),
-                                      scaled_action(acting, den),
-                                      generators(ring)), None) is None:
+        width = getattr(acting, "module_basis", ring.basis).size
+        if _generators_certify(scaled_action(ring, den),
+                               scaled_action(acting, den),
+                               generators(ring), width):
             return iter(())
     return associativity_defects(ring._products, acting._action_products)
+
+
+def _graded_commutative(products: ProductMap, deg: Sequence[int]) -> bool:
+    """Whether each product map of ``products`` equals its transpose,
+    negated when both degrees are odd."""
+    return all(products.get((j, i)) == ({k: -v for k, v in coeffs.items()}
+                                        if deg[i] % 2 and deg[j] % 2
+                                        else coeffs)
+               for (i, j), coeffs in products.items())
 
 
 def validate(ring: RingStructure,
@@ -372,46 +445,69 @@ def validate(ring: RingStructure,
     ring (for a ring that is not connected it returns every non-unit
     index, and the check is the full scan).
 
-    The unit and graded-commutativity checks visit only the index pairs
-    where a product has a term, and the unit's expected ``x_i``: a pair
-    they skip is 0 on both sides, so the report is the dense loops'.
+    The other axioms are settled first by whole-map comparisons, and
+    their ordered loops run only when a comparison fails; each
+    comparison fails exactly when its loop reports something, so the
+    report is the loops' (and the dense loops' over every index pair).
+    The product map holds no zeros, so a missing coefficient is 0 and
+    two coefficient maps agree exactly when they are equal as dicts.
+
+    - Grading: the loop reports the entries ``(i, j, k)`` with ``|k| !=
+      |i| + |j|``; one unsorted pass over the tensor's keys asks whether
+      there is one.
+    - Unit: the loop reports, on each side, the ``k`` where ``x_u.x_i``
+      differs from the indicator of ``i``, over the map's terms and
+      ``i``; it is silent exactly when the map is ``{i: 1}``.
+    - Graded commutativity: the loop reports, for each pair ``i <= j``
+      where a product has a term, the ``k`` where ``x_i.x_j`` differs
+      from ``sign * x_j.x_i`` (``sign = -1`` when both degrees are odd).
+      :func:`_graded_commutative` compares each key ``(i, j)`` of the
+      map with its transpose, negated or not; a pair with a term has a
+      key among ``(i, j)`` and ``(j, i)``, and the comparison of either
+      settles the pair, as ``sign`` is ``+-1``.  It compares the map
+      scaled to ints (:func:`scaled_action`), which the certificate has
+      built: scaling both sides by one ``D`` keeps every equality.
     """
     report = ValidationReport()
     basis = ring.basis
     deg = basis.degrees
     n = ring.size
     u = basis.unit_index
+    products = ring._products
 
-    for (i, j, k), v in sorted(ring.tensor.items()):
-        if deg[k] != deg[i] + deg[j]:
-            report.add("grading", (i, j, k),
-                       f"entry {v} has degree {deg[i]}+{deg[j]} -> {deg[k]}")
+    if any(deg[k] != deg[i] + deg[j] for i, j, k in ring.tensor):
+        for (i, j, k), v in sorted(ring.tensor.items()):
+            if deg[k] != deg[i] + deg[j]:
+                report.add("grading", (i, j, k),
+                           f"entry {v} has degree {deg[i]}+{deg[j]} "
+                           f"-> {deg[k]}")
 
-    for i in range(n):
-        for side, coeffs in (("left", ring.product_coefficients(u, i)),
-                             ("right", ring.product_coefficients(i, u))):
-            for k in sorted(coeffs.keys() | {i}):
-                expected = int(k == i)
-                actual = coeffs.get(k, 0)
-                if actual != expected:
-                    report.add("unit", (i, k),
-                               f"{side} unit product gives {actual}, "
-                               f"expected {expected}")
+    if not all(products.get((u, i)) == {i: 1} == products.get((i, u))
+               for i in range(n)):
+        for i in range(n):
+            for side, coeffs in (("left", ring.product_coefficients(u, i)),
+                                 ("right", ring.product_coefficients(i, u))):
+                for k in sorted(coeffs.keys() | {i}):
+                    expected = int(k == i)
+                    actual = coeffs.get(k, 0)
+                    if actual != expected:
+                        report.add("unit", (i, k),
+                                   f"{side} unit product gives {actual}, "
+                                   f"expected {expected}")
 
     for indices, a, b in _defects_unless_certified(ring, ring, report.ok):
         report.add("associativity", indices, f"{a} != {b}")
 
-    if not allow_noncommutative:
+    if not allow_noncommutative and not _graded_commutative(
+            scaled_action(ring, ring._den), deg):
         partners: list[set[int]] = [set() for _ in range(n)]
-        for i, j in ring._products:
+        for i, j in products:
             partners[min(i, j)].add(max(i, j))
         for i in range(n):
             for j in sorted(partners[i]):
                 sign = -1 if (deg[i] % 2 and deg[j] % 2) else 1
                 fwd = ring.product_coefficients(i, j)
                 bwd = ring.product_coefficients(j, i)
-                if sign == 1 and fwd == bwd:
-                    continue   # the maps hold no zeros: equal maps agree
                 for k in set(fwd) | set(bwd):
                     a = fwd.get(k, 0)
                     b = bwd.get(k, 0)
@@ -454,9 +550,12 @@ def _pick_generators(ring: RingStructure) -> list[int]:
 
     Each distinct decomposable product is inserted once: the roughly
     ``n**2/2`` products of ``cp:n`` have only ``n - 1`` distinct
-    coefficient maps, and a repeated row never adds a pivot.  The maps
+    coefficient maps, and a repeated row never adds a pivot.  A one-term
+    product spans its column whatever its value, so it goes in as that
+    column's unit row, once per column, with no key to hash.  The maps
     are scaled to ints first (:func:`scaled_action`), which changes no
-    span.
+    span; a longer product is inserted as a copy, since the kernel owns
+    the rows it is given and the scaled map is kept on the ring.
     """
     deg = ring.basis.degrees
     unit = ring.basis.unit_index
@@ -466,13 +565,21 @@ def _pick_generators(ring: RingStructure) -> list[int]:
         return candidates
     products = scaled_action(ring, ring._den)
     echelon = _Echelon()
+    columns: set[int] = set()
     seen = set()
     for (i, j), coeffs in products.items():
-        if i != unit and j != unit:
+        if i == unit or j == unit:
+            continue
+        if len(coeffs) == 1:
+            k, = coeffs
+            if k not in columns:
+                columns.add(k)
+                _insert(echelon, {k: 1})
+        else:
             key = frozenset(coeffs.items())
             if key not in seen:
                 seen.add(key)
-                _insert(echelon, coeffs)
+                _insert(echelon, dict(coeffs))
     return [k for k in candidates if _insert(echelon, {k: 1})]
 
 
@@ -506,27 +613,6 @@ def check_poincare_duality(ring: RingStructure) -> bool:
     """True iff the top-degree pairing matrix is invertible."""
     p = pairing_matrix(ring)
     return rank(p) == p.rows
-
-
-def check_frobenius_chain(ring: RingStructure) -> bool:
-    """Check ``<(x_a . x_b), x_c> = <x_a, (x_b . x_c)>`` for all triples.
-
-    The identity contracts associativity against the top functional; it
-    holds for every valid ring with a top class, and is the engine behind
-    the inverse-pairing description of the diagonal class.
-    """
-    p = pairing_matrix(ring)
-    n = ring.size
-    for a in range(n):
-        for b in range(n):
-            ab = ring.product_coefficients(a, b)
-            for c in range(n):
-                bc = ring.product_coefficients(b, c)
-                lhs = sum((v * p[j, c] for j, v in ab.items()), Fraction(0))
-                rhs = sum((p[a, i] * v for i, v in bc.items()), Fraction(0))
-                if lhs != rhs:
-                    return False
-    return True
 
 
 def change_basis(ring: RingStructure, p: Matrix) -> RingStructure:

@@ -24,7 +24,8 @@ from frobdiag.catalog import (catalog_names, closed_as_pair, cylinder_pair,
 from frobdiag.diagonal import (SignMode, TensorClass, _blocks,
                                _symmetry_system)
 from frobdiag.linalg import Matrix
-from frobdiag.ring import GradedBasis, RingStructure, change_basis
+from frobdiag.ring import (GradedBasis, RingStructure, change_basis,
+                           pairing_matrix)
 
 
 def apply(m: Matrix, v) -> tuple[Fraction, ...]:
@@ -51,6 +52,27 @@ def unflatten(vec, left_basis: GradedBasis,
     return TensorClass(Matrix.sparse([enumerate(vec[i * n:(i + 1) * n])
                                       for i in range(left_basis.size)], n),
                        left_basis, right_basis)
+
+
+def check_frobenius_chain(ring: RingStructure) -> bool:
+    """Check ``<(x_a . x_b), x_c> = <x_a, (x_b . x_c)>`` for all triples.
+
+    The identity contracts associativity against the top functional; it
+    holds for every valid ring with a top class, and is the engine behind
+    the inverse-pairing description of the diagonal class.
+    """
+    p = pairing_matrix(ring)
+    n = ring.size
+    for a in range(n):
+        for b in range(n):
+            ab = ring.product_coefficients(a, b)
+            for c in range(n):
+                bc = ring.product_coefficients(b, c)
+                lhs = sum((v * p[j, c] for j, v in ab.items()), Fraction(0))
+                rhs = sum((p[a, i] * v for i, v in bc.items()), Fraction(0))
+                if lhs != rhs:
+                    return False
+    return True
 
 
 def system_of(payload, probes=None) -> tuple:

@@ -9,6 +9,7 @@ equals the full scan's, on valid and corrupted inputs alike.
 """
 
 import random
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -119,6 +120,66 @@ class TestValidationCertificate:
         assert [v.indices for v in report] == \
             [indices for indices, _, _ in
              associativity_defects(ring._products, ring._products)]
+
+
+def operator_certificate(payload) -> tuple[bool, bool]:
+    """``_generators_certify`` on the maps of a ring or pair scaled to
+    ints, and whether the generator-middle scan of the same maps finds
+    no defect."""
+    if isinstance(payload, ModulePair):
+        ring, width = payload.ring, payload.module_basis.size
+    else:
+        ring, width = payload, payload.size
+    den = lcm(ring._den, payload._den)
+    p = ring_module.scaled_action(ring, den)
+    a = ring_module.scaled_action(payload, den)
+    middles = generators(ring)
+    return (ring_module._generators_certify(p, a, middles, width),
+            next(associativity_defects(p, a, middles), None) is None)
+
+
+class TestOperatorCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(rings(), corrupted_rings(), pairs(), corrupted_pairs()))
+    def test_equals_the_generator_scan(self, payload):
+        certified, clean = operator_certificate(payload)
+        assert certified == clean
+
+    def test_left_side_only(self):
+        # 1, x, z (degrees 0, 2, 4) with x.x = z, acting on e, f
+        # (degrees 0, 4): z.e = f, and x acts as zero.  (x.x).e = f but
+        # x.(x.e) = 0, and x, the only generator, acts on nothing
+        ring = RingStructure(
+            GradedBasis(labels=("1", "x", "z"), degrees=(0, 2, 4),
+                        formal_dimension=4, unit_index=0, top_index=2),
+            {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1,
+             (2, 0, 2): 1, (1, 1, 2): 1})
+        mp = ModulePair(ring, GradedBasis(
+            labels=("e", "f"), degrees=(0, 4), formal_dimension=4,
+            unit_index=None, top_index=1),
+            {(0, 0, 0): 1, (0, 1, 1): 1, (2, 0, 1): 1})
+        assert validate(ring).ok and generators(ring) == [1]
+        assert operator_certificate(mp) == (False, False)
+        assert [(v.axiom, v.indices, v.detail) for v in validate_module(mp)] \
+            == [("module-associativity", (1, 1, 0, 1), "1 != 0")]
+
+    def test_right_side_only(self):
+        # 1, x, y (degrees 0, 2, 2) with no products but the unit's,
+        # acting on e, g, h (degrees 0, 2, 4): y.e = g and x.g = h.
+        # (x.y).e = 0 but x.(y.e) = h
+        ring = RingStructure(
+            GradedBasis(labels=("1", "x", "y"), degrees=(0, 2, 2),
+                        formal_dimension=2, unit_index=0),
+            {(0, i, i): 1 for i in range(3)} | {(1, 0, 1): 1, (2, 0, 2): 1})
+        mp = ModulePair(ring, GradedBasis(
+            labels=("e", "g", "h"), degrees=(0, 2, 4), formal_dimension=4,
+            unit_index=None, top_index=2),
+            {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (2, 0, 1): 1,
+             (1, 1, 2): 1})
+        assert validate(ring).ok and generators(ring) == [1, 2]
+        assert operator_certificate(mp) == (False, False)
+        assert [(v.axiom, v.indices, v.detail) for v in validate_module(mp)] \
+            == [("module-associativity", (1, 2, 0, 2), "0 != 1")]
 
 
 class TestResidualCertificate:

@@ -31,11 +31,12 @@ from frobdiag.ring import (RingStructure, _defects_unless_certified,
                            _Echelon, _insert, associativity_defects,
                            basis_element, generators, integral_maps,
                            sparse_tensor, validate)
-from strategies import (changed, corrupted_pairs, corrupted_rings,
-                        graded_slots, matrices, modes, nonzero, pairs,
-                        rational_rings, rings)
+from strategies import (RING_NAMES, changed, corrupted_pairs,
+                        corrupted_rings, graded_slots, matrices, modes,
+                        nonzero, pairs, rational_rings, rings)
 
 CHEAP = ("grading", "unit", "action-grading", "unit-action")
+WIDE_NAMES = RING_NAMES + ["torus:3", "product:cp:2,cp:2"]
 
 
 def denominators(values):
@@ -201,7 +202,7 @@ def pick_inserting_every_product(ring):
     echelon = _Echelon()
     for (i, j), coeffs in ring._products.items():
         if i != unit and j != unit:
-            _insert(echelon, coeffs)
+            _insert(echelon, dict(coeffs))
     return [k for k in candidates if _insert(echelon, {k: 1})]
 
 
@@ -218,6 +219,22 @@ class TestGeneratorPick:
     def test_drawn_picks_unchanged(self, ring):
         assert ring_module._pick_generators(ring) == \
             pick_inserting_every_product(ring)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(rings(WIDE_NAMES), rational_rings(WIDE_NAMES),
+                     corrupted_rings(WIDE_NAMES)))
+    def test_pick_leaves_the_kept_maps_unchanged(self, ring):
+        # the kernel owns the rows it is given and reduces int rows in
+        # place, so the pick inserts copies of the scaled map kept on
+        # the ring (the product map itself when D = 1); the added rings
+        # have degrees of rank 3, where moved products have several terms
+        scaled = ring_module.scaled_action(ring, ring._den)
+        kept = {key: dict(coeffs) for key, coeffs in scaled.items()}
+        products = {key: dict(coeffs)
+                    for key, coeffs in ring._products.items()}
+        generators(ring)
+        assert ring._scaled == {ring._den: kept}
+        assert ring._products == products
 
     @pytest.mark.parametrize("n", [10, 60, 200])
     def test_cp_inserts_each_distinct_product_once(self, monkeypatch, n):

@@ -208,7 +208,7 @@ def test_kernel_rows_are_primitive_and_indexed(s):
     each non-pivot column.  The outputs checked against sympy would not
     notice a row left unreduced by its content or with a negative lead.
     """
-    echelon = _reduce(s._data)
+    echelon = _reduce(map(dict, s._data))
     pivots = echelon.pivots
     for p, row in pivots.items():
         assert all(type(v) is int and v for v in row.values())
@@ -224,10 +224,11 @@ def test_kernel_rows_are_primitive_and_indexed(s):
 
 
 def reduce_in_given_order(rows) -> _Echelon:
-    """Every row inserted in the order given, with no sort by lead."""
+    """Every row inserted in the order given, with no sort by lead; the
+    kernel owns what it is given, so it gets copies."""
     echelon = _Echelon()
     for row in rows:
-        _insert(echelon, row)
+        _insert(echelon, dict(row))
     return echelon
 
 
@@ -237,7 +238,8 @@ def test_insertion_order_changes_no_pivot_row(s, data):
     """``_reduce`` inserts by decreasing lead; the reduced row echelon
     form is unique, so any order gives the same pivot rows and index."""
     rows = data.draw(st.permutations(s._data))
-    echelon, reference = _reduce(rows), reduce_in_given_order(rows)
+    echelon = _reduce(map(dict, rows))
+    reference = reduce_in_given_order(rows)
     assert echelon.pivots == reference.pivots
     assert {c: h for c, h in echelon.holders.items() if h} == \
         {c: h for c, h in reference.holders.items() if h}
@@ -269,10 +271,44 @@ def rows_to_make_primitive(draw):
 @settings(max_examples=200, deadline=None)
 @given(rows_to_make_primitive())
 def test_primitive_equals_the_integral_path(row):
-    """The same primitive row, as ints, in a new dict, with ``row`` left
-    as it was."""
+    """The same primitive row, as ints: an int row made primitive in
+    place, any other in a new dict with ``row`` left as it was."""
     given_row = dict(row)
     got = _primitive(row)
     assert got == primitive_through_integral(given_row)
     assert all(type(v) is int and v for v in got.values())
-    assert got is not row and row == given_row
+    if all(type(v) is int for v in given_row.values()):
+        assert got is row
+    else:
+        assert got is not row and row == given_row
+
+
+int_sparse = st.builds(
+    Matrix.sparse,
+    st.lists(st.dictionaries(st.integers(min_value=0, max_value=3),
+                             st.integers(min_value=-6, max_value=6),
+                             max_size=4).map(lambda row: row.items()),
+             min_size=1, max_size=6),
+    st.just(4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(mixed_sparse(), mixed_sparse(square=True), int_sparse),
+       st.data())
+def test_public_functions_leave_the_matrix_unchanged(s, data):
+    """The kernel owns the rows it is given and reduces int rows in
+    place, so ``rref``, ``rank``, ``invert``, ``nullspace`` and
+    ``solve`` hand it copies: the matrix equals a copy taken before."""
+    before = Matrix.sparse([row.items() for row in s._data], s.cols)
+    rref(s)
+    rank(s)
+    nullspace(s)
+    solve(s, data.draw(st.lists(st.one_of(st.just(0), mixed_values),
+                                min_size=s.rows, max_size=s.rows)))
+    if s.is_square():
+        try:
+            invert(s)
+        except SingularMatrixError:
+            pass
+    assert s == before
+    assert s._data == before._data

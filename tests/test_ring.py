@@ -10,8 +10,9 @@ from frobdiag.catalog import (catalog_names, complex_projective,
 from frobdiag.linalg import Matrix
 from frobdiag.ring import (GradedBasis, MissingTopClassError, RingStructure,
                            associativity_defects, basis_element, change_basis,
-                           check_frobenius_chain, check_poincare_duality,
-                           multiply, pairing_matrix, unit_element, validate)
+                           check_poincare_duality, multiply, pairing_matrix,
+                           unit_element, validate)
+from strategies import check_frobenius_chain
 
 
 def degenerate_ring() -> RingStructure:
