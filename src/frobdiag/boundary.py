@@ -18,19 +18,23 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .diagonal import (SignMode, SingularPairingError, SymmetryReport,
-                       TensorClass, _normalized_solve, _ProductIndex,
-                       _symmetric_space, _symmetry_residuals,
-                       _symmetry_system, class_in_span)
-# nullspace, solve and multiply stay imported: the benchmark's traced run
-# (perfbench/spans.py) wraps them in this module by name
-from .linalg import (Matrix, SparseRow, Vector,  # noqa: F401
-                     SingularMatrixError, invert, nullspace, rank, solve)
-from .ring import (GradedBasis, MissingTopClassError,  # noqa: F401
-                   ProductMap, RingStructure, ValidationReport,
-                   _defects_unless_certified, _top_entries, bilinear_product,
-                   multiply, sparse_tensor, validate)
+                       TensorClass, _normalized_solve, _symmetric_space,
+                       _symmetry_residuals, _symmetry_system, class_in_span)
+# multiply, nullspace, rank and solve are imported only for the
+# benchmark's traced run (perfbench/spans.py), which wraps them in this
+# module by name
+from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
+                     invert, nullspace, rank, solve)
+from .ring import (GradedBasis, ProductMap, RingStructure,  # noqa: F401
+                   ValidationReport, _defects_unless_certified, _top_entries,
+                   _top_index, bilinear_product, multiply, sparse_tensor,
+                   validate)
 
 ModuleElement = Vector
+
+# the one symmetry-system builder under the pair's name: the solvers here
+# pass it, so the traced run counts their systems in this layer
+_relative_symmetry_system = _symmetry_system
 
 
 class ModulePair:
@@ -73,10 +77,6 @@ class ModulePair:
     def __repr__(self) -> str:
         return (f"ModulePair(ring of {self.ring.size} over module of "
                 f"{self.module_basis.size}, dim {self.formal_dimension})")
-
-
-def module_basis_element(mp: ModulePair, j: int) -> ModuleElement:
-    return tuple(Fraction(int(i == j)) for i in range(mp.module_basis.size))
 
 
 def act(mp: ModulePair, y: Sequence[Fraction],
@@ -140,7 +140,7 @@ def validate_module(mp: ModulePair,
                     report.add("unit-action", (j, k),
                                f"unit acts with {actual}, expected {expected}")
 
-    for indices, a, b in _defects_unless_certified(mp.ring, mp, report.ok):
+    for indices, a, b in _defects_unless_certified(mp, report.ok):
         report.add("module-associativity", indices, f"{a} != {b}")
     return report
 
@@ -153,21 +153,7 @@ def relative_pairing_matrix(mp: ModulePair) -> Matrix:
 
     Rows run over the ring basis, columns over the module basis.
     """
-    top = mp.module_basis.top_index
-    if top is None:
-        raise MissingTopClassError("module has no top basis index")
-    return _top_entries(mp.action, top, mp.ring.size, mp.module_basis.size)
-
-
-def check_relative_duality(mp: ModulePair) -> bool:
-    """True iff the relative pairing matrix is square and invertible."""
-    p = relative_pairing_matrix(mp)
-    return p.is_square() and rank(p) == p.rows
-
-
-def relative_class(mp: ModulePair, mu: Matrix) -> TensorClass:
-    """Class in module (x) ring: ``mu[i, j]`` multiplies ``x_i (x) y_j``."""
-    return TensorClass(mu, mp.module_basis, mp.ring.basis)
+    return _top_entries(mp)
 
 
 def relative_diagonal_class(mp: ModulePair,
@@ -185,7 +171,7 @@ def relative_diagonal_class(mp: ModulePair,
     if mode is SignMode.LITERAL:
         p = relative_pairing_matrix(mp)
         try:
-            return relative_class(mp, invert(p))
+            return TensorClass(invert(p), mp.module_basis, mp.ring.basis)
         except SingularMatrixError as exc:
             raise SingularPairingError(
                 "relative pairing is degenerate; no diagonal class") from exc
@@ -193,24 +179,16 @@ def relative_diagonal_class(mp: ModulePair,
             raise SingularPairingError(
                 f"relative pairing matrix {p.shape} is not square") from exc
 
-    top = mp.module_basis.top_index
-    if top is None:
-        raise MissingTopClassError("module has no top basis index")
-    unit = mp.ring.basis.unit_index
+    top, unit = _top_index(mp), mp.ring.basis.unit_index
     pins = [((top, j), int(j == unit)) for j in range(mp.ring.size)]
-    return _normalized_solve(
-        lambda degree, index: _relative_symmetry_system(mp, probes, degree,
-                                                       index),
-        mp.ring, mp.module_basis, mp, pins, "relative symmetry system")
+    return _normalized_solve(_relative_symmetry_system, mp, probes, pins,
+                             "relative symmetry system")
 
 
 def check_relative_top_normalization(mp: ModulePair,
                                      w: TensorClass) -> bool:
     """True iff the top row of ``w.mu`` is the ring-unit indicator."""
-    top = mp.module_basis.top_index
-    if top is None:
-        raise MissingTopClassError("module has no top basis index")
-    unit = mp.ring.basis.unit_index
+    top, unit = _top_index(mp), mp.ring.basis.unit_index
     return all(w.mu[top, j] == Fraction(int(j == unit))
                for j in range(mp.ring.size))
 
@@ -231,19 +209,7 @@ def check_relative_symmetry(mp: ModulePair, w: TensorClass,
     if (w.left_basis != mp.module_basis
             or w.right_basis != mp.ring.basis):
         raise ValueError("class does not live over this module pair")
-    return _symmetry_residuals(mp.ring, mp, w, probes)
-
-
-def _relative_symmetry_system(mp: ModulePair,
-                              probes: Sequence[int] | None = None,
-                              degree: int | None = None,
-                              index: _ProductIndex | None = None
-                              ) -> tuple[list[SparseRow], int]:
-    """The symmetry system of the pair, unknowns ``mu[i*nr + j]``, or its
-    block of total degree ``degree``
-    (:func:`frobdiag.diagonal._symmetry_system`)."""
-    return _symmetry_system(mp.ring, mp.module_basis, mp, probes, degree,
-                            index)
+    return _symmetry_residuals(mp, w, probes)
 
 
 def solve_relative_symmetric_space(mp: ModulePair,
@@ -253,10 +219,7 @@ def solve_relative_symmetric_space(mp: ModulePair,
 
     ``probes`` is passed to :func:`frobdiag.diagonal._symmetry_system`.
     """
-    return _symmetric_space(
-        lambda degree, index: _relative_symmetry_system(mp, probes, degree,
-                                                       index),
-        mp.ring, mp.module_basis, mp)
+    return _symmetric_space(_relative_symmetry_system, mp, probes)
 
 
 # one span check serves both cases; the pair name is kept for callers

@@ -26,6 +26,7 @@ from functools import reduce
 
 from .boundary import ModulePair
 from .diagonal import SignMode, kunneth_product
+from .document import _ECHO_LIMIT, _cut
 from .linalg import Matrix
 from .ring import GradedBasis, RingStructure
 
@@ -66,11 +67,6 @@ def complex_projective(n: int) -> RingStructure:
     tensor = {(i, j, i + j): 1
               for i in range(n + 1) for j in range(n + 1) if i + j <= n}
     return RingStructure(basis, tensor)
-
-
-def product(ring_a: RingStructure, ring_b: RingStructure,
-            mode: SignMode = SignMode.LITERAL) -> RingStructure:
-    return kunneth_product(ring_a, ring_b, mode)
 
 
 def torus(n: int) -> RingStructure:
@@ -136,10 +132,6 @@ class CatalogEntry:
     payload: RingStructure | ModulePair
     expected: dict | None = None
 
-    @property
-    def is_pair(self) -> bool:
-        return isinstance(self.payload, ModulePair)
-
 
 def _antidiagonal(n: int) -> Matrix:
     return Matrix([[Fraction(int(i + j == n - 1)) for j in range(n)]
@@ -178,23 +170,34 @@ _EXPECTATIONS: dict[str, dict] = {
 }
 
 
+# a pair wrapper's constructor, and its refusal of a pair inside it
+_WRAPPERS = {"cylinder": (cylinder_pair, "cylinder wants a ring entry"),
+             "closed": (closed_as_pair,
+                        "closed-case embedding wants a ring entry")}
+
+
 def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
         raise CatalogError(f"{what} wants an integer parameter, got "
-                           f"{text!r}") from None
+                           f"{_cut(text)!r}") from None
 
 
 def check_size(name: str, size: int, shown: str | None = None) -> None:
     """Refuse ``name`` if its basis would have more than MAX_BASIS elements.
 
-    ``shown`` is how the message writes the size, when not as a number.
+    ``shown`` is how the message writes the size, when not as a number;
+    both are quoted through :func:`frobdiag.document._cut`, and a size
+    too long for it to quote whole is written as a bound.
     """
     if size > MAX_BASIS:
+        if shown is None:
+            shown = str(size) if size < 10 ** _ECHO_LIMIT \
+                else f"at least 10^{_ECHO_LIMIT}"
         raise CatalogError(
-            f"{name} would have {shown or size} basis elements, more than "
-            f"the catalog's limit of {MAX_BASIS}")
+            f"{_cut(name)} would have {_cut(shown)} basis "
+            f"elements, more than the catalog's limit of {MAX_BASIS}")
 
 
 def resolve(name: str, mode: SignMode = SignMode.LITERAL) -> CatalogEntry:
@@ -220,16 +223,18 @@ def resolve(name: str, mode: SignMode = SignMode.LITERAL) -> CatalogEntry:
         payload = torus(n)
     elif name.startswith("disk:"):
         payload = disk_pair(_parse_int(name[len("disk:"):], "disk"))
-    elif name.startswith("cylinder:"):
-        inner = resolve(name[len("cylinder:"):], mode)
-        if not isinstance(inner.payload, RingStructure):
-            raise CatalogError("cylinder wants a ring entry")
-        payload = cylinder_pair(inner.payload)
-    elif name.startswith("closed:"):
-        inner = resolve(name[len("closed:"):], mode)
-        if not isinstance(inner.payload, RingStructure):
-            raise CatalogError("closed-case embedding wants a ring entry")
-        payload = closed_as_pair(inner.payload)
+    elif name.startswith(("cylinder:", "closed:")):
+        # the wrappers are peeled, then applied innermost first, as one
+        # recursion per wrapper would, with no stack to overflow
+        wrappers, inner = [], name
+        while inner.startswith(("cylinder:", "closed:")):
+            head, inner = map(str.strip, inner.split(":", 1))
+            wrappers.append(_WRAPPERS[head])
+        payload = resolve(inner, mode).payload
+        for build, refusal in reversed(wrappers):
+            if not isinstance(payload, RingStructure):
+                raise CatalogError(refusal)
+            payload = build(payload)
     elif name.startswith("product:"):
         rest = name[len("product:"):]
         parts = rest.split(",")
@@ -238,12 +243,12 @@ def resolve(name: str, mode: SignMode = SignMode.LITERAL) -> CatalogEntry:
                 "product wants exactly two comma-separated entries")
         left = resolve(parts[0], mode)
         right = resolve(parts[1], mode)
-        if left.is_pair or right.is_pair:
+        if any(isinstance(e.payload, ModulePair) for e in (left, right)):
             raise CatalogError("product factors must be rings")
         check_size(name, left.payload.size * right.payload.size)
-        payload = product(left.payload, right.payload, mode)
+        payload = kunneth_product(left.payload, right.payload, mode)
     else:
-        raise CatalogError(f"unknown catalog entry {name!r}")
+        raise CatalogError(f"unknown catalog entry {_cut(name)!r}")
     return CatalogEntry(name=name, payload=payload,
                         expected=_EXPECTATIONS.get(name))
 

@@ -128,11 +128,6 @@ class _Route(NamedTuple):
     kind: str
     summary: str
     titles: tuple[str, str]
-    # validation shows the ring and action associative and unital, so the
-    # generators of this ring stand for every probe of a symmetry system
-    # and of the residual check (see ``diagonal._symmetry_system`` and
-    # ``diagonal._symmetry_residuals``)
-    probe_ring: RingStructure
     validate: Callable[..., ValidationReport]
     pairing: Callable[..., Matrix]
     diagonal: Callable
@@ -157,7 +152,7 @@ def _route(payload) -> _Route:
             f"{payload.formal_dimension}",
             ("relative pairing matrix (ring rows, module columns)",
              "diagonal coefficients (module rows, ring columns)"),
-            payload.ring, validate_module, relative_pairing_matrix,
+            validate_module, relative_pairing_matrix,
             relative_diagonal_class, check_relative_symmetry,
             check_relative_top_normalization, solve_relative_symmetric_space,
             relative_class_in_span)
@@ -166,7 +161,7 @@ def _route(payload) -> _Route:
         f"{payload.size} basis elements, formal dimension "
         f"{payload.basis.formal_dimension}",
         ("pairing matrix", "diagonal coefficients (inverse pairing)"),
-        payload, validate, pairing_matrix, diagonal_class, check_symmetry,
+        validate, pairing_matrix, diagonal_class, check_symmetry,
         check_top_normalization, solve_symmetric_space, class_in_span)
 
 
@@ -212,7 +207,11 @@ def _diag_report(name: str, payload, route: _Route, mode: SignMode,
                  output: str) -> int:
     """Pairing, diagonal class and its checks, for a validated payload."""
     pairing = route.pairing(payload)
-    probes = generators(route.probe_ring)
+    # validation shows the ring and action associative and unital, so the
+    # generators of the ring (a ring is its own) stand for every probe of
+    # a symmetry system and of the residual check (see
+    # ``diagonal._symmetry_system`` and ``diagonal._symmetry_residuals``)
+    probes = generators(payload.ring)
     w = route.diagonal(payload, mode, probes)
     residual = route.residual(payload, w, probes)
     normalized = route.normalized(payload, w)
@@ -286,7 +285,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     name, payload = _load_input(args.input, mode)
     route = _require_valid(name, payload, args.allow_noncommutative,
                            args.output)
-    space = route.space(payload, generators(route.probe_ring))
+    space = route.space(payload, generators(payload.ring))
     try:
         member = route.in_span(space,
                                route.diagonal(payload, SignMode.LITERAL))

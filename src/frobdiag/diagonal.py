@@ -36,13 +36,14 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-# nullspace, rank and solve stay imported: the benchmark's traced run
-# (perfbench/spans.py) wraps them in this module by name
+# multiply, nullspace, rank and solve are imported only for the
+# benchmark's traced run (perfbench/spans.py), which wraps them in this
+# module by name
 from .linalg import (Matrix, SingularMatrixError, SparseRow,  # noqa: F401
                      _Echelon, _insert, _integral, _kernel, _particular,
                      _reduce, invert, nullspace, rank, solve)
-from .ring import (GradedBasis, MissingTopClassError, RingElement,
-                   RingStructure, multiply, pairing_matrix, scaled_action,
+from .ring import (GradedBasis, RingElement, RingStructure,  # noqa: F401
+                   _top_index, multiply, pairing_matrix, scaled_action,
                    unit_element)
 
 if TYPE_CHECKING:
@@ -102,22 +103,17 @@ class TensorClass:
         return self.mu.is_zero()
 
 
-def _sparse_class(entries: Mapping[int, Fraction], left_basis: GradedBasis,
-                  right_basis: GradedBasis) -> TensorClass:
-    """The class whose coefficient at flat index ``i*n_right + j`` is
-    ``entries.get(i*n_right + j, 0)``."""
-    n = right_basis.size
-    rows: list[list[tuple[int, Fraction]]] = [[] for _ in
-                                              range(left_basis.size)]
+def _sparse_class(entries: Mapping[int, Fraction],
+                  acting: RingStructure | ModulePair) -> TensorClass:
+    """The class in module (x) ring of ``acting`` whose coefficient at
+    flat index ``i*n_right + j`` is ``entries.get(i*n_right + j, 0)``."""
+    left, right = acting.module_basis, acting.ring.basis
+    n = right.size
+    rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(left.size)]
     for c, v in entries.items():
         i, j = divmod(c, n)
         rows[i].append((j, v))
-    return TensorClass(Matrix.sparse(rows, n), left_basis, right_basis)
-
-
-def tensor_class(ring_left: RingStructure, ring_right: RingStructure,
-                 mu: Matrix) -> TensorClass:
-    return TensorClass(mu, ring_left.basis, ring_right.basis)
+    return TensorClass(Matrix.sparse(rows, n), left, right)
 
 
 def pure_tensor(ring_left: RingStructure, ring_right: RingStructure,
@@ -127,7 +123,7 @@ def pure_tensor(ring_left: RingStructure, ring_right: RingStructure,
     b_terms = [(j, b[j]) for j in range(nr) if b[j]]
     mu = Matrix.sparse([[(j, a[i] * bj) for j, bj in b_terms] if a[i] else ()
                         for i in range(ring_left.size)], nr)
-    return tensor_class(ring_left, ring_right, mu)
+    return TensorClass(mu, ring_left.basis, ring_right.basis)
 
 
 def left_factor(ring_left: RingStructure, ring_right: RingStructure,
@@ -186,8 +182,8 @@ def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
     rows: list[list] = [[] for _ in range(ring_left.size)]
     for (e, f), value in out.items():
         rows[e].append((f, Fraction(value, den)))
-    return tensor_class(ring_left, ring_right,
-                        Matrix.sparse(rows, ring_right.size))
+    return TensorClass(Matrix.sparse(rows, ring_right.size),
+                       ring_left.basis, ring_right.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +210,18 @@ def diagonal_class(ring: RingStructure,
     unique solution.  ``probes`` is passed to :func:`_symmetry_system`.
     """
     if mode is SignMode.LITERAL:
-        return tensor_class(ring, ring, pairing_inverse(ring))
+        return TensorClass(pairing_inverse(ring), ring.basis, ring.basis)
 
-    unit, top = ring.basis.unit_index, ring.basis.top_index
-    if top is None:
-        raise MissingTopClassError("ring has no top basis index")
+    unit, top = ring.basis.unit_index, _top_index(ring)
     pins = [(slot, int(j == unit))
             for j in range(ring.size) for slot in ((top, j), (j, top))]
-    return _normalized_solve(
-        lambda degree, index: _symmetry_system(
-            ring, ring.basis, ring, probes, degree, index),
-        ring, ring.basis, ring, pins, "symmetry system")
+    return _normalized_solve(_symmetry_system, ring, probes, pins,
+                             "symmetry system")
 
 
-def _normalized_solve(build: SystemBuilder, ring: RingStructure,
-                      module_basis: GradedBasis,
+def _normalized_solve(build: SystemBuilder,
                       acting: RingStructure | ModulePair,
+                      probes: Sequence[int] | None,
                       pins: Sequence[tuple[tuple[int, int], int]],
                       noun: str) -> TensorClass:
     """The unique solution of a symmetry system with some entries pinned.
@@ -239,23 +231,19 @@ def _normalized_solve(build: SystemBuilder, ring: RingStructure,
     read off the pivot rows' right-hand sides.  ``noun`` names the
     system in the error messages.
     """
-    echelon, width = _reduce_blocks(build, ring, module_basis, acting, pins)
+    echelon, width = _reduce_blocks(build, acting, probes, pins)
     if width in echelon.pivots:
         raise NoSolutionError(f"normalized {noun} is inconsistent")
     if len(echelon.pivots) < width:
         raise NonUniqueSolutionError(
             f"normalized {noun} has a {width - len(echelon.pivots)}"
             "-dimensional solution family")
-    return _sparse_class(_particular(echelon, width), module_basis,
-                         ring.basis)
+    return _sparse_class(_particular(echelon, width), acting)
 
 
 def check_top_normalization(ring: RingStructure, w: TensorClass) -> bool:
     """True iff the top row and column of ``w.mu`` are unit indicators."""
-    top = ring.basis.top_index
-    unit = ring.basis.unit_index
-    if top is None:
-        raise MissingTopClassError("ring has no top basis index")
+    top, unit = _top_index(ring), ring.basis.unit_index
     for j in range(ring.size):
         expected = Fraction(int(j == unit))
         if w.mu[top, j] != expected or w.mu[j, top] != expected:
@@ -303,22 +291,21 @@ def check_symmetry(ring: RingStructure, w: TensorClass,
     ``probes`` is passed to :func:`_symmetry_residuals`.
     """
     _require_over(ring, ring, w)
-    return _symmetry_residuals(ring, ring, w, probes)
+    return _symmetry_residuals(ring, w, probes)
 
 
-def _symmetry_residuals(ring: RingStructure,
-                        acting: RingStructure | ModulePair, w: TensorClass,
+def _symmetry_residuals(acting: RingStructure | ModulePair, w: TensorClass,
                         probes: Sequence[int] | None = None
                         ) -> SymmetryReport:
     """Residuals of ``w.(1(x)y_k) - (y_k(x)1).w`` for every ring element.
 
     ``w`` lives in module (x) ring, and ``acting`` is the pair whose
-    action map expands ``y_k ^ x_l`` over the module basis; a closed ring
-    passes itself.  The work is done in ints: ``w`` is scaled to
-    integer terms by the lcm ``den`` of its denominators, and the ring's
-    products and the action by one common ``D``
-    (:func:`frobdiag.ring.scaled_action`).  The residual is linear in
-    ``w`` and in the two maps together, so each entry is the integer
+    action map expands ``y_k ^ x_l`` over the module basis, or a closed
+    ring, the pair whose module is the ring.  The work is done in ints:
+    ``w`` is scaled to integer terms by the lcm ``den`` of its
+    denominators, and the ring's products and the action by one common
+    ``D`` (:func:`frobdiag.ring.scaled_action`).  The residual is linear
+    in ``w`` and in the two maps together, so each entry is the integer
     difference divided by ``den * D``, the value over the data as given.
     Each side is accumulated over the terms present only, and the sides
     are compared over the sorted union of their terms, in ``(k, i, s)``
@@ -341,6 +328,7 @@ def _symmetry_residuals(ring: RingStructure,
     = (x(x)1).(y(x)1).w = (xy(x)1).w``.  Pass probes only for a ring or
     pair that has passed validation.
     """
+    ring = acting.ring
     scale = lcm(ring._den, acting._den)
     products = scaled_action(ring, scale)
     action_products = scaled_action(acting, scale)
@@ -382,11 +370,11 @@ class _ProductIndex(NamedTuple):
     slots: dict[int, list[int]]
 
 
-def _product_index(ring: RingStructure,
-                   acting: RingStructure | ModulePair) -> _ProductIndex:
+def _product_index(acting: RingStructure | ModulePair) -> _ProductIndex:
     """The :class:`_ProductIndex` of the ring's product and ``acting``'s
     action, both scaled by one common denominator ``D``
     (:func:`frobdiag.ring.scaled_action`); one pass over their terms."""
+    ring = acting.ring
     scale = lcm(ring._den, acting._den)
     right: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (j, k), coeffs in scaled_action(ring, scale).items():
@@ -402,8 +390,7 @@ def _product_index(ring: RingStructure,
     return _ProductIndex(right, left, slots)
 
 
-def _symmetry_system(ring: RingStructure, module_basis: GradedBasis,
-                     acting: RingStructure | ModulePair,
+def _symmetry_system(acting: RingStructure | ModulePair,
                      probes: Sequence[int] | None = None,
                      degree: int | None = None,
                      index: _ProductIndex | None = None
@@ -412,16 +399,16 @@ def _symmetry_system(ring: RingStructure, module_basis: GradedBasis,
 
     The unknowns are the coefficients of a class in module (x) ring, where
     ``acting`` is the pair whose action map expands ``y_k ^ x_l`` over
-    the module basis; a closed ring passes its own basis and itself.  One
-    equation per (probe k, module slot i, ring slot s): the coefficient
-    of ``x_i (x) y_s`` in ``w.(1(x)y_k) - (y_k(x)1).w`` must vanish.  No
-    sign enters, under either convention: in each product a unit is one
-    of the two factors that pass each other.  Each equation is a fresh
-    ``{column: value}`` map of its nonzero values; equations that vanish
-    identically are left out.  Returns the equations and the number of
-    unknowns.  Rows are assembled straight from the two product maps,
-    independently of :func:`tensor_multiply`.  The maps are first scaled
-    to ints by one common denominator ``D``
+    the module basis, or a closed ring, the pair whose module is the
+    ring.  One equation per (probe k, module slot i, ring slot s): the
+    coefficient of ``x_i (x) y_s`` in ``w.(1(x)y_k) - (y_k(x)1).w`` must
+    vanish.  No sign enters, under either convention: in each product a
+    unit is one of the two factors that pass each other.  Each equation
+    is a fresh ``{column: value}`` map of its nonzero values; equations
+    that vanish identically are left out.  Returns the equations and the
+    number of unknowns.  Rows are assembled straight from the two
+    product maps, independently of :func:`tensor_multiply`.  The maps
+    are first scaled to ints by one common denominator ``D``
     (:func:`frobdiag.ring.scaled_action`), so every value is an int and
     every equation is ``D`` times the one over the maps as given: the
     system is homogeneous, so its solutions and its reduced row echelon
@@ -429,8 +416,8 @@ def _symmetry_system(ring: RingStructure, module_basis: GradedBasis,
 
     ``degree``, when given, keeps only the equations with ``|x_i| + |y_s|
     - |y_k| == degree``: the block of that degree (:func:`_reduce_blocks`).
-    ``index`` is :func:`_product_index` of ``ring`` and ``acting``, for a
-    caller that builds several blocks; without it the call makes its own.
+    ``index`` is :func:`_product_index` of ``acting``, for a caller that
+    builds several blocks; without it the call makes its own.
 
     ``probes`` lists the ring basis indices ``k`` to take equations for;
     ``None`` takes every one.  A generating set of the ring is enough when
@@ -444,10 +431,10 @@ def _symmetry_system(ring: RingStructure, module_basis: GradedBasis,
     form.  Without that precondition the two may differ: pass a probe
     list only for a ring or pair that has passed validation.
     """
-    nm, nr = module_basis.size, ring.size
-    ring_deg, module_deg = ring.basis.degrees, module_basis.degrees
-    right, left, slots = _product_index(ring, acting) if index is None \
-        else index
+    ring = acting.ring
+    nm, nr = acting.module_basis.size, ring.size
+    ring_deg, module_deg = ring.basis.degrees, acting.module_basis.degrees
+    right, left, slots = _product_index(acting) if index is None else index
     every = range(nr)
     rows: list[SparseRow] = []
     for k in range(nr) if probes is None else probes:
@@ -471,15 +458,11 @@ def _symmetry_system(ring: RingStructure, module_basis: GradedBasis,
     return rows, nm * nr
 
 
-# builds the block of one total degree of a symmetry system (the whole
-# system for None) from a shared _ProductIndex: _symmetry_system with its
-# other arguments bound
-SystemBuilder = Callable[[int | None, _ProductIndex],
-                         tuple[list[SparseRow], int]]
+# _symmetry_system, under the name of the layer whose solver passes it
+SystemBuilder = Callable[..., tuple[list[SparseRow], int]]
 
 
-def _blocks(ring: RingStructure, module_basis: GradedBasis,
-            acting: RingStructure | ModulePair) -> list[int | None]:
+def _blocks(acting: RingStructure | ModulePair) -> list[int | None]:
     """The blocks that :func:`_reduce_blocks` reduces one at a time.
 
     If every term of the ring's product and of ``acting``'s action lands
@@ -488,7 +471,8 @@ def _blocks(ring: RingStructure, module_basis: GradedBasis,
     system as one block.  One pass over the terms decides it (a closed
     ring, acting on itself, has one map).
     """
-    ring_deg, module_deg = ring.basis.degrees, module_basis.degrees
+    ring = acting.ring
+    ring_deg, module_deg = ring.basis.degrees, acting.module_basis.degrees
     maps = [(ring._products, ring_deg)]
     if acting is not ring:
         maps.append((acting._action_products, module_deg))
@@ -498,21 +482,20 @@ def _blocks(ring: RingStructure, module_basis: GradedBasis,
     return [None]
 
 
-def _reduce_blocks(build: SystemBuilder, ring: RingStructure,
-                   module_basis: GradedBasis,
+def _reduce_blocks(build: SystemBuilder,
                    acting: RingStructure | ModulePair,
+                   probes: Sequence[int] | None = None,
                    pins: Sequence[tuple[tuple[int, int], int]] = ()
                    ) -> tuple[_Echelon, int]:
     """The reduced row echelon form of a symmetry system, built one block
     of total degree at a time, and its number of unknowns.
 
-    ``build(degree, index)`` gives the block of ``degree`` (``None``: the
-    whole system) of :func:`_symmetry_system` for ``ring``,
-    ``module_basis`` and ``acting``; ``index`` is their
-    :func:`_product_index`, made once for every block.  ``pins`` lists
-    ``((i, j), value)`` pairs; each adds the row ``mu[i, j] = value``,
-    with ``value`` in the right-hand-side column numbered after the
-    unknowns, to the block of ``mu[i, j]``.
+    ``build(acting, probes, degree, index)`` is :func:`_symmetry_system`:
+    the block of ``degree`` (``None``: the whole system), with ``index``
+    the :func:`_product_index` of ``acting``, made once for every block.
+    ``pins`` lists ``((i, j), value)`` pairs; each adds the row
+    ``mu[i, j] = value``, with ``value`` in the right-hand-side column
+    numbered after the unknowns, to the block of ``mu[i, j]``.
 
     When the ring's product and the action respect degrees, equation
     ``(k, i, s)`` touches ``mu[i, j]`` with ``|y_j| + |y_k| = |y_s|`` and
@@ -528,12 +511,13 @@ def _reduce_blocks(build: SystemBuilder, ring: RingStructure,
     equation may lie in no listed block, and :func:`_blocks` makes the
     whole system one block.
     """
-    width = module_basis.size * ring.size
-    ring_deg, module_deg = ring.basis.degrees, module_basis.degrees
-    index = _product_index(ring, acting)
+    ring = acting.ring
+    width = acting.module_basis.size * ring.size
+    ring_deg, module_deg = ring.basis.degrees, acting.module_basis.degrees
+    index = _product_index(acting)
     echelon = _Echelon()
-    for degree in _blocks(ring, module_basis, acting):
-        rows, _ = build(degree, index)
+    for degree in _blocks(acting):
+        rows, _ = build(acting, probes, degree, index)
         for (i, j), value in pins:
             if degree is None or module_deg[i] + ring_deg[j] == degree:
                 column = i * ring.size + j
@@ -554,22 +538,17 @@ def solve_symmetric_space(ring: RingStructure,
     as the oracle against which the closed-form diagonal class is
     compared.  ``probes`` is passed to :func:`_symmetry_system`.
     """
-    return _symmetric_space(
-        lambda degree, index: _symmetry_system(
-            ring, ring.basis, ring, probes, degree, index),
-        ring, ring.basis, ring)
+    return _symmetric_space(_symmetry_system, ring, probes)
 
 
-def _symmetric_space(build: SystemBuilder, ring: RingStructure,
-                     module_basis: GradedBasis,
-                     acting: RingStructure | ModulePair
-                     ) -> list[TensorClass]:
+def _symmetric_space(build: SystemBuilder,
+                     acting: RingStructure | ModulePair,
+                     probes: Sequence[int] | None) -> list[TensorClass]:
     """The kernel of a symmetry system (:func:`_reduce_blocks`) as
     classes, in the echelon-normalized order of
     :func:`frobdiag.linalg.nullspace`."""
-    echelon, width = _reduce_blocks(build, ring, module_basis, acting)
-    return [_sparse_class(v, module_basis, ring.basis)
-            for v in _kernel(echelon, width)]
+    echelon, width = _reduce_blocks(build, acting, probes)
+    return [_sparse_class(v, acting) for v in _kernel(echelon, width)]
 
 
 def class_in_span(space: Sequence[TensorClass], w: TensorClass) -> bool:
@@ -586,31 +565,6 @@ def class_in_span(space: Sequence[TensorClass], w: TensorClass) -> bool:
     rows = [{i * n + j: v for (i, j), v in s.mu.terms()}
             for s in (*space, w)]
     return not _insert(_reduce(rows[:-1]), rows[-1])
-
-
-def symmetric_family(ring: RingStructure, mode: SignMode, w: TensorClass,
-                     x: RingElement, y: RingElement) -> TensorClass:
-    """The derived symmetric class ``(x (x) 1) . w . (1 (x) y)``.
-
-    Requires ``w`` symmetric.  The result always equals ``w.(1 (x) x.y)``;
-    for evenly graded rings it is symmetric again (checked here).  With
-    odd-degree classes present the product can leave the symmetric space,
-    so in that case the caller must re-check symmetry itself.
-    """
-    if not check_symmetry(ring, w).ok:
-        raise ValueError("input class is not symmetric")
-    step = tensor_multiply(ring, ring, mode, left_factor(ring, ring, x), w)
-    result = tensor_multiply(ring, ring, mode, step,
-                             right_factor(ring, ring, y))
-    xy = multiply(ring, x, y)
-    via_product = tensor_multiply(ring, ring, mode, w,
-                                  right_factor(ring, ring, xy))
-    assert result.mu == via_product.mu, \
-        "family product disagrees with multiplication through the ring"
-    if all(d % 2 == 0 for d in ring.basis.degrees):
-        assert check_symmetry(ring, result).ok, \
-            "family member lost symmetry on an evenly graded ring"
-    return result
 
 
 # ---------------------------------------------------------------------------

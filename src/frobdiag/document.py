@@ -243,19 +243,17 @@ def _tensor_json(tensor: dict) -> list[dict]:
 
 def document_dict(name: str, payload: Payload) -> dict:
     """Canonical JSON-ready dictionary for a ring or module pair."""
-    pair = isinstance(payload, ModulePair)
-    ring = payload.ring if pair else payload
+    ring = payload.ring
     doc = {
         "name": name,
-        "dimension": ring.basis.formal_dimension,
+        # the module's formal dimension: for a ring, its own
+        "dimension": payload.module_basis.formal_dimension,
         "basis": _basis_json(ring.basis),
         "unit": ring.basis.unit_index,
         "top": ring.basis.top_index,
         "lambda": _tensor_json(ring.tensor),
     }
-    if pair:
-        # a pair document's dimension is the module's
-        doc["dimension"] = payload.module_basis.formal_dimension
+    if isinstance(payload, ModulePair):
         doc["module"] = {
             "basis": _basis_json(payload.module_basis),
             "top": payload.module_basis.top_index,

@@ -83,10 +83,6 @@ def frac(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def vector(values: Iterable[int | str | Fraction]) -> Vector:
-    return tuple(frac(v) for v in values)
-
-
 class Matrix:
     """Immutable matrix of Fractions that stores only its nonzero entries.
 
@@ -130,10 +126,6 @@ class Matrix:
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix.sparse([()] * rows, cols)
 
-    @staticmethod
-    def from_rows(rows: Sequence[Vector]) -> "Matrix":
-        return Matrix(rows)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -157,12 +149,6 @@ class Matrix:
             out[c] = frac(v)
         return tuple(out)
 
-    def column(self, j: int) -> Vector:
-        return tuple(self[i, j] for i in range(self.rows))
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def is_zero(self) -> bool:
         return not any(self._data)
 
@@ -173,10 +159,6 @@ class Matrix:
 
     def __hash__(self) -> int:
         return hash(tuple(frozenset(row.items()) for row in self._data))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix.sparse([((c, -v) for c, v in row.items())
-                              for row in self._data], self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

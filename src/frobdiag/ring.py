@@ -90,7 +90,7 @@ def sparse_tensor(raw: Mapping[tuple[int, int, int], int | str | Fraction],
     ``Fraction`` otherwise: the two mix exactly, and products of ints
     cost far less.  An ``int`` is kept as it is.  No value is ever
     divided (``1 / int`` is a float).  The lcm, 1 for an integral
-    tensor, is what :func:`integral_maps` scales by.
+    tensor, is what :func:`scaled_action` scales by.
     """
     ni, nj, nk = sizes
     clean: dict[tuple[int, int, int], int | Fraction] = {}
@@ -114,42 +114,29 @@ def sparse_tensor(raw: Mapping[tuple[int, int, int], int | str | Fraction],
     return clean, products, lcm(*denominators)
 
 
-def integral_maps(den: int, *maps: ProductMap) -> tuple[ProductMap, ...]:
-    """``maps`` with every value times ``den``, as ints.
-
-    ``den`` must be a multiple of every value's denominator, such as the
-    lcm of the maps' own (:func:`sparse_tensor`).  Scaling by one common
-    ``den`` keeps every linear identity between the maps, and scales an
-    identity of degree ``d`` by ``den**d``, so zero patterns, kernels and
-    reduced forms stay as they are.  With ``den == 1`` the maps
-    themselves come back, not copies; a map passed twice is scaled once.
-    """
-    if den == 1:
-        return maps
-    scaled: dict[int, ProductMap] = {}
-    for m in maps:
-        if id(m) not in scaled:
-            scaled[id(m)] = {
-                key: {k: v.numerator * (den // v.denominator)
-                      for k, v in coeffs.items()}
-                for key, coeffs in m.items()}
-    return tuple(scaled[id(m)] for m in maps)
-
-
 def scaled_action(acting: RingStructure | ModulePair,
                   den: int) -> ProductMap:
-    """The action map of ``acting`` times ``den``, as ints
-    (:func:`integral_maps`).
+    """The action map of ``acting`` (a ring, acting on itself by its
+    product, or a :class:`frobdiag.boundary.ModulePair`) times ``den``.
 
-    ``acting`` is a ring, acting on itself by its product, or a
-    :class:`frobdiag.boundary.ModulePair`.  The scaled map is built once
-    per ``den`` and kept on ``acting``, as ``_generators`` is: the
-    associativity certificate, :func:`generators`, the residual oracle
-    and the symmetry system all ask for the same one.
+    ``den`` must be a multiple of every value's denominator, such as the
+    lcm of the ring's and the action's own (:func:`sparse_tensor`), so
+    every value comes out an int.  Scaling by one common ``den`` keeps
+    every linear identity between the maps, and scales an identity of
+    degree ``d`` by ``den**d``, so zero patterns, kernels and reduced
+    forms stay as they are.  With ``den == 1`` the map itself comes back,
+    not a copy.  The scaled map is built once per ``den`` and kept on
+    ``acting``, as ``_generators`` is: the associativity certificate,
+    :func:`generators`, the residual oracle and the symmetry system all
+    ask for the same one.
     """
     scaled = acting._scaled.get(den)
     if scaled is None:
-        scaled, = integral_maps(den, acting._action_products)
+        products = acting._action_products
+        scaled = products if den == 1 else {
+            key: {k: v.numerator * (den // v.denominator)
+                  for k, v in coeffs.items()}
+            for key, coeffs in products.items()}
         acting._scaled[den] = scaled
     return scaled
 
@@ -159,9 +146,12 @@ class RingStructure:
 
     ``_den`` is the lcm of the constants' denominators (see
     :func:`sparse_tensor`); ``_generators`` caches :func:`generators`,
-    which is filled on first use.  A ring acts on itself by its product,
-    so ``_action_products`` is ``_products``; ``_scaled`` keeps that map
-    scaled to ints by each denominator asked for (:func:`scaled_action`).
+    which is filled on first use.  A ring is the pair whose module is the
+    ring, acting by its product: its ``ring`` is itself, its
+    ``module_basis`` its basis and its ``_action_products`` its
+    ``_products``, so code written for a pair takes a ring as it is.
+    ``_scaled`` keeps that map scaled to ints by each denominator asked
+    for (:func:`scaled_action`).
     """
 
     __slots__ = ("basis", "tensor", "_products", "_den", "_generators",
@@ -182,6 +172,14 @@ class RingStructure:
     @property
     def size(self) -> int:
         return self.basis.size
+
+    @property
+    def ring(self) -> RingStructure:
+        return self
+
+    @property
+    def module_basis(self) -> GradedBasis:
+        return self.basis
 
     def product_coefficients(self, i: int,
                              j: int) -> Mapping[int, int | Fraction]:
@@ -388,16 +386,15 @@ def _generators_certify(products: ProductMap, action: ProductMap,
     return True
 
 
-def _defects_unless_certified(ring: RingStructure,
-                              acting: RingStructure | ModulePair,
+def _defects_unless_certified(acting: RingStructure | ModulePair,
                               certify: bool) -> Iterator[Defect]:
-    """The associativity defects of the action of ``acting`` (the ring
-    itself or a pair over it) over ``ring``, unless a generator
-    certificate shows there are none.
+    """The associativity defects of the action of ``acting`` (a ring, or
+    a pair over one) over its ring, unless a generator certificate shows
+    there are none.
 
     With ``certify`` (the caller has found its preconditions clean),
     :func:`_generators_certify` checks the defects with a generator of
-    ``ring`` as middle index; when there are none, nothing is yielded.
+    the ring as middle index; when there are none, nothing is yielded.
     It runs on both maps scaled to ints by one common denominator
     (:func:`scaled_action`), which scales every defect by its square and
     so finds one exactly where the maps as given have one.  Otherwise,
@@ -405,12 +402,12 @@ def _defects_unless_certified(ring: RingStructure,
     in full, on the maps as given, so a failing report lists every
     defect in index order and with its own values.
     """
+    ring = acting.ring
     if certify:
         den = lcm(ring._den, acting._den)
-        width = getattr(acting, "module_basis", ring.basis).size
         if _generators_certify(scaled_action(ring, den),
                                scaled_action(acting, den),
-                               generators(ring), width):
+                               generators(ring), acting.module_basis.size):
             return iter(())
     return associativity_defects(ring._products, acting._action_products)
 
@@ -495,7 +492,7 @@ def validate(ring: RingStructure,
                                    f"{side} unit product gives {actual}, "
                                    f"expected {expected}")
 
-    for indices, a, b in _defects_unless_certified(ring, ring, report.ok):
+    for indices, a, b in _defects_unless_certified(ring, report.ok):
         report.add("associativity", indices, f"{a} != {b}")
 
     if not allow_noncommutative and not _graded_commutative(
@@ -592,21 +589,28 @@ def pairing_matrix(ring: RingStructure) -> Matrix:
     This is the intersection form of the underlying manifold when the top
     class is normalized against the fundamental class.
     """
-    top = ring.basis.top_index
+    return _top_entries(ring)
+
+
+def _top_index(acting: RingStructure | ModulePair) -> int:
+    """The top index of the module that ``acting`` acts on (for a ring,
+    its own basis)."""
+    top = acting.module_basis.top_index
     if top is None:
-        raise MissingTopClassError("ring has no top basis index")
-    return _top_entries(ring.tensor, top, ring.size, ring.size)
+        kind = "ring" if acting is acting.ring else "module"
+        raise MissingTopClassError(f"{kind} has no top basis index")
+    return top
 
 
-def _top_entries(tensor: SparseTensor, top: int, rows: int,
-                 cols: int) -> Matrix:
-    """The ``rows`` x ``cols`` matrix ``(i, j) -> tensor[(i, j, top)]``,
-    built from the tensor's nonzero entries."""
-    entries: list[list] = [[] for _ in range(rows)]
-    for (i, j, k), v in tensor.items():
-        if k == top:
-            entries[i].append((j, v))
-    return Matrix.sparse(entries, cols)
+def _top_entries(acting: RingStructure | ModulePair) -> Matrix:
+    """The matrix ``(i, j) -> top coefficient of y_i ^ x_j`` of ``acting``,
+    with ring rows and module columns, from the action map's terms."""
+    top = _top_index(acting)
+    entries: list[list] = [[] for _ in range(acting.ring.size)]
+    for (i, j), coeffs in acting._action_products.items():
+        if top in coeffs:
+            entries[i].append((j, coeffs[top]))
+    return Matrix.sparse(entries, acting.module_basis.size)
 
 
 def check_poincare_duality(ring: RingStructure) -> bool:

@@ -22,10 +22,11 @@ from frobdiag.boundary import ModulePair, _relative_symmetry_system
 from frobdiag.catalog import (catalog_names, closed_as_pair, cylinder_pair,
                               resolve)
 from frobdiag.diagonal import (SignMode, TensorClass, _blocks,
-                               _symmetry_system)
+                               _symmetry_system, check_symmetry, left_factor,
+                               right_factor, tensor_multiply)
 from frobdiag.linalg import Matrix
-from frobdiag.ring import (GradedBasis, RingStructure, change_basis,
-                           pairing_matrix)
+from frobdiag.ring import (GradedBasis, RingElement, RingStructure,
+                           change_basis, multiply, pairing_matrix)
 
 
 def apply(m: Matrix, v) -> tuple[Fraction, ...]:
@@ -75,35 +76,59 @@ def check_frobenius_chain(ring: RingStructure) -> bool:
     return True
 
 
-def system_of(payload, probes=None) -> tuple:
-    """``(build, ring, module_basis, acting)`` for the symmetry system of a
-    ring or a pair, as its solvers pass them to
-    ``diagonal._reduce_blocks``: ``build(degree)`` is the block of that
-    total degree, or the whole system for ``None``, and takes the shared
-    product index as an optional second argument."""
+def symmetric_family(ring: RingStructure, mode: SignMode, w: TensorClass,
+                     x: RingElement, y: RingElement) -> TensorClass:
+    """The derived symmetric class ``(x (x) 1) . w . (1 (x) y)``.
+
+    Requires ``w`` symmetric.  The result always equals ``w.(1 (x) x.y)``;
+    for evenly graded rings it is symmetric again (checked here).  With
+    odd-degree classes present the product can leave the symmetric space,
+    so in that case the caller must re-check symmetry itself.
+    """
+    if not check_symmetry(ring, w).ok:
+        raise ValueError("input class is not symmetric")
+    step = tensor_multiply(ring, ring, mode, left_factor(ring, ring, x), w)
+    result = tensor_multiply(ring, ring, mode, step,
+                             right_factor(ring, ring, y))
+    xy = multiply(ring, x, y)
+    via_product = tensor_multiply(ring, ring, mode, w,
+                                  right_factor(ring, ring, xy))
+    assert result.mu == via_product.mu, \
+        "family product disagrees with multiplication through the ring"
+    if all(d % 2 == 0 for d in ring.basis.degrees):
+        assert check_symmetry(ring, result).ok, \
+            "family member lost symmetry on an evenly graded ring"
+    return result
+
+
+def builder(payload):
+    """The symmetry-system builder that the solvers of a ring or a pair
+    pass to ``diagonal._reduce_blocks``: ``build(payload, probes,
+    degree)`` is the block of that total degree, or the whole system for
+    ``None``."""
     if isinstance(payload, ModulePair):
-        return (lambda degree, index=None: _relative_symmetry_system(
-                    payload, probes, degree, index),
-                payload.ring, payload.module_basis, payload)
-    return (lambda degree, index=None: _symmetry_system(
-                payload, payload.basis, payload, probes, degree, index),
-            payload, payload.basis, payload)
+        return _relative_symmetry_system
+    return _symmetry_system
 
 
 def block_rows(payload, probes=None) -> tuple[list[tuple], int]:
     """The rows of the symmetry system of a ring or a pair, built block by
     block as its solvers build them, each as its nonzero ``(column,
     value)`` pairs sorted by column; and the number of unknowns."""
-    build, *args = system_of(payload, probes)
+    build = builder(payload)
     rows, width = [], None
-    for degree in _blocks(*args):
-        block, width = build(degree)
+    for degree in _blocks(payload):
+        block, width = build(payload, probes, degree)
         rows += [tuple(sorted(row.items())) for row in block]
     return rows, width
 
 
+# the catalog's rings, and two whose degrees hold several decomposable
+# classes (rank 3 in degree 2 of torus:3, in degree 4 of cp:2 x cp:2), so
+# that a drawn ring's products, moved to another basis, have several terms
 RING_NAMES = [name for name in catalog_names()
-              if isinstance(resolve(name).payload, RingStructure)]
+              if isinstance(resolve(name).payload, RingStructure)
+              ] + ["torus:3", "product:cp:2,cp:2"]
 # the rings whose odd classes make the Koszul sign show in GRADED mode
 ODD_RING_NAMES = [name for name in RING_NAMES
                   if any(d % 2 for d in resolve(name).payload.basis.degrees)]

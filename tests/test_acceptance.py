@@ -91,7 +91,7 @@ def _normalized_solution_unique(space, top: int, both_sides: bool) -> bool:
         if both_sides:
             coords += [s.mu[i, top] for i in range(s.mu.rows)]
         constraint_rows.append(tuple(coords))
-    return rank(Matrix.from_rows(constraint_rows)) == len(space)
+    return rank(Matrix(constraint_rows)) == len(space)
 
 
 @criterion(3, "oracle equivalence and normalized uniqueness")

@@ -28,7 +28,7 @@ from strategies import (RING_NAMES, changed, corrupted_pairs,
                         corrupted_rings, graded_slots, matrices, pairs, rings)
 
 # larger rings, where generators leave out most middle factors
-NAMES = RING_NAMES + ["cp:5", "torus:3", "product:cp:2,sphere:3"]
+NAMES = RING_NAMES + ["cp:5", "product:cp:2,sphere:3"]
 CHEAP = ("grading", "unit", "action-grading", "unit-action")
 
 

@@ -225,6 +225,40 @@ class TestExitCodes:
     def test_unknown_catalog_id_is_parse_error(self, invoke):
         assert invoke("diag", "mobius:1")[0] == 2
 
+    @pytest.mark.parametrize("name, message", [
+        ("cylinder:" * 3000 + "cp:1", "cylinder wants a ring entry"),
+        ("closed: " * 3000 + "cp:1",
+         "closed-case embedding wants a ring entry"),
+        ("product:" + "cylinder:" * 3000 + "cp:1,cp:1",
+         "cylinder wants a ring entry"),
+    ], ids=["cylinder", "closed", "product-factor"])
+    def test_deeply_nested_catalog_id_is_parse_error(self, invoke, name,
+                                                     message):
+        # each wrapper is one level of nesting, with no recursion
+        assert invoke("validate", name) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize("name, message", [
+        ("x" * 3000, "unknown catalog entry '" + "x" * 40 + "...'"),
+        ("cp:" + "9" * 5000,
+         "cp wants an integer parameter, got '" + "9" * 40 + "...'"),
+        ("torus:" + "9" * 4300,
+         "torus:" + "9" * 34 + "... would have 2^" + "9" * 38 + "... "
+         "basis elements, more than the catalog's limit of 1024"),
+        # the size has 4301 digits, more than an int is written with
+        ("cp:" + "9" * 4300,
+         "cp:" + "9" * 37 + "... would have at least 10^40 basis "
+         "elements, more than the catalog's limit of 1024"),
+        # 40 characters are quoted whole
+        ("y" * 40, "unknown catalog entry '" + "y" * 40 + "'"),
+        ("cp:" + "9" * 37,
+         "cp:" + "9" * 37 + " would have 1" + "0" * 37 + " basis "
+         "elements, more than the catalog's limit of 1024"),
+    ], ids=["unknown", "parameter", "torus-size", "cp-size",
+            "unknown-of-40", "cp-size-of-40"])
+    def test_long_catalog_id_is_cut_in_its_message(self, invoke, name,
+                                                   message):
+        assert invoke("validate", name) == (2, "", message + "\n")
+
     def test_singular_pairing_json_report(self, invoke, corpus):
         code, out, _ = invoke("diag", corpus["singular"], "--output", "json")
         assert code == 3

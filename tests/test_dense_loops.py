@@ -29,9 +29,9 @@ def dense_change_basis(ring, p):
     q = invert(p)
     tensor = {}
     for a in range(n):
-        va = p.column(a)
+        va = tuple(p[i, a] for i in range(n))
         for b in range(n):
-            vb = p.column(b)
+            vb = tuple(p[i, b] for i in range(n))
             prod_new = apply(q, multiply(ring, va, vb))
             for c, v in enumerate(prod_new):
                 if v != 0:
@@ -89,7 +89,7 @@ def dense_validate(ring, allow_noncommutative=False):
                                f"{side} unit product gives {actual}, "
                                f"expected {expected}")
     for indices, a, b in ring_module._defects_unless_certified(
-            ring, ring, report.ok):
+            ring, report.ok):
         report.add("associativity", indices, f"{a} != {b}")
     if not allow_noncommutative:
         for i in range(n):
@@ -129,7 +129,7 @@ def dense_validate_module(mp, allow_noncommutative=False):
                 report.add("unit-action", (j, k),
                            f"unit acts with {actual}, expected {expected}")
     for indices, a, b in ring_module._defects_unless_certified(
-            mp.ring, mp, report.ok):
+            mp, report.ok):
         report.add("module-associativity", indices, f"{a} != {b}")
     return report
 

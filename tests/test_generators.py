@@ -45,7 +45,7 @@ def closure_rank(ring, picks):
         for a in frontier:
             for k in picks:
                 c = multiply(ring, a, basis_element(ring, k))
-                if rank(Matrix.from_rows(span + [c])) > len(span):
+                if rank(Matrix(span + [c])) > len(span):
                     span.append(c)
                     grown.append(c)
         frontier = grown

@@ -305,7 +305,7 @@ def test_public_functions_leave_the_matrix_unchanged(s, data):
     nullspace(s)
     solve(s, data.draw(st.lists(st.one_of(st.just(0), mixed_values),
                                 min_size=s.rows, max_size=s.rows)))
-    if s.is_square():
+    if s.rows == s.cols:
         try:
             invert(s)
         except SingularMatrixError:

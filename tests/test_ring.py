@@ -5,8 +5,9 @@ import pytest
 
 from frobdiag.boundary import ModulePair
 from frobdiag.catalog import (catalog_names, complex_projective,
-                              cylinder_pair, disk_pair, point, product,
-                              resolve, sphere, torus)
+                              cylinder_pair, disk_pair, point, resolve,
+                              sphere, torus)
+from frobdiag.diagonal import SignMode, kunneth_product
 from frobdiag.linalg import Matrix
 from frobdiag.ring import (GradedBasis, MissingTopClassError, RingStructure,
                            associativity_defects, basis_element, change_basis,
@@ -45,7 +46,7 @@ class TestValidate:
     def test_catalog_rings_are_valid(self):
         for ring in (point(), sphere(2), sphere(3), complex_projective(2),
                      complex_projective(3), torus(2),
-                     product(sphere(2), sphere(2))):
+                     kunneth_product(sphere(2), sphere(2), SignMode.LITERAL)):
             assert validate(ring).ok
 
     def test_rescaled_top_product_is_still_a_valid_ring(self):
@@ -86,7 +87,9 @@ class TestValidate:
         ]
 
     def test_allow_noncommutative_skips_only_that_axiom(self):
-        literal_torus = product(sphere(1), sphere(1))  # no Koszul sign
+        # no Koszul sign
+        literal_torus = kunneth_product(sphere(1), sphere(1),
+                                        SignMode.LITERAL)
         report = validate(literal_torus)
         assert any(v.axiom == "graded-commutativity" for v in report)
         assert all(v.axiom == "graded-commutativity" for v in report)
@@ -170,7 +173,8 @@ def defect_lists(mp: ModulePair):
 class TestAssociativityDefects:
     PAIRS = [disk_pair(1), disk_pair(3), cylinder_pair(sphere(2)),
              cylinder_pair(complex_projective(3)), cylinder_pair(torus(3)),
-             cylinder_pair(product(complex_projective(2), sphere(2))),
+             cylinder_pair(kunneth_product(complex_projective(2), sphere(2),
+                                           SignMode.LITERAL)),
              ideal_pair(3, 1), ideal_pair(4, 2), ideal_pair(5, 5)]
 
     @pytest.mark.parametrize("index", range(len(PAIRS)))
@@ -193,7 +197,8 @@ class TestAssociativityDefects:
         rng = random.Random(21)
         with_defects = 0
         for ring in (complex_projective(4), torus(3),
-                     product(complex_projective(2), torus(2))):
+                     kunneth_product(complex_projective(2), torus(2),
+                                     SignMode.LITERAL)):
             for _ in range(30):
                 bad = corrupted(ModulePair(ring, ring.basis, ring.tensor),
                                 rng).ring
@@ -282,7 +287,7 @@ class TestMultiply:
     def test_elementwise_associativity_random_elements(self):
         rng = random.Random(11)
         for ring in (complex_projective(2), torus(2),
-                     product(sphere(2), sphere(2))):
+                     kunneth_product(sphere(2), sphere(2), SignMode.LITERAL)):
             for _ in range(5):
                 a, b, c = (tuple(Fraction(rng.randint(-3, 3))
                                  for _ in range(ring.size))
@@ -335,7 +340,9 @@ class TestDuality:
 class TestFrobeniusChain:
     def test_holds_on_catalog_rings(self):
         for ring in (complex_projective(2), sphere(2), sphere(5), torus(2),
-                     product(complex_projective(1), complex_projective(1))):
+                     kunneth_product(complex_projective(1),
+                                     complex_projective(1),
+                                     SignMode.LITERAL)):
             assert check_frobenius_chain(ring)
 
     def test_broken_associativity_breaks_chain(self):
@@ -375,7 +382,7 @@ def random_degree_preserving_change(ring, rng):
 class TestChangeBasis:
     def test_transported_ring_is_valid_with_same_invariants(self):
         rng = random.Random(3)
-        ring = product(sphere(2), sphere(2))
+        ring = kunneth_product(sphere(2), sphere(2), SignMode.LITERAL)
         p = random_degree_preserving_change(ring, rng)
         moved = change_basis(ring, p)
         assert validate(moved).ok
