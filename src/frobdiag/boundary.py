@@ -25,10 +25,10 @@ from .diagonal import (SignMode, SingularPairingError, SymmetryReport,
 # module by name
 from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
                      invert, nullspace, rank, solve)
-from .ring import (GradedBasis, ProductMap, RingStructure,  # noqa: F401
-                   ValidationReport, _defects_unless_certified, _top_entries,
-                   _top_index, bilinear_product, multiply, sparse_tensor,
-                   validate)
+from .constants import ProductMap, _Constants, sparse_tensor
+from .ring import (GradedBasis, RingStructure, ValidationReport,  # noqa: F401
+                   _defects_unless_certified, _top_entries, _top_index,
+                   bilinear_product, multiply, validate)
 
 ModuleElement = Vector
 
@@ -37,26 +37,55 @@ ModuleElement = Vector
 _relative_symmetry_system = _symmetry_system
 
 
-class ModulePair:
+class ModulePair(_Constants):
     """A ring acting on a graded module, with a relative top class.
 
-    ``_den`` is the lcm of the action's denominators (see
-    :func:`frobdiag.ring.sparse_tensor`); ``_scaled`` keeps the action
-    map scaled to ints by each denominator asked for
-    (:func:`frobdiag.ring.scaled_action`).
+    The action's constants are stored once, as ints over one denominator
+    (:class:`frobdiag.constants._Constants`); ``action`` and
+    ``action_coefficients`` are exact views of them.  A pair whose action
+    is its ring's product, such as a cylinder or a closed ring embedded
+    as a pair, shares the ring's stored map (:meth:`_from_ints`), its
+    rescaled copies and its views.
     """
 
-    __slots__ = ("ring", "module_basis", "action", "_action_products",
-                 "_den", "_scaled")
+    __slots__ = ("ring", "module_basis")
 
     def __init__(self, ring: RingStructure, module_basis: GradedBasis,
                  action: Mapping[tuple[int, int, int], int | str | Fraction]):
         nm = module_basis.size
         self.ring = ring
         self.module_basis = module_basis
-        self.action, self._action_products, self._den = sparse_tensor(
-            action, (ring.size, nm, nm), "action")
-        self._scaled: dict[int, ProductMap] = {}
+        self._store(*sparse_tensor(action, (ring.size, nm, nm), "action"))
+
+    @classmethod
+    def _from_ints(cls, ring: RingStructure, module_basis: GradedBasis,
+                   ints: ProductMap, den: int) -> ModulePair:
+        """The pair whose action constants ``ints`` over ``den`` are
+        already checked, as :func:`frobdiag.constants.sparse_tensor` returns
+        them.  Passing the ring's own ``_ints`` (with a module basis of
+        the ring's size) shares that map with the ring."""
+        mp = cls.__new__(cls)
+        mp.ring = ring
+        mp.module_basis = module_basis
+        mp._store(ints, den, None,
+                  ring._scaled if ints is ring._ints else None)
+        return mp
+
+    def _shares_product(self) -> bool:
+        """Whether the action is the ring's product, stored once."""
+        return self._ints is self.ring._ints
+
+    @property
+    def action(self) -> Mapping[tuple[int, int, int], int | Fraction]:
+        """The nonzero constants ``(i, j, k) -> value``, each an int where
+        integral and a Fraction otherwise."""
+        return (self.ring.tensor if self._shares_product()
+                else self._flat_view())
+
+    @property
+    def _action_products(self) -> ProductMap:
+        return (self.ring._action_products if self._shares_product()
+                else self._exact_view())
 
     @property
     def formal_dimension(self) -> int:
@@ -72,7 +101,7 @@ class ModulePair:
             return NotImplemented
         return (self.ring == other.ring
                 and self.module_basis == other.module_basis
-                and self.action == other.action)
+                and self._den == other._den and self._ints == other._ints)
 
     def __repr__(self) -> str:
         return (f"ModulePair(ring of {self.ring.size} over module of "
@@ -106,14 +135,22 @@ def validate_module(mp: ModulePair,
     factor.  So ``T`` is the whole ring once it holds a generating set,
     as for :func:`frobdiag.ring.validate`.
 
+    When the action is the ring's product, stored once (as for a
+    cylinder or a closed ring embedded as a pair), and the module has the
+    ring's size, that certificate is the one :func:`validate` has just
+    run: the same two maps, the same generators and the same width.  A
+    clean report so far means it passed (had it failed, the ring's full
+    scan would have listed a defect), so it is not run again.
+
     As there, action grading and the unit action are settled by
-    whole-map comparisons, and their ordered loops run only when one
-    fails.  The grading loop reports the entries with ``|k| != |i| +
-    |j|``, and one unsorted pass over the action's keys asks whether
-    there is one.  The unit-action loop reports the ``k`` where the
-    unit's action on ``x_j`` differs from the indicator of ``j``, over
-    the map's terms and ``j``; the action map holds no zeros, so it is
-    silent exactly when the map is ``{j: 1}``.
+    whole-map comparisons on the stored map, the constants times ``D``,
+    and their ordered loops run only when one fails.  The grading loop
+    reports the entries with ``|k| != |i| + |j|``, and one unsorted pass
+    over the stored map's keys asks whether there is one.  The
+    unit-action loop reports the ``k`` where the unit's action on
+    ``x_j`` differs from the indicator of ``j``, over the map's terms
+    and ``j``; the stored map holds no zeros, so it is silent exactly
+    when the map is ``{j: 1}``, stored as ``{j: D}``.
     """
     report = ValidationReport()
     for v in validate(mp.ring, allow_noncommutative=allow_noncommutative):
@@ -121,7 +158,9 @@ def validate_module(mp: ModulePair,
 
     ring_deg = mp.ring.basis.degrees
     mod_deg = mp.module_basis.degrees
-    if any(mod_deg[k] != ring_deg[i] + mod_deg[j] for i, j, k in mp.action):
+    ints, den, nm = mp._ints, mp._den, mp.module_basis.size
+    if any(mod_deg[k] != ring_deg[i] + mod_deg[j]
+           for (i, j), coeffs in ints.items() for k in coeffs):
         for (i, j, k), v in sorted(mp.action.items()):
             if mod_deg[k] != ring_deg[i] + mod_deg[j]:
                 report.add("action-grading", (i, j, k),
@@ -129,9 +168,8 @@ def validate_module(mp: ModulePair,
                            f"-> {mod_deg[k]}")
 
     unit = mp.ring.basis.unit_index
-    if not all(mp._action_products.get((unit, j)) == {j: 1}
-               for j in range(mp.module_basis.size)):
-        for j in range(mp.module_basis.size):
+    if not all(ints.get((unit, j)) == {j: den} for j in range(nm)):
+        for j in range(nm):
             coeffs = mp.action_coefficients(unit, j)
             for k in sorted(coeffs.keys() | {j}):
                 expected = int(k == j)
@@ -140,6 +178,8 @@ def validate_module(mp: ModulePair,
                     report.add("unit-action", (j, k),
                                f"unit acts with {actual}, expected {expected}")
 
+    if report.ok and mp._shares_product() and nm == mp.ring.size:
+        return report
     for indices, a, b in _defects_unless_certified(mp, report.ok):
         report.add("module-associativity", indices, f"{a} != {b}")
     return report

@@ -20,6 +20,8 @@ and the ``cylinder:``/``closed:`` pairs of any of these) is a
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -95,8 +97,8 @@ def cylinder_pair(ring: RingStructure) -> ModulePair:
     """Cross a closed ring with an interval, relative to both ends.
 
     The relative group is the ring shifted by the degree-1 interval class;
-    the action is the ring's own multiplication, so the relative pairing
-    equals the ring's pairing matrix.
+    the action is the ring's own multiplication, whose stored map the pair
+    shares, so the relative pairing equals the ring's pairing matrix.
     """
     if ring.basis.top_index is None:
         raise CatalogError("cylinder construction needs a ring with a "
@@ -108,19 +110,20 @@ def cylinder_pair(ring: RingStructure) -> ModulePair:
         unit_index=None,
         top_index=ring.basis.top_index,
     )
-    return ModulePair(ring, module_basis, dict(ring.tensor))
+    return ModulePair._from_ints(ring, module_basis, ring._ints, ring._den)
 
 
 def closed_as_pair(ring: RingStructure) -> ModulePair:
     """Embed a closed ring as a pair: module = ring, action = product.
 
     The module copy of the basis drops the unit marker; modules have no
-    unit of their own.
+    unit of their own.  The action is the ring's stored product map,
+    shared.
     """
     if ring.basis.top_index is None:
         raise CatalogError("closed-case embedding needs a top class")
     module_basis = replace(ring.basis, unit_index=None)
-    return ModulePair(ring, module_basis, dict(ring.tensor))
+    return ModulePair._from_ints(ring, module_basis, ring._ints, ring._den)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +179,20 @@ _WRAPPERS = {"cylinder": (cylinder_pair, "cylinder wants a ring entry"),
                         "closed-case embedding wants a ring entry")}
 
 
+# the base-10 grammar of int(): sign, digits (\d is str.isdecimal, as
+# for int()), single underscores between them, whitespace around
+_INTEGER_RE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*\Z")
+
+
 def _parse_int(text: str, what: str) -> int:
+    """``text`` as an int; an integer past ``int()``'s digit limit is
+    refused as too large, anything else as not an integer."""
     try:
         return int(text)
     except ValueError:
+        if _INTEGER_RE.match(text):
+            raise CatalogError(f"{what} parameter {_cut(text.strip())!r} "
+                               "is too large") from None
         raise CatalogError(f"{what} wants an integer parameter, got "
                            f"{_cut(text)!r}") from None
 
@@ -198,6 +211,17 @@ def check_size(name: str, size: int, shown: str | None = None) -> None:
         raise CatalogError(
             f"{_cut(name)} would have {_cut(shown)} basis "
             f"elements, more than the catalog's limit of {MAX_BASIS}")
+
+
+def check_degree(name: str, degree: int) -> None:
+    """Refuse ``name`` if it would have a degree (its formal dimension,
+    or the largest degree of its basis) with more digits than an int is
+    written with (``sys.get_int_max_str_digits``), so no report of it
+    could be printed."""
+    limit = sys.get_int_max_str_digits()
+    if limit and degree >= 10 ** limit:
+        raise CatalogError(f"{_cut(name)} would have a degree of more than "
+                           f"{limit} digits, too long to print")
 
 
 def resolve(name: str, mode: SignMode = SignMode.LITERAL) -> CatalogEntry:
@@ -249,6 +273,8 @@ def resolve(name: str, mode: SignMode = SignMode.LITERAL) -> CatalogEntry:
         payload = kunneth_product(left.payload, right.payload, mode)
     else:
         raise CatalogError(f"unknown catalog entry {_cut(name)!r}")
+    # a sum of degrees (a cylinder, a product) can pass what int() prints
+    check_degree(name, payload.module_basis.formal_dimension)
     return CatalogEntry(name=name, payload=payload,
                         expected=_EXPECTATIONS.get(name))
 

@@ -25,13 +25,13 @@ from .boundary import (ModulePair, check_relative_symmetry,
                        relative_class_in_span, relative_diagonal_class,
                        relative_pairing_matrix,
                        solve_relative_symmetric_space, validate_module)
-from .catalog import (CatalogError, catalog_names, check_size,
-                      closed_as_pair, resolve)
+from .catalog import (CatalogError, catalog_names, check_degree,
+                      check_size, closed_as_pair, resolve)
 from .diagonal import (NonUniqueSolutionError, NoSolutionError, SignMode,
                        SingularPairingError, check_symmetry,
                        check_top_normalization, class_in_span, diagonal_class,
                        kunneth_product, solve_symmetric_space)
-from .document import (DocumentError, emit_document, indented_json,
+from .document import (DocumentError, _cut, emit_document, indented_json,
                        parse_document)
 from .linalg import Matrix
 from .ring import (MissingTopClassError, RingStructure, ValidationReport,
@@ -318,10 +318,14 @@ def cmd_kunneth(args: argparse.Namespace) -> int:
     name_a, ring_a = _load_input(args.left, mode)
     name_b, ring_b = _load_input(args.right, mode)
     if isinstance(ring_a, RingStructure) and isinstance(ring_b, RingStructure):
-        # refuse an oversized product before any factor is validated
+        # refuse an oversized product, or one whose degrees add up to more
+        # digits than can be printed, before any factor is validated
+        a, b = ring_a.basis, ring_b.basis
+        product = f"product:{name_a},{name_b}"
         try:
-            check_size(f"product:{name_a},{name_b}",
-                       ring_a.size * ring_b.size)
+            check_size(product, ring_a.size * ring_b.size)
+            check_degree(product, max(a.formal_dimension + b.formal_dimension,
+                                      max(a.degrees) + max(b.degrees)))
         except CatalogError as exc:
             raise CliFailure(EXIT_PARSE, str(exc))
     for name, payload in ((name_a, ring_a), (name_b, ring_b)):
@@ -334,8 +338,8 @@ def cmd_kunneth(args: argparse.Namespace) -> int:
                       allow_noncommutative=args.allow_noncommutative)
     if not report.ok:
         first = report.violations[0]
-        print(f"product of {name_a} and {name_b} fails validation "
-              f"({len(report)} violation(s)); first: {first}",
+        print(f"product of {_cut(name_a)} and {_cut(name_b)} fails "
+              f"validation ({len(report)} violation(s)); first: {first}",
               file=sys.stderr)
         print("hint: odd-degree factors need --mode graded, or pass "
               "--allow-noncommutative to emit anyway", file=sys.stderr)
@@ -412,13 +416,73 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser of every :func:`main` call, built on the first."""
+    """The parser of the :func:`main` calls that :func:`_plain_args`
+    leaves to argparse, built on the first."""
     return build_parser()
+
+
+@functools.cache
+def _verb_table() -> dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]]:
+    """Verb -> (handler name, positional inputs, options), from
+    :func:`_verbs`."""
+    return {verb: (handler, inputs, options)
+            for verb, handler, inputs, options, _ in _verbs()}
+
+
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace of a plain ``argv``, read off the verb table, or
+    ``None``.
+
+    A plain ``argv`` is a verb, then in any order the verb's options,
+    each spelled exactly as in :data:`_OPTIONS`, given at most once and
+    followed by its value when it takes one (a value among its choices,
+    if it has them), and as many positional inputs as the verb takes.
+    No token but an option starts with ``-``.  Its namespace is the one
+    that :func:`build_parser` gives.  Any other ``argv`` (help, an
+    abbreviated option, ``--option=value``, ``--``, a repeated option or
+    an error) is left to argparse, which handles or reports it.
+    """
+    verb = _verb_table().get(argv[0]) if argv else None
+    if verb is None:
+        return None
+    handler, inputs, options = verb
+    given: dict[str, Any] = {}
+    positional = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positional.append(token)
+        elif token not in options or token in given:
+            return None
+        elif _OPTIONS[token].get("action") == "store_true":
+            given[token] = True
+        else:
+            value = next(tokens, "-")
+            if value.startswith("-") or value not in _OPTIONS[token].get(
+                    "choices", (value,)):
+                return None
+            given[token] = value
+    if len(positional) != len(inputs):
+        return None
+    args = argparse.Namespace(verb=argv[0], **dict(zip(inputs, positional)))
+    for option in options:
+        spec = _OPTIONS[option]
+        default = spec.get("default",
+                           False if spec.get("action") == "store_true"
+                           else None)
+        setattr(args, option[2:].replace("-", "_"),
+                given.get(option, default))
+    args.handler = handler
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _plain_args(argv)
+        if args is None:
+            args = _parser().parse_args(argv)
         return globals()[args.handler](args)
     except CliFailure as exc:
         print(exc.message, file=sys.stderr)

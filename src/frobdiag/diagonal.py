@@ -42,9 +42,9 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 from .linalg import (Matrix, SingularMatrixError, SparseRow,  # noqa: F401
                      _Echelon, _insert, _integral, _kernel, _particular,
                      _reduce, invert, nullspace, rank, solve)
+from .constants import scaled_action
 from .ring import (GradedBasis, RingElement, RingStructure,  # noqa: F401
-                   _top_index, multiply, pairing_matrix, scaled_action,
-                   unit_element)
+                   _top_index, multiply, pairing_matrix, unit_element)
 
 if TYPE_CHECKING:
     from .boundary import ModulePair
@@ -304,7 +304,7 @@ def _symmetry_residuals(acting: RingStructure | ModulePair, w: TensorClass,
     ring, the pair whose module is the ring.  The work is done in ints:
     ``w`` is scaled to integer terms by the lcm ``den`` of its
     denominators, and the ring's products and the action by one common
-    ``D`` (:func:`frobdiag.ring.scaled_action`).  The residual is linear
+    ``D`` (:func:`frobdiag.constants.scaled_action`).  The residual is linear
     in ``w`` and in the two maps together, so each entry is the integer
     difference divided by ``den * D``, the value over the data as given.
     Each side is accumulated over the terms present only, and the sides
@@ -373,7 +373,7 @@ class _ProductIndex(NamedTuple):
 def _product_index(acting: RingStructure | ModulePair) -> _ProductIndex:
     """The :class:`_ProductIndex` of the ring's product and ``acting``'s
     action, both scaled by one common denominator ``D``
-    (:func:`frobdiag.ring.scaled_action`); one pass over their terms."""
+    (:func:`frobdiag.constants.scaled_action`); one pass over their terms."""
     ring = acting.ring
     scale = lcm(ring._den, acting._den)
     right: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -409,7 +409,7 @@ def _symmetry_system(acting: RingStructure | ModulePair,
     number of unknowns.  Rows are assembled straight from the two
     product maps, independently of :func:`tensor_multiply`.  The maps
     are first scaled to ints by one common denominator ``D``
-    (:func:`frobdiag.ring.scaled_action`), so every value is an int and
+    (:func:`frobdiag.constants.scaled_action`), so every value is an int and
     every equation is ``D`` times the one over the maps as given: the
     system is homogeneous, so its solutions and its reduced row echelon
     form are the same.
@@ -473,9 +473,9 @@ def _blocks(acting: RingStructure | ModulePair) -> list[int | None]:
     """
     ring = acting.ring
     ring_deg, module_deg = ring.basis.degrees, acting.module_basis.degrees
-    maps = [(ring._products, ring_deg)]
+    maps = [(ring._ints, ring_deg)]
     if acting is not ring:
-        maps.append((acting._action_products, module_deg))
+        maps.append((acting._ints, module_deg))
     if all(deg[c] == ring_deg[a] + deg[b] for products, deg in maps
            for (a, b), coeffs in products.items() for c in coeffs):
         return sorted({a + b for a in set(module_deg) for b in set(ring_deg)})
@@ -600,9 +600,12 @@ def kunneth_product(ring_a: RingStructure, ring_b: RingStructure,
         unit_index=flat(ring_a.basis.unit_index, ring_b.basis.unit_index),
         top_index=top,
     )
-    tensor: dict[tuple[int, int, int], Fraction] = {}
+    tensor: dict[tuple[int, int, int], int | Fraction] = {}
     for (i, j, k), va in ring_a.tensor.items():
         for (ip, jp, kp), vb in ring_b.tensor.items():
             sign = koszul_sign(mode, deg_b[ip], deg_a[j])
-            tensor[(flat(i, ip), flat(j, jp), flat(k, kp))] = sign * va * vb
+            v = sign * va * vb
+            if type(v) is not int and v.denominator == 1:
+                v = v.numerator  # the form the product keeps as its view
+            tensor[(flat(i, ip), flat(j, jp), flat(k, kp))] = v
     return RingStructure(basis, tensor)

@@ -21,10 +21,12 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from json.encoder import encode_basestring_ascii as _quote  # C escaper
 from typing import Any, Callable, NoReturn
 
 from .boundary import ModulePair
+from .constants import ProductMap
 from .ring import GradedBasis, RingStructure
 
 Payload = RingStructure | ModulePair
@@ -95,65 +97,123 @@ def _reject_unknown(mapping: dict, allowed: set[str], location: str) -> None:
 
 def _parse_basis(raw: Any, location: str) -> tuple[tuple[str, ...],
                                                    tuple[int, ...]]:
+    """The labels and degrees of a basis list.
+
+    An item that is an object of two keys, a new ``label`` string and a
+    nonnegative int ``degree`` (not a bool), is read at once; any other
+    runs the checks in order, and the first it fails raises.
+    """
     if not isinstance(raw, list) or not raw:
         raise DocumentError("expected a nonempty list", location)
     labels, degrees, seen = [], [], set()
     for idx, item in enumerate(raw):
-        here = f"{location}[{idx}]"
-        label = _expect(item, "label", str, here)
-        degree = _expect(item, "degree", int, here)
-        _reject_unknown(item, {"label", "degree"}, here)
-        if degree < 0:
-            raise DocumentError("degree must be nonnegative", here)
-        if label in seen:
-            raise DocumentError(f"duplicate label {_echo(label)}", here)
+        label, degree = ((item.get("label"), item.get("degree"))
+                         if type(item) is dict and len(item) == 2
+                         else (None, None))
+        if not (type(label) is str and type(degree) is int and degree >= 0
+                and label not in seen):
+            here = f"{location}[{idx}]"
+            label = _expect(item, "label", str, here)
+            degree = _expect(item, "degree", int, here)
+            _reject_unknown(item, {"label", "degree"}, here)
+            if degree < 0:
+                raise DocumentError("degree must be nonnegative", here)
+            if label in seen:
+                raise DocumentError(f"duplicate label {_echo(label)}", here)
         seen.add(label)
         labels.append(label)
         degrees.append(degree)
     return tuple(labels), tuple(degrees)
 
 
-def _parse_tensor(raw: Any, location: str) -> dict[tuple[int, int, int],
-                                                   int | Fraction]:
-    """The entries of a tensor list, each value an int or a Fraction.
+def _parse_tensor(raw: Any, location: str, sizes: tuple[int, int, int]
+                  ) -> tuple[ProductMap, int, tuple[int, int, int] | None]:
+    """The entries of a tensor list, in the form a ring or pair stores.
 
-    An entry is read in one pass when it is an object with exactly the
-    keys ``i``, ``j``, ``k`` and ``value``, its indices are ints (not
-    bools), its key is new and its value matches the rational grammar
-    and converts.  Any other entry goes to :func:`_reject_entry`, which
-    raises the error of the first check it fails.
+    Returns ``(ints, D, bad)``, as :func:`frobdiag.constants.sparse_tensor`
+    would from the entries' values: ``D`` is the lcm of the values'
+    denominators and ``ints`` maps ``(i, j)`` to ``{k: D * value}`` over
+    the nonzero values, in list order.  ``bad`` is the first index
+    triple, in list order, outside ``sizes``, or ``None``; the caller
+    raises it after its basis checks.
+
+    An entry is read in one pass when it is an object of four keys,
+    ``i``, ``j``, ``k`` and ``value``, its indices are ints (not bools),
+    its key is new and its value is in the rational grammar of
+    :data:`_RATIONAL_RE` and converts.  The grammar is checked without
+    the regex: a numerator of decimal digits (``str.isdecimal``, the
+    characters that ``\\d`` matches) after an optional ``-``, and an
+    optional ``/`` and denominator of decimal digits.  The two numerals
+    are read as a reduced pair of ints ``p/q``, and no Fraction is made:
+    ``p`` goes into the map, and when ``q > 1`` it is multiplied by
+    ``D / q`` once the pass has found ``D``.  A zero value is left out,
+    but its key still counts as seen.  Any other entry goes to
+    :func:`_reject_entry`, which raises the error of the first check it
+    fails.
     """
     if not isinstance(raw, list):
         raise DocumentError("expected a list of entries", location)
-    tensor: dict[tuple[int, int, int], int | Fraction] = {}
+    ni, nj, nk = sizes
+    ints: dict[tuple[int, int], dict[int, int]] = {}
+    zeros: set[tuple[int, int, int]] = set()
+    rationals: list[tuple[dict[int, int], int, int]] = []  # (map, k, q)
+    bad = None
     for idx, item in enumerate(raw):
-        if type(item) is dict and item.keys() == _ENTRY_KEYS:
-            key = i, j, k = item["i"], item["j"], item["k"]
-            value = item["value"]
+        if type(item) is dict and len(item) == 4:
+            i, j, k = item.get("i"), item.get("j"), item.get("k")
+            value = item.get("value")
+            num, slash, den = (value.partition("/") if type(value) is str
+                               else ("", "", ""))
             if (type(i) is int and type(j) is int and type(k) is int
-                    and key not in tensor and type(value) is str
-                    and (match := _RATIONAL_RE.match(value))):
-                num, den = match.groups()
+                    and (num.isdecimal()
+                         or num[:1] == "-" and num[1:].isdecimal())
+                    and (den.isdecimal() or not slash)):
+                coeffs = ints.get((i, j))
                 try:
-                    tensor[key] = (int(num) if den is None
-                                   else Fraction(int(num), int(den)))
+                    p = int(num)
+                    q = int(den) if slash else 1
+                except ValueError:  # more digits than int() converts
+                    q = 0
+                if q and (coeffs is None or k not in coeffs) and (
+                        not zeros or (i, j, k) not in zeros):
+                    if bad is None and not (0 <= i < ni and 0 <= j < nj
+                                            and 0 <= k < nk):
+                        bad = i, j, k
+                    if q != 1:
+                        g = gcd(p, q)
+                        p, q = p // g, q // g
+                    if not p:
+                        zeros.add((i, j, k))
+                        continue
+                    if coeffs is None:
+                        coeffs = ints[i, j] = {k: p}
+                    else:
+                        coeffs[k] = p
+                    if q != 1:
+                        rationals.append((coeffs, k, q))
                     continue
-                except (ValueError, ZeroDivisionError):
-                    pass
-        _reject_entry(item, tensor, f"{location}[{idx}]")
-    return tensor
+        _reject_entry(item, ints, zeros, f"{location}[{idx}]")
+    den = lcm(*(q for _, _, q in rationals))
+    if den > 1:
+        for coeffs in ints.values():
+            for k in coeffs:
+                coeffs[k] *= den
+        for coeffs, k, q in rationals:
+            coeffs[k] //= q
+    return ints, den, bad
 
 
-def _reject_entry(item: Any, tensor: dict, here: str) -> NoReturn:
+def _reject_entry(item: Any, ints: ProductMap,
+                  zeros: set[tuple[int, int, int]], here: str) -> NoReturn:
     """Raise the error of an entry that :func:`_parse_tensor` could not
     read, running the entry checks in order: object, indices, keys,
-    value, then a repeated key."""
+    value, then a repeated key (one in ``ints`` or ``zeros``)."""
     i = _expect(item, "i", int, here)
     j = _expect(item, "j", int, here)
     k = _expect(item, "k", int, here)
     _reject_unknown(item, _ENTRY_KEYS, here)
     _parse_rational(item.get("value"), f"{here}.value")
-    if (i, j, k) in tensor:
+    if k in ints.get((i, j), ()) or (i, j, k) in zeros:
         raise DocumentError(f"duplicate entry for ({i}, {j}, {k})", here)
     raise AssertionError(f"{here}: a JSON entry that passes every check "
                          "is read by _parse_tensor")
@@ -175,7 +235,9 @@ def parse_document(text: str) -> tuple[str, Payload]:
     Raises :class:`DocumentError` for anything structurally wrong: bad
     JSON, missing or mistyped fields, duplicate tensor keys, indices that
     do not address the declared basis.  Axiom violations are *not*
-    checked here; run the validators on the returned payload.
+    checked here; run the validators on the returned payload.  A pair
+    whose action equals its ring's product, value for value, shares the
+    ring's stored map (:meth:`frobdiag.boundary.ModulePair._from_ints`).
     """
     try:
         raw = json.loads(text)
@@ -183,6 +245,9 @@ def parse_document(text: str) -> tuple[str, Payload]:
         raise DocumentError(f"invalid JSON: {exc}", "") from None
     except RecursionError:
         raise DocumentError("JSON nested too deeply to parse", "") from None
+    except ValueError:  # an integer literal past int()'s digit limit
+        raise DocumentError("JSON integer literal has too many digits to "
+                            "convert exactly", "") from None
     if not isinstance(raw, dict):
         raise DocumentError("top level must be an object", "")
     _reject_unknown(raw, {"name", "dimension", "basis", "unit", "top",
@@ -192,7 +257,9 @@ def parse_document(text: str) -> tuple[str, Payload]:
     labels, degrees = _parse_basis(_expect(raw, "basis", list, ""), "basis")
     unit = _expect(raw, "unit", int, "")
     top = _optional_index(raw, "top", "")
-    tensor = _parse_tensor(_expect(raw, "lambda", list, ""), "lambda")
+    n = len(labels)
+    ints, den, bad = _parse_tensor(_expect(raw, "lambda", list, ""),
+                                   "lambda", (n, n, n))
     # In a pair document, "dimension" is the module's formal dimension;
     # the ring's own formal dimension is the degree of its top class when
     # it has one (e.g. the absolute ring of a cylinder).
@@ -205,9 +272,11 @@ def parse_document(text: str) -> tuple[str, Payload]:
         basis = GradedBasis(labels=labels, degrees=degrees,
                             formal_dimension=ring_dimension, unit_index=unit,
                             top_index=top)
-        ring = RingStructure(basis, tensor)
     except ValueError as exc:
         raise DocumentError(str(exc), "basis") from None
+    if bad is not None:
+        raise DocumentError(f"tensor index {bad} out of range", "basis")
+    ring = RingStructure._from_ints(basis, ints, den)
 
     if "module" not in raw:
         return name, ring
@@ -219,16 +288,21 @@ def parse_document(text: str) -> tuple[str, Payload]:
     mod_labels, mod_degrees = _parse_basis(
         _expect(mod, "basis", list, "module"), "module.basis")
     mod_top = _optional_index(mod, "top", "module")
-    action = _parse_tensor(_expect(mod, "action", list, "module"),
-                           "module.action")
+    nm = len(mod_labels)
+    action, action_den, bad = _parse_tensor(
+        _expect(mod, "action", list, "module"), "module.action", (n, nm, nm))
     try:
         module_basis = GradedBasis(labels=mod_labels, degrees=mod_degrees,
                                    formal_dimension=dimension,
                                    unit_index=None, top_index=mod_top)
-        pair = ModulePair(ring, module_basis, action)
     except ValueError as exc:
         raise DocumentError(str(exc), "module") from None
-    return name, pair
+    if bad is not None:
+        raise DocumentError(f"action index {bad} out of range", "module")
+    if nm == n and action_den == den and action == ints:
+        action = ints
+    return name, ModulePair._from_ints(ring, module_basis, action,
+                                       action_den)
 
 
 def _basis_json(basis: GradedBasis) -> list[dict]:

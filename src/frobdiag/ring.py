@@ -17,17 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Matrix, Vector, _Echelon, _insert, frac, invert, rank
+from .constants import (ProductMap, SparseTensor, _Constants, _exact,
+                        scaled_action, sparse_tensor)
+from .linalg import (Matrix, Vector, _Echelon, _insert, _integral, invert,
+                     rank)
 
 if TYPE_CHECKING:
     from .boundary import ModulePair
 
-# structure constants: int where integral, Fraction otherwise
-SparseTensor = Mapping[tuple[int, int, int], int | Fraction]
-ProductMap = Mapping[tuple[int, int], Mapping[int, int | Fraction]]
 # an associativity defect: (i, j, k, s), then the two sides' coefficients
 Defect = tuple[tuple[int, int, int, int], int | Fraction, int | Fraction]
 
@@ -78,84 +78,19 @@ class GradedBasis:
 RingElement = Vector
 
 
-def sparse_tensor(raw: Mapping[tuple[int, int, int], int | str | Fraction],
-                  sizes: tuple[int, int, int], what: str
-                  ) -> tuple[SparseTensor, ProductMap, int]:
-    """Checked nonzero entries of a structure tensor, its product map, and
-    the lcm of their denominators.
-
-    The product map ``(i, j) -> {k: value}`` is the working form for
-    products; ``what`` names the tensor in the out-of-range error.  A
-    value is stored as an ``int`` when it is integral and as a
-    ``Fraction`` otherwise: the two mix exactly, and products of ints
-    cost far less.  An ``int`` is kept as it is.  No value is ever
-    divided (``1 / int`` is a float).  The lcm, 1 for an integral
-    tensor, is what :func:`scaled_action` scales by.
-    """
-    ni, nj, nk = sizes
-    clean: dict[tuple[int, int, int], int | Fraction] = {}
-    products: dict[tuple[int, int], dict[int, int | Fraction]] = {}
-    denominators = set()
-    for (i, j, k), v in raw.items():
-        if not (0 <= i < ni and 0 <= j < nj and 0 <= k < nk):
-            raise ValueError(f"{what} index {(i, j, k)} out of range")
-        if type(v) is not int:
-            v = frac(v)
-            if v.denominator == 1:
-                v = v.numerator
-            else:
-                denominators.add(v.denominator)
-        if v:
-            clean[i, j, k] = v
-            if (i, j) in products:
-                products[i, j][k] = v
-            else:
-                products[i, j] = {k: v}
-    return clean, products, lcm(*denominators)
-
-
-def scaled_action(acting: RingStructure | ModulePair,
-                  den: int) -> ProductMap:
-    """The action map of ``acting`` (a ring, acting on itself by its
-    product, or a :class:`frobdiag.boundary.ModulePair`) times ``den``.
-
-    ``den`` must be a multiple of every value's denominator, such as the
-    lcm of the ring's and the action's own (:func:`sparse_tensor`), so
-    every value comes out an int.  Scaling by one common ``den`` keeps
-    every linear identity between the maps, and scales an identity of
-    degree ``d`` by ``den**d``, so zero patterns, kernels and reduced
-    forms stay as they are.  With ``den == 1`` the map itself comes back,
-    not a copy.  The scaled map is built once per ``den`` and kept on
-    ``acting``, as ``_generators`` is: the associativity certificate,
-    :func:`generators`, the residual oracle and the symmetry system all
-    ask for the same one.
-    """
-    scaled = acting._scaled.get(den)
-    if scaled is None:
-        products = acting._action_products
-        scaled = products if den == 1 else {
-            key: {k: v.numerator * (den // v.denominator)
-                  for k, v in coeffs.items()}
-            for key, coeffs in products.items()}
-        acting._scaled[den] = scaled
-    return scaled
-
-
-class RingStructure:
+class RingStructure(_Constants):
     """A graded basis plus the sparse multiplication tensor.
 
-    ``_den`` is the lcm of the constants' denominators (see
-    :func:`sparse_tensor`); ``_generators`` caches :func:`generators`,
+    The constants are stored once, as ints over one denominator
+    (:class:`_Constants`); ``tensor`` and ``product_coefficients`` are
+    exact views of them.  ``_generators`` caches :func:`generators`,
     which is filled on first use.  A ring is the pair whose module is the
     ring, acting by its product: its ``ring`` is itself, its
-    ``module_basis`` its basis and its ``_action_products`` its
-    ``_products``, so code written for a pair takes a ring as it is.
-    ``_scaled`` keeps that map scaled to ints by each denominator asked
-    for (:func:`scaled_action`).
+    ``module_basis`` its basis and its ``_action_products`` its exact
+    product map, so code written for a pair takes a ring as it is.
     """
 
-    __slots__ = ("basis", "tensor", "_products", "_den", "_generators",
-                 "_action_products", "_scaled")
+    __slots__ = ("basis", "_generators")
 
     def __init__(self, basis: GradedBasis,
                  tensor: Mapping[tuple[int, int, int], int | str | Fraction]):
@@ -163,11 +98,20 @@ class RingStructure:
             raise ValueError("a ring basis must carry a unit index")
         n = basis.size
         self.basis = basis
-        self.tensor, self._products, self._den = sparse_tensor(
-            tensor, (n, n, n), "tensor")
         self._generators: tuple[int, ...] | None = None
-        self._action_products = self._products
-        self._scaled: dict[int, ProductMap] = {}
+        self._store(*sparse_tensor(tensor, (n, n, n), "tensor"))
+
+    @classmethod
+    def _from_ints(cls, basis: GradedBasis, ints: ProductMap,
+                   den: int) -> RingStructure:
+        """The ring over ``basis`` (which carries a unit index) whose
+        constants ``ints`` over ``den`` are already checked, as
+        :func:`sparse_tensor` returns them."""
+        ring = cls.__new__(cls)
+        ring.basis = basis
+        ring._generators = None
+        ring._store(ints, den, None)
+        return ring
 
     @property
     def size(self) -> int:
@@ -181,20 +125,33 @@ class RingStructure:
     def module_basis(self) -> GradedBasis:
         return self.basis
 
+    @property
+    def tensor(self) -> SparseTensor:
+        """The nonzero constants ``(i, j, k) -> value``, each an int where
+        integral and a Fraction otherwise."""
+        return self._flat_view()
+
+    @property
+    def _action_products(self) -> ProductMap:
+        return self._exact_view()
+
     def product_coefficients(self, i: int,
                              j: int) -> Mapping[int, int | Fraction]:
         """Coefficients of ``x_i . x_j`` as a sparse map ``k -> value``."""
-        return self._products.get((i, j), {})
+        return self._exact_view().get((i, j), {})
 
     def __eq__(self, other: object) -> bool:
+        # equal constants have one lcm of denominators, and equal
+        # multiples of it
         if not isinstance(other, RingStructure):
             return NotImplemented
-        return self.basis == other.basis and self.tensor == other.tensor
+        return (self.basis == other.basis and self._den == other._den
+                and self._ints == other._ints)
 
     def __repr__(self) -> str:
         return (f"RingStructure({self.basis.size} basis elements, "
                 f"dim {self.basis.formal_dimension}, "
-                f"{len(self.tensor)} tensor entries)")
+                f"{sum(map(len, self._ints.values()))} tensor entries)")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +193,7 @@ def multiply(ring: RingStructure, a: Sequence[Fraction],
     if len(a) != n or len(b) != n:
         raise ValueError(
             f"element length mismatch: {len(a)}, {len(b)} over basis of {n}")
-    return bilinear_product(ring._products, a, b, n)
+    return bilinear_product(ring._action_products, a, b, n)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +366,8 @@ def _defects_unless_certified(acting: RingStructure | ModulePair,
                                scaled_action(acting, den),
                                generators(ring), acting.module_basis.size):
             return iter(())
-    return associativity_defects(ring._products, acting._action_products)
+    return associativity_defects(ring._action_products,
+                                 acting._action_products)
 
 
 def _graded_commutative(products: ProductMap, deg: Sequence[int]) -> bool:
@@ -442,44 +400,46 @@ def validate(ring: RingStructure,
     ring (for a ring that is not connected it returns every non-unit
     index, and the check is the full scan).
 
-    The other axioms are settled first by whole-map comparisons, and
+    The other axioms are settled first by whole-map comparisons on the
+    stored map, the constants times ``D`` (:class:`_Constants`), and
     their ordered loops run only when a comparison fails; each
     comparison fails exactly when its loop reports something, so the
     report is the loops' (and the dense loops' over every index pair).
-    The product map holds no zeros, so a missing coefficient is 0 and
-    two coefficient maps agree exactly when they are equal as dicts.
+    The stored map holds no zeros, so a missing coefficient is 0 and two
+    coefficient maps agree exactly when they are equal as dicts.
 
     - Grading: the loop reports the entries ``(i, j, k)`` with ``|k| !=
-      |i| + |j|``; one unsorted pass over the tensor's keys asks whether
-      there is one.
+      |i| + |j|``; one unsorted pass over the stored map's keys asks
+      whether there is one.
     - Unit: the loop reports, on each side, the ``k`` where ``x_u.x_i``
       differs from the indicator of ``i``, over the map's terms and
-      ``i``; it is silent exactly when the map is ``{i: 1}``.
+      ``i``; it is silent exactly when the map is ``{i: 1}``, stored as
+      ``{i: D}``.
     - Graded commutativity: the loop reports, for each pair ``i <= j``
       where a product has a term, the ``k`` where ``x_i.x_j`` differs
       from ``sign * x_j.x_i`` (``sign = -1`` when both degrees are odd).
       :func:`_graded_commutative` compares each key ``(i, j)`` of the
       map with its transpose, negated or not; a pair with a term has a
       key among ``(i, j)`` and ``(j, i)``, and the comparison of either
-      settles the pair, as ``sign`` is ``+-1``.  It compares the map
-      scaled to ints (:func:`scaled_action`), which the certificate has
-      built: scaling both sides by one ``D`` keeps every equality.
+      settles the pair, as ``sign`` is ``+-1``.  Scaling both sides by
+      one ``D`` keeps every equality.
     """
     report = ValidationReport()
     basis = ring.basis
     deg = basis.degrees
     n = ring.size
     u = basis.unit_index
-    products = ring._products
+    ints, den = ring._ints, ring._den
 
-    if any(deg[k] != deg[i] + deg[j] for i, j, k in ring.tensor):
+    if any(deg[k] != deg[i] + deg[j]
+           for (i, j), coeffs in ints.items() for k in coeffs):
         for (i, j, k), v in sorted(ring.tensor.items()):
             if deg[k] != deg[i] + deg[j]:
                 report.add("grading", (i, j, k),
                            f"entry {v} has degree {deg[i]}+{deg[j]} "
                            f"-> {deg[k]}")
 
-    if not all(products.get((u, i)) == {i: 1} == products.get((i, u))
+    if not all(ints.get((u, i)) == {i: den} == ints.get((i, u))
                for i in range(n)):
         for i in range(n):
             for side, coeffs in (("left", ring.product_coefficients(u, i)),
@@ -495,10 +455,9 @@ def validate(ring: RingStructure,
     for indices, a, b in _defects_unless_certified(ring, report.ok):
         report.add("associativity", indices, f"{a} != {b}")
 
-    if not allow_noncommutative and not _graded_commutative(
-            scaled_action(ring, ring._den), deg):
+    if not allow_noncommutative and not _graded_commutative(ints, deg):
         partners: list[set[int]] = [set() for _ in range(n)]
-        for i, j in products:
+        for i, j in ints:
             partners[min(i, j)].add(max(i, j))
         for i in range(n):
             for j in sorted(partners[i]):
@@ -549,10 +508,10 @@ def _pick_generators(ring: RingStructure) -> list[int]:
     ``n**2/2`` products of ``cp:n`` have only ``n - 1`` distinct
     coefficient maps, and a repeated row never adds a pivot.  A one-term
     product spans its column whatever its value, so it goes in as that
-    column's unit row, once per column, with no key to hash.  The maps
-    are scaled to ints first (:func:`scaled_action`), which changes no
-    span; a longer product is inserted as a copy, since the kernel owns
-    the rows it is given and the scaled map is kept on the ring.
+    column's unit row, once per column, with no key to hash.  The pick
+    reads the stored map, the constants times ``D`` (:class:`_Constants`),
+    which changes no span; a longer product is inserted as a copy, since
+    the kernel owns the rows it is given.
     """
     deg = ring.basis.degrees
     unit = ring.basis.unit_index
@@ -560,11 +519,10 @@ def _pick_generators(ring: RingStructure) -> list[int]:
                         key=lambda i: (deg[i], i))
     if any(deg[i] == 0 for i in candidates):
         return candidates
-    products = scaled_action(ring, ring._den)
     echelon = _Echelon()
     columns: set[int] = set()
     seen = set()
-    for (i, j), coeffs in products.items():
+    for (i, j), coeffs in ring._ints.items():
         if i == unit or j == unit:
             continue
         if len(coeffs) == 1:
@@ -604,13 +562,18 @@ def _top_index(acting: RingStructure | ModulePair) -> int:
 
 def _top_entries(acting: RingStructure | ModulePair) -> Matrix:
     """The matrix ``(i, j) -> top coefficient of y_i ^ x_j`` of ``acting``,
-    with ring rows and module columns, from the action map's terms."""
-    top = _top_index(acting)
-    entries: list[list] = [[] for _ in range(acting.ring.size)]
-    for (i, j), coeffs in acting._action_products.items():
-        if top in coeffs:
-            entries[i].append((j, coeffs[top]))
-    return Matrix.sparse(entries, acting.module_basis.size)
+    with ring rows and module columns, read exactly off the stored map's
+    terms (:class:`_Constants`) on first use and kept on ``acting``; a
+    :class:`Matrix` is immutable, so every caller can share it."""
+    if acting._pairing is None:
+        top = _top_index(acting)
+        den = acting._den
+        entries: list[list] = [[] for _ in range(acting.ring.size)]
+        for (i, j), coeffs in acting._ints.items():
+            if top in coeffs:
+                entries[i].append((j, _exact(coeffs[top], den)))
+        acting._pairing = Matrix.sparse(entries, acting.module_basis.size)
+    return acting._pairing
 
 
 def check_poincare_duality(ring: RingStructure) -> bool:
@@ -627,20 +590,27 @@ def change_basis(ring: RingStructure, p: Matrix) -> RingStructure:
     validation, and should fix the unit and top columns to keep their
     normalizations.  With ``q = p^-1``, ``t'[a,b,c] = sum p[i,a] p[j,b]
     t[i,j,k] q[c,k]`` over the nonzero terms of ``t``, ``p`` and ``q``.
+    The sums run in ints: ``p``, ``q`` and the stored constants are ints
+    over ``dp``, ``dq`` and ``D``, so each ``t'`` is an int ``s`` over
+    ``E = dp**2 dq D``.  With ``G`` the gcd of ``E`` and every ``s``,
+    ``E / G`` is the lcm of the reduced denominators of the ``s / E``,
+    and the ``s / G`` are the new ring's stored constants over it.
     """
     n = ring.size
     if p.shape != (n, n):
         raise ValueError(f"basis-change matrix must be {n}x{n}, got {p.shape}")
-    new_of: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for (i, a), v in p.terms():
+    p_ints, dp = _integral(dict(p.terms()))
+    q_ints, dq = _integral(dict(invert(p).terms()))
+    new_of: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (i, a), v in p_ints.items():
         new_of[i].append((a, v))
-    q_of: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for (c, k), v in invert(p).terms():
+    q_of: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (c, k), v in q_ints.items():
         q_of[k].append((c, v))
-    tensor: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j), coeffs in ring._products.items():
+    sums: dict[tuple[int, int, int], int] = {}
+    for (i, j), coeffs in ring._ints.items():
         # x_i.x_j over the new basis, then spread over x'_a and x'_b
-        moved: dict[int, Fraction] = {}
+        moved: dict[int, int] = {}
         for k, v in coeffs.items():
             for c, qv in q_of[k]:
                 moved[c] = moved.get(c, 0) + v * qv
@@ -649,5 +619,11 @@ def change_basis(ring: RingStructure, p: Matrix) -> RingStructure:
                 scale = pa * pb
                 for c, v in moved.items():
                     key = (a, b, c)
-                    tensor[key] = tensor.get(key, 0) + scale * v
-    return RingStructure(ring.basis, dict(sorted(tensor.items())))
+                    sums[key] = sums.get(key, 0) + scale * v
+    e = dp * dp * dq * ring._den
+    g = gcd(e, *sums.values())
+    ints: dict[tuple[int, int], dict[int, int]] = {}
+    for (a, b, c), s in sorted(sums.items()):
+        if s:
+            ints.setdefault((a, b), {})[c] = s // g
+    return RingStructure._from_ints(ring.basis, ints, e // g)

@@ -305,8 +305,8 @@ def dense_relative_residuals(mp, mode, w):
             row = w.mu.row(i)
             signed = tuple(koszul_sign(mode, ring_deg[j], unit_deg) * row[j]
                            for j in range(nr))
-            lhs_rows.append(dense_bilinear(mp.ring._products, signed, yk,
-                                           nr))
+            lhs_rows.append(dense_bilinear(mp.ring._action_products, signed,
+                                           yk, nr))
         rhs_cols = []
         for j in range(nr):
             col = tuple(w.mu[l, j] for l in range(nm))

@@ -56,7 +56,8 @@ class TestValidationCertificate:
         assert report.violations == full_scan(
             validate, ring, allow_noncommutative=allow).violations
         if not any(v.axiom in CHEAP for v in report):
-            certified, full = scans(ring._products, ring._products, ring)
+            products = ring._action_products
+            certified, full = scans(products, products, ring)
             assert (certified == []) == (full == [])
 
     @settings(max_examples=80, deadline=None)
@@ -68,8 +69,8 @@ class TestValidationCertificate:
                                               mp).violations
         if not any(v.axiom in CHEAP or v.axiom.startswith("nu-")
                    for v in report):
-            certified, full = scans(mp.ring._products, mp._action_products,
-                                    mp.ring)
+            certified, full = scans(mp.ring._action_products,
+                                    mp._action_products, mp.ring)
             assert (certified == []) == (full == [])
 
     @pytest.mark.parametrize("name", ["cp:5", "torus:3",
@@ -91,7 +92,7 @@ class TestValidationCertificate:
             bad_pair = ModulePair(mp.ring, mp.module_basis, changed(
                 mp.action, rng.choice(action_slots), rng.choice((1, -1, 2))))
             for check, payload, action, over in (
-                    (validate, bad_ring, bad_ring._products, bad_ring),
+                    (validate, bad_ring, bad_ring._action_products, bad_ring),
                     (validate_module, bad_pair, bad_pair._action_products,
                      mp.ring)):
                 report = check(payload)
@@ -99,7 +100,7 @@ class TestValidationCertificate:
                                for v in report)
                 assert report.violations == \
                     full_scan(check, payload).violations
-                certified, full = scans(over._products, action, over)
+                certified, full = scans(over._action_products, action, over)
                 assert (certified == []) == (full == [])
                 with_defects += bool(full)
         assert with_defects >= 20
@@ -119,7 +120,8 @@ class TestValidationCertificate:
         assert report.violations == full_scan(validate, ring).violations
         assert [v.indices for v in report] == \
             [indices for indices, _, _ in
-             associativity_defects(ring._products, ring._products)]
+             associativity_defects(ring._action_products,
+                                   ring._action_products)]
 
 
 def operator_certificate(payload) -> tuple[bool, bool]:

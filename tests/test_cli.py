@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobdiag import cli
 from frobdiag.boundary import ModulePair, relative_pairing_matrix
@@ -15,6 +17,7 @@ from frobdiag.linalg import Matrix, invert
 from frobdiag.ring import change_basis, pairing_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
+NINES = "9" * 4300  # the most digits int() converts to or from a string
 
 # (fixture, argv) of runs that exit 0 with the fixture on stdout
 GOLDEN_CASES = [
@@ -239,7 +242,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name, message", [
         ("x" * 3000, "unknown catalog entry '" + "x" * 40 + "...'"),
+        # more digits than int() converts: too large, not "not an integer"
         ("cp:" + "9" * 5000,
+         "cp parameter '" + "9" * 40 + "...' is too large"),
+        ("cp:" + "9" * 60 + "x",
          "cp wants an integer parameter, got '" + "9" * 40 + "...'"),
         ("torus:" + "9" * 4300,
          "torus:" + "9" * 34 + "... would have 2^" + "9" * 38 + "... "
@@ -253,11 +259,33 @@ class TestExitCodes:
         ("cp:" + "9" * 37,
          "cp:" + "9" * 37 + " would have 1" + "0" * 37 + " basis "
          "elements, more than the catalog's limit of 1024"),
-    ], ids=["unknown", "parameter", "torus-size", "cp-size",
-            "unknown-of-40", "cp-size-of-40"])
+    ], ids=["unknown", "parameter", "not-an-integer", "torus-size",
+            "cp-size", "unknown-of-40", "cp-size-of-40"])
     def test_long_catalog_id_is_cut_in_its_message(self, invoke, name,
                                                    message):
         assert invoke("validate", name) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize("argv, product", [
+        # the cylinder adds 1 to a dimension of 4300 nines
+        (["validate", "cylinder:sphere:" + NINES],
+         "cylinder:sphere:" + NINES),
+        (["validate", f"product:sphere:{NINES},sphere:{NINES}"],
+         f"product:sphere:{NINES},sphere:{NINES}"),
+        # 4299 nines and an 8, twice, is a number of 4301 digits
+        (["kunneth", f"sphere:{NINES[1:]}8", f"sphere:{NINES[1:]}8",
+          "--mode", "graded"],
+         f"product:sphere:{NINES[1:]}8,sphere:{NINES[1:]}8"),
+    ], ids=["cylinder", "product", "kunneth"])
+    def test_degree_too_long_to_print_is_parse_error(self, invoke, argv,
+                                                     product):
+        assert invoke(*argv) == (2, "", (
+            f"{product[:40]}... would have a degree of more than 4300 "
+            "digits, too long to print\n"))
+
+    def test_longest_printable_dimension_is_reported(self, invoke):
+        code, out, err = invoke("diag", "sphere:" + NINES)
+        assert (code, err) == (0, "")
+        assert f"formal dimension {NINES})" in out
 
     def test_singular_pairing_json_report(self, invoke, corpus):
         code, out, _ = invoke("diag", corpus["singular"], "--output", "json")
@@ -579,6 +607,16 @@ class TestKunnethVerb:
         assert err == ("product:torus:6,torus:6 would have 4096 basis "
                        "elements, more than the catalog's limit of 1024\n")
 
+    def test_failing_product_names_are_cut(self, invoke):
+        # 4299 nines and a 7: odd, so the literal product with a circle
+        # is not graded-commutative, and one more is still printable
+        code, out, err = invoke("kunneth", f"sphere:{NINES[1:]}7",
+                                "sphere:1")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"product of sphere:{NINES[:33]}... and "
+                              "sphere:1 fails validation (1 violation(s))")
+        assert len(err) < 300
+
     def test_product_at_the_limit_is_built(self, invoke, monkeypatch):
         monkeypatch.setattr("frobdiag.catalog.MAX_BASIS", 4)
         assert invoke("kunneth", "sphere:2", "sphere:2")[0] == 0
@@ -621,6 +659,81 @@ class TestUsageErrors:
         code, out, err = invoke(*argv)
         assert (code, out) == (2, "")
         assert err.startswith("usage: frobdiag")
+
+
+# the argv shapes of the benchmark's cases (perfbench/cases.py)
+BENCHMARK_ARGV = [
+    ["validate", "doc.json", "--output", "json"],
+    ["diag", "doc.json", "--output", "json"],
+    ["diag", "doc.json", "--mode", "graded", "--output", "json"],
+    ["solve", "doc.json", "--output", "json"],
+    ["kunneth", "a.json", "b.json", "--mode", "graded"],
+    ["pair", "doc.json", "--output", "json"],
+    ["pair", "doc.json", "--mode", "graded", "--output", "json"],
+]
+
+# tokens argparse reads specially or refuses, and plain ones
+ARGV_TOKENS = st.sampled_from([
+    "validate", "diag", "solve", "pair", "kunneth", "catalog", "frobnicate",
+    "--mode", "--output", "--name", "--allow-noncommutative", "literal",
+    "graded", "text", "json", "cp:2", "doc.json", "", " ", "-", "--", "-h",
+    "--help", "--out", "--mode=graded", "--allow", "-x", "-1", "@args"])
+
+
+@st.composite
+def plain_argvs(draw) -> list[str]:
+    """A verb, its positional inputs and a drawn subset of its options
+    with valid values, in a drawn order."""
+    verb, _, inputs, options, _ = draw(st.sampled_from(cli._verbs()))
+    words = st.text(max_size=6).filter(lambda t: not t.startswith("-"))
+    groups = [[draw(words)] for _ in inputs]
+    for option in draw(st.lists(st.sampled_from(options), unique=True)):
+        spec = cli._OPTIONS[option]
+        if spec.get("action") == "store_true":
+            groups.append([option])
+        else:
+            groups.append([option, draw(st.sampled_from(spec["choices"]))
+                           if "choices" in spec else draw(words)])
+    order = draw(st.permutations(range(len(groups))))
+    return [verb] + [t for index in order for t in groups[index]]
+
+
+class TestPlainArgv:
+    """``main`` reads a plain argv off the verb table, and leaves any
+    other to argparse; a table read gives argparse's namespace."""
+
+    @pytest.mark.parametrize("argv", BENCHMARK_ARGV, ids=" ".join)
+    def test_benchmark_argv_is_read_off_the_table(self, argv):
+        args = cli._plain_args(argv)
+        assert args is not None
+        assert args == cli.build_parser().parse_args(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(plain_argvs(), st.lists(ARGV_TOKENS, max_size=7)))
+    def test_table_read_equals_argparse(self, argv):
+        args = cli._plain_args(argv)
+        if args is not None:
+            assert args == cli._parser().parse_args(argv)
+
+    @settings(max_examples=100, deadline=None)
+    @given(plain_argvs())
+    def test_plain_argv_is_read_off_the_table(self, argv):
+        assert cli._plain_args(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--out", "json", "x"],
+        ["validate", "--output=json", "x"],
+        ["validate", "x", "--mode", "graded", "--mode", "literal"],
+        ["validate", "x", "--mode", "signed"],
+        ["validate", "--", "x"],
+        ["validate", "-h"],
+        ["validate", "x", "y"],
+        ["kunneth", "x"],
+        ["catalog", "--mode", "graded"],
+        ["validate", "x", "--output"],
+    ], ids=" ".join)
+    def test_other_argv_is_left_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
 
 
 def test_each_verb_has_its_options():

@@ -404,7 +404,7 @@ class TestKunneth:
 def dense_multiply(ring, a, b):
     """``multiply`` as a loop over every key of the product map."""
     out = [Fraction(0)] * ring.size
-    for (i, j), coeffs in ring._products.items():
+    for (i, j), coeffs in ring._action_products.items():
         c = a[i] * b[j]
         if c == 0:
             continue

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobdiag.boundary import ModulePair
+from frobdiag.boundary import ModulePair, relative_pairing_matrix
 from frobdiag.catalog import catalog_names, resolve
 from frobdiag.document import (DocumentError, emit_document, indented_json,
                                parse_document)
 from frobdiag.linalg import Matrix
-from frobdiag.ring import RingStructure, change_basis
+from frobdiag.ring import RingStructure, change_basis, pairing_matrix
+from strategies import pairs, rational_rings, rings
 
 
 class TestRoundTrip:
@@ -156,6 +157,18 @@ class TestParseErrors:
         with pytest.raises(DocumentError, match="out of range"):
             parse_document(json.dumps(doc))
 
+    def test_huge_integer_literal_is_a_document_error(self, invoke,
+                                                      tmp_path):
+        # json.loads raises a plain ValueError past int()'s digit limit
+        text = '{"name": "x", "dimension": ' + "9" * 4301 + "}"
+        message = "JSON integer literal has too many digits to convert exactly"
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(text)
+        assert str(excinfo.value) == message
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        assert invoke("validate", str(path)) == (2, "", f"{path}: {message}\n")
+
     def test_error_carries_location(self):
         doc = valid_ring_doc()
         doc["lambda"][1]["value"] = "nope"
@@ -176,6 +189,152 @@ class TestParseErrors:
         _, ring = parse_document(json.dumps(doc))
         from frobdiag.ring import validate
         assert not validate(ring).ok
+
+
+def sphere_pair_doc() -> dict:
+    return json.loads(emit_document("cylinder:sphere:2",
+                                    resolve("cylinder:sphere:2").payload))
+
+
+class TestErrorOrder:
+    """Which error a document with two faults reports: entry checks run
+    over the whole list first, then the basis checks, then the index
+    range, and a key counts as seen even when its value is zero."""
+
+    def test_malformed_entry_after_an_out_of_range_one(self):
+        doc = valid_ring_doc()
+        doc["lambda"][0]["k"] = 99
+        doc["lambda"][2]["value"] = "nope"
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == (
+            "lambda[2].value: expected a rational string like '2' or "
+            "'-3/4', got 'nope'")
+
+    def test_first_out_of_range_index_in_list_order(self):
+        doc = valid_ring_doc()
+        doc["lambda"][2]["i"] = 7
+        doc["lambda"][1]["j"] = -1
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == \
+            "basis: tensor index (0, -1, 1) out of range"
+
+    @pytest.mark.parametrize("section", ["lambda", "module"])
+    def test_basis_error_before_range_error(self, section):
+        if section == "lambda":
+            doc = valid_ring_doc()
+            doc["lambda"][0]["i"] = 99
+            doc["basis"][0]["degree"] = 1
+            expected = "basis: unit basis element must have degree 0"
+        else:
+            doc = sphere_pair_doc()
+            doc["module"]["action"][0]["k"] = 99
+            doc["module"]["top"] = 0
+            expected = ("module: top basis element must sit in the formal "
+                        "dimension")
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == expected
+
+    def test_range_error_of_the_action(self):
+        doc = sphere_pair_doc()
+        doc["module"]["action"][1]["k"] = 2
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == \
+            "module: action index (0, 1, 2) out of range"
+
+    @pytest.mark.parametrize("zero", ["0", "-0", "0/5"])
+    def test_duplicate_key_whose_value_is_zero(self, zero):
+        doc = valid_ring_doc()
+        doc["lambda"].insert(0, {"i": 1, "j": 1, "k": 1, "value": zero})
+        doc["lambda"].append({"i": 1, "j": 1, "k": 1, "value": "1"})
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == \
+            f"lambda[{len(doc['lambda']) - 1}]: duplicate entry for (1, 1, 1)"
+
+
+@st.composite
+def respelled_documents(draw) -> dict:
+    """A drawn ring or pair (integral or rational) as a document whose
+    values are spelled in drawn equivalent ways (``6/4`` for 3/2, ``4/2``
+    for 2), with zero entries (``0``, ``-0``, ``0/5``) added at free
+    keys.  Half of the pairs have one action value doubled, so that the
+    action is not the ring's product."""
+    payload = draw(st.one_of(rings(), rational_rings(), pairs(),
+                             pairs(rational_rings())))
+    doc = json.loads(emit_document("drawn", payload))
+    n = len(doc["basis"])
+    tensors = [(doc["lambda"], (n, n, n))]
+    if "module" in doc:
+        nm = len(doc["module"]["basis"])
+        tensors.append((doc["module"]["action"], (n, nm, nm)))
+        if draw(st.booleans()):
+            entry = draw(st.sampled_from(doc["module"]["action"]))
+            entry["value"] = str(2 * Fraction(entry["value"]))
+    for entries, (ni, nj, nk) in tensors:
+        for entry in entries:
+            factor = draw(st.sampled_from((1, 1, 2, 3)))
+            if factor > 1:
+                v = Fraction(entry["value"])
+                entry["value"] = \
+                    f"{v.numerator * factor}/{v.denominator * factor}"
+        taken = {(e["i"], e["j"], e["k"]) for e in entries}
+        free = [key for key in ((i, j, k) for i in range(ni)
+                                for j in range(nj) for k in range(nk))
+                if key not in taken]
+        if free:
+            for i, j, k in draw(st.lists(st.sampled_from(free),
+                                         max_size=3, unique=True)):
+                entries.insert(
+                    draw(st.integers(min_value=0, max_value=len(entries))),
+                    {"i": i, "j": j, "k": k,
+                     "value": draw(st.sampled_from(("0", "-0", "0/5")))})
+    return doc
+
+
+def _written(entries: list) -> dict:
+    return {(e["i"], e["j"], e["k"]): e["value"] for e in entries}
+
+
+def _same_constants(got, want) -> None:
+    """``got`` and ``want`` store the same ints in the same order, over
+    the same denominator, and show the same exact views, value types
+    included."""
+    assert got._den == want._den
+    assert [(key, list(c.items())) for key, c in got._ints.items()] == \
+        [(key, list(c.items())) for key, c in want._ints.items()]
+    assert all(type(v) is int for c in got._ints.values() for v in c.values())
+    flat = (lambda p: p.action) if isinstance(want, ModulePair) \
+        else (lambda p: p.tensor)
+    assert [(key, v, type(v)) for key, v in flat(got).items()] == \
+        [(key, v, type(v)) for key, v in flat(want).items()]
+    assert [(key, [(k, v, type(v)) for k, v in c.items()])
+            for key, c in got._action_products.items()] == \
+        [(key, [(k, v, type(v)) for k, v in c.items()])
+         for key, c in want._action_products.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(respelled_documents())
+def test_parse_stores_what_the_constructor_stores(doc):
+    # the document reader builds the stored map in its own pass, with no
+    # Fraction made; the public constructor reads the same written values
+    _, parsed = parse_document(json.dumps(doc))
+    ring = RingStructure(parsed.ring.basis, _written(doc["lambda"]))
+    _same_constants(parsed.ring, ring)
+    assert pairing_matrix(parsed.ring) == pairing_matrix(ring)
+    if "module" in doc:
+        pair = ModulePair(ring, parsed.module_basis,
+                          _written(doc["module"]["action"]))
+        _same_constants(parsed, pair)
+        assert relative_pairing_matrix(parsed) == relative_pairing_matrix(pair)
+        # an action equal to the ring's product shares the ring's map
+        assert (parsed._ints is parsed.ring._ints) == (
+            parsed.module_basis.size == ring.size
+            and (pair._den, pair._ints) == (ring._den, ring._ints))
 
 
 class TestDuplicateLabels:

@@ -26,10 +26,11 @@ from frobdiag.diagonal import (SignMode, TensorClass, _blocks,
                                _symmetry_system, check_symmetry, left_factor,
                                right_factor, tensor_multiply)
 from frobdiag.linalg import Matrix, nullspace
-from frobdiag.ring import (RingStructure, _defects_unless_certified,
-                           _Echelon, _insert, associativity_defects,
-                           basis_element, generators, scaled_action,
-                           sparse_tensor, validate)
+from frobdiag.constants import scaled_action, sparse_tensor
+from frobdiag.ring import (GradedBasis, RingStructure,
+                           _defects_unless_certified, _Echelon, _insert,
+                           associativity_defects, basis_element, generators,
+                           validate)
 from strategies import (changed, corrupted_pairs, corrupted_rings,
                         graded_slots, matrices, modes, nonzero, pairs,
                         rational_rings, rings)
@@ -63,7 +64,23 @@ def ring_and_action(payload):
     """The ring, the action's product map and the action's denominator."""
     if isinstance(payload, ModulePair):
         return payload.ring, payload._action_products, payload._den
-    return payload, payload._products, payload._den
+    return payload, payload._action_products, payload._den
+
+
+@st.composite
+def rescaled_pairs(draw):
+    """A pair of a rational ring with each module basis element but the
+    top one scaled by a drawn non-integral rational ``c``: the action
+    ``y_i ^ x_j = sum_k a[i,j,k] x_k`` becomes ``a[i,j,k] c_j / c_k``, so
+    it has other denominators than its ring's product."""
+    mp = draw(pairs(rational_rings()))
+    top = mp.module_basis.top_index
+    c = [Fraction(1) if j == top
+         else draw(nonzero.filter(lambda v: v.denominator > 1))
+         for j in range(mp.module_basis.size)]
+    return ModulePair(mp.ring, mp.module_basis,
+                      {(i, j, k): v * c[j] / c[k]
+                       for (i, j, k), v in mp.action.items()})
 
 
 class TestSparseTensor:
@@ -78,17 +95,27 @@ class TestSparseTensor:
 
     def test_ints_are_kept_and_others_made_exact(self):
         big = 10 ** 30
-        tensor, products, den = sparse_tensor(
-            {(0, 0, 0): big, (0, 1, 1): "3/6", (1, 0, 1): Fraction(4, 2),
-             (1, 1, 0): 0, (1, 1, 1): Fraction(-2, 3)}, (2, 2, 2), "t")
-        assert tensor[0, 0, 0] is big
-        assert tensor == {(0, 0, 0): big, (0, 1, 1): Fraction(1, 2),
-                          (1, 0, 1): 2, (1, 1, 1): Fraction(-2, 3)}
-        assert type(tensor[1, 0, 1]) is int
-        assert products == {(0, 0): {0: big}, (0, 1): {1: Fraction(1, 2)},
-                            (1, 0): {1: 2}, (1, 1): {1: Fraction(-2, 3)}}
+        raw = {(0, 0, 0): big, (0, 1, 1): "3/6", (1, 0, 1): Fraction(4, 2),
+               (1, 1, 0): 0, (1, 1, 1): Fraction(-2, 3)}
+        ints, den, view = sparse_tensor(raw, (2, 2, 2), "t")
         assert den == 6
-        assert sparse_tensor({(0, 0, 0): 1}, (1, 1, 1), "t")[2] == 1
+        assert ints == {(0, 0): {0: 6 * big}, (0, 1): {1: 3},
+                        (1, 0): {1: 12}, (1, 1): {1: -4}}
+        assert all(type(v) is int for c in ints.values() for v in c.values())
+        # a string, an integral Fraction and a zero are not the view's form
+        assert view is None
+        ring = RingStructure(GradedBasis(("a", "b"), (0, 0), 0), raw)
+        assert ring.tensor == {(0, 0, 0): big, (0, 1, 1): Fraction(1, 2),
+                               (1, 0, 1): 2, (1, 1, 1): Fraction(-2, 3)}
+        assert [type(v) for v in ring.tensor.values()] == \
+            [int, Fraction, int, Fraction]
+        assert ring.product_coefficients(0, 1) == {1: Fraction(1, 2)}
+        # a map already in the view's form is kept as the view, not copied
+        clean = {(0, 0, 0): big, (1, 1, 1): Fraction(-2, 3)}
+        kept = RingStructure(GradedBasis(("a", "b"), (0, 0), 0), clean)
+        assert kept.tensor is clean and kept.tensor[0, 0, 0] is big
+        assert kept._ints == {(0, 0): {0: 3 * big}, (1, 1): {1: -2}}
+        assert sparse_tensor({(0, 0, 0): 1}, (1, 1, 1), "t")[1] == 1
 
 
 class TestScaledAction:
@@ -98,7 +125,7 @@ class TestScaledAction:
         ring, action, den = ring_and_action(payload)
         common = lcm(ring._den, den)
         for scaled, given_map in ((scaled_action(ring, common),
-                                   ring._products),
+                                   ring._action_products),
                                   (scaled_action(payload, common), action)):
             assert scaled.keys() == given_map.keys()
             for key, coeffs in given_map.items():
@@ -111,7 +138,7 @@ class TestScaledAction:
         payload = resolve(name).payload
         ring, action, den = ring_and_action(payload)
         assert lcm(ring._den, den) == 1
-        assert scaled_action(ring, 1) is ring._products
+        assert scaled_action(ring, 1) is ring._action_products
         assert scaled_action(payload, 1) is action
 
     def test_a_map_asked_for_twice_is_scaled_once(self):
@@ -126,34 +153,40 @@ class TestScaledAction:
         assert first[1, 1] == {2: 1}
 
     @settings(max_examples=40, deadline=None)
-    @given(st.one_of(rational_rings(), pairs(rational_rings())))
+    @given(st.one_of(rational_rings(), pairs(rational_rings()),
+                     rescaled_pairs()))
     def test_each_map_is_scaled_once(self, payload):
-        # validation, the generator pick, the graded solve and the
-        # residual check all run on the scaled maps; each map is scaled
-        # the first time only, then read from the ring or pair
+        # validation, the graded solve and the residual check all run on
+        # the maps scaled to one common denominator; a map stored at that
+        # denominator is read as it is, and any other is scaled the first
+        # time only, then read from the ring or pair
         scaled = []
 
         def counted(acting, den):
             if den not in acting._scaled:
-                scaled.append(acting._action_products)
+                scaled.append(acting._ints)
             return scaled_action(acting, den)
 
         with mock.patch.object(ring_module, "scaled_action", counted), \
                 mock.patch.object(diagonal, "scaled_action", counted):
             if isinstance(payload, ModulePair):
-                validate_module(payload)
+                assert validate_module(payload).ok
                 w = relative_diagonal_class(payload, SignMode.GRADED,
                                             generators(payload.ring))
-                check_relative_symmetry(payload, w)
+                assert check_relative_symmetry(payload, w).ok
             else:
-                validate(payload)
+                assert validate(payload).ok
                 w = diagonal.diagonal_class(payload, SignMode.GRADED,
                                             generators(payload))
-                check_symmetry(payload, w)
-        ring, action, _ = ring_and_action(payload)
-        assert scaled
+                assert check_symmetry(payload, w).ok
+        ring = payload.ring
+        common = lcm(ring._den, payload._den)
         assert len(scaled) == len({id(m) for m in scaled})
-        assert {id(m) for m in scaled} <= {id(ring._products), id(action)}
+        assert {id(m) for m in scaled} <= {id(ring._ints), id(payload._ints)}
+        # a ring, and a pair sharing its ring's map, are never scaled
+        assert len(scaled) == ((ring._den != common)
+                               + (payload._den != common
+                                  and payload._ints is not ring._ints))
 
 
 class TestCertificate:
@@ -169,7 +202,7 @@ class TestCertificate:
         ints = list(associativity_defects(
             scaled_action(ring, common), scaled_action(payload, common),
             middles))
-        fractions = list(associativity_defects(ring._products, action,
+        fractions = list(associativity_defects(ring._action_products, action,
                                                middles))
         square = common * common
         assert ints == [(at, square * a, square * b)
@@ -187,7 +220,7 @@ class TestCertificate:
         assume(not any(v.axiom in CHEAP or v.axiom.startswith("nu-")
                        for v in check(payload)))
         assert list(_defects_unless_certified(payload, True)) == \
-            list(associativity_defects(ring._products, action))
+            list(associativity_defects(ring._action_products, action))
 
 
 def pick_inserting_every_product(ring):
@@ -199,7 +232,7 @@ def pick_inserting_every_product(ring):
     if any(deg[i] == 0 for i in candidates):
         return candidates
     echelon = _Echelon()
-    for (i, j), coeffs in ring._products.items():
+    for (i, j), coeffs in ring._action_products.items():
         if i != unit and j != unit:
             _insert(echelon, dict(coeffs))
     return [k for k in candidates if _insert(echelon, {k: 1})]
@@ -230,10 +263,10 @@ class TestGeneratorPick:
         scaled = scaled_action(ring, ring._den)
         kept = {key: dict(coeffs) for key, coeffs in scaled.items()}
         products = {key: dict(coeffs)
-                    for key, coeffs in ring._products.items()}
+                    for key, coeffs in ring._action_products.items()}
         generators(ring)
         assert ring._scaled == {ring._den: kept}
-        assert ring._products == products
+        assert ring._action_products == products
 
     @pytest.mark.parametrize("n", [10, 60, 200])
     def test_cp_inserts_each_distinct_product_once(self, monkeypatch, n):

@@ -164,9 +164,9 @@ def corrupted(mp: ModulePair, rng: random.Random) -> ModulePair:
 
 def defect_lists(mp: ModulePair):
     nr, nm = mp.ring.size, mp.module_basis.size
-    return (list(associativity_defects(mp.ring._products,
+    return (list(associativity_defects(mp.ring._action_products,
                                        mp._action_products)),
-            all_triples_defects(mp.ring._products, mp._action_products,
+            all_triples_defects(mp.ring._action_products, mp._action_products,
                                 nr, nm))
 
 
@@ -202,8 +202,9 @@ class TestAssociativityDefects:
             for _ in range(30):
                 bad = corrupted(ModulePair(ring, ring.basis, ring.tensor),
                                 rng).ring
-                new = list(associativity_defects(bad._products, bad._products))
-                old = all_triples_defects(bad._products, bad._products,
+                products = bad._action_products
+                new = list(associativity_defects(products, products))
+                old = all_triples_defects(products, products,
                                           bad.size, bad.size)
                 assert new == old
                 with_defects += bool(old)
@@ -249,9 +250,9 @@ class TestIntegralConstants:
                 bad = corrupted(ModulePair(ring, ring.basis, ring.tensor),
                                 rng).ring
                 twin = {key: {k: Fraction(v) for k, v in coeffs.items()}
-                        for key, coeffs in bad._products.items()}
-                ints = list(associativity_defects(bad._products,
-                                                  bad._products))
+                        for key, coeffs in bad._action_products.items()}
+                ints = list(associativity_defects(bad._action_products,
+                                                  bad._action_products))
                 fractions = list(associativity_defects(twin, twin))
                 assert ints == fractions
                 assert [f"{a} != {b}" for _, a, b in ints] == \
