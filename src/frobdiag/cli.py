@@ -177,7 +177,7 @@ def _require_valid(name: str, payload, allow_noncommutative: bool,
                          "violations": _validation_json(report)})
         else:
             first = report.violations[0]
-            print(f"{name}: invalid ({len(report)} violation(s)); "
+            print(f"{_cut(name)}: invalid ({len(report)} violation(s)); "
                   f"first: {first}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
     return route
@@ -331,7 +331,7 @@ def cmd_kunneth(args: argparse.Namespace) -> int:
     for name, payload in ((name_a, ring_a), (name_b, ring_b)):
         if isinstance(payload, ModulePair):
             raise CliFailure(EXIT_PARSE,
-                             f"{name}: kunneth factors must be rings")
+                             f"{_cut(name)}: kunneth factors must be rings")
         _require_valid(name, payload, args.allow_noncommutative, "text")
     result = kunneth_product(ring_a, ring_b, mode)
     report = validate(result,

@@ -21,10 +21,11 @@ condition is the same under both: the factors that pass each other are
 ``(-1)^(|b|.0) = +1``.  Its system and residuals take no convention.
 
 The symmetry system is built and reduced one block of total degree at a
-time, as fresh ``{column: int}`` rows that the elimination kernel reads
-as they are, and its solution and kernel classes are read off as sparse
-maps.  The split needs structure constants that respect degrees; a ring
-or pair that breaks grading is reduced as one block
+time, as fresh ``{column: int}`` rows; the unknowns that its one-term
+rows set to 0 are settled first, and the elimination kernel reads the
+other rows as they are.  Its solution and kernel classes are read off
+as sparse maps.  The split needs structure constants that respect
+degrees; a ring or pair that breaks grading is reduced as one block
 (:func:`_reduce_blocks` gives the argument).
 """
 
@@ -440,12 +441,15 @@ def _symmetry_system(acting: RingStructure | ModulePair,
     for k in range(nr) if probes is None else probes:
         for i in range(nm):
             acted = left.get((k, i), ())
+            base = i * nr
             for s in every if degree is None else slots.get(
                     degree + ring_deg[k] - module_deg[i], ()):
                 products = right.get((k, s), ())
-                if not products and not acted:
+                if not acted:
+                    if products:
+                        rows.append({base + j: c for j, c in products})
                     continue
-                row = {i * nr + j: c for j, c in products}
+                row = {base + j: c for j, c in products}
                 for l, c in acted:
                     column = l * nr + s
                     value = row.get(column, 0) - c
@@ -510,6 +514,28 @@ def _reduce_blocks(build: SystemBuilder,
     breaks the grading (a ring or pair that was not validated), an
     equation may lie in no listed block, and :func:`_blocks` makes the
     whole system one block.
+
+    Before its rows reach the kernel, each block settles its zero
+    unknowns (:func:`_settle_zeros`).  The system is homogeneous, so a
+    row with one term ``{c: v}`` says that ``mu`` is 0 at ``c``, and so
+    does a pin with value 0.  Each such column is deleted from the
+    block's other rows, and a row left with one term says the same of
+    its column in turn; rows left empty drop out.  Every zero column
+    goes into the echelon as the pivot row ``{c: 1}``, and only the rows
+    that are left go through the kernel.  The result is the same
+    echelon.  Each ``e_c`` of a zero column lies in the row space: it is
+    ``1/v`` times a row ``{c: v}``, and such a row is a given row minus
+    multiples of ``e_z`` for columns ``z`` settled before.  So the rows
+    left, with the ``e_c`` of the zero columns, span the same row space
+    as the block's rows.  Their reduced form is the ``{c: 1}`` rows next
+    to the reduced form of the rows left: the rows left hold no zero
+    column, so none of their pivot rows does, and a ``{c: 1}`` row holds
+    no other column.  The reduced row echelon form is unique, so this
+    is the form of the whole block; and since blocks share no unknown,
+    no zero column of one block is held by a row of another.  The
+    right-hand side is never a zero unknown: a row left as ``{width: v}``
+    goes to the kernel, where it becomes the pivot ``0 = 1`` of an
+    inconsistent system.
     """
     ring = acting.ring
     width = acting.module_basis.size * ring.size
@@ -518,14 +544,52 @@ def _reduce_blocks(build: SystemBuilder,
     echelon = _Echelon()
     for degree in _blocks(acting):
         rows, _ = build(acting, probes, degree, index)
+        zero: dict[int, SparseRow] = {}
         for (i, j), value in pins:
             if degree is None or module_deg[i] + ring_deg[j] == degree:
                 column = i * ring.size + j
-                rows.append({column: 1, width: value} if value
-                            else {column: 1})
+                if value:
+                    rows.append({column: 1, width: value})
+                else:
+                    zero[column] = {column: 1}
+        rows = _settle_zeros(rows, zero, width)
+        echelon.pivots.update(zero)
         _reduce(rows, echelon)
-        del rows  # so the next block is built without this one's rows
+        del rows, zero  # so the next block is built without these
     return echelon, width
+
+
+def _settle_zeros(rows: list[SparseRow], zero: dict[int, SparseRow],
+                  width: int) -> list[SparseRow]:
+    """The rows of ``rows`` that are left with two terms or more, or with
+    the column ``width``, once every zero unknown is deleted from them.
+
+    ``zero`` maps each column known to be 0 to its pivot row ``{c: 1}``.
+    A row left with one term ``{c: v}``, ``c`` not ``width``, says that
+    ``c`` is 0 as well: the row becomes ``{c: 1}`` and joins ``zero``.
+    Rows left empty are dropped.  The rows kept are passed over again
+    while one of them may hold a column found after it.
+    """
+    again = True
+    while again:
+        again, kept = False, []
+        for row in rows:
+            if len(row) > 1:
+                for c in [c for c in row if c in zero]:
+                    del row[c]
+                if len(row) != 1:
+                    if row:
+                        kept.append(row)
+                    continue
+            c, = row
+            if c == width:
+                kept.append(row)
+            elif c not in zero:
+                row[c] = 1
+                zero[c] = row
+                again = again or bool(kept)
+        rows = kept
+    return rows
 
 
 def solve_symmetric_space(ring: RingStructure,
@@ -556,13 +620,14 @@ def class_in_span(space: Sequence[TensorClass], w: TensorClass) -> bool:
 
     Serves closed rings and module pairs alike.  The nonzero coefficients
     of the space's classes are reduced once, as sparse rows over the flat
-    index ``i*n_right + j``; ``w`` is in the span iff inserting it adds no
-    pivot.  Raises ``ValueError`` if a class differs in shape from ``w``.
+    index ``i*n_right + j``, each scaled to integers first; ``w`` is in
+    the span iff inserting it adds no pivot.  Raises ``ValueError`` if a
+    class differs in shape from ``w``.
     """
     if any(s.mu.shape != w.mu.shape for s in space):
         raise ValueError("classes of different shapes have no common span")
     n = w.mu.cols
-    rows = [{i * n + j: v for (i, j), v in s.mu.terms()}
+    rows = [_integral({i * n + j: v for (i, j), v in s.mu.terms()})[0]
             for s in (*space, w)]
     return not _insert(_reduce(rows[:-1]), rows[-1])
 

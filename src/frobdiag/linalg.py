@@ -31,10 +31,14 @@ time.
 The kernel is fraction-free, after Bareiss ("Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22,
 1968): an input row with a ``Fraction`` entry is scaled by the lcm of
-its denominators, every row is divided by the gcd of its values, and a
-row is cleared at a column by ``d*row - f*pivot_row`` followed by
-division by its content, so every pivot row is a primitive integer row
-with a positive lead and the only division is an exact one.  Integer
+its denominators, and a row is cleared at a column by ``d*row -
+f*pivot_row``; once all its eliminations are done, a new row is divided
+once by its content, the gcd of its values, and a pivot row cleared
+upward is divided by its content again.  So every pivot row is a
+primitive integer row with a positive lead and the only division is an
+exact one.  A one-term pivot row is ``{c: 1}``, and clearing column
+``c`` with it only deletes the entry; such rows are most of the pivots
+of the symmetry systems, where they say that an unknown is 0.  Integer
 arithmetic is what makes this pay: the symmetry systems have integer
 coefficients, and an ``int`` product costs a small fraction of a
 ``Fraction`` one, which needs a gcd.  Rows are divided by their leads
@@ -42,16 +46,17 @@ only on the way out, into ``Fraction`` entries.  A column index
 (column -> pivot rows holding it) lets a new pivot be cleared from just
 the rows that hold its column, instead of from every pivot row.
 
-The kernel owns the rows it is given: an int row is made primitive,
-reduced and kept as a pivot row in place.  The ``{column: int}`` rows
-that :mod:`frobdiag.diagonal` builds for its symmetry systems, which
-never become a :class:`Matrix`, go in as they are; a :class:`Matrix`,
-which stores only the nonzero entries of each row as a ``{column:
-value}`` map, hands the kernel copies, so it stays unchanged.  Results are
-built the same way, from the nonzero entries of the pivot rows: kernel
-vectors and particular solutions come off a reduction as sparse
-``{column: Fraction}`` maps, and only the public :func:`nullspace` and
-:func:`solve` make them dense tuples, at their edge.
+The kernel owns the rows it is given, which hold no zero value: an int
+row is reduced, made primitive and kept as a pivot row in place.  The
+``{column: int}`` rows that :mod:`frobdiag.diagonal` builds for its
+symmetry systems, which never become a :class:`Matrix`, go in as they
+are; a :class:`Matrix`, which stores only the nonzero entries of each
+row as a ``{column: value}`` map, hands the kernel copies, so it stays
+unchanged.  Results are built the same way, from the nonzero entries of
+the pivot rows: kernel vectors and particular solutions come off a
+reduction as sparse ``{column: Fraction}`` maps, and only the public
+:func:`nullspace` and :func:`solve` make them dense tuples, at their
+edge.
 
 A reduction can go on in an echelon that holds pivots already: a
 block-diagonal system, such as a symmetry system split by total degree,
@@ -192,32 +197,6 @@ def _integral(values: Mapping[K, int | Fraction]) -> tuple[dict[K, int], int]:
             for key, v in values.items() if v}, den
 
 
-def _primitive(row: dict[int, int | Fraction]) -> SparseRow:
-    """``row`` scaled to coprime integers with the same span; zero values
-    are dropped.
-
-    The row is divided by the gcd of its values, its content.  An int
-    row is made primitive in place and returned, so the caller must own
-    it; a row with a ``Fraction`` value (``gcd`` takes ints only) comes
-    back as a new dict, scaled to integers by :func:`_integral` first.
-    """
-    try:
-        g = gcd(*row.values())
-    except TypeError:  # a Fraction value
-        ints, _ = _integral(row)
-        g = gcd(*ints.values())
-        if g > 1:
-            return {c: v // g for c, v in ints.items()}
-        return ints
-    if g > 1:
-        for c in row:
-            row[c] //= g
-    if 0 in row.values():
-        for c in [c for c, v in row.items() if not v]:
-            del row[c]
-    return row
-
-
 class _Echelon:
     """Reduced row echelon form over primitive integer rows.
 
@@ -255,37 +234,60 @@ def _reduce(rows: Iterable[dict[int, int | Fraction]],
 
 
 def _insert(echelon: _Echelon, row: dict[int, int | Fraction]) -> bool:
-    """One step of :func:`_reduce`: add ``row`` to ``echelon``.
+    """One step of :func:`_reduce`: add ``row``, which holds no zero
+    value, to ``echelon``.
 
     The kernel owns ``row`` from then on: an int row is changed in place
-    (:func:`_primitive`) and may become a pivot row, so a caller passes a
-    row it may give away, or a copy.
+    and may become a pivot row, so a caller passes a row it may give
+    away, or a copy.
 
-    The row, made primitive, is cleared at every pivot column it holds;
-    what is left, if anything, gets a positive lead at its leading column,
-    which becomes a new pivot and is cleared from the pivot rows that the
-    column index lists as holding it.  Returns True iff the row was
-    independent of the pivot rows, that is, iff it added a pivot.
+    The row is cleared at every pivot column it holds: a one-term pivot
+    row ``{c: 1}`` only deletes ``row[c]``, any other clears it by
+    :func:`_eliminate`.  What is left, if anything, is divided once by
+    its content, with the sign that makes its lead positive; its leading
+    column becomes a new pivot and is cleared in the same way from the
+    pivot rows that the column index lists as holding it, each of which
+    is divided by its content again, so that it stays primitive.  A row
+    with a ``Fraction`` value (``gcd`` takes ints only) is scaled to
+    integers by :func:`_integral` when that shows, and inserted afresh.
+    Returns True iff the row was independent of the pivot rows, that is,
+    iff it added a pivot.
     """
     pivots, holders = echelon.pivots, echelon.holders
-    row = _primitive(row)
-    for c in [c for c in row if c in pivots]:
-        _eliminate(row, c, pivots[c])
-    if not row:
-        return False
+    try:
+        for c in [c for c in row if c in pivots]:
+            pivot_row = pivots[c]
+            if len(pivot_row) == 1:
+                del row[c]
+            else:
+                _eliminate(row, c, pivot_row)
+        if not row:
+            return False
+        g = gcd(*row.values())
+    except TypeError:  # a Fraction value
+        return _insert(echelon, _integral(row)[0])
     lead = min(row)
     if row[lead] < 0:
+        g = -g
+    if g != 1:
         for c in row:
-            row[c] = -row[c]
+            row[c] //= g
     for p in holders.pop(lead, ()):
         other = pivots[p]
-        _eliminate(other, lead, row)
-        # only the new row's columns can have changed in ``other``
-        for c in row:
-            if c in other:
-                holders.setdefault(c, set()).add(p)
-            elif c in holders:
-                holders[c].discard(p)
+        if len(row) == 1:
+            del other[lead]
+        else:
+            _eliminate(other, lead, row)
+            # only the new row's columns can have changed in ``other``
+            for c in row:
+                if c in other:
+                    holders.setdefault(c, set()).add(p)
+                elif c in holders:
+                    holders[c].discard(p)
+        g = gcd(*other.values())
+        if g != 1:
+            for c in other:
+                other[c] //= g
     for c in row:
         if c != lead:
             holders.setdefault(c, set()).add(lead)
@@ -294,33 +296,25 @@ def _insert(echelon: _Echelon, row: dict[int, int | Fraction]) -> bool:
 
 
 def _eliminate(row: SparseRow, c: int, pivot_row: SparseRow) -> None:
-    """Clear column ``c`` of ``row`` in place with ``pivot_row``.
+    """Clear column ``c`` of ``row`` in place with ``pivot_row``, a pivot
+    row of more than one term.
 
     ``row`` becomes ``d*row - f*pivot_row`` for the smallest positive
-    ``d`` and matching ``f`` that cancel at ``c`` (``pivot_row[c] > 0``),
-    divided by its content; entries that vanish are dropped.  Every
-    division is exact.  A one-entry pivot row, ``{c: 1}``, only deletes
-    ``row[c]``.
+    ``d`` and matching ``f`` that cancel at ``c`` (``pivot_row[c] > 0``);
+    entries that vanish are dropped.  The caller divides by the content.
     """
-    if len(pivot_row) == 1:
-        del row[c]
-    else:
-        d, f = pivot_row[c], row[c]
-        g = gcd(d, f)
-        d, f = d // g, f // g
-        if d != 1:
-            for k in row:
-                row[k] *= d
-        for k, v in pivot_row.items():
-            value = row.get(k, 0) - f * v
-            if value:
-                row[k] = value
-            else:
-                del row[k]
-    g = gcd(*row.values())
-    if g > 1:
+    d, f = pivot_row[c], row[c]
+    g = gcd(d, f)
+    d, f = d // g, f // g
+    if d != 1:
         for k in row:
-            row[k] //= g
+            row[k] *= d
+    for k, v in pivot_row.items():
+        value = row.get(k, 0) - f * v
+        if value:
+            row[k] = value
+        else:
+            del row[k]
 
 
 def _kernel(echelon: _Echelon, n_cols: int) -> list[dict[int, Fraction]]:

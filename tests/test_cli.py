@@ -287,6 +287,16 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert f"formal dimension {NINES})" in out
 
+    def test_invalid_ring_name_is_cut(self, invoke):
+        # sphere:1 is odd, so the literal product is not
+        # graded-commutative
+        name = f"product:sphere:{NINES[:3000]},sphere:1"
+        code, out, err = invoke("diag", name)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{name[:40]}...: invalid (1 violation(s)); "
+                              "first: graded-commutativity")
+        assert len(err) < 200
+
     def test_singular_pairing_json_report(self, invoke, corpus):
         code, out, _ = invoke("diag", corpus["singular"], "--output", "json")
         assert code == 3
@@ -616,6 +626,11 @@ class TestKunnethVerb:
         assert err.startswith(f"product of sphere:{NINES[:33]}... and "
                               "sphere:1 fails validation (1 violation(s))")
         assert len(err) < 300
+
+    def test_pair_factor_name_is_cut(self, invoke):
+        name = f"disk:{NINES[:4000]}"
+        assert invoke("kunneth", name, "sphere:2") == (
+            2, "", f"{name[:40]}...: kunneth factors must be rings\n")
 
     def test_product_at_the_limit_is_built(self, invoke, monkeypatch):
         monkeypatch.setattr("frobdiag.catalog.MAX_BASIS", 4)

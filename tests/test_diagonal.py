@@ -10,8 +10,8 @@ from frobdiag import diagonal
 from frobdiag.boundary import ModulePair
 from frobdiag.catalog import (catalog_names, complex_projective, point,
                               resolve, sphere, torus)
-from frobdiag.diagonal import (NonUniqueSolutionError, SignMode,
-                               SingularPairingError, TensorClass,
+from frobdiag.diagonal import (NoSolutionError, NonUniqueSolutionError,
+                               SignMode, SingularPairingError, TensorClass,
                                check_symmetry, check_top_normalization,
                                class_in_span, diagonal_class, koszul_sign,
                                kunneth_product, left_factor, pairing_inverse,
@@ -261,6 +261,69 @@ class TestDegreeBlocks:
         # split by degree anyway, that equation is lost
         monkeypatch.setattr(diagonal, "_blocks", lambda *_: [0, 2, 4, 6, 8])
         assert echelon_of(diagonal._reduce_blocks(build, ring)[0]) != whole
+
+
+def drawn_pins(data, payload) -> list:
+    """A few ``((i, j), value)`` pins on drawn entries, a zero value half
+    of the time; two pins on one entry may disagree."""
+    slots = st.tuples(st.integers(0, payload.module_basis.size - 1),
+                      st.integers(0, payload.ring.size - 1))
+    values = st.one_of(st.just(0), st.integers(-2, 2))
+    return data.draw(st.lists(st.tuples(slots, values), max_size=6))
+
+
+def fraction_builder(build, scales):
+    """``build`` with its ``i``-th row times ``scales[i % len(scales)]``:
+    ``Fraction`` values, integral ones among them."""
+    def build_fractions(*args):
+        rows, width = build(*args)
+        return [{c: v * scales[n % len(scales)] for c, v in row.items()}
+                for n, row in enumerate(rows)], width
+    return build_fractions
+
+
+class TestStructuredPass:
+    """``_reduce_blocks`` settles one-term rows and zero pins as zero
+    unknowns before the kernel; the echelon stays the whole system's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_settled_reduction_is_the_whole_one(self, data):
+        payload = data.draw(st.one_of(rings(), pairs()))
+        pins = data.draw(st.sampled_from((
+            [], normalization_pins(payload), drawn_pins(data, payload))))
+        build = builder(payload)
+        if data.draw(st.booleans()):
+            build = fraction_builder(build, data.draw(st.lists(
+                st.fractions(min_value=-3, max_value=3, max_denominator=5
+                             ).filter(bool), min_size=1, max_size=3)))
+        blocked, width = diagonal._reduce_blocks(build, payload, None, pins)
+        assert echelon_of(blocked) == echelon_of(whole_echelon(payload, pins))
+        assert all(type(v) is int for row in blocked.pivots.values()
+                   for v in row.values())
+
+    def test_pin_on_a_zero_unknown_is_inconsistent(self):
+        # mu[0, 0] of cp:2 is a zero unknown (the row of 1 (x) h for the
+        # probe h says so), so the pin mu[0, 0] = 1 drops to the row
+        # {width: 1}, which the kernel takes as the pivot 0 = 1
+        ring = complex_projective(2)
+        pins = normalization_pins(ring) + [((0, 0), 1)]
+        blocked, width = diagonal._reduce_blocks(diagonal._symmetry_system,
+                                                 ring, None, pins)
+        assert blocked.pivots[width] == {width: 1}
+        assert echelon_of(blocked) == echelon_of(whole_echelon(ring, pins))
+        with pytest.raises(NoSolutionError, match="inconsistent"):
+            diagonal._normalized_solve(diagonal._symmetry_system, ring, None,
+                                       pins, "symmetry system")
+
+    def test_zeros_found_late_are_deleted_from_earlier_rows(self):
+        # a chain read from its far end: each pass finds one more zero
+        width = 4
+        rows = [{3: 1, width: 2}, {2: 1, 3: -1}, {1: 1, 2: -1},
+                {0: 1, 1: -1}, {0: 5}, {0: -1}]
+        zero = {}
+        assert diagonal._settle_zeros(rows, zero, width) == [{width: 2}]
+        assert zero == {c: {c: 1} for c in range(4)}
 
 
 class TestSolveSymmetricSpace:

@@ -5,8 +5,11 @@ from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from frobdiag import linalg
+from frobdiag.catalog import resolve
+from frobdiag.diagonal import _symmetry_system
 from frobdiag.linalg import (Matrix, SingularMatrixError, frac, invert,
                              nullspace, rank, rref, solve)
+from frobdiag.ring import generators
 from strategies import apply
 
 
@@ -287,12 +290,32 @@ class TestProperties:
         assert reduced == again and pivots == pivots2
 
 
+class TestUpwardClearing:
+    """A pivot row cleared upward by a new pivot is divided by its
+    content again, so that it stays primitive."""
+
+    def test_one_term_row_deletes_and_divides(self):
+        echelon = linalg._Echelon()
+        assert linalg._insert(echelon, {0: 2, 1: 1, 2: 4})
+        assert linalg._insert(echelon, {1: -3})
+        assert echelon.pivots == {0: {0: 1, 2: 2}, 1: {1: 1}}
+        assert {c: h for c, h in echelon.holders.items() if h} == {2: {0}}
+
+    def test_several_term_row_divides(self):
+        echelon = linalg._Echelon()
+        assert linalg._insert(echelon, {0: 2, 1: 1, 2: 1})
+        assert linalg._insert(echelon, {1: 3, 2: 3})
+        assert echelon.pivots == {0: {0: 1}, 1: {1: 1, 2: 1}}
+        assert {c: h for c, h in echelon.holders.items() if h} == {2: {1}}
+
+
 class TestEliminationOrder:
     def test_cp_graded_system_is_not_cubic(self, invoke, monkeypatch):
-        # the graded system of cp:n is chains w[i, j+1] - w[i+1, j]; rows
-        # inserted by decreasing lead never clear a pivot upward, so the
-        # 10,300 eliminations of cp:100 stay under 2 n**2, where clearing
-        # each new pivot from the earlier rows of its chain took 176,950
+        # the graded system of cp:n is chains w[i, j+1] - w[i+1, j], each
+        # ended by a one-term row or a pin, so the diagonal solver settles
+        # nearly all of it as zero unknowns before the kernel, and a
+        # one-term pivot only deletes its column; ``_eliminate`` counts
+        # the eliminations against a pivot row of several terms
         n, calls = 100, []
         eliminate = linalg._eliminate
 
@@ -303,4 +326,13 @@ class TestEliminationOrder:
         monkeypatch.setattr(linalg, "_eliminate", counted)
         code, _, err = invoke("diag", f"cp:{n}", "--mode", "graded")
         assert (code, err) == (0, "")
+        assert 0 < len(calls) <= 2 * n * n
+        # the kernel alone on the chains: rows inserted by decreasing lead
+        # never clear a pivot upward, so its 9,801 eliminations stay under
+        # 2 n**2, where clearing each new pivot from the earlier rows of
+        # its chain took 328,350
+        ring = resolve(f"cp:{n}").payload
+        rows, _ = _symmetry_system(ring, generators(ring))
+        calls.clear()
+        linalg._reduce(row for row in rows if len(row) == 2)
         assert 0 < len(calls) <= 2 * n * n

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobdiag.linalg import (Matrix, SingularMatrixError, _Echelon, _insert,
-                             _integral, _primitive, _reduce, invert,
+                             _integral, _reduce, invert,
                              nullspace, rank, rref, solve)
 
 # zero listed twice: two entries in three are zero, as in the symmetry systems
@@ -270,17 +270,24 @@ def rows_to_make_primitive(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(rows_to_make_primitive())
-def test_primitive_equals_the_integral_path(row):
-    """The same primitive row, as ints: an int row made primitive in
-    place, any other in a new dict with ``row`` left as it was."""
+def test_inserted_row_equals_the_integral_path(row):
+    """A first row, its zero values dropped, becomes the pivot row that
+    scaling to integers gives, with a positive lead, as ints: an int row
+    made primitive in place, any other in a new dict."""
+    row = {c: v for c, v in row.items() if v}
     given_row = dict(row)
-    got = _primitive(row)
-    assert got == primitive_through_integral(given_row)
-    assert all(type(v) is int and v for v in got.values())
-    if all(type(v) is int for v in given_row.values()):
-        assert got is row
-    else:
-        assert got is not row and row == given_row
+    echelon = _Echelon()
+    assert _insert(echelon, row) == bool(row)
+    if not row:
+        return
+    expected = primitive_through_integral(given_row)
+    lead = min(expected)
+    if expected[lead] < 0:
+        expected = {c: -v for c, v in expected.items()}
+    assert echelon.pivots == {lead: expected}
+    got = echelon.pivots[lead]
+    assert all(type(v) is int for v in got.values())
+    assert (got is row) == all(type(v) is int for v in given_row.values())
 
 
 int_sparse = st.builds(
