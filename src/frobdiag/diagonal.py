@@ -21,12 +21,12 @@ condition is the same under both: the factors that pass each other are
 ``(-1)^(|b|.0) = +1``.  Its system and residuals take no convention.
 
 The symmetry system is built and reduced one block of total degree at a
-time, as fresh ``{column: int}`` rows; the unknowns that its one-term
-rows set to 0 are settled first, and the elimination kernel reads the
-other rows as they are.  Its solution and kernel classes are read off
-as sparse maps.  The split needs structure constants that respect
-degrees; a ring or pair that breaks grading is reduced as one block
-(:func:`_reduce_blocks` gives the argument).
+time, as fresh ``{column: int}`` rows that the elimination kernel reads
+as they are; most of them are one-term rows, which it settles as zero
+unknowns before any elimination.  Its solution and kernel classes are
+read off as sparse maps.  The split needs structure constants that
+respect degrees; a ring or pair that breaks grading is reduced as one
+block (:func:`_reduce_blocks` gives the argument).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
@@ -515,27 +516,11 @@ def _reduce_blocks(build: SystemBuilder,
     equation may lie in no listed block, and :func:`_blocks` makes the
     whole system one block.
 
-    Before its rows reach the kernel, each block settles its zero
-    unknowns (:func:`_settle_zeros`).  The system is homogeneous, so a
-    row with one term ``{c: v}`` says that ``mu`` is 0 at ``c``, and so
-    does a pin with value 0.  Each such column is deleted from the
-    block's other rows, and a row left with one term says the same of
-    its column in turn; rows left empty drop out.  Every zero column
-    goes into the echelon as the pivot row ``{c: 1}``, and only the rows
-    that are left go through the kernel.  The result is the same
-    echelon.  Each ``e_c`` of a zero column lies in the row space: it is
-    ``1/v`` times a row ``{c: v}``, and such a row is a given row minus
-    multiples of ``e_z`` for columns ``z`` settled before.  So the rows
-    left, with the ``e_c`` of the zero columns, span the same row space
-    as the block's rows.  Their reduced form is the ``{c: 1}`` rows next
-    to the reduced form of the rows left: the rows left hold no zero
-    column, so none of their pivot rows does, and a ``{c: 1}`` row holds
-    no other column.  The reduced row echelon form is unique, so this
-    is the form of the whole block; and since blocks share no unknown,
-    no zero column of one block is held by a row of another.  The
-    right-hand side is never a zero unknown: a row left as ``{width: v}``
-    goes to the kernel, where it becomes the pivot ``0 = 1`` of an
-    inconsistent system.
+    Each block's pins go in ahead of its rows, so that a pin with value
+    0, the row ``{c: 1}``, is settled before the rows that hold ``c``
+    (:func:`frobdiag.linalg._reduce`).  The kernel alone holds the
+    block's list of rows, through an iterator, so the list and the rows
+    that drop out are freed after its first pass.
     """
     ring = acting.ring
     width = acting.module_basis.size * ring.size
@@ -543,53 +528,12 @@ def _reduce_blocks(build: SystemBuilder,
     index = _product_index(acting)
     echelon = _Echelon()
     for degree in _blocks(acting):
-        rows, _ = build(acting, probes, degree, index)
-        zero: dict[int, SparseRow] = {}
-        for (i, j), value in pins:
-            if degree is None or module_deg[i] + ring_deg[j] == degree:
-                column = i * ring.size + j
-                if value:
-                    rows.append({column: 1, width: value})
-                else:
-                    zero[column] = {column: 1}
-        rows = _settle_zeros(rows, zero, width)
-        echelon.pivots.update(zero)
-        _reduce(rows, echelon)
-        del rows, zero  # so the next block is built without these
+        pinned = [{i * ring.size + j: 1, width: value} if value
+                  else {i * ring.size + j: 1} for (i, j), value in pins
+                  if degree is None or module_deg[i] + ring_deg[j] == degree]
+        _reduce(chain(pinned, build(acting, probes, degree, index)[0]),
+                echelon)
     return echelon, width
-
-
-def _settle_zeros(rows: list[SparseRow], zero: dict[int, SparseRow],
-                  width: int) -> list[SparseRow]:
-    """The rows of ``rows`` that are left with two terms or more, or with
-    the column ``width``, once every zero unknown is deleted from them.
-
-    ``zero`` maps each column known to be 0 to its pivot row ``{c: 1}``.
-    A row left with one term ``{c: v}``, ``c`` not ``width``, says that
-    ``c`` is 0 as well: the row becomes ``{c: 1}`` and joins ``zero``.
-    Rows left empty are dropped.  The rows kept are passed over again
-    while one of them may hold a column found after it.
-    """
-    again = True
-    while again:
-        again, kept = False, []
-        for row in rows:
-            if len(row) > 1:
-                for c in [c for c in row if c in zero]:
-                    del row[c]
-                if len(row) != 1:
-                    if row:
-                        kept.append(row)
-                    continue
-            c, = row
-            if c == width:
-                kept.append(row)
-            elif c not in zero:
-                row[c] = 1
-                zero[c] = row
-                again = again or bool(kept)
-        rows = kept
-    return rows
 
 
 def solve_symmetric_space(ring: RingStructure,

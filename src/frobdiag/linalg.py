@@ -17,28 +17,35 @@ rows arrive in, and kernels and solution sets are read off it in echelon
 normal form; two runs (or two different call sites) can be compared with
 plain equality.
 
-Since the order is free, a reduction inserts its rows by decreasing
-leading column.  A pivot row holds nothing left of its lead, so a new
-pivot left of every existing one is held by no earlier row and nothing
-is cleared upward: the Gauss-Jordan back-substitution, which costs
-about n**3/3 eliminations on the chains ``w[i, j+1] - w[i+1, j]`` of a
-graded system when they arrive with increasing leads, does not occur.
-Only a row whose leading entry is eliminated can land among the
-existing pivots, and the column index below clears it from the rows
-that hold its column, as it does for rows that callers insert one at a
-time.
+A reduction first settles its one-term rows, the singleton step of that
+paper's structured elimination: a row ``{c: v}`` says that unknown
+``c`` is 0, so it becomes the pivot row ``{c: 1}`` and ``c`` is deleted
+from the other rows, which may leave more one-term rows.  Most rows of
+the symmetry systems settle so, with no elimination step: the chains
+``w[i, j+1] - w[i+1, j]`` of a graded system each end in a one-term row
+or a pinned entry.  :func:`_reduce` gives the passes and why the result
+is unchanged.
+
+Since the order is free, a reduction inserts the other rows by
+decreasing leading column.  A pivot row holds nothing left of its lead,
+so a new pivot left of every existing one is held by no earlier row and
+nothing is cleared upward: the Gauss-Jordan back-substitution, which
+costs about n**3/3 eliminations on those chains when they arrive with
+increasing leads, does not occur.  Only a row whose leading entry is
+eliminated can land among the existing pivots, and the column index
+below clears it from the rows that hold its column, as it does for rows
+that callers insert one at a time.
 
 The kernel is fraction-free, after Bareiss ("Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-1968): an input row with a ``Fraction`` entry is scaled by the lcm of
-its denominators, and a row is cleared at a column by ``d*row -
-f*pivot_row``; once all its eliminations are done, a new row is divided
-once by its content, the gcd of its values, and a pivot row cleared
-upward is divided by its content again.  So every pivot row is a
-primitive integer row with a positive lead and the only division is an
-exact one.  A one-term pivot row is ``{c: 1}``, and clearing column
-``c`` with it only deletes the entry; such rows are most of the pivots
-of the symmetry systems, where they say that an unknown is 0.  Integer
+1968): it takes integer rows, each row of a :class:`Matrix` scaled once
+by the lcm of its denominators (:func:`_integral`), and a row is cleared
+at a column by ``d*row - f*pivot_row``; once all its eliminations are
+done, a new row is divided once by its content, the gcd of its values,
+and a pivot row cleared upward is divided by its content again.  So
+every pivot row is a primitive integer row with a positive lead and the
+only division is an exact one.  A one-term pivot row is ``{c: 1}``, and
+clearing column ``c`` with it only deletes the entry.  Integer
 arithmetic is what makes this pay: the symmetry systems have integer
 coefficients, and an ``int`` product costs a small fraction of a
 ``Fraction`` one, which needs a gcd.  Rows are divided by their leads
@@ -46,23 +53,24 @@ only on the way out, into ``Fraction`` entries.  A column index
 (column -> pivot rows holding it) lets a new pivot be cleared from just
 the rows that hold its column, instead of from every pivot row.
 
-The kernel owns the rows it is given, which hold no zero value: an int
-row is reduced, made primitive and kept as a pivot row in place.  The
+The kernel owns the rows it is given, which hold no zero value: a row is
+reduced, made primitive and kept as a pivot row in place.  The
 ``{column: int}`` rows that :mod:`frobdiag.diagonal` builds for its
 symmetry systems, which never become a :class:`Matrix`, go in as they
 are; a :class:`Matrix`, which stores only the nonzero entries of each
-row as a ``{column: value}`` map, hands the kernel copies, so it stays
-unchanged.  Results are built the same way, from the nonzero entries of
-the pivot rows: kernel vectors and particular solutions come off a
-reduction as sparse ``{column: Fraction}`` maps, and only the public
-:func:`nullspace` and :func:`solve` make them dense tuples, at their
-edge.
+row as a ``{column: value}`` map, hands the kernel scaled copies, so it
+stays unchanged.  Results are built the same way, from the nonzero
+entries of the pivot rows: kernel vectors and particular solutions come
+off a reduction as sparse ``{column: Fraction}`` maps, and only the
+public :func:`nullspace` and :func:`solve` make them dense tuples, at
+their edge.
 
 A reduction can go on in an echelon that holds pivots already: a
 block-diagonal system, such as a symmetry system split by total degree,
-goes in one block at a time, each block's rows by decreasing lead.  No
-pivot row of one block holds a column of another, so each block is
-reduced as if alone, and the result is the reduced form of the whole.
+goes in one block at a time, each block's rows settled and then inserted
+by decreasing lead.  No pivot row of one block holds a column of
+another, so each block is reduced as if alone, and the result is the
+reduced form of the whole.
 """
 
 from __future__ import annotations
@@ -214,32 +222,83 @@ class _Echelon:
         self.holders: dict[int, set[int]] = {}
 
 
-def _reduce(rows: Iterable[dict[int, int | Fraction]],
+def _reduce(rows: Iterable[SparseRow],
             echelon: _Echelon | None = None) -> _Echelon:
-    """Insert the nonempty rows of ``rows`` into ``echelon`` (by default a
-    new, empty :class:`_Echelon`), by decreasing leading column (stably),
-    and return it.  The rows are the kernel's from then on (:func:`_insert`).
+    """Insert the integer rows of ``rows`` into ``echelon`` (by default a
+    new, empty :class:`_Echelon`) and return it.  The rows are the
+    kernel's from then on (:func:`_insert`).
 
-    A pivot row holds nothing left of its lead, so a new lead left of
-    every existing one is held by no pivot row and :func:`_insert` has
-    nothing to clear upward; only a row whose lead is eliminated can
-    land among the existing leads.  The order changes no result: the
-    reduced row echelon form of the row space is unique.
+    One-term rows are settled first, in passes over the rows.  A row left
+    with one term ``{c: v}`` settles ``c``: it becomes the row ``{c: 1}``,
+    and ``c`` is deleted from every row visited after it; a row left
+    empty, or with one term at a column already settled, drops out.  A
+    pass that settles a column after it has kept a row, which may hold
+    that column, is followed by another over the kept rows, in reverse
+    order.  Reversing is what keeps the passes few: a chain of two-term
+    rows whose rows come in order, ended by a one-term row, settles in
+    the pass that meets the one-term row first, and the chains of the
+    symmetry systems come in order from one end or the other.  Then each
+    settled ``{c: 1}`` becomes a pivot row, except where ``echelon``
+    already holds ``c``, as a pivot or in a pivot row: that one joins
+    the rows left, which go to :func:`_insert` by decreasing leading
+    column (stably), and :func:`_insert` clears ``c`` from those rows.
+    The echelon is looked up once per call, for all settled columns.
+
+    The result is the reduced row echelon form of the rows and the
+    echelon.  A settled ``e_c`` lies in their row space: it is ``1/v``
+    times a row ``{c: v}``, which is a given row minus multiples of the
+    ``e_z`` settled before it.  So the settled ``e_c``, the rows left and
+    the earlier pivot rows span the same space.  The last pass settled
+    nothing after keeping a row, so no row left holds a settled column.
+    A settled column put straight among the pivots is held by no earlier
+    pivot row, so by no pivot row that :func:`_insert` makes either, and
+    a ``{c: 1}`` row holds no other column: together they are in reduced
+    form, which is unique.  A pivot row holds nothing left of its lead,
+    so a new lead left of every existing one is held by no pivot row and
+    :func:`_insert` has nothing to clear upward; only a row whose lead is
+    eliminated can land among the existing leads.
     """
     if echelon is None:
         echelon = _Echelon()
-    for row in sorted(filter(None, rows), key=min, reverse=True):
+    pivots, holders = echelon.pivots, echelon.holders
+    settled: dict[int, SparseRow] = {}
+    again = True
+    while again:
+        again, kept = False, []
+        for row in rows:
+            n = len(row)
+            if n > 1 and settled:
+                for c in [c for c in row if c in settled]:
+                    del row[c]
+                    n -= 1
+            if n != 1:
+                if n:
+                    kept.append(row)
+                continue
+            c, = row
+            if c not in settled:
+                row[c] = 1
+                settled[c] = row
+                if kept:
+                    again = True
+        kept.reverse()
+        rows = kept
+    held = settled.keys() & pivots.keys() | settled.keys() & holders.keys()
+    for c in held:
+        del settled[c]
+    pivots.update(settled)
+    for row in sorted([{c: 1} for c in held] + rows, key=min, reverse=True):
         _insert(echelon, row)
     return echelon
 
 
-def _insert(echelon: _Echelon, row: dict[int, int | Fraction]) -> bool:
-    """One step of :func:`_reduce`: add ``row``, which holds no zero
-    value, to ``echelon``.
+def _insert(echelon: _Echelon, row: SparseRow) -> bool:
+    """One step of :func:`_reduce`: add ``row``, an integer row that holds
+    no zero value, to ``echelon``.
 
-    The kernel owns ``row`` from then on: an int row is changed in place
-    and may become a pivot row, so a caller passes a row it may give
-    away, or a copy.
+    The kernel owns ``row`` from then on: it is changed in place and may
+    become a pivot row, so a caller passes a row it may give away, or a
+    copy.
 
     The row is cleared at every pivot column it holds: a one-term pivot
     row ``{c: 1}`` only deletes ``row[c]``, any other clears it by
@@ -247,25 +306,20 @@ def _insert(echelon: _Echelon, row: dict[int, int | Fraction]) -> bool:
     its content, with the sign that makes its lead positive; its leading
     column becomes a new pivot and is cleared in the same way from the
     pivot rows that the column index lists as holding it, each of which
-    is divided by its content again, so that it stays primitive.  A row
-    with a ``Fraction`` value (``gcd`` takes ints only) is scaled to
-    integers by :func:`_integral` when that shows, and inserted afresh.
+    is divided by its content again, so that it stays primitive.
     Returns True iff the row was independent of the pivot rows, that is,
     iff it added a pivot.
     """
     pivots, holders = echelon.pivots, echelon.holders
-    try:
-        for c in [c for c in row if c in pivots]:
-            pivot_row = pivots[c]
-            if len(pivot_row) == 1:
-                del row[c]
-            else:
-                _eliminate(row, c, pivot_row)
-        if not row:
-            return False
-        g = gcd(*row.values())
-    except TypeError:  # a Fraction value
-        return _insert(echelon, _integral(row)[0])
+    for c in [c for c in row if c in pivots]:
+        pivot_row = pivots[c]
+        if len(pivot_row) == 1:
+            del row[c]
+        else:
+            _eliminate(row, c, pivot_row)
+    if not row:
+        return False
+    g = gcd(*row.values())
     lead = min(row)
     if row[lead] < 0:
         g = -g
@@ -356,7 +410,7 @@ def _dense(entries: Mapping[int, Fraction], n: int) -> Vector:
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form of ``m`` and its pivot columns."""
-    pivots = _reduce(map(dict, m._data)).pivots
+    pivots = _reduce(_integral(row)[0] for row in m._data).pivots
     order = sorted(pivots)
     reduced = [[(c, Fraction(v, pivots[p][p])) for c, v in pivots[p].items()]
                for p in order]
@@ -365,7 +419,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_reduce(map(dict, m._data)).pivots)
+    return len(_reduce(_integral(row)[0] for row in m._data).pivots)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -377,7 +431,7 @@ def invert(m: Matrix) -> Matrix:
         raise ValueError(
             f"cannot invert non-square matrix ({m.rows}, {m.cols})")
     n = m.rows
-    pivots = _reduce({**row, n + i: 1}
+    pivots = _reduce(_integral({**row, n + i: 1})[0]
                      for i, row in enumerate(m._data)).pivots
     if any(p >= n for p in pivots):
         raise SingularMatrixError("matrix is singular")
@@ -394,7 +448,8 @@ def nullspace(m: Matrix) -> list[Vector]:
     basis is therefore canonical: equal spaces give equal output.
     """
     n = m.cols
-    return [_dense(v, n) for v in _kernel(_reduce(map(dict, m._data)), n)]
+    echelon = _reduce(_integral(row)[0] for row in m._data)
+    return [_dense(v, n) for v in _kernel(echelon, n)]
 
 
 def solve(m: Matrix, b: Sequence[Fraction]
@@ -410,7 +465,7 @@ def solve(m: Matrix, b: Sequence[Fraction]
     if len(b) != m.rows:
         raise ValueError(f"right-hand side length {len(b)} != rows {m.rows}")
     n_cols = m.cols
-    echelon = _reduce({**row, n_cols: value} if value else dict(row)
+    echelon = _reduce(_integral({**row, n_cols: value})[0]
                       for row, value in zip(m._data, map(frac, b)))
     if n_cols in echelon.pivots:
         return None  # a pivot in the augmented column: 0 = 1

@@ -24,7 +24,7 @@ from frobdiag.catalog import (catalog_names, closed_as_pair, cylinder_pair,
 from frobdiag.diagonal import (SignMode, TensorClass, _blocks,
                                _symmetry_system, check_symmetry, left_factor,
                                right_factor, tensor_multiply)
-from frobdiag.linalg import Matrix
+from frobdiag.linalg import Matrix, _Echelon, _insert
 from frobdiag.ring import (GradedBasis, RingElement, RingStructure,
                            change_basis, multiply, pairing_matrix)
 
@@ -109,6 +109,17 @@ def builder(payload):
     if isinstance(payload, ModulePair):
         return _relative_symmetry_system
     return _symmetry_system
+
+
+def inserted_one_at_a_time(rows, echelon: _Echelon | None = None
+                           ) -> _Echelon:
+    """Integer ``rows`` given to ``_insert`` in the order given, into
+    ``echelon`` or a new one: no one-term row settled first and no sort
+    by lead, the reference for ``_reduce``."""
+    echelon = _Echelon() if echelon is None else echelon
+    for row in rows:
+        _insert(echelon, row)
+    return echelon
 
 
 def block_rows(payload, probes=None) -> tuple[list[tuple], int]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobdiag import diagonal
+from frobdiag import diagonal, linalg
 from frobdiag.boundary import ModulePair
 from frobdiag.catalog import (catalog_names, complex_projective, point,
                               resolve, sphere, torus)
@@ -17,12 +17,12 @@ from frobdiag.diagonal import (NoSolutionError, NonUniqueSolutionError,
                                kunneth_product, left_factor, pairing_inverse,
                                pure_tensor, right_factor,
                                solve_symmetric_space, tensor_multiply)
-from frobdiag.linalg import Matrix, _reduce, rank
+from frobdiag.linalg import Matrix, _integral, _reduce, rank
 from frobdiag.ring import (MissingTopClassError, RingStructure,
                            basis_element, multiply, unit_element, validate)
 from strategies import (ODD_RING_NAMES, block_rows, builder, elements,
-                        flatten, matrices, modes, pairs, rings,
-                        symmetric_family)
+                        flatten, inserted_one_at_a_time, matrices, modes,
+                        pairs, rings, symmetric_family)
 
 EVEN_RINGS = {
     "sphere:2": sphere(2),
@@ -272,19 +272,22 @@ def drawn_pins(data, payload) -> list:
     return data.draw(st.lists(st.tuples(slots, values), max_size=6))
 
 
-def fraction_builder(build, scales):
-    """``build`` with its ``i``-th row times ``scales[i % len(scales)]``:
-    ``Fraction`` values, integral ones among them."""
-    def build_fractions(*args):
+def scaled_builder(build, scales):
+    """``build`` with its ``i``-th row times ``scales[i % len(scales)]``
+    and scaled back to integers by ``_integral``, since the kernel takes
+    integer rows: rows that differ from the built ones by rational
+    factors."""
+    def build_scaled(*args):
         rows, width = build(*args)
-        return [{c: v * scales[n % len(scales)] for c, v in row.items()}
+        return [_integral({c: v * scales[n % len(scales)]
+                           for c, v in row.items()})[0]
                 for n, row in enumerate(rows)], width
-    return build_fractions
+    return build_scaled
 
 
 class TestStructuredPass:
-    """``_reduce_blocks`` settles one-term rows and zero pins as zero
-    unknowns before the kernel; the echelon stays the whole system's."""
+    """``_reduce`` settles one-term rows and zero pins as zero unknowns
+    before any elimination; the echelon stays the whole system's."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -294,7 +297,7 @@ class TestStructuredPass:
             [], normalization_pins(payload), drawn_pins(data, payload))))
         build = builder(payload)
         if data.draw(st.booleans()):
-            build = fraction_builder(build, data.draw(st.lists(
+            build = scaled_builder(build, data.draw(st.lists(
                 st.fractions(min_value=-3, max_value=3, max_denominator=5
                              ).filter(bool), min_size=1, max_size=3)))
         blocked, width = diagonal._reduce_blocks(build, payload, None, pins)
@@ -304,8 +307,8 @@ class TestStructuredPass:
 
     def test_pin_on_a_zero_unknown_is_inconsistent(self):
         # mu[0, 0] of cp:2 is a zero unknown (the row of 1 (x) h for the
-        # probe h says so), so the pin mu[0, 0] = 1 drops to the row
-        # {width: 1}, which the kernel takes as the pivot 0 = 1
+        # probe h says so), so the pin mu[0, 0] = 1 is left as the row
+        # {width: 1}, which is settled as the pivot 0 = 1
         ring = complex_projective(2)
         pins = normalization_pins(ring) + [((0, 0), 1)]
         blocked, width = diagonal._reduce_blocks(diagonal._symmetry_system,
@@ -316,14 +319,44 @@ class TestStructuredPass:
             diagonal._normalized_solve(diagonal._symmetry_system, ring, None,
                                        pins, "symmetry system")
 
-    def test_zeros_found_late_are_deleted_from_earlier_rows(self):
-        # a chain read from its far end: each pass finds one more zero
-        width = 4
-        rows = [{3: 1, width: 2}, {2: 1, 3: -1}, {1: 1, 2: -1},
-                {0: 1, 1: -1}, {0: 5}, {0: -1}]
-        zero = {}
-        assert diagonal._settle_zeros(rows, zero, width) == [{width: 2}]
-        assert zero == {c: {c: 1} for c in range(4)}
+    def test_zeros_found_late_are_deleted_from_earlier_rows(
+            self, monkeypatch):
+        # a chain ended by one-term rows, read from either end: read from
+        # the far end, each zero is found after the rows that hold it, and
+        # the pass over the kept rows in reverse settles the whole chain
+        # with no elimination
+        width = 6
+        eliminated, eliminate = [], linalg._eliminate
+
+        def counted(row, c, pivot_row):
+            eliminated.append(c)
+            eliminate(row, c, pivot_row)
+
+        def chain():
+            return [{3: 1, width: 2}, {2: 1, 3: -1}, {1: 1, 2: -1},
+                    {0: 1, 1: -1}, {0: 5}, {0: -1}]
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        for step in (1, -1):
+            settled = _reduce(chain()[::step])
+            assert settled.pivots == {c: {c: 1} for c in (0, 1, 2, 3, width)}
+            assert eliminated == []
+            assert echelon_of(settled) == \
+                echelon_of(inserted_one_at_a_time(chain()))
+            eliminated.clear()
+
+        # an earlier block holds the right-hand side, so the row left as
+        # {width: 2} goes to _insert, which clears width from that block;
+        # a one-term row at that block's pivot goes to _insert as well
+        def earlier():
+            return inserted_one_at_a_time([{4: 1, 5: 1, width: 3}])
+
+        for extra, pivot_4 in (([], {4: 1, 5: 1}), ([{4: 2}], {4: 1})):
+            for step in (1, -1):
+                held = _reduce(chain()[::step] + extra, earlier())
+                assert held.pivots[4] == pivot_4
+                assert echelon_of(held) == echelon_of(
+                    inserted_one_at_a_time(chain() + extra, earlier()))
 
 
 class TestSolveSymmetricSpace:

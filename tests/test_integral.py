@@ -25,7 +25,7 @@ from frobdiag.catalog import catalog_names, resolve
 from frobdiag.diagonal import (SignMode, TensorClass, _blocks,
                                _symmetry_system, check_symmetry, left_factor,
                                right_factor, tensor_multiply)
-from frobdiag.linalg import Matrix, nullspace
+from frobdiag.linalg import Matrix, _integral, _reduce, nullspace
 from frobdiag.constants import scaled_action, sparse_tensor
 from frobdiag.ring import (GradedBasis, RingStructure,
                            _defects_unless_certified, _Echelon, _insert,
@@ -225,7 +225,8 @@ class TestCertificate:
 
 def pick_inserting_every_product(ring):
     """:func:`generators` as it was: every decomposable product inserted,
-    repeated ones included, over the constants as given."""
+    repeated ones included, over the constants as given, each scaled to
+    integers by its own denominators."""
     deg, unit = ring.basis.degrees, ring.basis.unit_index
     candidates = sorted((i for i in range(ring.size) if i != unit),
                         key=lambda i: (deg[i], i))
@@ -234,7 +235,7 @@ def pick_inserting_every_product(ring):
     echelon = _Echelon()
     for (i, j), coeffs in ring._action_products.items():
         if i != unit and j != unit:
-            _insert(echelon, dict(coeffs))
+            _insert(echelon, _integral(coeffs)[0])
     return [k for k in candidates if _insert(echelon, {k: 1})]
 
 
@@ -334,9 +335,15 @@ class TestResiduals:
 
 
 def unscaled(function, *args):
-    """``function(*args)`` with the constants left as given."""
+    """``function(*args)`` with the constants left as given.  The kernel
+    takes integer rows, so a system built from them is reduced with each
+    row scaled by its own denominators instead of by the common ``D``."""
+    def reduce_integral(rows, echelon=None):
+        return _reduce((_integral(row)[0] for row in rows), echelon)
+
     with mock.patch.object(diagonal, "scaled_action",
-                           lambda acting, den: acting._action_products):
+                           lambda acting, den: acting._action_products), \
+            mock.patch.object(diagonal, "_reduce", reduce_integral):
         return function(*args)
 
 

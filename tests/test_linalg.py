@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from frobdiag import linalg
+from frobdiag import boundary, linalg
 from frobdiag.catalog import resolve
 from frobdiag.diagonal import _symmetry_system
 from frobdiag.linalg import (Matrix, SingularMatrixError, frac, invert,
@@ -312,8 +312,8 @@ class TestUpwardClearing:
 class TestEliminationOrder:
     def test_cp_graded_system_is_not_cubic(self, invoke, monkeypatch):
         # the graded system of cp:n is chains w[i, j+1] - w[i+1, j], each
-        # ended by a one-term row or a pin, so the diagonal solver settles
-        # nearly all of it as zero unknowns before the kernel, and a
+        # ended by a one-term row or a pin, so ``_reduce`` settles nearly
+        # all of it as zero unknowns before any elimination, and a
         # one-term pivot only deletes its column; ``_eliminate`` counts
         # the eliminations against a pivot row of several terms
         n, calls = 100, []
@@ -336,3 +336,38 @@ class TestEliminationOrder:
         calls.clear()
         linalg._reduce(row for row in rows if len(row) == 2)
         assert 0 < len(calls) <= 2 * n * n
+
+    def test_settling_visits_stay_linear(self, invoke, monkeypatch):
+        # a pair pins only the top row of its class, so the zeros of its
+        # graded system spread along chains of two-term rows, found at
+        # the far end of each; settling them with one more pass over the
+        # kept rows per zero found late made 171,901 row visits on
+        # cylinder:cp:100 against 20,202 nonzeros.  A visit asks the row
+        # its length once; ``_insert`` asks too, and is not counted
+        visits, nonzeros, inserting = [0], [0], [False]
+
+        class Counted(dict):
+            def __len__(self):
+                visits[0] += not inserting[0]
+                return super().__len__()
+
+        build, insert = boundary._relative_symmetry_system, linalg._insert
+
+        def counted_build(*args):
+            rows, width = build(*args)
+            nonzeros[0] += sum(map(len, rows))
+            return [Counted(row) for row in rows], width
+
+        def uncounted_insert(echelon, row):
+            inserting[0] = True
+            try:
+                return insert(echelon, row)
+            finally:
+                inserting[0] = False
+
+        monkeypatch.setattr(boundary, "_relative_symmetry_system",
+                            counted_build)
+        monkeypatch.setattr(linalg, "_insert", uncounted_insert)
+        code, _, err = invoke("pair", "cylinder:cp:100", "--mode", "graded")
+        assert (code, err) == (0, "")
+        assert 0 < visits[0] <= nonzeros[0]

@@ -3,11 +3,12 @@
 Matrices are drawn like the symmetry systems: mostly zeros, rational
 entries, and often tall, with repeated and all-zero rows in any order.
 Sparse matrices also mix ``int`` and ``Fraction`` values, with large
-coprime denominators, since the kernel scales its rows to integers.
+coprime denominators, since each row is scaled to integers on its way
+into the kernel.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from frobdiag.linalg import (Matrix, SingularMatrixError, _Echelon, _insert,
                              _integral, _reduce, invert,
                              nullspace, rank, rref, solve)
+from strategies import inserted_one_at_a_time
 
 # zero listed twice: two entries in three are zero, as in the symmetry systems
 entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
@@ -207,8 +209,10 @@ def test_kernel_rows_are_primitive_and_indexed(s):
     pivot column; the column index lists exactly the pivot rows holding
     each non-pivot column.  The outputs checked against sympy would not
     notice a row left unreduced by its content or with a negative lead.
+    The kernel takes integer rows, so each row is scaled first, as the
+    public functions do.
     """
-    echelon = _reduce(map(dict, s._data))
+    echelon = _reduce(integral_rows(s._data))
     pivots = echelon.pivots
     for p, row in pivots.items():
         assert all(type(v) is int and v for v in row.values())
@@ -223,34 +227,23 @@ def test_kernel_rows_are_primitive_and_indexed(s):
     assert {c: h for c, h in echelon.holders.items() if h} == expected
 
 
-def reduce_in_given_order(rows) -> _Echelon:
-    """Every row inserted in the order given, with no sort by lead; the
-    kernel owns what it is given, so it gets copies."""
-    echelon = _Echelon()
-    for row in rows:
-        _insert(echelon, dict(row))
-    return echelon
+def integral_rows(rows) -> list[dict]:
+    """Each row scaled to integers, as a new row for the kernel to own."""
+    return [_integral(row)[0] for row in rows]
 
 
 @settings(max_examples=80, deadline=None)
 @given(mixed_sparse(), st.data())
 def test_insertion_order_changes_no_pivot_row(s, data):
-    """``_reduce`` inserts by decreasing lead; the reduced row echelon
-    form is unique, so any order gives the same pivot rows and index."""
+    """``_reduce`` settles one-term rows, then inserts by decreasing
+    lead; the reduced row echelon form is unique, so any order gives the
+    same pivot rows and index."""
     rows = data.draw(st.permutations(s._data))
-    echelon = _reduce(map(dict, rows))
-    reference = reduce_in_given_order(rows)
+    echelon = _reduce(integral_rows(rows))
+    reference = inserted_one_at_a_time(integral_rows(rows))
     assert echelon.pivots == reference.pivots
     assert {c: h for c, h in echelon.holders.items() if h} == \
         {c: h for c, h in reference.holders.items() if h}
-
-
-def primitive_through_integral(row) -> dict:
-    """A row made primitive by scaling to integers first, whatever its
-    values."""
-    ints, _ = _integral(row)
-    g = gcd(*ints.values())
-    return {c: v // g for c, v in ints.items()} if g > 1 else ints
 
 
 int_values = st.integers(min_value=-60, max_value=60)
@@ -271,23 +264,22 @@ def rows_to_make_primitive(draw):
 @settings(max_examples=200, deadline=None)
 @given(rows_to_make_primitive())
 def test_inserted_row_equals_the_integral_path(row):
-    """A first row, its zero values dropped, becomes the pivot row that
-    scaling to integers gives, with a positive lead, as ints: an int row
-    made primitive in place, any other in a new dict."""
+    """A first row, scaled to integers as the public functions scale each
+    row, becomes its primitive pivot row in place: the row over its lead,
+    times the lcm of the denominators that leaves, as ints."""
     row = {c: v for c, v in row.items() if v}
-    given_row = dict(row)
+    ints, _ = _integral(row)
     echelon = _Echelon()
-    assert _insert(echelon, row) == bool(row)
+    assert _insert(echelon, ints) == bool(row)
     if not row:
         return
-    expected = primitive_through_integral(given_row)
-    lead = min(expected)
-    if expected[lead] < 0:
-        expected = {c: -v for c, v in expected.items()}
-    assert echelon.pivots == {lead: expected}
-    got = echelon.pivots[lead]
-    assert all(type(v) is int for v in got.values())
-    assert (got is row) == all(type(v) is int for v in given_row.values())
+    lead = min(row)
+    ratios = {c: Fraction(v) / row[lead] for c, v in row.items()}
+    den = lcm(*(r.denominator for r in ratios.values()))
+    assert echelon.pivots == {lead: {c: int(r * den)
+                                     for c, r in ratios.items()}}
+    assert echelon.pivots[lead] is ints
+    assert all(type(v) is int for v in ints.values())
 
 
 int_sparse = st.builds(
