@@ -44,8 +44,8 @@ class ModulePair(_Constants):
     (:class:`frobdiag.constants._Constants`); ``action`` and
     ``action_coefficients`` are exact views of them.  A pair whose action
     is its ring's product, such as a cylinder or a closed ring embedded
-    as a pair, shares the ring's stored map (:meth:`_from_ints`), its
-    rescaled copies and its views.
+    as a pair, shares the ring's stored map (:meth:`_from_ints`) and its
+    views.
     """
 
     __slots__ = ("ring", "module_basis")
@@ -67,8 +67,7 @@ class ModulePair(_Constants):
         mp = cls.__new__(cls)
         mp.ring = ring
         mp.module_basis = module_basis
-        mp._store(ints, den, None,
-                  ring._scaled if ints is ring._ints else None)
+        mp._store(ints, den, None)
         return mp
 
     def _shares_product(self) -> bool:
@@ -140,7 +139,9 @@ def validate_module(mp: ModulePair,
     ring's size, that certificate is the one :func:`validate` has just
     run: the same two maps, the same generators and the same width.  A
     clean report so far means it passed (had it failed, the ring's full
-    scan would have listed a defect), so it is not run again.
+    scan would have listed a defect), so it is not run again.  An empty
+    report marks the pair valid (``_valid``), as :func:`validate` marks
+    a ring.
 
     As there, action grading and the unit action are settled by
     whole-map comparisons on the stored map, the constants times ``D``,
@@ -178,10 +179,11 @@ def validate_module(mp: ModulePair,
                     report.add("unit-action", (j, k),
                                f"unit acts with {actual}, expected {expected}")
 
-    if report.ok and mp._shares_product() and nm == mp.ring.size:
-        return report
-    for indices, a, b in _defects_unless_certified(mp, report.ok):
-        report.add("module-associativity", indices, f"{a} != {b}")
+    if not (report.ok and mp._shares_product() and nm == mp.ring.size):
+        for indices, a, b in _defects_unless_certified(mp, report.ok):
+            report.add("module-associativity", indices, f"{a} != {b}")
+    if report.ok:
+        mp._valid = True
     return report
 
 
@@ -197,8 +199,7 @@ def relative_pairing_matrix(mp: ModulePair) -> Matrix:
 
 
 def relative_diagonal_class(mp: ModulePair,
-                            mode: SignMode = SignMode.LITERAL,
-                            probes: Sequence[int] | None = None
+                            mode: SignMode = SignMode.LITERAL
                             ) -> TensorClass:
     """The normalized symmetric class of the pair.
 
@@ -206,7 +207,6 @@ def relative_diagonal_class(mp: ModulePair,
     the relative pairing matrix.  GRADED solves the relative symmetry
     system subject to the normalization that the top row of ``mu`` is the
     unit indicator, demanding uniqueness.
-    ``probes`` is passed to :func:`frobdiag.diagonal._symmetry_system`.
     """
     if mode is SignMode.LITERAL:
         p = relative_pairing_matrix(mp)
@@ -221,7 +221,7 @@ def relative_diagonal_class(mp: ModulePair,
 
     top, unit = _top_index(mp), mp.ring.basis.unit_index
     pins = [((top, j), int(j == unit)) for j in range(mp.ring.size)]
-    return _normalized_solve(_relative_symmetry_system, mp, probes, pins,
+    return _normalized_solve(_relative_symmetry_system, mp, pins,
                              "relative symmetry system")
 
 
@@ -236,30 +236,23 @@ def check_relative_top_normalization(mp: ModulePair,
 # ---------------------------------------------------------------------------
 # the relative symmetry condition
 
-def check_relative_symmetry(mp: ModulePair, w: TensorClass,
-                            probes: Sequence[int] | None = None
-                            ) -> SymmetryReport:
+def check_relative_symmetry(mp: ModulePair,
+                            w: TensorClass) -> SymmetryReport:
     """Residuals of ``w.(1(x)y_k) - (y_k(x)1).w`` for every ring element.
 
     The residual oracle :func:`frobdiag.diagonal._symmetry_residuals`
     with the pair's module basis and action; for the pair whose module is
     the ring this is :func:`frobdiag.diagonal.check_symmetry`.
-    ``probes`` is passed to the oracle.
     """
     if (w.left_basis != mp.module_basis
             or w.right_basis != mp.ring.basis):
         raise ValueError("class does not live over this module pair")
-    return _symmetry_residuals(mp, w, probes)
+    return _symmetry_residuals(mp, w)
 
 
-def solve_relative_symmetric_space(mp: ModulePair,
-                                   probes: Sequence[int] | None = None
-                                   ) -> list[TensorClass]:
-    """Echelon-normalized basis of all relatively symmetric classes.
-
-    ``probes`` is passed to :func:`frobdiag.diagonal._symmetry_system`.
-    """
-    return _symmetric_space(_relative_symmetry_system, mp, probes)
+def solve_relative_symmetric_space(mp: ModulePair) -> list[TensorClass]:
+    """Echelon-normalized basis of all relatively symmetric classes."""
+    return _symmetric_space(_relative_symmetry_system, mp)
 
 
 # one span check serves both cases; the pair name is kept for callers

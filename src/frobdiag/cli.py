@@ -35,7 +35,7 @@ from .document import (DocumentError, _cut, emit_document, indented_json,
                        parse_document)
 from .linalg import Matrix
 from .ring import (MissingTopClassError, RingStructure, ValidationReport,
-                   generators, pairing_matrix, validate)
+                   pairing_matrix, validate)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -207,13 +207,8 @@ def _diag_report(name: str, payload, route: _Route, mode: SignMode,
                  output: str) -> int:
     """Pairing, diagonal class and its checks, for a validated payload."""
     pairing = route.pairing(payload)
-    # validation shows the ring and action associative and unital, so the
-    # generators of the ring (a ring is its own) stand for every probe of
-    # a symmetry system and of the residual check (see
-    # ``diagonal._symmetry_system`` and ``diagonal._symmetry_residuals``)
-    probes = generators(payload.ring)
-    w = route.diagonal(payload, mode, probes)
-    residual = route.residual(payload, w, probes)
+    w = route.diagonal(payload, mode)
+    residual = route.residual(payload, w)
     normalized = route.normalized(payload, w)
     labels = (w.left_basis.labels, w.right_basis.labels)
     if output == "json":
@@ -285,7 +280,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     name, payload = _load_input(args.input, mode)
     route = _require_valid(name, payload, args.allow_noncommutative,
                            args.output)
-    space = route.space(payload, generators(payload.ring))
+    space = route.space(payload)
     try:
         member = route.in_span(space,
                                route.diagonal(payload, SignMode.LITERAL))

@@ -4,8 +4,8 @@ The constants are stored once, as one map ``(i, j) -> {k: D * value}``
 of ints over the lcm ``D`` of their denominators (:func:`sparse_tensor`,
 :class:`_Constants`).  The exact forms that callers read (the flat
 tensor, the exact product map) are views built from it on first use,
-and the hot loops read it as it is or rescaled once to a common multiple
-of ``D`` (:func:`scaled_action`).
+and the hot loops read it, with the ring's, over their common
+denominator (:func:`common_maps`).
 """
 
 from __future__ import annotations
@@ -87,21 +87,26 @@ class _Constants:
     :meth:`_flat_view`, the ``(i, j, k) -> value`` map that a ring shows
     as ``tensor`` and a pair as ``action`` (the map given to the
     constructor, when it already had that form; it is kept, not copied).
-    ``_scaled`` keeps ``_ints`` rescaled to each multiple of ``D`` asked
-    for (:func:`scaled_action`); it starts with ``_ints`` itself at ``D``.
-    ``_pairing`` keeps the pairing matrix, read off ``_ints`` on first use
-    (:func:`frobdiag.ring._top_entries`).
+    ``_common`` keeps the copies that :func:`common_maps` builds when the
+    ring's denominator differs from this one.  ``_pairing`` keeps the
+    pairing matrix, read off ``_ints`` on first use
+    (:func:`frobdiag.ring._top_entries`).  ``_valid`` is set by a clean
+    :func:`frobdiag.ring.validate` of a ring or
+    :func:`frobdiag.boundary.validate_module` of a pair, and never
+    cleared, as the constants never change; the symmetry systems and the
+    residual check then probe the ring's generators only
+    (:func:`frobdiag.diagonal._symmetry_system`).
     """
 
-    __slots__ = ("_ints", "_den", "_scaled", "_exact", "_flat", "_pairing")
+    __slots__ = ("_ints", "_den", "_common", "_exact", "_flat", "_pairing",
+                 "_valid")
 
     def _store(self, ints: ProductMap, den: int,
-               flat: SparseTensor | None,
-               scaled: dict[int, ProductMap] | None = None) -> None:
+               flat: SparseTensor | None) -> None:
         self._ints, self._den, self._flat = ints, den, flat
         self._exact = ints if den == 1 else None
-        self._pairing = None
-        self._scaled = {den: ints} if scaled is None else scaled
+        self._common = self._pairing = None
+        self._valid = False
 
     def _exact_view(self) -> ProductMap:
         if self._exact is None:
@@ -118,25 +123,29 @@ class _Constants:
         return self._flat
 
 
-def scaled_action(acting: RingStructure | ModulePair,
-                  den: int) -> ProductMap:
-    """The action map of ``acting`` (a ring, acting on itself by its
-    product, or a :class:`frobdiag.boundary.ModulePair`) times ``den``.
+def common_maps(acting: RingStructure | ModulePair
+                ) -> tuple[ProductMap, ProductMap]:
+    """The ring's product map and the action map of ``acting`` (a ring,
+    acting on itself by its product, or a
+    :class:`frobdiag.boundary.ModulePair`), both as ints over the lcm
+    ``D`` of their denominators.
 
-    ``den`` must be a multiple of ``acting._den``, such as the lcm of the
-    ring's and the action's own, so every value comes out an int.
-    Scaling by one common ``den`` keeps every linear identity between the
-    maps, and scales an identity of degree ``d`` by ``den**d``, so zero
-    patterns, kernels and reduced forms stay as they are.  At
-    ``acting._den`` this is the stored map itself, not a copy; another
-    multiple is built once and kept on ``acting``, as ``_generators`` is:
-    the associativity certificate, the residual oracle and the symmetry
-    system all ask for the same one.
+    Scaling by one common ``D`` keeps every linear identity between the
+    maps, and scales an identity of degree ``d`` by ``D**d``, so zero
+    patterns, kernels and reduced forms stay as they are.  When the
+    two denominators agree (always for a ring) these are the stored maps
+    themselves, not copies; otherwise the copies are built once and kept
+    on ``acting``: the associativity certificate, the residual oracle and
+    the symmetry system all ask for them.
     """
-    scaled = acting._scaled.get(den)
-    if scaled is None:
-        factor = den // acting._den
-        scaled = acting._scaled[den] = {
-            key: {k: v * factor for k, v in coeffs.items()}
-            for key, coeffs in acting._ints.items()}
-    return scaled
+    ring = acting.ring
+    if ring._den == acting._den:
+        return ring._ints, acting._ints
+    if acting._common is None:
+        den = lcm(ring._den, acting._den)
+        acting._common = tuple(
+            m._ints if m._den == den
+            else {key: {k: v * (den // m._den) for k, v in coeffs.items()}
+                  for key, coeffs in m._ints.items()}
+            for m in (ring, acting))
+    return acting._common

@@ -44,9 +44,10 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 from .linalg import (Matrix, SingularMatrixError, SparseRow,  # noqa: F401
                      _Echelon, _insert, _integral, _kernel, _particular,
                      _reduce, invert, nullspace, rank, solve)
-from .constants import scaled_action
+from .constants import common_maps
 from .ring import (GradedBasis, RingElement, RingStructure,  # noqa: F401
-                   _top_index, multiply, pairing_matrix, unit_element)
+                   _top_index, generators, multiply, pairing_matrix,
+                   unit_element)
 
 if TYPE_CHECKING:
     from .boundary import ModulePair
@@ -201,15 +202,14 @@ def pairing_inverse(ring: RingStructure) -> Matrix:
 
 
 def diagonal_class(ring: RingStructure,
-                   mode: SignMode = SignMode.LITERAL,
-                   probes: Sequence[int] | None = None) -> TensorClass:
+                   mode: SignMode = SignMode.LITERAL) -> TensorClass:
     """The normalized symmetric class of ``ring (x) ring``.
 
     ``mode`` picks the route (the condition is sign-free).  LITERAL inverts
     the pairing matrix.  GRADED never assumes a formula; it solves the
     symmetry system subject to the top-row/top-column normalization (top
     row and column of ``mu`` equal to the unit indicator) and demands a
-    unique solution.  ``probes`` is passed to :func:`_symmetry_system`.
+    unique solution.
     """
     if mode is SignMode.LITERAL:
         return TensorClass(pairing_inverse(ring), ring.basis, ring.basis)
@@ -217,13 +217,11 @@ def diagonal_class(ring: RingStructure,
     unit, top = ring.basis.unit_index, _top_index(ring)
     pins = [(slot, int(j == unit))
             for j in range(ring.size) for slot in ((top, j), (j, top))]
-    return _normalized_solve(_symmetry_system, ring, probes, pins,
-                             "symmetry system")
+    return _normalized_solve(_symmetry_system, ring, pins, "symmetry system")
 
 
 def _normalized_solve(build: SystemBuilder,
                       acting: RingStructure | ModulePair,
-                      probes: Sequence[int] | None,
                       pins: Sequence[tuple[tuple[int, int], int]],
                       noun: str) -> TensorClass:
     """The unique solution of a symmetry system with some entries pinned.
@@ -233,7 +231,7 @@ def _normalized_solve(build: SystemBuilder,
     read off the pivot rows' right-hand sides.  ``noun`` names the
     system in the error messages.
     """
-    echelon, width = _reduce_blocks(build, acting, probes, pins)
+    echelon, width = _reduce_blocks(build, acting, pins)
     if width in echelon.pivots:
         raise NoSolutionError(f"normalized {noun} is inconsistent")
     if len(echelon.pivots) < width:
@@ -283,22 +281,19 @@ class SymmetryReport:
         return iter(self.entries)
 
 
-def check_symmetry(ring: RingStructure, w: TensorClass,
-                   probes: Sequence[int] | None = None) -> SymmetryReport:
+def check_symmetry(ring: RingStructure, w: TensorClass) -> SymmetryReport:
     """Residuals of ``w.(1(x)x_k) - (x_k(x)1).w`` over every basis element.
 
     An empty report means ``w`` is symmetric.  This is the residual
     oracle :func:`_symmetry_residuals` of the pair whose module is the
     ring, as :func:`frobdiag.boundary.check_relative_symmetry` is.
-    ``probes`` is passed to :func:`_symmetry_residuals`.
     """
     _require_over(ring, ring, w)
-    return _symmetry_residuals(ring, w, probes)
+    return _symmetry_residuals(ring, w)
 
 
-def _symmetry_residuals(acting: RingStructure | ModulePair, w: TensorClass,
-                        probes: Sequence[int] | None = None
-                        ) -> SymmetryReport:
+def _symmetry_residuals(acting: RingStructure | ModulePair,
+                        w: TensorClass) -> SymmetryReport:
     """Residuals of ``w.(1(x)y_k) - (y_k(x)1).w`` for every ring element.
 
     ``w`` lives in module (x) ring, and ``acting`` is the pair whose
@@ -306,7 +301,7 @@ def _symmetry_residuals(acting: RingStructure | ModulePair, w: TensorClass,
     ring, the pair whose module is the ring.  The work is done in ints:
     ``w`` is scaled to integer terms by the lcm ``den`` of its
     denominators, and the ring's products and the action by one common
-    ``D`` (:func:`frobdiag.constants.scaled_action`).  The residual is linear
+    ``D`` (:func:`frobdiag.constants.common_maps`).  The residual is linear
     in ``w`` and in the two maps together, so each entry is the integer
     difference divided by ``den * D``, the value over the data as given.
     Each side is accumulated over the terms present only, and the sides
@@ -319,23 +314,18 @@ def _symmetry_residuals(acting: RingStructure | ModulePair, w: TensorClass,
     formed.  For a ring or pair that fails a unit axiom the report may
     differ from the residual that :func:`tensor_multiply` gives.
 
-    ``probes``, when given, lists ring basis indices to check first: if
-    each of their residuals vanishes, the report is empty; otherwise
-    every basis element is checked and the full report returned.  A
-    generating set (:func:`frobdiag.ring.generators`) is enough once the
-    ring and the action are associative and unital, as validation shows:
-    the unit's residual vanishes by the unit axioms, residuals are linear
-    in ``y``, and if those of ``x`` and ``y`` vanish, so does that of
-    ``xy``, since ``w.(1(x)xy) = (w.(1(x)x)).(1(x)y) = (x(x)1).w.(1(x)y)
-    = (x(x)1).(y(x)1).w = (xy(x)1).w``.  Pass probes only for a ring or
-    pair that has passed validation.
+    When ``acting`` has passed validation (``acting._valid``: the pair's
+    own flag, as a pair over a valid ring may have a bad action), the
+    ring's generators are checked first: if each of their residuals
+    vanishes, so does every residual (:func:`_symmetry_system` gives the
+    argument) and the report is empty.  Otherwise, and for an unvalidated
+    ``acting``, every basis element is checked and the full report
+    returned.
     """
     ring = acting.ring
-    scale = lcm(ring._den, acting._den)
-    products = scaled_action(ring, scale)
-    action_products = scaled_action(acting, scale)
+    products, action_products = common_maps(acting)
     terms, den = _integral(dict(w.mu.terms()))
-    den *= scale
+    den *= lcm(ring._den, acting._den)
 
     def residual(k: int) -> list[ResidualEntry]:
         # w.(1 (x) y_k): y_j.y_k on the ring factor
@@ -355,7 +345,7 @@ def _symmetry_residuals(acting: RingStructure | ModulePair, w: TensorClass,
                 entries.append(ResidualEntry(k, i, s, Fraction(a - b, den)))
         return entries
 
-    if probes is not None and not any(map(residual, probes)):
+    if acting._valid and not any(map(residual, generators(ring))):
         return SymmetryReport([])
     return SymmetryReport([e for k in range(ring.size) for e in residual(k)])
 
@@ -375,25 +365,23 @@ class _ProductIndex(NamedTuple):
 def _product_index(acting: RingStructure | ModulePair) -> _ProductIndex:
     """The :class:`_ProductIndex` of the ring's product and ``acting``'s
     action, both scaled by one common denominator ``D``
-    (:func:`frobdiag.constants.scaled_action`); one pass over their terms."""
-    ring = acting.ring
-    scale = lcm(ring._den, acting._den)
+    (:func:`frobdiag.constants.common_maps`); one pass over their terms."""
+    products, action = common_maps(acting)
     right: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (j, k), coeffs in scaled_action(ring, scale).items():
+    for (j, k), coeffs in products.items():
         for s, c in coeffs.items():
             right.setdefault((k, s), []).append((j, c))
     left: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (k, l), coeffs in scaled_action(acting, scale).items():
+    for (k, l), coeffs in action.items():
         for i, c in coeffs.items():
             left.setdefault((k, i), []).append((l, c))
     slots: dict[int, list[int]] = {}
-    for s, d in enumerate(ring.basis.degrees):
+    for s, d in enumerate(acting.ring.basis.degrees):
         slots.setdefault(d, []).append(s)
     return _ProductIndex(right, left, slots)
 
 
 def _symmetry_system(acting: RingStructure | ModulePair,
-                     probes: Sequence[int] | None = None,
                      degree: int | None = None,
                      index: _ProductIndex | None = None
                      ) -> tuple[list[SparseRow], int]:
@@ -411,7 +399,7 @@ def _symmetry_system(acting: RingStructure | ModulePair,
     number of unknowns.  Rows are assembled straight from the two
     product maps, independently of :func:`tensor_multiply`.  The maps
     are first scaled to ints by one common denominator ``D``
-    (:func:`frobdiag.constants.scaled_action`), so every value is an int and
+    (:func:`frobdiag.constants.common_maps`), so every value is an int and
     every equation is ``D`` times the one over the maps as given: the
     system is homogeneous, so its solutions and its reduced row echelon
     form are the same.
@@ -421,17 +409,18 @@ def _symmetry_system(acting: RingStructure | ModulePair,
     ``index`` is :func:`_product_index` of ``acting``, for a caller that
     builds several blocks; without it the call makes its own.
 
-    ``probes`` lists the ring basis indices ``k`` to take equations for;
-    ``None`` takes every one.  A generating set of the ring is enough when
-    the ring multiplication and the action are associative and unital:
-    if ``w`` is symmetric for ``x`` and for ``y``, then
-    ``w.(1(x)xy) = (w.(1(x)x)).(1(x)y) = (x(x)1).w.(1(x)y)
+    The probes ``k`` are the ring's generators
+    (:func:`frobdiag.ring.generators`) when ``acting`` has passed
+    validation (``acting._valid``), and every ring basis index otherwise.
+    The generators are enough when the ring multiplication and the action
+    are associative and unital: if ``w`` is symmetric for ``x`` and for
+    ``y``, then ``w.(1(x)xy) = (w.(1(x)x)).(1(x)y) = (x(x)1).w.(1(x)y)
     = (x(x)1).(y(x)1).w = (xy(x)1).w``, the two multiplications act on
-    different tensor factors, and the unit is symmetric outright.  So the
-    system for the generators (:func:`frobdiag.ring.generators`) has the
-    same solutions as the full one, and the same reduced row echelon
-    form.  Without that precondition the two may differ: pass a probe
-    list only for a ring or pair that has passed validation.
+    different tensor factors, residuals are linear in the probe, and the
+    unit is symmetric outright.  So the system for the generators has
+    the same solutions as the full one, and the same reduced row echelon
+    form.  Without that precondition the two may differ, so an
+    unvalidated ring or pair gets every probe.
     """
     ring = acting.ring
     nm, nr = acting.module_basis.size, ring.size
@@ -439,7 +428,7 @@ def _symmetry_system(acting: RingStructure | ModulePair,
     right, left, slots = _product_index(acting) if index is None else index
     every = range(nr)
     rows: list[SparseRow] = []
-    for k in range(nr) if probes is None else probes:
+    for k in generators(ring) if acting._valid else every:
         for i in range(nm):
             acted = left.get((k, i), ())
             base = i * nr
@@ -489,13 +478,12 @@ def _blocks(acting: RingStructure | ModulePair) -> list[int | None]:
 
 def _reduce_blocks(build: SystemBuilder,
                    acting: RingStructure | ModulePair,
-                   probes: Sequence[int] | None = None,
                    pins: Sequence[tuple[tuple[int, int], int]] = ()
                    ) -> tuple[_Echelon, int]:
     """The reduced row echelon form of a symmetry system, built one block
     of total degree at a time, and its number of unknowns.
 
-    ``build(acting, probes, degree, index)`` is :func:`_symmetry_system`:
+    ``build(acting, degree, index)`` is :func:`_symmetry_system`:
     the block of ``degree`` (``None``: the whole system), with ``index``
     the :func:`_product_index` of ``acting``, made once for every block.
     ``pins`` lists ``((i, j), value)`` pairs; each adds the row
@@ -531,31 +519,27 @@ def _reduce_blocks(build: SystemBuilder,
         pinned = [{i * ring.size + j: 1, width: value} if value
                   else {i * ring.size + j: 1} for (i, j), value in pins
                   if degree is None or module_deg[i] + ring_deg[j] == degree]
-        _reduce(chain(pinned, build(acting, probes, degree, index)[0]),
-                echelon)
+        _reduce(chain(pinned, build(acting, degree, index)[0]), echelon)
     return echelon, width
 
 
-def solve_symmetric_space(ring: RingStructure,
-                          probes: Sequence[int] | None = None
-                          ) -> list[TensorClass]:
+def solve_symmetric_space(ring: RingStructure) -> list[TensorClass]:
     """Echelon-normalized basis of all symmetric classes.
 
     This is the brute-force description of the symmetric elements: the
     kernel of the symmetry system, one coefficient at a time.  It serves
     as the oracle against which the closed-form diagonal class is
-    compared.  ``probes`` is passed to :func:`_symmetry_system`.
+    compared.
     """
-    return _symmetric_space(_symmetry_system, ring, probes)
+    return _symmetric_space(_symmetry_system, ring)
 
 
 def _symmetric_space(build: SystemBuilder,
-                     acting: RingStructure | ModulePair,
-                     probes: Sequence[int] | None) -> list[TensorClass]:
+                     acting: RingStructure | ModulePair) -> list[TensorClass]:
     """The kernel of a symmetry system (:func:`_reduce_blocks`) as
     classes, in the echelon-normalized order of
     :func:`frobdiag.linalg.nullspace`."""
-    echelon, width = _reduce_blocks(build, acting, probes)
+    echelon, width = _reduce_blocks(build, acting)
     return [_sparse_class(v, acting) for v in _kernel(echelon, width)]
 
 

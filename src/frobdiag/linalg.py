@@ -77,6 +77,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Vector = tuple[Fraction, ...]
@@ -194,13 +195,17 @@ class Matrix:
 
 SparseRow = dict[int, int]
 
+# built once: an attrgetter made per call costs more than a list of the
+# denominators saves
+_denominator = attrgetter("denominator")
+
 
 def _integral(values: Mapping[K, int | Fraction]) -> tuple[dict[K, int], int]:
     """``values`` times the lcm ``D`` of their denominators, and ``D``.
 
     The scaled values are ints; zero values are dropped.
     """
-    den = lcm(*[v.denominator for v in values.values()])
+    den = lcm(*map(_denominator, values.values()))
     return {key: v.numerator * (den // v.denominator)
             for key, v in values.items() if v}, den
 

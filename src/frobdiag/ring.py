@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .constants import (ProductMap, SparseTensor, _Constants, _exact,
-                        scaled_action, sparse_tensor)
+                        common_maps, sparse_tensor)
 from .linalg import (Matrix, Vector, _Echelon, _insert, _integral, invert,
                      rank)
 
@@ -353,19 +353,17 @@ def _defects_unless_certified(acting: RingStructure | ModulePair,
     :func:`_generators_certify` checks the defects with a generator of
     the ring as middle index; when there are none, nothing is yielded.
     It runs on both maps scaled to ints by one common denominator
-    (:func:`scaled_action`), which scales every defect by its square and
+    (:func:`common_maps`), which scales every defect by its square and
     so finds one exactly where the maps as given have one.  Otherwise,
     or when the certificate fails, this is :func:`associativity_defects`
     in full, on the maps as given, so a failing report lists every
     defect in index order and with its own values.
     """
     ring = acting.ring
-    if certify:
-        den = lcm(ring._den, acting._den)
-        if _generators_certify(scaled_action(ring, den),
-                               scaled_action(acting, den),
-                               generators(ring), acting.module_basis.size):
-            return iter(())
+    if certify and _generators_certify(*common_maps(acting),
+                                       generators(ring),
+                                       acting.module_basis.size):
+        return iter(())
     return associativity_defects(ring._action_products,
                                  acting._action_products)
 
@@ -386,6 +384,8 @@ def validate(ring: RingStructure,
     Violations are collected, not raised; an empty report means the tensor
     is a valid graded(-commutative) associative unital multiplication.
     ``allow_noncommutative`` skips only the graded-commutativity axiom.
+    An empty report marks the ring valid (``_valid``), so that its
+    symmetry systems probe its generators only.
 
     When grading and unit hold, associativity is checked on generators
     first (Light's test; Clifford and Preston, *The Algebraic Theory of
@@ -470,6 +470,8 @@ def validate(ring: RingStructure,
                     if a != sign * b:
                         report.add("graded-commutativity", (i, j, k),
                                    f"{a} != {'-' if sign < 0 else ''}{b}")
+    if report.ok:
+        ring._valid = True
     return report
 
 

@@ -14,11 +14,13 @@ structure constants have denominators.
 
 from __future__ import annotations
 
+from copy import copy
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from frobdiag.boundary import ModulePair, _relative_symmetry_system
+from frobdiag.boundary import (ModulePair, _relative_symmetry_system,
+                               validate_module)
 from frobdiag.catalog import (catalog_names, closed_as_pair, cylinder_pair,
                               resolve)
 from frobdiag.diagonal import (SignMode, TensorClass, _blocks,
@@ -26,7 +28,7 @@ from frobdiag.diagonal import (SignMode, TensorClass, _blocks,
                                right_factor, tensor_multiply)
 from frobdiag.linalg import Matrix, _Echelon, _insert
 from frobdiag.ring import (GradedBasis, RingElement, RingStructure,
-                           change_basis, multiply, pairing_matrix)
+                           change_basis, multiply, pairing_matrix, validate)
 
 
 def apply(m: Matrix, v) -> tuple[Fraction, ...]:
@@ -103,12 +105,27 @@ def symmetric_family(ring: RingStructure, mode: SignMode, w: TensorClass,
 
 def builder(payload):
     """The symmetry-system builder that the solvers of a ring or a pair
-    pass to ``diagonal._reduce_blocks``: ``build(payload, probes,
-    degree)`` is the block of that total degree, or the whole system for
-    ``None``."""
+    pass to ``diagonal._reduce_blocks``: ``build(payload, degree)`` is
+    the block of that total degree, or the whole system for ``None``."""
     if isinstance(payload, ModulePair):
         return _relative_symmetry_system
     return _symmetry_system
+
+
+def validated(payload):
+    """A copy of a ring, or of a pair over a copy of its ring, that has
+    passed validation, so that its symmetry systems and residual checks
+    probe the ring's generators only; ``payload`` is left as it was.
+    Graded commutativity is not asked for: the generators stand for every
+    probe once the products are associative and unital."""
+    twin = copy(payload)
+    if isinstance(twin, ModulePair):
+        twin.ring = copy(twin.ring)
+        assert validate_module(twin, allow_noncommutative=True).ok
+    else:
+        assert validate(twin, allow_noncommutative=True).ok
+    assert twin._valid
+    return twin
 
 
 def inserted_one_at_a_time(rows, echelon: _Echelon | None = None
@@ -122,14 +139,16 @@ def inserted_one_at_a_time(rows, echelon: _Echelon | None = None
     return echelon
 
 
-def block_rows(payload, probes=None) -> tuple[list[tuple], int]:
+def block_rows(payload) -> tuple[list[tuple], int]:
     """The rows of the symmetry system of a ring or a pair, built block by
     block as its solvers build them, each as its nonzero ``(column,
-    value)`` pairs sorted by column; and the number of unknowns."""
+    value)`` pairs sorted by column; and the number of unknowns.  A
+    payload that has passed validation gets the rows of its generator
+    probes only."""
     build = builder(payload)
     rows, width = [], None
     for degree in _blocks(payload):
-        block, width = build(payload, probes, degree)
+        block, width = build(payload, degree)
         rows += [tuple(sorted(row.items())) for row in block]
     return rows, width
 
@@ -243,6 +262,21 @@ def non_associative_ring() -> RingStructure:
     tensor.update({(1, 1, 3): 1, (1, 3, 4): 1, (3, 1, 4): 1,
                    (2, 3, 4): 1, (3, 2, 4): 1})
     return RingStructure(basis, tensor)
+
+
+def bad_action_pair() -> ModulePair:
+    """1, x, z (degrees 0, 2, 4) with x.x = z, a valid ring generated by
+    x, acting on e, f (degrees 0, 4) by z.e = f alone, with x acting as
+    zero: ``(x.x).e = f`` but ``x.(x.e) = 0``."""
+    ring = RingStructure(
+        GradedBasis(labels=("1", "x", "z"), degrees=(0, 2, 4),
+                    formal_dimension=4, unit_index=0, top_index=2),
+        {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1,
+         (2, 0, 2): 1, (1, 1, 2): 1})
+    return ModulePair(ring, GradedBasis(
+        labels=("e", "f"), degrees=(0, 4), formal_dimension=4,
+        unit_index=None, top_index=1),
+        {(0, 0, 0): 1, (0, 1, 1): 1, (2, 0, 1): 1})
 
 
 def graded_slots(ring_basis: GradedBasis, left_basis: GradedBasis,

@@ -9,7 +9,6 @@ equals the full scan's, on valid and corrupted inputs alike.
 """
 
 import random
-from math import lcm
 from unittest import mock
 
 import pytest
@@ -24,8 +23,9 @@ from frobdiag.diagonal import (SignMode, TensorClass, check_symmetry,
                                diagonal_class)
 from frobdiag.ring import (GradedBasis, RingStructure, associativity_defects,
                            generators, validate)
-from strategies import (RING_NAMES, changed, corrupted_pairs,
-                        corrupted_rings, graded_slots, matrices, pairs, rings)
+from strategies import (RING_NAMES, bad_action_pair, changed,
+                        corrupted_pairs, corrupted_rings, graded_slots,
+                        matrices, pairs, rings, validated)
 
 # larger rings, where generators leave out most middle factors
 NAMES = RING_NAMES + ["cp:5", "product:cp:2,sphere:3"]
@@ -128,13 +128,8 @@ def operator_certificate(payload) -> tuple[bool, bool]:
     """``_generators_certify`` on the maps of a ring or pair scaled to
     ints, and whether the generator-middle scan of the same maps finds
     no defect."""
-    if isinstance(payload, ModulePair):
-        ring, width = payload.ring, payload.module_basis.size
-    else:
-        ring, width = payload, payload.size
-    den = lcm(ring._den, payload._den)
-    p = ring_module.scaled_action(ring, den)
-    a = ring_module.scaled_action(payload, den)
+    ring, width = payload.ring, payload.module_basis.size
+    p, a = ring_module.common_maps(payload)
     middles = generators(ring)
     return (ring_module._generators_certify(p, a, middles, width),
             next(associativity_defects(p, a, middles), None) is None)
@@ -148,18 +143,10 @@ class TestOperatorCertificate:
         assert certified == clean
 
     def test_left_side_only(self):
-        # 1, x, z (degrees 0, 2, 4) with x.x = z, acting on e, f
-        # (degrees 0, 4): z.e = f, and x acts as zero.  (x.x).e = f but
-        # x.(x.e) = 0, and x, the only generator, acts on nothing
-        ring = RingStructure(
-            GradedBasis(labels=("1", "x", "z"), degrees=(0, 2, 4),
-                        formal_dimension=4, unit_index=0, top_index=2),
-            {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (0, 2, 2): 1,
-             (2, 0, 2): 1, (1, 1, 2): 1})
-        mp = ModulePair(ring, GradedBasis(
-            labels=("e", "f"), degrees=(0, 4), formal_dimension=4,
-            unit_index=None, top_index=1),
-            {(0, 0, 0): 1, (0, 1, 1): 1, (2, 0, 1): 1})
+        # (x.x).e = f but x.(x.e) = 0, and x, the only generator, acts
+        # on nothing
+        mp = bad_action_pair()
+        ring = mp.ring
         assert validate(ring).ok and generators(ring) == [1]
         assert operator_certificate(mp) == (False, False)
         assert [(v.axiom, v.indices, v.detail) for v in validate_module(mp)] \
@@ -200,9 +187,10 @@ class TestResidualCertificate:
         else:
             w = TensorClass(data.draw(matrices(left.size, ring.size)), left,
                             ring.basis)
-        full = check(payload, w)
-        assert check(payload, w, generators(ring)).entries == \
-            full.entries
+        # the validated copy probes the generators first; the payload
+        # as drawn, never validated, checks every basis element
+        assert check(validated(payload), w).entries == \
+            check(payload, w).entries
 
 
 class TestGeneratorsOncePerRing:

@@ -395,7 +395,8 @@ SIXTY_FOUR_ELEMENT_CASES = [
                          ids=[" ".join(c[0])
                               for c in SIXTY_FOUR_ELEMENT_CASES])
 def test_sixty_four_element_rings(invoke, argv, check):
-    """The graded solve at n = 64, where it probes only 6 generators.
+    """The graded solve at n = 64.  The CLI validates the ring or pair
+    first, which leaves its symmetry systems 6 generator probes.
 
     In-process on a shared 2-vCPU Xeon VM with CPython 3.11.7, the diag
     case took 0.17-0.23 s and the pair case 0.17-0.23 s over six and

@@ -243,7 +243,7 @@ class TestDegreeBlocks:
             else []
         build = builder(payload)
         assert diagonal._blocks(payload) != [None]
-        blocked, width = diagonal._reduce_blocks(build, payload, None, pins)
+        blocked, width = diagonal._reduce_blocks(build, payload, pins)
         assert width == build(payload)[1]
         assert echelon_of(blocked) == echelon_of(whole_echelon(payload, pins))
 
@@ -300,7 +300,7 @@ class TestStructuredPass:
             build = scaled_builder(build, data.draw(st.lists(
                 st.fractions(min_value=-3, max_value=3, max_denominator=5
                              ).filter(bool), min_size=1, max_size=3)))
-        blocked, width = diagonal._reduce_blocks(build, payload, None, pins)
+        blocked, width = diagonal._reduce_blocks(build, payload, pins)
         assert echelon_of(blocked) == echelon_of(whole_echelon(payload, pins))
         assert all(type(v) is int for row in blocked.pivots.values()
                    for v in row.values())
@@ -312,11 +312,11 @@ class TestStructuredPass:
         ring = complex_projective(2)
         pins = normalization_pins(ring) + [((0, 0), 1)]
         blocked, width = diagonal._reduce_blocks(diagonal._symmetry_system,
-                                                 ring, None, pins)
+                                                 ring, pins)
         assert blocked.pivots[width] == {width: 1}
         assert echelon_of(blocked) == echelon_of(whole_echelon(ring, pins))
         with pytest.raises(NoSolutionError, match="inconsistent"):
-            diagonal._normalized_solve(diagonal._symmetry_system, ring, None,
+            diagonal._normalized_solve(diagonal._symmetry_system, ring,
                                        pins, "symmetry system")
 
     def test_zeros_found_late_are_deleted_from_earlier_rows(

@@ -26,14 +26,14 @@ from frobdiag.diagonal import (SignMode, TensorClass, _blocks,
                                _symmetry_system, check_symmetry, left_factor,
                                right_factor, tensor_multiply)
 from frobdiag.linalg import Matrix, _integral, _reduce, nullspace
-from frobdiag.constants import scaled_action, sparse_tensor
+from frobdiag.constants import common_maps, sparse_tensor
 from frobdiag.ring import (GradedBasis, RingStructure,
                            _defects_unless_certified, _Echelon, _insert,
                            associativity_defects, basis_element, generators,
                            validate)
 from strategies import (changed, corrupted_pairs, corrupted_rings,
                         graded_slots, matrices, modes, nonzero, pairs,
-                        rational_rings, rings)
+                        rational_rings, rings, validated)
 
 CHEAP = ("grading", "unit", "action-grading", "unit-action")
 
@@ -118,15 +118,14 @@ class TestSparseTensor:
         assert sparse_tensor({(0, 0, 0): 1}, (1, 1, 1), "t")[1] == 1
 
 
-class TestScaledAction:
+class TestCommonMaps:
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(any_ring, any_pair))
+    @given(st.one_of(any_ring, any_pair, rescaled_pairs()))
     def test_scales_every_value_by_the_common_den(self, payload):
         ring, action, den = ring_and_action(payload)
         common = lcm(ring._den, den)
-        for scaled, given_map in ((scaled_action(ring, common),
-                                   ring._action_products),
-                                  (scaled_action(payload, common), action)):
+        for scaled, given_map in zip(common_maps(payload),
+                                     (ring._action_products, action)):
             assert scaled.keys() == given_map.keys()
             for key, coeffs in given_map.items():
                 assert scaled[key] == {k: common * v
@@ -138,55 +137,62 @@ class TestScaledAction:
         payload = resolve(name).payload
         ring, action, den = ring_and_action(payload)
         assert lcm(ring._den, den) == 1
-        assert scaled_action(ring, 1) is ring._action_products
-        assert scaled_action(payload, 1) is action
+        products, acted = common_maps(payload)
+        assert products is ring._action_products and acted is action
+        assert payload._common is None
 
-    def test_a_map_asked_for_twice_is_scaled_once(self):
-        ring = RingStructure(resolve("cp:2").payload.basis,
-                             {(0, i, i): 1 for i in range(3)}
+    def test_copies_are_built_once_and_only_when_the_dens_differ(self):
+        basis = resolve("cp:2").payload.basis
+        ring = RingStructure(basis, {(0, i, i): 1 for i in range(3)}
                              | {(i, 0, i): 1 for i in (1, 2)}
                              | {(1, 1, 2): Fraction(1, 3)})
         assert ring._den == 3
-        first = scaled_action(ring, 3)
-        assert scaled_action(ring, 3) is first
-        assert ring._scaled == {3: first}
-        assert first[1, 1] == {2: 1}
+        # a ring, and a pair at its ring's den, read the stored maps
+        for acting in (ring, ModulePair(ring, basis, ring.tensor)):
+            products, acted = common_maps(acting)
+            assert products is ring._ints and acted is acting._ints
+            assert acting._common is None
+        # an integral action is scaled to the ring's den 3, once; the
+        # ring's map, already there, is not copied
+        mp = ModulePair(ring, basis, {(0, i, i): 1 for i in range(3)}
+                        | {(1, 1, 2): 1})
+        assert mp._den == 1
+        first = common_maps(mp)
+        assert common_maps(mp) is first and mp._common is first
+        assert first[0] is ring._ints and first[0][1, 1] == {2: 1}
+        assert first[1] == {(0, 0): {0: 3}, (0, 1): {1: 3}, (0, 2): {2: 3},
+                            (1, 1): {2: 3}}
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(rational_rings(), pairs(rational_rings()),
                      rescaled_pairs()))
     def test_each_map_is_scaled_once(self, payload):
         # validation, the graded solve and the residual check all run on
-        # the maps scaled to one common denominator; a map stored at that
-        # denominator is read as it is, and any other is scaled the first
-        # time only, then read from the ring or pair
-        scaled = []
+        # the maps over one common denominator; maps stored at that
+        # denominator are read as they are, and otherwise the copies are
+        # built the first time only, then read from the pair
+        built = []
 
-        def counted(acting, den):
-            if den not in acting._scaled:
-                scaled.append(acting._ints)
-            return scaled_action(acting, den)
+        def counted(acting):
+            kept = acting._common
+            maps = common_maps(acting)
+            if acting._common is not kept:
+                built.append(acting)
+            return maps
 
-        with mock.patch.object(ring_module, "scaled_action", counted), \
-                mock.patch.object(diagonal, "scaled_action", counted):
+        with mock.patch.object(ring_module, "common_maps", counted), \
+                mock.patch.object(diagonal, "common_maps", counted):
             if isinstance(payload, ModulePair):
                 assert validate_module(payload).ok
-                w = relative_diagonal_class(payload, SignMode.GRADED,
-                                            generators(payload.ring))
+                w = relative_diagonal_class(payload, SignMode.GRADED)
                 assert check_relative_symmetry(payload, w).ok
             else:
                 assert validate(payload).ok
-                w = diagonal.diagonal_class(payload, SignMode.GRADED,
-                                            generators(payload))
+                w = diagonal.diagonal_class(payload, SignMode.GRADED)
                 assert check_symmetry(payload, w).ok
-        ring = payload.ring
-        common = lcm(ring._den, payload._den)
-        assert len(scaled) == len({id(m) for m in scaled})
-        assert {id(m) for m in scaled} <= {id(ring._ints), id(payload._ints)}
         # a ring, and a pair sharing its ring's map, are never scaled
-        assert len(scaled) == ((ring._den != common)
-                               + (payload._den != common
-                                  and payload._ints is not ring._ints))
+        assert built == ([payload] if payload._den != payload.ring._den
+                         else [])
 
 
 class TestCertificate:
@@ -199,9 +205,7 @@ class TestCertificate:
         ring, action, den = ring_and_action(payload)
         common = lcm(ring._den, den)
         middles = generators(ring)
-        ints = list(associativity_defects(
-            scaled_action(ring, common), scaled_action(payload, common),
-            middles))
+        ints = list(associativity_defects(*common_maps(payload), middles))
         fractions = list(associativity_defects(ring._action_products, action,
                                                middles))
         square = common * common
@@ -257,16 +261,14 @@ class TestGeneratorPick:
     @given(st.one_of(rings(), rational_rings(), corrupted_rings()))
     def test_pick_leaves_the_kept_maps_unchanged(self, ring):
         # the kernel owns the rows it is given and reduces int rows in
-        # place, so the pick inserts copies of the scaled map kept on
-        # the ring (the product map itself when D = 1); torus:3 and
-        # cp:2 x cp:2 have degrees of rank 3, where moved products have
-        # several terms
-        scaled = scaled_action(ring, ring._den)
-        kept = {key: dict(coeffs) for key, coeffs in scaled.items()}
+        # place, so the pick inserts copies of the map stored on the ring
+        # (the product map itself when D = 1); torus:3 and cp:2 x cp:2
+        # have degrees of rank 3, where moved products have several terms
+        kept = {key: dict(coeffs) for key, coeffs in ring._ints.items()}
         products = {key: dict(coeffs)
                     for key, coeffs in ring._action_products.items()}
         generators(ring)
-        assert ring._scaled == {ring._den: kept}
+        assert ring._ints == kept and ring._common is None
         assert ring._action_products == products
 
     @pytest.mark.parametrize("n", [10, 60, 200])
@@ -312,10 +314,11 @@ class TestResiduals:
         mu = data.draw(matrices(ring.size, ring.size))
         expected = residuals_by_tensor_multiply(ring, mode, mu)
         w = TensorClass(mu, ring.basis, ring.basis)
-        for probes in (None, generators(ring)):
+        # unvalidated, every probe is checked; validated, the generators
+        # first
+        for payload in (ring, validated(ring)):
             assert [(e.probe, e.left, e.right, e.value)
-                    for e in check_symmetry(ring, w, probes)] == \
-                expected
+                    for e in check_symmetry(payload, w)] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -328,9 +331,9 @@ class TestResiduals:
         mu = data.draw(matrices(ring.size, ring.size))
         expected = residuals_by_tensor_multiply(ring, mode, mu)
         w = TensorClass(mu, mp.module_basis, ring.basis)
-        for probes in (None, generators(ring)):
+        for payload in (mp, validated(mp)):
             assert [(e.probe, e.left, e.right, e.value)
-                    for e in check_relative_symmetry(mp, w, probes)] == \
+                    for e in check_relative_symmetry(payload, w)] == \
                 expected
 
 
@@ -341,8 +344,9 @@ def unscaled(function, *args):
     def reduce_integral(rows, echelon=None):
         return _reduce((_integral(row)[0] for row in rows), echelon)
 
-    with mock.patch.object(diagonal, "scaled_action",
-                           lambda acting, den: acting._action_products), \
+    with mock.patch.object(diagonal, "common_maps",
+                           lambda acting: (acting.ring._action_products,
+                                           acting._action_products)), \
             mock.patch.object(diagonal, "_reduce", reduce_integral):
         return function(*args)
 
@@ -357,9 +361,9 @@ class TestSystem:
         common = lcm(ring._den, den)
         # the whole system, then each block the solvers build
         for degree in (None, *_blocks(payload)):
-            rows, width = _symmetry_system(payload, None, degree)
+            rows, width = _symmetry_system(payload, degree)
             plain_rows, plain_width = unscaled(_symmetry_system, payload,
-                                               None, degree)
+                                               degree)
             assert width == plain_width
             assert rows == [{c: common * v for c, v in row.items()}
                             for row in plain_rows]
