@@ -227,10 +227,13 @@ def relative_diagonal_class(mp: ModulePair,
 
 def check_relative_top_normalization(mp: ModulePair,
                                      w: TensorClass) -> bool:
-    """True iff the top row of ``w.mu`` is the ring-unit indicator."""
-    top, unit = _top_index(mp), mp.ring.basis.unit_index
-    return all(w.mu[top, j] == Fraction(int(j == unit))
-               for j in range(mp.ring.size))
+    """True iff the top row of ``w.mu`` is the ring-unit indicator.
+
+    Raises ``ValueError`` if ``w`` does not live over this module pair.
+    """
+    top = _top_index(mp)
+    _require_over_pair(mp, w)
+    return w.mu._data[top] == {mp.ring.basis.unit_index: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +247,13 @@ def check_relative_symmetry(mp: ModulePair,
     with the pair's module basis and action; for the pair whose module is
     the ring this is :func:`frobdiag.diagonal.check_symmetry`.
     """
-    if (w.left_basis != mp.module_basis
-            or w.right_basis != mp.ring.basis):
-        raise ValueError("class does not live over this module pair")
+    _require_over_pair(mp, w)
     return _symmetry_residuals(mp, w)
+
+
+def _require_over_pair(mp: ModulePair, w: TensorClass) -> None:
+    if w.left_basis != mp.module_basis or w.right_basis != mp.ring.basis:
+        raise ValueError("class does not live over this module pair")
 
 
 def solve_relative_symmetric_space(mp: ModulePair) -> list[TensorClass]:

@@ -21,12 +21,12 @@ condition is the same under both: the factors that pass each other are
 ``(-1)^(|b|.0) = +1``.  Its system and residuals take no convention.
 
 The symmetry system is built and reduced one block of total degree at a
-time, as fresh ``{column: int}`` rows that the elimination kernel reads
-as they are; most of them are one-term rows, which it settles as zero
-unknowns before any elimination.  Its solution and kernel classes are
-read off as sparse maps.  The split needs structure constants that
-respect degrees; a ring or pair that breaks grading is reduced as one
-block (:func:`_reduce_blocks` gives the argument).
+time: ``{column: int}`` rows that the elimination kernel reads as they
+are, and the columns of its one-term equations, which it settles as
+zero unknowns first.  Its solution and kernel classes are read off as
+sparse maps.  The split needs structure constants that respect
+degrees; a ring or pair that breaks grading is one block
+(:func:`_reduce_blocks` gives the argument).
 """
 
 from __future__ import annotations
@@ -112,11 +112,12 @@ def _sparse_class(entries: Mapping[int, Fraction],
     flat index ``i*n_right + j`` is ``entries.get(i*n_right + j, 0)``."""
     left, right = acting.module_basis, acting.ring.basis
     n = right.size
-    rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(left.size)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(left.size)]
     for c, v in entries.items():
         i, j = divmod(c, n)
-        rows[i].append((j, v))
-    return TensorClass(Matrix.sparse(rows, n), left, right)
+        rows[i][j] = v
+    # entries off a reduction: none is zero, every index in range
+    return TensorClass(Matrix._of_maps(tuple(rows), n), left, right)
 
 
 def pure_tensor(ring_left: RingStructure, ring_right: RingStructure,
@@ -242,13 +243,15 @@ def _normalized_solve(build: SystemBuilder,
 
 
 def check_top_normalization(ring: RingStructure, w: TensorClass) -> bool:
-    """True iff the top row and column of ``w.mu`` are unit indicators."""
+    """True iff the top row and column of ``w.mu`` are unit indicators.
+
+    Raises ``ValueError`` if ``w`` does not live over ``ring (x) ring``.
+    """
     top, unit = _top_index(ring), ring.basis.unit_index
-    for j in range(ring.size):
-        expected = Fraction(int(j == unit))
-        if w.mu[top, j] != expected or w.mu[j, top] != expected:
-            return False
-    return True
+    _require_over(ring, ring, w)
+    rows = w.mu._data
+    return rows[top] == {unit: 1} and all(
+        row.get(top, 0) == int(i == unit) for i, row in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +309,12 @@ def _symmetry_residuals(acting: RingStructure | ModulePair,
     difference divided by ``den * D``, the value over the data as given.
     Each side is accumulated over the terms present only, and the sides
     are compared over the sorted union of their terms, in ``(k, i, s)``
-    order.  The oracle never calls :func:`_symmetry_system`, so it
-    checks the solvers' systems by a different code path.
+    order.  It never calls :func:`_symmetry_system`, so it checks the
+    solvers' systems independently.
 
-    Precondition: the unit acts as the identity on both factors,
-    ``x_i.1 = x_i`` and ``1.y_s = y_s``; no product with the unit is
-    formed.  For a ring or pair that fails a unit axiom the report may
-    differ from the residual that :func:`tensor_multiply` gives.
+    Precondition: the unit acts as the identity on both factors, as no
+    product with it is formed; if not, the report may differ from the
+    residual that :func:`tensor_multiply` gives.
 
     When ``acting`` has passed validation (``acting._valid``: the pair's
     own flag, as a pair over a valid ring may have a bad action), the
@@ -351,40 +353,50 @@ def _symmetry_residuals(acting: RingStructure | ModulePair,
 
 
 class _ProductIndex(NamedTuple):
-    """The two product maps of a symmetry system, scaled to ints and keyed
-    by the probe ``k``, and the ring slots by degree."""
+    """A symmetry system's equations ``(k, i, s)``, grouped by degree."""
 
-    # (k, s) -> [(j, c)]: y_j.y_k has c y_s
-    right: dict[tuple[int, int], list[tuple[int, int]]]
-    # (k, i) -> [(l, c)]: y_k ^ x_l has c x_i
-    left: dict[tuple[int, int], list[tuple[int, int]]]
+    # |x_i| - |y_k| -> [(by_s, i*nr, acted)] over probes k, module slots
+    # i: by_s[s] = [(j, c)] where y_j.y_k has c y_s, and acted = [(l*nr,
+    # c)] where y_k ^ x_l has c x_i
+    pairs: dict[int, list[tuple[dict, int, list]]]
     # degree -> the ring basis indices of that degree
     slots: dict[int, list[int]]
 
 
 def _product_index(acting: RingStructure | ModulePair) -> _ProductIndex:
     """The :class:`_ProductIndex` of the ring's product and ``acting``'s
-    action, both scaled by one common denominator ``D``
-    (:func:`frobdiag.constants.common_maps`); one pass over their terms."""
+    action over one common denominator (:func:`common_maps`), for the
+    probes that :func:`_symmetry_system` names."""
+    ring = acting.ring
+    nr, ring_deg = ring.size, ring.basis.degrees
+    probes = generators(ring) if acting._valid else range(nr)
     products, action = common_maps(acting)
-    right: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    right: dict[int, dict[int, list]] = {k: {} for k in probes}
     for (j, k), coeffs in products.items():
-        for s, c in coeffs.items():
-            right.setdefault((k, s), []).append((j, c))
-    left: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        if k in right:
+            by_s = right[k]
+            for s, c in coeffs.items():
+                by_s.setdefault(s, []).append((j, c))
+    left: dict[tuple[int, int], list] = {}
     for (k, l), coeffs in action.items():
-        for i, c in coeffs.items():
-            left.setdefault((k, i), []).append((l, c))
+        if k in right:
+            for i, c in coeffs.items():
+                left.setdefault((k, i), []).append((l * nr, c))
+    pairs: dict[int, list] = {}
+    for k, by_s in right.items():
+        for i, d in enumerate(acting.module_basis.degrees):
+            pairs.setdefault(d - ring_deg[k], []).append(
+                (by_s, i * nr, left.get((k, i), ())))
     slots: dict[int, list[int]] = {}
-    for s, d in enumerate(acting.ring.basis.degrees):
+    for s, d in enumerate(ring_deg):
         slots.setdefault(d, []).append(s)
-    return _ProductIndex(right, left, slots)
+    return _ProductIndex(pairs, slots)
 
 
 def _symmetry_system(acting: RingStructure | ModulePair,
                      degree: int | None = None,
                      index: _ProductIndex | None = None
-                     ) -> tuple[list[SparseRow], int]:
+                     ) -> tuple[list[SparseRow], list[int]]:
     """Sparse linear system in the flattened unknowns ``mu[i*nr + j]``.
 
     The unknowns are the coefficients of a class in module (x) ring, where
@@ -393,21 +405,22 @@ def _symmetry_system(acting: RingStructure | ModulePair,
     ring.  One equation per (probe k, module slot i, ring slot s): the
     coefficient of ``x_i (x) y_s`` in ``w.(1(x)y_k) - (y_k(x)1).w`` must
     vanish.  No sign enters, under either convention: in each product a
-    unit is one of the two factors that pass each other.  Each equation
-    is a fresh ``{column: value}`` map of its nonzero values; equations
-    that vanish identically are left out.  Returns the equations and the
-    number of unknowns.  Rows are assembled straight from the two
-    product maps, independently of :func:`tensor_multiply`.  The maps
-    are first scaled to ints by one common denominator ``D``
-    (:func:`frobdiag.constants.common_maps`), so every value is an int and
-    every equation is ``D`` times the one over the maps as given: the
-    system is homogeneous, so its solutions and its reduced row echelon
-    form are the same.
+    unit is one of the two factors that pass each other.  Equations come
+    straight from the two product maps, not :func:`tensor_multiply`,
+    scaled to ints by one common denominator (:func:`common_maps`): the
+    system is homogeneous, so its solutions and reduced form stay.
 
-    ``degree``, when given, keeps only the equations with ``|x_i| + |y_s|
-    - |y_k| == degree``: the block of that degree (:func:`_reduce_blocks`).
-    ``index`` is :func:`_product_index` of ``acting``, for a caller that
-    builds several blocks; without it the call makes its own.
+    Returns ``(rows, zeros)``: the equations of two or more terms, each
+    a fresh ``{column: value}`` map of nonzero values, and the column
+    ``c`` of each one-term equation ``{c: v}``, which says only that
+    ``mu`` is 0 there, so no map is made for it.  Nothing is settled
+    here (:func:`_reduce` does that).
+
+    ``degree``, when given, keeps the block of equations with ``|x_i| +
+    |y_s| - |y_k| == degree`` (:func:`_reduce_blocks`), visited alone:
+    for each ring degree ``r``, the ``(k, i)`` with ``|x_i| - |y_k| ==
+    degree - r`` against the slots ``s`` of degree ``r``.  ``index`` is
+    :func:`_product_index` of ``acting``.
 
     The probes ``k`` are the ring's generators
     (:func:`frobdiag.ring.generators`) when ``acting`` has passed
@@ -422,38 +435,35 @@ def _symmetry_system(acting: RingStructure | ModulePair,
     form.  Without that precondition the two may differ, so an
     unvalidated ring or pair gets every probe.
     """
-    ring = acting.ring
-    nm, nr = acting.module_basis.size, ring.size
-    ring_deg, module_deg = ring.basis.degrees, acting.module_basis.degrees
-    right, left, slots = _product_index(acting) if index is None else index
-    every = range(nr)
+    pairs, slots = _product_index(acting) if index is None else index
+    if degree is None:
+        groups = [(chain.from_iterable(pairs.values()),
+                   range(acting.ring.size))]
+    else:
+        groups = [(pairs.get(degree - r, ()), ring_slots)
+                  for r, ring_slots in slots.items()]
     rows: list[SparseRow] = []
-    for k in generators(ring) if acting._valid else every:
-        for i in range(nm):
-            acted = left.get((k, i), ())
-            base = i * nr
-            for s in every if degree is None else slots.get(
-                    degree + ring_deg[k] - module_deg[i], ()):
-                products = right.get((k, s), ())
-                if not acted:
-                    if products:
-                        rows.append({base + j: c for j, c in products})
-                    continue
-                row = {base + j: c for j, c in products}
-                for l, c in acted:
-                    column = l * nr + s
+    zeros: list[int] = []
+    for group, ring_slots in groups:
+        for by_s, base, acted in group:
+            for s in ring_slots:
+                row = {base + j: c for j, c in by_s.get(s, ())}
+                for l_base, c in acted:
+                    column = l_base + s
                     value = row.get(column, 0) - c
                     if value:
                         row[column] = value
                     else:
                         del row[column]
-                if row:
+                if len(row) > 1:
                     rows.append(row)
-    return rows, nm * nr
+                elif row:
+                    zeros.extend(row)
+    return rows, zeros
 
 
 # _symmetry_system, under the name of the layer whose solver passes it
-SystemBuilder = Callable[..., tuple[list[SparseRow], int]]
+SystemBuilder = Callable[..., tuple[list[SparseRow], list[int]]]
 
 
 def _blocks(acting: RingStructure | ModulePair) -> list[int | None]:
@@ -462,16 +472,17 @@ def _blocks(acting: RingStructure | ModulePair) -> list[int | None]:
     If every term of the ring's product and of ``acting``'s action lands
     in the sum of its factors' degrees, these are the total degrees of
     the unknowns, in increasing order; otherwise ``[None]``, the whole
-    system as one block.  One pass over the terms decides it (a closed
-    ring, acting on itself, has one map).
+    system as one block.  Validation has checked this for a validated
+    ``acting``; otherwise one pass over the maps' terms decides.
     """
     ring = acting.ring
     ring_deg, module_deg = ring.basis.degrees, acting.module_basis.degrees
     maps = [(ring._ints, ring_deg)]
     if acting is not ring:
         maps.append((acting._ints, module_deg))
-    if all(deg[c] == ring_deg[a] + deg[b] for products, deg in maps
-           for (a, b), coeffs in products.items() for c in coeffs):
+    if acting._valid or all(
+            deg[c] == ring_deg[a] + deg[b] for products, deg in maps
+            for (a, b), coeffs in products.items() for c in coeffs):
         return sorted({a + b for a in set(module_deg) for b in set(ring_deg)})
     return [None]
 
@@ -481,45 +492,50 @@ def _reduce_blocks(build: SystemBuilder,
                    pins: Sequence[tuple[tuple[int, int], int]] = ()
                    ) -> tuple[_Echelon, int]:
     """The reduced row echelon form of a symmetry system, built one block
-    of total degree at a time, and its number of unknowns.
+    of total degree at a time, and its number of unknowns ``width``.
 
-    ``build(acting, degree, index)`` is :func:`_symmetry_system`:
-    the block of ``degree`` (``None``: the whole system), with ``index``
-    the :func:`_product_index` of ``acting``, made once for every block.
-    ``pins`` lists ``((i, j), value)`` pairs; each adds the row
-    ``mu[i, j] = value``, with ``value`` in the right-hand-side column
-    numbered after the unknowns, to the block of ``mu[i, j]``.
+    ``build(acting, degree, index)`` is :func:`_symmetry_system`.
+    ``pins`` lists ``((i, j), value)`` pairs, each fixing ``mu[i, j]`` in
+    its block: a zero pin joins the block's zero columns, any other is
+    the row ``{c: 1, width: value}``, its right-hand side in the column
+    after the unknowns.
 
     When the ring's product and the action respect degrees, equation
     ``(k, i, s)`` touches ``mu[i, j]`` with ``|y_j| + |y_k| = |y_s|`` and
-    ``mu[l, s]`` with ``|y_k| + |x_l| = |x_i|``: every one of its
-    unknowns has total degree ``|x_i| + |y_s| - |y_k|``, one of the
-    degrees :func:`_blocks` lists.  So the blocks share no unknown, and
-    their rows go into one echelon block after block: no pivot row of
-    one block holds a column of another, so each block is reduced as if
-    alone, by decreasing lead with nothing cleared upward, and only one
-    block's rows are held at a time.  The reduced row echelon form is
-    unique, so the result is that of the whole system.  When a term
-    breaks the grading (a ring or pair that was not validated), an
-    equation may lie in no listed block, and :func:`_blocks` makes the
-    whole system one block.
+    ``mu[l, s]`` with ``|y_k| + |x_l| = |x_i|``: all of total degree
+    ``|x_i| + |y_s| - |y_k|``, one that :func:`_blocks` lists.  So the
+    blocks share no unknown: no pivot row of one holds a column of
+    another, each is reduced as if alone, by decreasing lead with
+    nothing cleared upward, and only one block's rows are held at a
+    time.  The reduced form is unique, so the result is the whole
+    system's.  When a term breaks the grading (an unvalidated ring or
+    pair), an equation may lie in no listed block, and :func:`_blocks`
+    makes the whole system one block.
 
-    Each block's pins go in ahead of its rows, so that a pin with value
-    0, the row ``{c: 1}``, is settled before the rows that hold ``c``
-    (:func:`frobdiag.linalg._reduce`).  The kernel alone holds the
-    block's list of rows, through an iterator, so the list and the rows
-    that drop out are freed after its first pass.
+    The kernel alone holds a block's list of rows, through an iterator,
+    so the list and the rows that drop out are freed after its first
+    pass.
     """
     ring = acting.ring
-    width = acting.module_basis.size * ring.size
+    nr = ring.size
+    width = acting.module_basis.size * nr
     ring_deg, module_deg = ring.basis.degrees, acting.module_basis.degrees
     index = _product_index(acting)
+    blocks = _blocks(acting)
+    pinned = {degree: ([], []) for degree in blocks}
+    for (i, j), value in pins:
+        pin_rows, pin_zeros = pinned[
+            None if blocks == [None] else module_deg[i] + ring_deg[j]]
+        if value:
+            pin_rows.append({i * nr + j: 1, width: value})
+        else:
+            pin_zeros.append(i * nr + j)
     echelon = _Echelon()
-    for degree in _blocks(acting):
-        pinned = [{i * ring.size + j: 1, width: value} if value
-                  else {i * ring.size + j: 1} for (i, j), value in pins
-                  if degree is None or module_deg[i] + ring_deg[j] == degree]
-        _reduce(chain(pinned, build(acting, degree, index)[0]), echelon)
+    for degree in blocks:
+        pin_rows, pin_zeros = pinned.pop(degree)
+        rows, zeros = build(acting, degree, index)
+        rows = chain(pin_rows, rows)  # now the list's only holder
+        _reduce(rows, echelon, chain(zeros, pin_zeros))
     return echelon, width
 
 
@@ -555,8 +571,8 @@ def class_in_span(space: Sequence[TensorClass], w: TensorClass) -> bool:
     if any(s.mu.shape != w.mu.shape for s in space):
         raise ValueError("classes of different shapes have no common span")
     n = w.mu.cols
-    rows = [_integral({i * n + j: v for (i, j), v in s.mu.terms()})[0]
-            for s in (*space, w)]
+    rows = [_integral({i * n + j: v for i, row in enumerate(s.mu._data)
+                       for j, v in row.items()})[0] for s in (*space, w)]
     return not _insert(_reduce(rows[:-1]), rows[-1])
 
 

@@ -19,12 +19,16 @@ plain equality.
 
 A reduction first settles its one-term rows, the singleton step of that
 paper's structured elimination: a row ``{c: v}`` says that unknown
-``c`` is 0, so it becomes the pivot row ``{c: 1}`` and ``c`` is deleted
-from the other rows, which may leave more one-term rows.  Most rows of
-the symmetry systems settle so, with no elimination step: the chains
-``w[i, j+1] - w[i+1, j]`` of a graded system each end in a one-term row
-or a pinned entry.  :func:`_reduce` gives the passes and why the result
-is unchanged.
+``c`` is 0, so it gets the pivot row ``{c: 1}`` and ``c`` is deleted
+from the other rows, which may leave more one-term rows.  A caller that
+meets such an equation where it makes it hands over the column alone,
+as one of the reduction's ``zeros``, and no row is made for it; those
+columns are settled before the first row is visited.  The symmetry
+systems hand over their one-term equations and their zero pins so, and
+most of their other rows settle in turn, with no elimination step: the
+chains ``w[i, j+1] - w[i+1, j]`` of a graded system each end in a
+one-term equation or a pinned entry.  :func:`_reduce` gives the passes
+and why the result is unchanged.
 
 Since the order is free, a reduction inserts the other rows by
 decreasing leading column.  A pivot row holds nothing left of its lead,
@@ -128,6 +132,14 @@ class Matrix:
         data = tuple({c: v for c, v in row if v} for row in rows)
         if any(not 0 <= c < cols for row in data for c in row):
             raise ValueError(f"column index outside 0..{cols - 1}")
+        return Matrix._of_maps(data, cols)
+
+    @staticmethod
+    def _of_maps(data: tuple[dict[int, int | Fraction], ...],
+                 cols: int) -> "Matrix":
+        """Matrix of width ``cols`` whose rows are the maps ``data``, taken
+        as they are: the caller guarantees that no value is zero and that
+        every column lies in ``0..cols-1``."""
         m = object.__new__(Matrix)
         m.rows, m.cols, m._data = len(data), cols, data
         return m
@@ -227,46 +239,51 @@ class _Echelon:
         self.holders: dict[int, set[int]] = {}
 
 
-def _reduce(rows: Iterable[SparseRow],
-            echelon: _Echelon | None = None) -> _Echelon:
+def _reduce(rows: Iterable[SparseRow], echelon: _Echelon | None = None,
+            zeros: Iterable[int] = ()) -> _Echelon:
     """Insert the integer rows of ``rows`` into ``echelon`` (by default a
     new, empty :class:`_Echelon`) and return it.  The rows are the
-    kernel's from then on (:func:`_insert`).
+    kernel's from then on (:func:`_insert`).  Each column in ``zeros`` is
+    an unknown known to be 0: it stands for the row ``{c: 1}``, as a
+    caller that meets a one-term equation ``{c: v}`` hands it over.
 
-    One-term rows are settled first, in passes over the rows.  A row left
-    with one term ``{c: v}`` settles ``c``: it becomes the row ``{c: 1}``,
-    and ``c`` is deleted from every row visited after it; a row left
-    empty, or with one term at a column already settled, drops out.  A
-    pass that settles a column after it has kept a row, which may hold
-    that column, is followed by another over the kept rows, in reverse
-    order.  Reversing is what keeps the passes few: a chain of two-term
-    rows whose rows come in order, ended by a one-term row, settles in
-    the pass that meets the one-term row first, and the chains of the
-    symmetry systems come in order from one end or the other.  Then each
-    settled ``{c: 1}`` becomes a pivot row, except where ``echelon``
-    already holds ``c``, as a pivot or in a pivot row: that one joins
-    the rows left, which go to :func:`_insert` by decreasing leading
-    column (stably), and :func:`_insert` clears ``c`` from those rows.
-    The echelon is looked up once per call, for all settled columns.
+    One-term rows are settled first, in passes over the rows, with the
+    columns of ``zeros`` settled before the first.  A row left with one
+    term ``{c: v}`` settles ``c``, and ``c`` is deleted from every row
+    visited after it; a row left empty, or with one term at a column
+    already settled, drops out.  A pass that settles a column after it
+    has kept a row, which may hold that column, is followed by another
+    over the kept rows, in reverse order.  Reversing is what keeps the
+    passes few: a chain of two-term rows whose rows come in order, ended
+    by a one-term row or a zero column, settles in the pass that meets
+    that end first, and the chains of the symmetry systems come in order
+    from one end or the other.  Then each settled column ``c`` gets the
+    pivot row ``{c: 1}``, except where ``echelon`` already holds ``c``, as
+    a pivot or in a pivot row: that ``{c: 1}`` joins the rows left, which
+    go to :func:`_insert` by decreasing leading column (stably), and
+    :func:`_insert` clears ``c`` from those rows.  The echelon is looked
+    up once per call, for all settled columns, ``zeros`` among them.
 
-    The result is the reduced row echelon form of the rows and the
-    echelon.  A settled ``e_c`` lies in their row space: it is ``1/v``
-    times a row ``{c: v}``, which is a given row minus multiples of the
-    ``e_z`` settled before it.  So the settled ``e_c``, the rows left and
-    the earlier pivot rows span the same space.  The last pass settled
-    nothing after keeping a row, so no row left holds a settled column.
-    A settled column put straight among the pivots is held by no earlier
-    pivot row, so by no pivot row that :func:`_insert` makes either, and
-    a ``{c: 1}`` row holds no other column: together they are in reduced
-    form, which is unique.  A pivot row holds nothing left of its lead,
-    so a new lead left of every existing one is held by no pivot row and
-    :func:`_insert` has nothing to clear upward; only a row whose lead is
-    eliminated can land among the existing leads.
+    The result is the reduced row echelon form of the rows, the rows
+    ``{c: 1}`` of ``zeros`` and the echelon.  A settled ``e_c`` lies in
+    their row space: a column of ``zeros`` gives it outright, and any
+    other is ``1/v`` times a row ``{c: v}``, which is a given row minus
+    multiples of the ``e_z`` settled before it.  So the settled ``e_c``,
+    the rows left and the earlier pivot rows span the same space.  The
+    last pass settled nothing after keeping a row, and ``zeros`` were
+    settled before any row was visited, so no row left holds a settled
+    column.  A settled column put straight among the pivots is held by no
+    earlier pivot row, so by no pivot row that :func:`_insert` makes
+    either, and a ``{c: 1}`` row holds no other column: together they are
+    in reduced form, which is unique.  A pivot row holds nothing left of
+    its lead, so a new lead left of every existing one is held by no
+    pivot row and :func:`_insert` has nothing to clear upward; only a row
+    whose lead is eliminated can land among the existing leads.
     """
     if echelon is None:
         echelon = _Echelon()
     pivots, holders = echelon.pivots, echelon.holders
-    settled: dict[int, SparseRow] = {}
+    settled = set(zeros)
     again = True
     while again:
         again, kept = False, []
@@ -282,16 +299,14 @@ def _reduce(rows: Iterable[SparseRow],
                 continue
             c, = row
             if c not in settled:
-                row[c] = 1
-                settled[c] = row
+                settled.add(c)
                 if kept:
                     again = True
         kept.reverse()
         rows = kept
-    held = settled.keys() & pivots.keys() | settled.keys() & holders.keys()
-    for c in held:
-        del settled[c]
-    pivots.update(settled)
+    held = settled & pivots.keys() | settled & holders.keys()
+    settled -= held
+    pivots.update({c: {c: 1} for c in settled})
     for row in sorted([{c: 1} for c in held] + rows, key=min, reverse=True):
         _insert(echelon, row)
     return echelon

@@ -31,7 +31,9 @@ def residual_system():
     the residual of the unit class ``E_ab`` and row ``(probe, left,
     right)`` its coefficient there.  Rows come in that order, each as its
     nonzero ``(column, value)`` pairs sorted by column; zero rows are
-    left out.
+    left out.  A row of one term says only that its unknown ``c`` is 0,
+    which is all the system builder hands over for it, so it is given
+    as ``((c, 1),)``.
     """
 
     def build(n_left: int, n_right: int, residual) -> list[tuple]:
@@ -43,6 +45,7 @@ def residual_system():
                 for e in residual(mu):
                     key = (e.probe, e.left, e.right)
                     rows.setdefault(key, {})[a * n_right + b] = e.value
-        return [tuple(sorted(rows[key].items())) for key in sorted(rows)]
+        return [tuple(sorted(rows[key].items())) if len(rows[key]) > 1
+                else ((*rows[key], 1),) for key in sorted(rows)]
 
     return build

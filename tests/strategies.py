@@ -14,6 +14,7 @@ structure constants have denominators.
 
 from __future__ import annotations
 
+from collections import Counter
 from copy import copy
 from fractions import Fraction
 
@@ -23,12 +24,14 @@ from frobdiag.boundary import (ModulePair, _relative_symmetry_system,
                                validate_module)
 from frobdiag.catalog import (catalog_names, closed_as_pair, cylinder_pair,
                               resolve)
+from frobdiag.constants import common_maps
 from frobdiag.diagonal import (SignMode, TensorClass, _blocks,
                                _symmetry_system, check_symmetry, left_factor,
                                right_factor, tensor_multiply)
 from frobdiag.linalg import Matrix, _Echelon, _insert
 from frobdiag.ring import (GradedBasis, RingElement, RingStructure,
-                           change_basis, multiply, pairing_matrix, validate)
+                           change_basis, generators, multiply, pairing_matrix,
+                           validate)
 
 
 def apply(m: Matrix, v) -> tuple[Fraction, ...]:
@@ -139,18 +142,91 @@ def inserted_one_at_a_time(rows, echelon: _Echelon | None = None
     return echelon
 
 
+def echelon_of(echelon: _Echelon) -> tuple:
+    """Pivot rows and column index; a column whose holders have all been
+    cleared may be left with an empty set, which holds nothing."""
+    return echelon.pivots, {c: held for c, held in echelon.holders.items()
+                            if held}
+
+
+def equations(rows, zeros=()) -> Counter:
+    """The equations of a symmetry system, counted: a row of two or more
+    terms as its sorted ``(column, value)`` pairs, a one-term row
+    ``{c: v}`` or a zero column ``c`` as ``((c, 1),)``, all that the
+    builder hands over for it."""
+    return Counter([tuple(sorted(row.items())) if len(row) > 1
+                    else ((*row, 1),) for row in rows]
+                   + [((c, 1),) for c in zeros])
+
+
 def block_rows(payload) -> tuple[list[tuple], int]:
     """The rows of the symmetry system of a ring or a pair, built block by
     block as its solvers build them, each as its nonzero ``(column,
     value)`` pairs sorted by column; and the number of unknowns.  A
-    payload that has passed validation gets the rows of its generator
-    probes only."""
+    one-term equation comes from the builder as its column ``c`` alone,
+    and is given as the row ``((c, 1),)``.  A payload that has passed
+    validation gets the rows of its generator probes only."""
     build = builder(payload)
-    rows, width = [], None
+    rows = []
     for degree in _blocks(payload):
-        block, width = build(payload, degree)
+        block, zeros = build(payload, degree)
         rows += [tuple(sorted(row.items())) for row in block]
-    return rows, width
+        rows += [((c, 1),) for c in zeros]
+    return rows, payload.module_basis.size * payload.ring.size
+
+
+def reference_system(acting, degree: int | None = None
+                     ) -> tuple[list[dict], int]:
+    """The symmetry system of a ring or a pair as a list of equations and
+    its number of unknowns, the reference for ``_symmetry_system``.
+
+    One equation per (probe k, module slot i, ring slot s), made one at
+    a time: for every probe and every module slot, the ring slots of the
+    block's degree (every one for ``degree=None``), each equation a
+    ``{column: value}`` map of its nonzero values, one-term equations
+    included; equations that vanish are left out.  The probes are the
+    ring's generators for a validated ``acting``, every basis index
+    otherwise.  The maps are scaled to ints as the solvers scale them.
+    """
+    ring = acting.ring
+    nm, nr = acting.module_basis.size, ring.size
+    ring_deg, module_deg = ring.basis.degrees, acting.module_basis.degrees
+    products_map, action = common_maps(acting)
+    right: dict = {}
+    for (j, k), coeffs in products_map.items():
+        for s, c in coeffs.items():
+            right.setdefault((k, s), []).append((j, c))
+    left: dict = {}
+    for (k, l), coeffs in action.items():
+        for i, c in coeffs.items():
+            left.setdefault((k, i), []).append((l, c))
+    slots: dict = {}
+    for s, d in enumerate(ring_deg):
+        slots.setdefault(d, []).append(s)
+    every = range(nr)
+    rows = []
+    for k in generators(ring) if acting._valid else every:
+        for i in range(nm):
+            acted = left.get((k, i), ())
+            base = i * nr
+            for s in every if degree is None else slots.get(
+                    degree + ring_deg[k] - module_deg[i], ()):
+                products = right.get((k, s), ())
+                if not acted:
+                    if products:
+                        rows.append({base + j: c for j, c in products})
+                    continue
+                row = {base + j: c for j, c in products}
+                for l, c in acted:
+                    column = l * nr + s
+                    value = row.get(column, 0) - c
+                    if value:
+                        row[column] = value
+                    else:
+                        del row[column]
+                if row:
+                    rows.append(row)
+    return rows, nm * nr
 
 
 # the catalog's rings, and two whose degrees hold several decomposable

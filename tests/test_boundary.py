@@ -21,7 +21,7 @@ from frobdiag.linalg import Matrix, rank
 from frobdiag.ring import (GradedBasis, MissingTopClassError, RingStructure,
                            basis_element, pairing_matrix)
 from strategies import (ODD_RING_NAMES, block_rows, elements, matrices,
-                        modes, pairs, rings)
+                        modes, nonzero, pairs, rings)
 
 PAIRS = {
     "disk:1": disk_pair(1),
@@ -146,6 +146,38 @@ class TestRelativeDiagonalClass:
         for name, mp in PAIRS.items():
             w = relative_diagonal_class(mp)
             assert check_relative_top_normalization(mp, w), name
+
+    def test_top_normalization_refuses_a_class_over_another_pair(self):
+        for make in (closed_as_pair, cylinder_pair):
+            cp2, cp3 = make(complex_projective(2)), make(complex_projective(3))
+            for mp, other in ((cp2, cp3), (cp3, cp2)):
+                w = relative_diagonal_class(other)
+                with pytest.raises(ValueError, match="does not live over"):
+                    check_relative_top_normalization(mp, w)
+                with pytest.raises(ValueError, match="does not live over"):
+                    check_relative_symmetry(mp, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_top_normalization_reads_the_top_row(self, data):
+        mp = data.draw(pairs())
+        nm, nr = mp.module_basis.size, mp.ring.size
+        top, unit = mp.module_basis.top_index, mp.ring.basis.unit_index
+        mu = relative_diagonal_class(mp).mu
+        kind = data.draw(st.sampled_from(("normalized", "changed", "drawn")))
+        if kind == "changed":
+            # one entry of the normalized class moved, in its top row or
+            # elsewhere
+            i, j = data.draw(st.sampled_from(
+                [(top, j) for j in range(nr)] + [(0, unit)]))
+            rows = [list(mu.row(r)) for r in range(nm)]
+            rows[i][j] += data.draw(nonzero)
+            mu = Matrix(rows)
+        elif kind == "drawn":
+            mu = data.draw(matrices(nm, nr))
+        expected = all(mu[top, j] == int(j == unit) for j in range(nr))
+        w = TensorClass(mu, mp.module_basis, mp.ring.basis)
+        assert check_relative_top_normalization(mp, w) is expected
 
     def test_graded_route_agrees(self):
         for name, mp in PAIRS.items():

@@ -20,9 +20,11 @@ from frobdiag.diagonal import (NoSolutionError, NonUniqueSolutionError,
 from frobdiag.linalg import Matrix, _integral, _reduce, rank
 from frobdiag.ring import (MissingTopClassError, RingStructure,
                            basis_element, multiply, unit_element, validate)
-from strategies import (ODD_RING_NAMES, block_rows, builder, elements,
-                        flatten, inserted_one_at_a_time, matrices, modes,
-                        pairs, rings, symmetric_family)
+from strategies import (ODD_RING_NAMES, bad_action_pair, block_rows, builder,
+                        echelon_of, elements, equations, flatten,
+                        inserted_one_at_a_time, matrices, modes,
+                        non_associative_ring, nonzero, pairs,
+                        reference_system, rings, symmetric_family, validated)
 
 EVEN_RINGS = {
     "sphere:2": sphere(2),
@@ -215,17 +217,11 @@ def normalization_pins(payload) -> list:
             for slot in ([(top, j), (j, top)] if closed else [(top, j)])]
 
 
-def echelon_of(echelon) -> tuple:
-    """Pivot rows and column index; a column whose holders have all been
-    cleared may be left with an empty set, which holds nothing."""
-    return echelon.pivots, {c: held for c, held in echelon.holders.items()
-                            if held}
-
-
 def whole_echelon(payload, pins=()):
-    """One ``_reduce`` of the whole system and the pin rows, the
-    right-hand side in the column after the unknowns."""
-    rows, width = builder(payload)(payload)
+    """One ``_reduce`` of the whole system, every equation a row
+    (``strategies.reference_system``), and the pin rows, the right-hand
+    side in the column after the unknowns."""
+    rows, width = reference_system(payload)
     for (i, j), value in pins:
         row = {i * payload.ring.size + j: 1}
         if value:
@@ -244,7 +240,7 @@ class TestDegreeBlocks:
         build = builder(payload)
         assert diagonal._blocks(payload) != [None]
         blocked, width = diagonal._reduce_blocks(build, payload, pins)
-        assert width == build(payload)[1]
+        assert width == reference_system(payload)[1]
         assert echelon_of(blocked) == echelon_of(whole_echelon(payload, pins))
 
     def test_grading_violation_takes_one_block(self, monkeypatch):
@@ -276,12 +272,12 @@ def scaled_builder(build, scales):
     """``build`` with its ``i``-th row times ``scales[i % len(scales)]``
     and scaled back to integers by ``_integral``, since the kernel takes
     integer rows: rows that differ from the built ones by rational
-    factors."""
+    factors.  The zero columns are passed on as they are."""
     def build_scaled(*args):
-        rows, width = build(*args)
+        rows, zeros = build(*args)
         return [_integral({c: v * scales[n % len(scales)]
                            for c, v in row.items()})[0]
-                for n, row in enumerate(rows)], width
+                for n, row in enumerate(rows)], zeros
     return build_scaled
 
 
@@ -305,10 +301,23 @@ class TestStructuredPass:
         assert all(type(v) is int for row in blocked.pivots.values()
                    for v in row.values())
 
+    def test_zero_and_nonzero_pin_on_one_entry_are_inconsistent(self):
+        # the zero pin seeds mu[1, 1] as a zero column, so the other pin's
+        # row {4: 1, width: 1} is left as {width: 1}: the pivot 0 = 1
+        ring = complex_projective(2)
+        pins = normalization_pins(ring) + [((1, 1), 0), ((1, 1), 1)]
+        blocked, width = diagonal._reduce_blocks(diagonal._symmetry_system,
+                                                 ring, pins)
+        assert blocked.pivots[width] == {width: 1}
+        with pytest.raises(NoSolutionError, match="inconsistent"):
+            diagonal._normalized_solve(diagonal._symmetry_system, ring,
+                                       pins, "symmetry system")
+
     def test_pin_on_a_zero_unknown_is_inconsistent(self):
-        # mu[0, 0] of cp:2 is a zero unknown (the row of 1 (x) h for the
-        # probe h says so), so the pin mu[0, 0] = 1 is left as the row
-        # {width: 1}, which is settled as the pivot 0 = 1
+        # mu[0, 0] of cp:2 is a zero unknown (the equation of 1 (x) h for
+        # the probe h, handed over as its column, says so), so the pin
+        # mu[0, 0] = 1 is left as the row {width: 1}, which is settled as
+        # the pivot 0 = 1
         ring = complex_projective(2)
         pins = normalization_pins(ring) + [((0, 0), 1)]
         blocked, width = diagonal._reduce_blocks(diagonal._symmetry_system,
@@ -357,6 +366,110 @@ class TestStructuredPass:
                 assert held.pivots[4] == pivot_4
                 assert echelon_of(held) == echelon_of(
                     inserted_one_at_a_time(chain() + extra, earlier()))
+
+
+def oracle_payloads():
+    """Drawn rings and pairs, validated or not, and the ring and the
+    pair that fail associativity."""
+    drawn = st.one_of(rings(), pairs())
+    return st.one_of(drawn, drawn.map(validated),
+                     st.sampled_from([non_associative_ring(),
+                                      bad_action_pair()]))
+
+
+class TestBuilderOracle:
+    """``_symmetry_system`` against ``strategies.reference_system``, which
+    makes every equation, one-term ones included, as its own map."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(oracle_payloads())
+    def test_rows_and_zeros_split_the_reference_equations(self, payload):
+        build = builder(payload)
+        for degree in (None, *diagonal._blocks(payload)):
+            rows, zeros = build(payload, degree)
+            assert all(len(row) > 1 for row in rows)
+            assert equations(rows, zeros) == \
+                equations(reference_system(payload, degree)[0]), degree
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_blocked_reduction_is_the_reference_inserted_one_at_a_time(
+            self, data):
+        payload = data.draw(oracle_payloads())
+        pins = drawn_pins(data, payload)
+        rows, width = reference_system(payload)
+        for (i, j), value in pins:
+            row = {i * payload.ring.size + j: 1}
+            if value:
+                row[width] = value
+            rows.append(row)
+        blocked, blocked_width = diagonal._reduce_blocks(
+            builder(payload), payload, pins)
+        assert blocked_width == width
+        assert echelon_of(blocked) == \
+            echelon_of(inserted_one_at_a_time(rows))
+
+
+class TestBlocks:
+    def test_validated_blocks_are_the_scanned_ones_on_the_catalog(self):
+        for name in catalog_names():
+            for mode in SignMode:
+                payload = resolve(name, mode).payload
+                assert not payload._valid
+                assert diagonal._blocks(validated(payload)) == \
+                    diagonal._blocks(payload), (name, mode)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(rings(), pairs()))
+    def test_validated_blocks_are_the_scanned_ones(self, payload):
+        scanned = diagonal._blocks(payload)
+        assert scanned != [None]
+        assert diagonal._blocks(validated(payload)) == scanned
+
+    def test_validation_decides_without_a_scan(self):
+        # a validated ring is not scanned again: a term that breaks the
+        # grading, put into its stored map by hand, goes unseen
+        ring = complex_projective(2)
+        twin = validated(ring)
+        twin._ints = {**twin._ints, (2, 2): {0: 1}}
+        assert diagonal._blocks(twin) == [0, 2, 4, 6, 8]
+        twin._valid = False
+        assert diagonal._blocks(twin) == [None]
+
+
+class TestTopNormalization:
+    def test_class_over_other_rings_is_refused(self):
+        cp2, cp3 = complex_projective(2), complex_projective(3)
+        for ring, other in ((cp2, cp3), (cp3, cp2)):
+            w = diagonal_class(other)
+            with pytest.raises(ValueError, match="does not live over"):
+                check_top_normalization(ring, w)
+            with pytest.raises(ValueError, match="does not live over"):
+                check_symmetry(ring, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_check_reads_the_top_row_and_column(self, data):
+        ring = data.draw(rings())
+        n = ring.size
+        top, unit = ring.basis.top_index, ring.basis.unit_index
+        mu = diagonal_class(ring).mu
+        kind = data.draw(st.sampled_from(("normalized", "changed", "drawn")))
+        if kind == "changed":
+            # one entry of the normalized class moved, in its top row or
+            # column or elsewhere
+            i, j = data.draw(st.sampled_from(
+                [(top, j) for j in range(n)] + [(i, top) for i in range(n)]
+                + [(unit, unit)]))
+            rows = [list(mu.row(r)) for r in range(n)]
+            rows[i][j] += data.draw(nonzero)
+            mu = Matrix(rows)
+        elif kind == "drawn":
+            mu = data.draw(matrices(n, n))
+        expected = all(mu[top, j] == int(j == unit) == mu[j, top]
+                       for j in range(n))
+        w = TensorClass(mu, ring.basis, ring.basis)
+        assert check_top_normalization(ring, w) is expected
 
 
 class TestSolveSymmetricSpace:

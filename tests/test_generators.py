@@ -27,8 +27,8 @@ from frobdiag.document import emit_document
 from frobdiag.linalg import Matrix, rank, rref
 from frobdiag.ring import (GradedBasis, RingStructure, basis_element,
                            generators, multiply, unit_element, validate)
-from strategies import (bad_action_pair, block_rows, non_associative_ring,
-                        pairs, rings, validated)
+from strategies import (bad_action_pair, block_rows, equations,
+                        non_associative_ring, pairs, rings, validated)
 
 
 def system_rref(payload):
@@ -143,14 +143,16 @@ class TestGeneratorSystem:
 
 
 def recorded_builds(monkeypatch) -> list:
-    """``(acting, degree, rows)`` of every relative system built from
-    now on, each row copied before the kernel reduces it in place."""
+    """``(acting, degree, system)`` of every relative system built from
+    now on, ``system`` its ``(rows, zeros)`` with each row copied before
+    the kernel reduces it in place."""
     built, build = [], boundary._relative_symmetry_system
 
     def recorded(acting, degree=None, index=None):
-        rows, width = build(acting, degree, index)
-        built.append((acting, degree, [dict(row) for row in rows]))
-        return rows, width
+        rows, zeros = build(acting, degree, index)
+        built.append((acting, degree,
+                      ([dict(row) for row in rows], list(zeros))))
+        return rows, zeros
 
     monkeypatch.setattr(boundary, "_relative_symmetry_system", recorded)
     return built
@@ -173,10 +175,11 @@ class TestValidationDecidesTheProbes:
         fresh = closed_as_pair(torus(4))
         twin = validated(fresh)
         assert len(generators(fresh.ring)) == 4
-        for _, degree, rows in built:
-            assert rows == _symmetry_system(twin, degree)[0]
-        assert sum(len(rows) for *_, rows in built) < sum(
-            len(_symmetry_system(fresh, degree)[0]) for _, degree, _ in built)
+        for _, degree, system in built:
+            assert system == _symmetry_system(twin, degree)
+        assert sum(equations(*s).total() for *_, s in built) < sum(
+            equations(*_symmetry_system(fresh, degree)).total()
+            for _, degree, _ in built)
 
     def test_pair_with_a_bad_action_gets_every_probe(self, monkeypatch):
         # a pair over a valid ring is marked by its own report only
@@ -191,8 +194,9 @@ class TestValidationDecidesTheProbes:
         # the generator x alone, had the flag been raised
         probed = copy(mp)
         probed._valid = True
-        assert sum(len(rows) for *_, rows in built) > sum(
-            len(_symmetry_system(probed, degree)[0]) for _, degree, _ in built)
+        assert sum(equations(*s).total() for *_, s in built) > sum(
+            equations(*_symmetry_system(probed, degree)).total()
+            for _, degree, _ in built)
         # e (x) z: the residual of x vanishes, that of z does not
         w = TensorClass(Matrix([[0, 0, 1], [0, 0, 0]]), mp.module_basis,
                         mp.ring.basis)

@@ -341,8 +341,8 @@ def unscaled(function, *args):
     """``function(*args)`` with the constants left as given.  The kernel
     takes integer rows, so a system built from them is reduced with each
     row scaled by its own denominators instead of by the common ``D``."""
-    def reduce_integral(rows, echelon=None):
-        return _reduce((_integral(row)[0] for row in rows), echelon)
+    def reduce_integral(rows, echelon=None, zeros=()):
+        return _reduce((_integral(row)[0] for row in rows), echelon, zeros)
 
     with mock.patch.object(diagonal, "common_maps",
                            lambda acting: (acting.ring._action_products,
@@ -360,18 +360,21 @@ class TestSystem:
         ring, action, den = ring_and_action(payload)
         common = lcm(ring._den, den)
         # the whole system, then each block the solvers build
+        # (a one-term equation is its column alone, on either side)
+        width = payload.module_basis.size * ring.size
         for degree in (None, *_blocks(payload)):
-            rows, width = _symmetry_system(payload, degree)
-            plain_rows, plain_width = unscaled(_symmetry_system, payload,
+            rows, zeros = _symmetry_system(payload, degree)
+            plain_rows, plain_zeros = unscaled(_symmetry_system, payload,
                                                degree)
-            assert width == plain_width
+            assert zeros == plain_zeros
             assert rows == [{c: common * v for c, v in row.items()}
                             for row in plain_rows]
             assert all(type(v) is int for row in rows for v in row.values())
-            assert nullspace(Matrix.sparse((r.items() for r in rows),
-                                           width)) == \
-                nullspace(Matrix.sparse((r.items() for r in plain_rows),
-                                        width))
+            pinned = [((c, 1),) for c in zeros]
+            assert nullspace(Matrix.sparse(
+                [*(r.items() for r in rows), *pinned], width)) == \
+                nullspace(Matrix.sparse(
+                    [*(r.items() for r in plain_rows), *pinned], width))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -9,7 +9,8 @@ from frobdiag.catalog import resolve
 from frobdiag.diagonal import _symmetry_system
 from frobdiag.linalg import (Matrix, SingularMatrixError, frac, invert,
                              nullspace, rank, rref, solve)
-from strategies import apply, validated
+from strategies import (apply, echelon_of, equations, inserted_one_at_a_time,
+                        validated)
 
 
 def vector(values) -> tuple[Fraction, ...]:
@@ -308,6 +309,64 @@ class TestUpwardClearing:
         assert {c: h for c, h in echelon.holders.items() if h} == {2: {1}}
 
 
+class TestZeroColumns:
+    """``_reduce``'s ``zeros``: columns known to be 0, each standing for
+    the row ``{c: 1}``, settled before any row is visited."""
+
+    @staticmethod
+    def counted(monkeypatch, name) -> list:
+        """The calls of ``linalg.<name>`` from now on, as their row
+        arguments, copied before the kernel changes them in place."""
+        calls, function = [], getattr(linalg, name)
+
+        def wrapper(*args):
+            calls.append([dict(a) for a in args if type(a) is dict])
+            return function(*args)
+
+        monkeypatch.setattr(linalg, name, wrapper)
+        return calls
+
+    def test_zero_column_is_deleted_from_the_rows(self, monkeypatch):
+        inserted = self.counted(monkeypatch, "_insert")
+        echelon = linalg._reduce([{0: 2, 1: 3, 2: 4}, {1: 5, 3: -5}],
+                                 zeros=[1])
+        # {1: 5, 3: -5} is left as {3: -5}, so column 3 is settled as 0
+        # as well, and only the rest of the first row is inserted
+        assert inserted == [[{0: 2, 2: 4}]]
+        assert echelon.pivots == {0: {0: 1, 2: 2}, 1: {1: 1}, 3: {3: 1}}
+        assert echelon_of(echelon) == echelon_of(
+            inserted_one_at_a_time([{0: 2, 1: 3, 2: 4}, {1: 5, 3: -5},
+                                    {1: 1}]))
+
+    def test_chain_ending_in_a_zero_column_needs_no_elimination(
+            self, monkeypatch):
+        eliminated = self.counted(monkeypatch, "_eliminate")
+        chain = [{2: 1, 3: -1}, {1: 1, 2: -1}, {0: 1, 1: -1}]
+        for zero in (0, 3):
+            for step in (1, -1):
+                echelon = linalg._reduce([dict(r) for r in chain[::step]],
+                                         zeros=[zero])
+                assert echelon.pivots == {c: {c: 1} for c in range(4)}
+                assert eliminated == []
+
+    def test_zero_column_the_echelon_holds_goes_to_insert(self, monkeypatch):
+        # column 4 is a pivot of the earlier echelon, column 5 sits in
+        # its pivot row: each {c: 1} is inserted, which clears c from
+        # that row, instead of being put among the pivots as it is
+        def earlier():
+            return inserted_one_at_a_time([{4: 1, 5: 2, 7: 3}])
+
+        inserted = self.counted(monkeypatch, "_insert")
+        for zero, pivot_4 in ((4, {4: 1}), (5, {4: 1, 7: 3})):
+            inserted.clear()
+            echelon = linalg._reduce([{6: 1, 8: 1}], earlier(),
+                                     zeros=[zero, 8])
+            assert [{zero: 1}] in inserted
+            assert echelon.pivots.get(4) == pivot_4
+            assert echelon_of(echelon) == echelon_of(inserted_one_at_a_time(
+                [{6: 1, 8: 1}, {zero: 1}, {8: 1}], earlier()))
+
+
 class TestEliminationOrder:
     def test_cp_graded_system_is_not_cubic(self, invoke, monkeypatch):
         # the graded system of cp:n is chains w[i, j+1] - w[i+1, j], each
@@ -334,11 +393,11 @@ class TestEliminationOrder:
         twin = validated(ring)
         rows, _ = _symmetry_system(twin)
         # validated, the system probes h, the one generator, alone; a
-        # fresh copy probes every basis element, and in its middle block
-        # the unit's equations vanish and h's come first
-        probed, _ = _symmetry_system(twin, 2 * n)
-        every, _ = _symmetry_system(ring, 2 * n)
-        assert probed == every[:len(probed)] and len(probed) < len(every)
+        # fresh copy probes every basis element, so in its middle block
+        # it has h's equations, rows and zero columns, and more
+        probed = equations(*_symmetry_system(twin, 2 * n))
+        every = equations(*_symmetry_system(ring, 2 * n))
+        assert probed <= every and probed.total() < every.total()
         calls.clear()
         linalg._reduce(row for row in rows if len(row) == 2)
         assert 0 < len(calls) <= 2 * n * n
@@ -360,9 +419,9 @@ class TestEliminationOrder:
         build, insert = boundary._relative_symmetry_system, linalg._insert
 
         def counted_build(*args):
-            rows, width = build(*args)
+            rows, zeros = build(*args)
             nonzeros[0] += sum(map(len, rows))
-            return [Counted(row) for row in rows], width
+            return [Counted(row) for row in rows], zeros
 
         def uncounted_insert(echelon, row):
             inserting[0] = True
