@@ -25,10 +25,11 @@ from .diagonal import (SignMode, SingularPairingError, SymmetryReport,
 # module by name
 from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
                      invert, nullspace, rank, solve)
-from .constants import ProductMap, _Constants, sparse_tensor
+from .constants import ProductMap, _Constants, _exact, sparse_tensor
 from .ring import (GradedBasis, RingStructure, ValidationReport,  # noqa: F401
-                   _defects_unless_certified, _top_entries, _top_index,
-                   bilinear_product, multiply, validate)
+                   _defects_unless_certified, _off_grade, _off_unit,
+                   _top_entries, _top_index, bilinear_product, multiply,
+                   validate)
 
 ModuleElement = Vector
 
@@ -143,15 +144,12 @@ def validate_module(mp: ModulePair,
     report marks the pair valid (``_valid``), as :func:`validate` marks
     a ring.
 
-    As there, action grading and the unit action are settled by
-    whole-map comparisons on the stored map, the constants times ``D``,
-    and their ordered loops run only when one fails.  The grading loop
-    reports the entries with ``|k| != |i| + |j|``, and one unsorted pass
-    over the stored map's keys asks whether there is one.  The
-    unit-action loop reports the ``k`` where the unit's action on
-    ``x_j`` differs from the indicator of ``j``, over the map's terms
-    and ``j``; the stored map holds no zeros, so it is silent exactly
-    when the map is ``{j: 1}``, stored as ``{j: D}``.
+    As there, action grading and the unit action are each one pass over
+    the stored map, the constants times ``D``, that collects the failing
+    keys, reported in index order with exact values: the entries with
+    ``|k| != |i| + |j|`` (:func:`frobdiag.ring._off_grade`), then for
+    each ``j`` the ``k`` where the unit's action on ``x_j`` differs from
+    the indicator of ``j`` (:func:`frobdiag.ring._off_unit`).
     """
     report = ValidationReport()
     for v in validate(mp.ring, allow_noncommutative=allow_noncommutative):
@@ -160,24 +158,17 @@ def validate_module(mp: ModulePair,
     ring_deg = mp.ring.basis.degrees
     mod_deg = mp.module_basis.degrees
     ints, den, nm = mp._ints, mp._den, mp.module_basis.size
-    if any(mod_deg[k] != ring_deg[i] + mod_deg[j]
-           for (i, j), coeffs in ints.items() for k in coeffs):
-        for (i, j, k), v in sorted(mp.action.items()):
-            if mod_deg[k] != ring_deg[i] + mod_deg[j]:
-                report.add("action-grading", (i, j, k),
-                           f"entry {v} has degree {ring_deg[i]}+{mod_deg[j]} "
-                           f"-> {mod_deg[k]}")
+    for i, j, k in _off_grade(ints, ring_deg, mod_deg):
+        report.add("action-grading", (i, j, k),
+                   f"entry {_exact(ints[i, j][k], den)} has degree "
+                   f"{ring_deg[i]}+{mod_deg[j]} -> {mod_deg[k]}")
 
     unit = mp.ring.basis.unit_index
-    if not all(ints.get((unit, j)) == {j: den} for j in range(nm)):
-        for j in range(nm):
-            coeffs = mp.action_coefficients(unit, j)
-            for k in sorted(coeffs.keys() | {j}):
-                expected = int(k == j)
-                actual = coeffs.get(k, 0)
-                if actual != expected:
-                    report.add("unit-action", (j, k),
-                               f"unit acts with {actual}, expected {expected}")
+    acts = [ints.get((unit, j), {}) for j in range(nm)]
+    for j, _, k in _off_unit((acts,), den):
+        report.add("unit-action", (j, k),
+                   f"unit acts with {_exact(acts[j].get(k, 0), den)}, "
+                   f"expected {int(k == j)}")
 
     if not (report.ok and mp._shares_product() and nm == mp.ring.size):
         for indices, a, b in _defects_unless_certified(mp, report.ok):

@@ -6,10 +6,11 @@ Each report verb routes a ring and a module pair through ``_route``.
 
 Exit codes are a stable scripting contract: 0 success, 1 validation or
 symmetry failure, 2 parse or usage error (including unknown inputs), 3
-singular pairing.  Any other exception is a bug: it is reported in one
-stderr line with exit code 70, which is not part of the contract.  All
-output is deterministic; ``--output json`` serializes every rational as a
-string.
+singular pairing, 141 stdout closed by its reader (with nothing on
+stderr, as a shell reports a writer that SIGPIPE ended).  Any other
+exception is a bug: it is reported in one stderr line with exit code 70,
+which is not part of the contract.  All output is deterministic;
+``--output json`` serializes every rational as a string.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 EXIT_SOFTWARE = 70   # an internal error (sysexits.h EX_SOFTWARE)
+EXIT_PIPE = 141      # stdout closed by its reader (128 + SIGPIPE)
 _ERROR_LIMIT = 200   # characters of an internal error's message shown
 
 
@@ -75,11 +77,12 @@ def _load_input(text: str, mode: SignMode) -> tuple[str, Any]:
 
 
 def _matrix_json(m: Matrix) -> list[list[str]]:
-    """Every entry of ``m`` as a string; only the nonzero ones are
-    formatted."""
+    """Every entry of ``m`` as a string; only the stored nonzero ones
+    are formatted (an int prints as the equal Fraction does)."""
     cells = [["0"] * m.cols for _ in range(m.rows)]
-    for (i, j), v in m.terms():
-        cells[i][j] = str(v)
+    for cell, row in zip(cells, m._data):
+        for j, v in row.items():
+            cell[j] = str(v)
     return cells
 
 
@@ -478,7 +481,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _plain_args(argv)
         if args is None:
             args = _parser().parse_args(argv)
-        return globals()[args.handler](args)
+        code = globals()[args.handler](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CliFailure as exc:
         print(exc.message, file=sys.stderr)
         return exc.code

@@ -46,8 +46,8 @@ from .linalg import (Matrix, SingularMatrixError, SparseRow,  # noqa: F401
                      _reduce, invert, nullspace, rank, solve)
 from .constants import common_maps
 from .ring import (GradedBasis, RingElement, RingStructure,  # noqa: F401
-                   _top_index, generators, multiply, pairing_matrix,
-                   unit_element)
+                   _off_grade, _top_index, generators, multiply,
+                   pairing_matrix, unit_element)
 
 if TYPE_CHECKING:
     from .boundary import ModulePair
@@ -106,6 +106,13 @@ class TensorClass:
         return self.mu.is_zero()
 
 
+def _integral_terms(w: TensorClass) -> tuple[TermMap, int]:
+    """The terms ``{(i, j): v}`` of ``w``, read straight from its rows,
+    times the lcm ``D`` of their denominators, and ``D``."""
+    return _integral({(i, j): v for i, row in enumerate(w.mu._data)
+                      for j, v in row.items()})
+
+
 def _sparse_class(entries: Mapping[int, Fraction],
                   acting: RingStructure | ModulePair) -> TensorClass:
     """The class in module (x) ring of ``acting`` whose coefficient at
@@ -159,8 +166,8 @@ def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
     """
     for w in (u, v):
         _require_over(ring_left, ring_right, w)
-    u_terms, u_den = _integral(dict(u.mu.terms()))
-    v_terms, v_den = _integral(dict(v.mu.terms()))
+    u_terms, u_den = _integral_terms(u)
+    v_terms, v_den = _integral_terms(v)
     deg_l = ring_left.basis.degrees
     deg_r = ring_right.basis.degrees
     v_by_left: dict[int, list[tuple[int, int]]] = {}
@@ -326,7 +333,7 @@ def _symmetry_residuals(acting: RingStructure | ModulePair,
     """
     ring = acting.ring
     products, action_products = common_maps(acting)
-    terms, den = _integral(dict(w.mu.terms()))
+    terms, den = _integral_terms(w)
     den *= lcm(ring._den, acting._den)
 
     def residual(k: int) -> list[ResidualEntry]:
@@ -472,17 +479,15 @@ def _blocks(acting: RingStructure | ModulePair) -> list[int | None]:
     If every term of the ring's product and of ``acting``'s action lands
     in the sum of its factors' degrees, these are the total degrees of
     the unknowns, in increasing order; otherwise ``[None]``, the whole
-    system as one block.  Validation has checked this for a validated
-    ``acting``; otherwise one pass over the maps' terms decides.
+    system as one block.  This is the grading rule that validation
+    checks (:func:`frobdiag.ring._off_grade`), so a validated ``acting``
+    passes it; otherwise the rule is applied to the maps here.
     """
     ring = acting.ring
     ring_deg, module_deg = ring.basis.degrees, acting.module_basis.degrees
-    maps = [(ring._ints, ring_deg)]
-    if acting is not ring:
-        maps.append((acting._ints, module_deg))
-    if acting._valid or all(
-            deg[c] == ring_deg[a] + deg[b] for products, deg in maps
-            for (a, b), coeffs in products.items() for c in coeffs):
+    if acting._valid or not (
+            _off_grade(ring._ints, ring_deg, ring_deg)
+            or _off_grade(acting._ints, ring_deg, module_deg)):
         return sorted({a + b for a in set(module_deg) for b in set(ring_deg)})
     return [None]
 

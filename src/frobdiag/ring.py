@@ -368,13 +368,24 @@ def _defects_unless_certified(acting: RingStructure | ModulePair,
                                  acting._action_products)
 
 
-def _graded_commutative(products: ProductMap, deg: Sequence[int]) -> bool:
-    """Whether each product map of ``products`` equals its transpose,
-    negated when both degrees are odd."""
-    return all(products.get((j, i)) == ({k: -v for k, v in coeffs.items()}
-                                        if deg[i] % 2 and deg[j] % 2
-                                        else coeffs)
-               for (i, j), coeffs in products.items())
+def _off_grade(ints: ProductMap, left: Sequence[int],
+               right: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The grading rule: the keys ``(i, j, k)`` of the stored map
+    ``ints`` with ``right[k] != left[i] + right[j]``, sorted (``left``
+    holds the ring's degrees, ``right`` the ring's or the module's)."""
+    return sorted((i, j, k) for (i, j), coeffs in ints.items()
+                  for k in coeffs if right[k] != left[i] + right[j])
+
+
+def _off_unit(sides: Sequence[Sequence[Mapping[int, int]]],
+              den: int) -> list[tuple[int, int, int]]:
+    """The unit rule: the ``(i, s, k)``, sorted, where ``sides[s][i]``,
+    the stored coefficients (over ``den``) of a product of the unit with
+    ``x_i``, differ at ``k`` from the indicator of ``i``."""
+    return sorted((i, s, k) for s, products in enumerate(sides)
+                  for i, coeffs in enumerate(products) if coeffs != {i: den}
+                  for k in coeffs.keys() | {i}
+                  if coeffs.get(k, 0) != (den if k == i else 0))
 
 
 def validate(ring: RingStructure,
@@ -400,76 +411,55 @@ def validate(ring: RingStructure,
     ring (for a ring that is not connected it returns every non-unit
     index, and the check is the full scan).
 
-    The other axioms are settled first by whole-map comparisons on the
-    stored map, the constants times ``D`` (:class:`_Constants`), and
-    their ordered loops run only when a comparison fails; each
-    comparison fails exactly when its loop reports something, so the
-    report is the loops' (and the dense loops' over every index pair).
-    The stored map holds no zeros, so a missing coefficient is 0 and two
-    coefficient maps agree exactly when they are equal as dicts.
-
-    - Grading: the loop reports the entries ``(i, j, k)`` with ``|k| !=
-      |i| + |j|``; one unsorted pass over the stored map's keys asks
-      whether there is one.
-    - Unit: the loop reports, on each side, the ``k`` where ``x_u.x_i``
-      differs from the indicator of ``i``, over the map's terms and
-      ``i``; it is silent exactly when the map is ``{i: 1}``, stored as
-      ``{i: D}``.
-    - Graded commutativity: the loop reports, for each pair ``i <= j``
-      where a product has a term, the ``k`` where ``x_i.x_j`` differs
-      from ``sign * x_j.x_i`` (``sign = -1`` when both degrees are odd).
-      :func:`_graded_commutative` compares each key ``(i, j)`` of the
-      map with its transpose, negated or not; a pair with a term has a
-      key among ``(i, j)`` and ``(j, i)``, and the comparison of either
-      settles the pair, as ``sign`` is ``+-1``.  Scaling both sides by
-      one ``D`` keeps every equality.
+    Each other axiom is one pass over the stored map, the constants times
+    ``D`` (:class:`_Constants`), that collects the failing keys; they are
+    reported in index order, each value read exactly.  The stored map
+    holds no zeros, so a missing coefficient is 0, and scaling both sides
+    by one ``D`` keeps every equality.  Grading reports the entries
+    ``(i, j, k)`` with ``|k| != |i| + |j|`` (:func:`_off_grade`).  Unit
+    reports, for each ``i`` and on the left then the right, the ``k``
+    where ``x_u.x_i`` differs from the indicator of ``i``
+    (:func:`_off_unit`).  Graded commutativity reports, for each pair
+    ``i <= j`` whose product ``x_i.x_j`` differs from ``sign * x_j.x_i``
+    (``sign = -1`` when both degrees are odd), the ``k`` where they do.
     """
     report = ValidationReport()
-    basis = ring.basis
-    deg = basis.degrees
-    n = ring.size
-    u = basis.unit_index
+    deg = ring.basis.degrees
+    u = ring.basis.unit_index
     ints, den = ring._ints, ring._den
 
-    if any(deg[k] != deg[i] + deg[j]
-           for (i, j), coeffs in ints.items() for k in coeffs):
-        for (i, j, k), v in sorted(ring.tensor.items()):
-            if deg[k] != deg[i] + deg[j]:
-                report.add("grading", (i, j, k),
-                           f"entry {v} has degree {deg[i]}+{deg[j]} "
-                           f"-> {deg[k]}")
+    for i, j, k in _off_grade(ints, deg, deg):
+        report.add("grading", (i, j, k),
+                   f"entry {_exact(ints[i, j][k], den)} has degree "
+                   f"{deg[i]}+{deg[j]} -> {deg[k]}")
 
-    if not all(ints.get((u, i)) == {i: den} == ints.get((i, u))
-               for i in range(n)):
-        for i in range(n):
-            for side, coeffs in (("left", ring.product_coefficients(u, i)),
-                                 ("right", ring.product_coefficients(i, u))):
-                for k in sorted(coeffs.keys() | {i}):
-                    expected = int(k == i)
-                    actual = coeffs.get(k, 0)
-                    if actual != expected:
-                        report.add("unit", (i, k),
-                                   f"{side} unit product gives {actual}, "
-                                   f"expected {expected}")
+    sides = ([ints.get((u, i), {}) for i in range(ring.size)],
+             [ints.get((i, u), {}) for i in range(ring.size)])
+    for i, s, k in _off_unit(sides, den):
+        report.add("unit", (i, k),
+                   f"{('left', 'right')[s]} unit product gives "
+                   f"{_exact(sides[s][i].get(k, 0), den)}, "
+                   f"expected {int(k == i)}")
 
     for indices, a, b in _defects_unless_certified(ring, report.ok):
         report.add("associativity", indices, f"{a} != {b}")
 
-    if not allow_noncommutative and not _graded_commutative(ints, deg):
-        partners: list[set[int]] = [set() for _ in range(n)]
-        for i, j in ints:
-            partners[min(i, j)].add(max(i, j))
-        for i in range(n):
-            for j in sorted(partners[i]):
-                sign = -1 if (deg[i] % 2 and deg[j] % 2) else 1
-                fwd = ring.product_coefficients(i, j)
-                bwd = ring.product_coefficients(j, i)
-                for k in set(fwd) | set(bwd):
-                    a = fwd.get(k, 0)
-                    b = bwd.get(k, 0)
-                    if a != sign * b:
-                        report.add("graded-commutativity", (i, j, k),
-                                   f"{a} != {'-' if sign < 0 else ''}{b}")
+    if not allow_noncommutative:
+        mismatched = set()
+        for (i, j), coeffs in ints.items():
+            if ints.get((j, i)) != ({k: -v for k, v in coeffs.items()}
+                                    if deg[i] % 2 and deg[j] % 2
+                                    else coeffs):
+                mismatched.add((min(i, j), max(i, j)))
+        for i, j in sorted(mismatched):
+            sign = -1 if (deg[i] % 2 and deg[j] % 2) else 1
+            fwd, bwd = ints.get((i, j), {}), ints.get((j, i), {})
+            for k in set(fwd) | set(bwd):
+                a, b = fwd.get(k, 0), bwd.get(k, 0)
+                if a != sign * b:
+                    report.add("graded-commutativity", (i, j, k),
+                               f"{_exact(a, den)} != "
+                               f"{'-' if sign < 0 else ''}{_exact(b, den)}")
     if report.ok:
         ring._valid = True
     return report

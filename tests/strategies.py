@@ -400,3 +400,55 @@ def corrupted_pairs(draw) -> ModulePair:
         return mp
     return ModulePair(mp.ring, mp.module_basis, changed(
         mp.action, draw(st.sampled_from(slots)), draw(nonzero)))
+
+
+# off-grade values: rational, with denominators up to 7, so that a drawn
+# entry can change its map's common denominator
+off_grade_values = st.fractions(min_value=-3, max_value=3,
+                                max_denominator=7).filter(bool)
+
+
+def off_grade_slots(ring_basis: GradedBasis, left_basis: GradedBasis,
+                    out_basis: GradedBasis) -> list[tuple[int, int, int]]:
+    """``(i, j, k)`` with ``|k| != |i| + |j|``, unit slots included."""
+    ring_deg, left_deg, out_deg = (ring_basis.degrees, left_basis.degrees,
+                                   out_basis.degrees)
+    return [(i, j, k) for i in range(ring_basis.size)
+            for j in range(left_basis.size)
+            for k in range(out_basis.size)
+            if out_deg[k] != ring_deg[i] + left_deg[j]]
+
+
+@st.composite
+def off_grade_rings(draw, ring_strategy: st.SearchStrategy = st.one_of(
+        rings(), rational_rings(), corrupted_rings())) -> RingStructure:
+    """A ring drawn from ``ring_strategy`` (integral, rational or
+    corrupted) with a rational entry added at a drawn slot that breaks
+    the grading, unit slots included; unchanged when no slot does."""
+    ring = draw(ring_strategy)
+    slots = off_grade_slots(ring.basis, ring.basis, ring.basis)
+    if not slots:
+        return ring
+    return RingStructure(ring.basis, changed(
+        ring.tensor, draw(st.sampled_from(slots)), draw(off_grade_values)))
+
+
+@st.composite
+def off_grade_pairs(draw) -> ModulePair:
+    """A cylinder, closed-case or disk pair, over an integral or rational
+    ring, with a rational entry added to its action at a drawn slot that
+    breaks the grading, and half of the time its ring replaced by an
+    :func:`off_grade_rings` copy.  The action is the pair's own map, and
+    its denominator and the ring's may differ."""
+    mp = draw(st.one_of(
+        pairs(st.one_of(rings(), rational_rings())),
+        st.sampled_from(("disk:1", "disk:3")).map(
+            lambda name: resolve(name).payload)))
+    ring, action = mp.ring, mp.action
+    if draw(st.booleans()):
+        ring = draw(off_grade_rings(st.just(ring)))
+    slots = off_grade_slots(ring.basis, mp.module_basis, mp.module_basis)
+    if slots:
+        action = changed(action, draw(st.sampled_from(slots)),
+                         draw(off_grade_values))
+    return ModulePair(ring, mp.module_basis, action)

@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -659,6 +662,34 @@ class TestInternalError:
         monkeypatch.setattr(cli, "cmd_diag", interrupt)
         with pytest.raises(KeyboardInterrupt):
             invoke("diag", "cp:2")
+
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv, lines", [
+        # about 400 KB of JSON, far past a pipe's buffer: the writes fail
+        # once the reader has read one line and closed its end
+        (["solve", "cp:30", "--output", "json"], 1),
+        # a short report, held in stdout's buffer, for a reader gone
+        # before it starts: the flush fails
+        (["validate", "cp:2"], 0)])
+    def test_reader_closing_stdout_exits_141_with_nothing_on_stderr(
+            self, argv, lines):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "frobdiag.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == cli.EXIT_PIPE == 141
+        assert err == b""
 
 
 class TestUsageErrors:

@@ -2,10 +2,14 @@
 
 ``change_basis`` contracts the structure tensor's terms with the nonzero
 entries of the change and its inverse; the reference transports every
-pair of basis columns through dense products.  The unit and
-graded-commutativity checks of ``validate`` and the unit-action check of
-``validate_module`` walk the product maps' terms; the references walk
-every index pair.  Results must be equal, entry for entry and in order.
+pair of basis columns through dense products.  ``validate`` and
+``validate_module`` decide each of grading, the unit, graded
+commutativity, action grading and the unit action in one pass over the
+stored map, the constants times their common denominator; the
+references walk the exact tensor and every index pair.  Results must be
+equal, entry for entry and in order, on rings and pairs with a changed
+graded constant, a changed unit product or action, a removed transpose,
+or a rational entry that breaks the grading at any slot.
 """
 
 from fractions import Fraction
@@ -19,7 +23,8 @@ from frobdiag.linalg import Matrix, invert
 from frobdiag.ring import (RingStructure, ValidationReport, change_basis,
                            multiply, validate)
 from strategies import (apply, changed, corrupted_pairs, corrupted_rings,
-                        nonzero, rings, unimodular_degree_preserving)
+                        nonzero, off_grade_pairs, off_grade_rings, rings,
+                        unimodular_degree_preserving)
 
 
 def dense_change_basis(ring, p):
@@ -185,6 +190,22 @@ class TestValidation:
     @given(st.data())
     def test_pair_report_equals_the_dense_loops(self, data):
         mp = data.draw(unit_corrupted_pairs())
+        allow = data.draw(st.booleans())
+        assert validate_module(mp, allow_noncommutative=allow).violations \
+            == dense_validate_module(mp, allow).violations
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_off_grade_ring_report_equals_the_dense_loops(self, data):
+        ring = data.draw(off_grade_rings())
+        allow = data.draw(st.booleans())
+        assert validate(ring, allow_noncommutative=allow).violations == \
+            dense_validate(ring, allow).violations
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_off_grade_pair_report_equals_the_dense_loops(self, data):
+        mp = data.draw(off_grade_pairs())
         allow = data.draw(st.booleans())
         assert validate_module(mp, allow_noncommutative=allow).violations \
             == dense_validate_module(mp, allow).violations

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobdiag import diagonal, linalg
-from frobdiag.boundary import ModulePair
+from frobdiag.boundary import ModulePair, validate_module
 from frobdiag.catalog import (catalog_names, complex_projective, point,
                               resolve, sphere, torus)
 from frobdiag.diagonal import (NoSolutionError, NonUniqueSolutionError,
@@ -21,10 +21,12 @@ from frobdiag.linalg import Matrix, _integral, _reduce, rank
 from frobdiag.ring import (MissingTopClassError, RingStructure,
                            basis_element, multiply, unit_element, validate)
 from strategies import (ODD_RING_NAMES, bad_action_pair, block_rows, builder,
-                        echelon_of, elements, equations, flatten,
+                        corrupted_pairs, corrupted_rings, echelon_of,
+                        elements, equations, flatten,
                         inserted_one_at_a_time, matrices, modes,
-                        non_associative_ring, nonzero, pairs,
-                        reference_system, rings, symmetric_family, validated)
+                        non_associative_ring, nonzero, off_grade_pairs,
+                        off_grade_rings, pairs, reference_system, rings,
+                        symmetric_family, validated)
 
 EVEN_RINGS = {
     "sphere:2": sphere(2),
@@ -425,6 +427,19 @@ class TestBlocks:
         scanned = diagonal._blocks(payload)
         assert scanned != [None]
         assert diagonal._blocks(validated(payload)) == scanned
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(rings(), pairs(), corrupted_rings(), corrupted_pairs(),
+                     off_grade_rings(), off_grade_pairs()))
+    def test_one_block_exactly_when_validation_reports_grading(self,
+                                                               payload):
+        # one grading rule: the unvalidated split gives up on degree
+        # blocks exactly where validation reports an off-grade entry
+        whole = diagonal._blocks(payload) == [None]
+        report = (validate(payload) if payload is payload.ring
+                  else validate_module(payload))
+        assert whole == any(v.axiom in ("grading", "nu-grading",
+                                        "action-grading") for v in report)
 
     def test_validation_decides_without_a_scan(self):
         # a validated ring is not scanned again: a term that breaks the
