@@ -125,9 +125,10 @@ def validate_module(mp: ModulePair,
     over the ring (``(y.y') ^ x = y ^ (y' ^ x)``); the unit's action is
     read at its terms and at ``x_j`` only, as in :func:`validate`.
 
-    When every other axiom holds, action associativity is checked with
-    the ring's generators as middle factors first, and every triple is
-    scanned only if that finds a defect.  Let ``T = {a : (y.a)^x =
+    Action associativity is :func:`frobdiag.ring.associativity_defects`
+    on the pair's maps.  When every other axiom holds, it runs with the
+    ring's generators as middle factors first, and with every middle
+    factor only if that finds a defect.  Let ``T = {a : (y.a)^x =
     y^(a^x) for all y, x}``: a subspace holding the unit.  For ``a``,
     ``b`` in ``T``, ``(y.ab)^x = ((y.a).b)^x = (y.a)^(b^x) =
     y^(a^(b^x)) = y^((a.b)^x)``; the first step is ring associativity,
@@ -137,12 +138,11 @@ def validate_module(mp: ModulePair,
 
     When the action is the ring's product, stored once (as for a
     cylinder or a closed ring embedded as a pair), and the module has the
-    ring's size, that certificate is the one :func:`validate` has just
-    run: the same two maps, the same generators and the same width.  A
-    clean report so far means it passed (had it failed, the ring's full
-    scan would have listed a defect), so it is not run again.  An empty
-    report marks the pair valid (``_valid``), as :func:`validate` marks
-    a ring.
+    ring's size, that routine is the one :func:`validate` has just run
+    on the ring, on the same two maps with the same width, so it is not
+    run again: the ring's ``associativity`` entries are reported as
+    ``module-associativity``.  An empty report marks the pair valid
+    (``_valid``), as :func:`validate` marks a ring.
 
     As there, action grading and the unit action are each one pass over
     the stored map, the constants times ``D``, that collects the failing
@@ -152,7 +152,8 @@ def validate_module(mp: ModulePair,
     the indicator of ``j`` (:func:`frobdiag.ring._off_unit`).
     """
     report = ValidationReport()
-    for v in validate(mp.ring, allow_noncommutative=allow_noncommutative):
+    ring_report = validate(mp.ring, allow_noncommutative=allow_noncommutative)
+    for v in ring_report:
         report.add(f"nu-{v.axiom}", v.indices, v.detail)
 
     ring_deg = mp.ring.basis.degrees
@@ -170,7 +171,11 @@ def validate_module(mp: ModulePair,
                    f"unit acts with {_exact(acts[j].get(k, 0), den)}, "
                    f"expected {int(k == j)}")
 
-    if not (report.ok and mp._shares_product() and nm == mp.ring.size):
+    if mp._shares_product() and nm == mp.ring.size:
+        for v in ring_report:
+            if v.axiom == "associativity":
+                report.add("module-associativity", v.indices, v.detail)
+    else:
         for indices, a, b in _defects_unless_certified(mp, report.ok):
             report.add("module-associativity", indices, f"{a} != {b}")
     if report.ok:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .constants import (ProductMap, SparseTensor, _Constants, _exact,
@@ -228,92 +228,45 @@ class ValidationReport:
 
 
 def associativity_defects(products: ProductMap, action: ProductMap,
-                          middles: Iterable[int] | None = None
-                          ) -> Iterator[Defect]:
+                          width: int, middles: Iterable[int] | None = None
+                          ) -> list[Defect]:
     """Where ``(y_i.y_j).x_k`` and ``y_i.(y_j.x_k)`` differ, in index order.
 
     ``products`` maps ``(i, j)`` to the coefficients of ``y_i.y_j``, and
     ``action`` maps ``(i, k)`` to those of ``y_i`` acting on ``x_k``; for
-    a ring acting on itself the two are the same map.  Both sides are
-    contracted over the middle index straight from the sparse maps, with
-    no dense elements.  Only the triples ``(i, j, k)`` where one side has
-    a term are visited: the left side needs an ``m`` in ``y_i.y_j`` that
-    acts on ``x_k``, the right side an ``m`` in ``y_j.x_k`` that ``y_i``
-    acts on.  ``middles``, when given, restricts ``j`` to its members.
-    Yields ``((i, j, k, s), left[s], right[s])``.
-    """
-    keep = None if middles is None else set(middles)
-    by_ring: dict[int, dict[int, Mapping[int, int | Fraction]]] = {}
-    by_module: dict[int, dict[int, Mapping[int, int | Fraction]]] = {}
-    for (i, m), coeffs in action.items():
-        by_ring.setdefault(i, {})[m] = coeffs
-        by_module.setdefault(m, {})[i] = coeffs
-    triples = set()
-    for (i, j), ij in products.items():
-        if keep is not None and j not in keep:
-            continue
-        for m in ij:
-            for k in by_ring.get(m, ()):
-                triples.add((i, j, k))
-    for (j, k), jk in action.items():
-        if keep is not None and j not in keep:
-            continue
-        for m in jk:
-            for i in by_module.get(m, ()):
-                triples.add((i, j, k))
-    for i, j, k in sorted(triples):
-        left = _contract(products.get((i, j), {}), by_module.get(k, {}))
-        right = _contract(action.get((j, k), {}), by_ring.get(i, {}))
-        for s in sorted(left.keys() | right.keys()):
-            a, b = left.get(s, 0), right.get(s, 0)
-            if a != b:
-                yield (i, j, k, s), a, b
-
-
-def _contract(outer: Mapping[int, int | Fraction],
-              inner: Mapping[int, Mapping[int, int | Fraction]]
-              ) -> dict[int, int | Fraction]:
-    """``sum_m outer[m] * inner[m]`` over sparse coefficient maps."""
-    out: dict[int, int | Fraction] = {}
-    for m, c in outer.items():
-        for s, v in inner.get(m, {}).items():
-            out[s] = out.get(s, 0) + c * v
-    return out
-
-
-def _generators_certify(products: ProductMap, action: ProductMap,
-                        middles: Iterable[int], width: int) -> bool:
-    """True iff ``associativity_defects(products, action, middles)``
-    yields nothing.
+    a ring acting on itself the two are the same map.  ``width`` exceeds
+    every module index, and ``middles``, when given, restricts ``j`` to
+    its members.  Returns ``((i, j, k, s), left[s], right[s])``, sorted.
 
     For each middle ``j`` and each ring index ``i`` this checks one
     operator identity, ``A(y_i.y_j) = A(y_i) o A(y_j)``, where ``A(y)``
     is the action of ``y``: ``x_k -> y.x_k``.  Its entry at ``(k, s)``
     is ``sum_m t[i, j, m] a[m, k, s]`` on the left and ``sum_m a[j, k,
-    m] a[i, m, s]`` on the right, the two sides of
-    :func:`associativity_defects` at ``(i, j, k, s)``; so every entry of
-    every identity vanishes exactly when that scan finds no defect.  The
-    difference is one map over the flat index ``k*width + s`` (``width``
-    exceeds every module index).  The left side adds up the flat
-    operators ``A(y_m)``, each built once.  The right side goes through
-    the index ``m -> [(k, c)]`` of ``y_j``'s action, over whichever is
-    smaller, that index or ``y_i``'s support, so it costs about the
-    number of its terms.  ``i`` runs over the indices with a product
-    ``y_i.y_j`` and, when ``y_j`` acts at all, over those that act: an
-    ``i`` in neither has no term on either side.
+    m] a[i, m, s]`` on the right, the two sides of associativity at
+    ``(i, j, k, s)``.  The difference is one map over the flat index
+    ``k*width + s``.  The left side adds up the flat operators
+    ``A(y_m)``, each built once.  The right side goes through the index
+    ``m -> [(k, c)]`` of ``y_j``'s action, over whichever is smaller,
+    that index or ``y_i``'s support, so it costs about the number of its
+    terms.  ``i`` runs over the indices with a product ``y_i.y_j`` and,
+    when ``y_j`` acts at all, over those that act: an ``i`` in neither
+    has no term on either side.  Only where the difference is nonzero is
+    the left side added up again on its own, to report both sides; so a
+    clean identity keeps nothing, and a failing one only its defects.
     """
     acts: dict[int, dict[int, Mapping[int, int | Fraction]]] = {}
     for (i, m), coeffs in action.items():
         acts.setdefault(i, {})[m] = coeffs
+    keep = None if middles is None else set(middles)
     lefts: dict[int, dict[int, Mapping[int, int | Fraction]]] = {}
-    keep = set(middles)
     for (i, j), coeffs in products.items():
-        if j in keep:
+        if keep is None or j in keep:
             lefts.setdefault(j, {})[i] = coeffs
     flat = {m: {k * width + s: v for k, coeffs in row.items()
                 for s, v in coeffs.items()}
             for m, row in acts.items()}
-    for j in keep:
+    defects: list[Defect] = []
+    for j in (lefts.keys() | acts.keys()) if keep is None else keep:
         index: dict[int, list[tuple[int, int | Fraction]]] = {}
         for k, coeffs in acts.get(j, {}).items():
             for m, c in coeffs.items():
@@ -339,33 +292,42 @@ def _generators_certify(products: ProductMap, action: ProductMap,
                             key = base + s
                             diff[key] = diff.get(key, 0) - c * v
             if any(diff.values()):
-                return False
-    return True
+                left: dict[int, int | Fraction] = {}
+                for m, c in left_of.get(i, {}).items():
+                    for key, v in flat.get(m, {}).items():
+                        left[key] = left.get(key, 0) + c * v
+                for key, d in diff.items():
+                    if d:
+                        a = left.get(key, 0)
+                        defects.append(((i, j, *divmod(key, width)), a,
+                                        a - d))
+    defects.sort()
+    return defects
 
 
 def _defects_unless_certified(acting: RingStructure | ModulePair,
-                              certify: bool) -> Iterator[Defect]:
+                              certify: bool) -> list[Defect]:
     """The associativity defects of the action of ``acting`` (a ring, or
-    a pair over one) over its ring, unless a generator certificate shows
-    there are none.
+    a pair over one) over its ring, each side divided back to the maps as
+    given, unless a generator certificate shows there are none.
 
-    With ``certify`` (the caller has found its preconditions clean),
-    :func:`_generators_certify` checks the defects with a generator of
-    the ring as middle index; when there are none, nothing is yielded.
-    It runs on both maps scaled to ints by one common denominator
-    (:func:`common_maps`), which scales every defect by its square and
-    so finds one exactly where the maps as given have one.  Otherwise,
-    or when the certificate fails, this is :func:`associativity_defects`
-    in full, on the maps as given, so a failing report lists every
-    defect in index order and with its own values.
+    :func:`associativity_defects` runs on both maps scaled to ints by one
+    common denominator ``D`` (:func:`common_maps`), which scales every
+    side by ``D**2`` and so finds a defect exactly where the maps as
+    given have one; each side is divided back by :func:`_exact`.  With
+    ``certify`` (the caller has found its preconditions clean), it runs
+    first with the ring's generators as middle indices, and when that
+    finds nothing, nothing is returned.  Otherwise, or when it finds a
+    defect, it runs with every middle, so a failing report lists every
+    defect in index order and with its exact values.
     """
-    ring = acting.ring
-    if certify and _generators_certify(*common_maps(acting),
-                                       generators(ring),
-                                       acting.module_basis.size):
-        return iter(())
-    return associativity_defects(ring._action_products,
-                                 acting._action_products)
+    maps, width = common_maps(acting), acting.module_basis.size
+    if certify and not associativity_defects(*maps, width,
+                                             generators(acting.ring)):
+        return []
+    square = lcm(acting.ring._den, acting._den) ** 2
+    return [(at, _exact(a, square), _exact(b, square))
+            for at, a, b in associativity_defects(*maps, width)]
 
 
 def _off_grade(ints: ProductMap, left: Sequence[int],
@@ -398,18 +360,20 @@ def validate(ring: RingStructure,
     An empty report marks the ring valid (``_valid``), so that its
     symmetry systems probe its generators only.
 
-    When grading and unit hold, associativity is checked on generators
+    Associativity is one routine, :func:`associativity_defects`.  When
+    grading and unit hold, it runs with generators as middle factors
     first (Light's test; Clifford and Preston, *The Algebraic Theory of
-    Semigroups I*, 1961), and every triple is scanned only if that finds
-    a defect.  Let ``T = {a : (x.a).y = x.(a.y) for all x, y}``.  ``T``
-    is a subspace, as the associator is trilinear, and holds the unit by
-    the unit axioms.  For ``a``, ``b`` in ``T``, ``(x.ab).y = ((x.a).b).y
-    = (x.a).(b.y) = x.(a.(b.y)) = x.((a.b).y)``, each step with ``a`` or
-    ``b`` as the middle factor, so ``T`` is closed under products; no
-    step assumes associativity.  Hence ``T`` holds the subalgebra that
+    Semigroups I*, 1961), and with every middle factor only if that
+    finds a defect, which the report then lists in full.  Let ``T = {a
+    : (x.a).y = x.(a.y) for all x, y}``.  ``T`` is a subspace, as the
+    associator is trilinear, and holds the unit by the unit axioms.  For
+    ``a``, ``b`` in ``T``, ``(x.ab).y = ((x.a).b).y = (x.a).(b.y) =
+    x.(a.(b.y)) = x.((a.b).y)``, each step with ``a`` or ``b`` as the
+    middle factor, so ``T`` is closed under products; no step assumes
+    associativity.  Hence ``T`` holds the subalgebra that
     :func:`generators` generates, which with valid grading is the whole
     ring (for a ring that is not connected it returns every non-unit
-    index, and the check is the full scan).
+    index, and the first run is already the full one).
 
     Each other axiom is one pass over the stored map, the constants times
     ``D`` (:class:`_Constants`), that collects the failing keys; they are

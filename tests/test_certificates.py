@@ -3,9 +3,11 @@
 Once grading and the unit axioms hold, associativity with a generating
 set as middle factors implies associativity, and once the ring and the
 action are associative, symmetry for the generators implies symmetry.
-Validation and the residual checks look at the generators first and scan
-everything only when that finds a defect, so every report they return
-equals the full scan's, on valid and corrupted inputs alike.
+Validation and the residual checks look at the generators first and
+check every middle factor or probe only when that finds a defect, so
+every report they return equals the full one, on valid and corrupted
+inputs alike; the associativity routine itself is checked against an
+all-triples oracle that shares no code with it.
 """
 
 import random
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from frobdiag import ring as ring_module
 from frobdiag.boundary import (ModulePair, check_relative_symmetry,
                                relative_diagonal_class, validate_module)
-from frobdiag.catalog import cylinder_pair, resolve
+from frobdiag.catalog import closed_as_pair, cylinder_pair, resolve
 from frobdiag.diagonal import (SignMode, TensorClass, check_symmetry,
                                diagonal_class)
 from frobdiag.ring import (GradedBasis, RingStructure, associativity_defects,
@@ -26,6 +28,7 @@ from frobdiag.ring import (GradedBasis, RingStructure, associativity_defects,
 from strategies import (RING_NAMES, bad_action_pair, changed,
                         corrupted_pairs, corrupted_rings, graded_slots,
                         matrices, pairs, rings, validated)
+from test_ring import all_triples_defects
 
 # larger rings, where generators leave out most middle factors
 NAMES = RING_NAMES + ["cp:5", "product:cp:2,sphere:3"]
@@ -33,17 +36,18 @@ CHEAP = ("grading", "unit", "action-grading", "unit-action")
 
 
 def full_scan(check, payload, **options):
-    """``check(payload)`` with every index as a middle factor: the scan
-    over every triple."""
+    """``check(payload)`` with every index as a middle factor from the
+    start."""
     with mock.patch.object(ring_module, "generators",
                            lambda ring: list(range(ring.size))):
         return check(payload, **options)
 
 
-def scans(products, action, ring):
-    """The defects with generator middles, and all defects."""
-    return (list(associativity_defects(products, action, generators(ring))),
-            list(associativity_defects(products, action)))
+def scans(products, action, ring, width):
+    """The defects with generator middles, and all defects by the
+    all-triples oracle."""
+    return (associativity_defects(products, action, width, generators(ring)),
+            all_triples_defects(products, action, ring.size, width))
 
 
 class TestValidationCertificate:
@@ -57,7 +61,7 @@ class TestValidationCertificate:
             validate, ring, allow_noncommutative=allow).violations
         if not any(v.axiom in CHEAP for v in report):
             products = ring._action_products
-            certified, full = scans(products, products, ring)
+            certified, full = scans(products, products, ring, ring.size)
             assert (certified == []) == (full == [])
 
     @settings(max_examples=80, deadline=None)
@@ -70,7 +74,8 @@ class TestValidationCertificate:
         if not any(v.axiom in CHEAP or v.axiom.startswith("nu-")
                    for v in report):
             certified, full = scans(mp.ring._action_products,
-                                    mp._action_products, mp.ring)
+                                    mp._action_products, mp.ring,
+                                    mp.module_basis.size)
             assert (certified == []) == (full == [])
 
     @pytest.mark.parametrize("name", ["cp:5", "torus:3",
@@ -100,7 +105,8 @@ class TestValidationCertificate:
                                for v in report)
                 assert report.violations == \
                     full_scan(check, payload).violations
-                certified, full = scans(over._action_products, action, over)
+                certified, full = scans(over._action_products, action, over,
+                                        payload.module_basis.size)
                 assert (certified == []) == (full == [])
                 with_defects += bool(full)
         assert with_defects >= 20
@@ -118,29 +124,74 @@ class TestValidationCertificate:
         report = validate(ring)
         assert not report.ok
         assert report.violations == full_scan(validate, ring).violations
+        products = ring._action_products
         assert [v.indices for v in report] == \
             [indices for indices, _, _ in
-             associativity_defects(ring._action_products,
-                                   ring._action_products)]
+             all_triples_defects(products, products, 3, 3)]
 
 
-def operator_certificate(payload) -> tuple[bool, bool]:
-    """``_generators_certify`` on the maps of a ring or pair scaled to
-    ints, and whether the generator-middle scan of the same maps finds
-    no defect."""
+class TestPairSharingItsRingsProduct:
+    @pytest.mark.parametrize("share", [closed_as_pair, cylinder_pair])
+    @pytest.mark.parametrize("name", ["cp:5", "torus:3"])
+    def test_defects_come_from_the_ring_report(self, monkeypatch, name,
+                                               share):
+        # a pair acting by its ring's stored product on a module of the
+        # ring's size has the ring's maps and width: its
+        # module-associativity entries are the ring's associativity
+        # entries, found by the ring's runs alone
+        ring = resolve(name, SignMode.GRADED).payload
+        slots = graded_slots(ring.basis, ring.basis, ring.basis)
+        routine = ring_module.associativity_defects
+        middles = []
+
+        def counted(products, action, width, keep=None):
+            middles.append(keep)
+            return routine(products, action, width, keep)
+
+        monkeypatch.setattr(ring_module, "associativity_defects", counted)
+        rng = random.Random(name)
+        with_defects = 0
+        for _ in range(10):
+            bad = RingStructure(ring.basis, changed(
+                ring.tensor, rng.choice(slots), rng.choice((1, -1, 2))))
+            mp = share(bad)
+            assert mp._shares_product()
+            middles.clear()
+            report = validate_module(mp)
+            found = [(v.indices, v.detail) for v in report
+                     if v.axiom == "nu-associativity"]
+            assert [(v.indices, v.detail) for v in report
+                    if v.axiom == "module-associativity"] == found
+            products = bad._action_products
+            assert [indices for indices, _ in found] == \
+                [indices for indices, _, _ in
+                 all_triples_defects(products, products, bad.size,
+                                     bad.size)]
+            # the certificate, then one run over every middle if it fails
+            assert middles == ([generators(bad), None] if found
+                               else [generators(bad)])
+            with_defects += bool(found)
+        assert with_defects >= 5
+
+
+def operator_certificate(payload) -> tuple[list, list]:
+    """The generator-middle defects of the maps of a ring or pair scaled
+    to ints: by the operator identities of :func:`associativity_defects`,
+    and by the all-triples oracle restricted to those middles."""
     ring, width = payload.ring, payload.module_basis.size
     p, a = ring_module.common_maps(payload)
     middles = generators(ring)
-    return (ring_module._generators_certify(p, a, middles, width),
-            next(associativity_defects(p, a, middles), None) is None)
+    return (associativity_defects(p, a, width, middles),
+            [defect for defect in all_triples_defects(p, a, ring.size, width)
+             if defect[0][1] in middles])
 
 
 class TestOperatorCertificate:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(rings(), corrupted_rings(), pairs(), corrupted_pairs()))
     def test_equals_the_generator_scan(self, payload):
-        certified, clean = operator_certificate(payload)
-        assert certified == clean
+        certified, oracle = operator_certificate(payload)
+        assert certified == oracle
 
     def test_left_side_only(self):
         # (x.x).e = f but x.(x.e) = 0, and x, the only generator, acts
@@ -148,7 +199,7 @@ class TestOperatorCertificate:
         mp = bad_action_pair()
         ring = mp.ring
         assert validate(ring).ok and generators(ring) == [1]
-        assert operator_certificate(mp) == (False, False)
+        assert operator_certificate(mp) == ([((1, 1, 0, 1), 1, 0)],) * 2
         assert [(v.axiom, v.indices, v.detail) for v in validate_module(mp)] \
             == [("module-associativity", (1, 1, 0, 1), "1 != 0")]
 
@@ -166,7 +217,7 @@ class TestOperatorCertificate:
             {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (2, 0, 1): 1,
              (1, 1, 2): 1})
         assert validate(ring).ok and generators(ring) == [1, 2]
-        assert operator_certificate(mp) == (False, False)
+        assert operator_certificate(mp) == ([((1, 2, 0, 2), 0, 1)],) * 2
         assert [(v.axiom, v.indices, v.detail) for v in validate_module(mp)] \
             == [("module-associativity", (1, 2, 0, 2), "0 != 1")]
 

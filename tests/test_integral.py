@@ -34,6 +34,7 @@ from frobdiag.ring import (GradedBasis, RingStructure,
 from strategies import (changed, corrupted_pairs, corrupted_rings,
                         graded_slots, matrices, modes, nonzero, pairs,
                         rational_rings, rings, validated)
+from test_ring import all_triples_defects
 
 CHEAP = ("grading", "unit", "action-grading", "unit-action")
 
@@ -81,6 +82,19 @@ def rescaled_pairs(draw):
     return ModulePair(mp.ring, mp.module_basis,
                       {(i, j, k): v * c[j] / c[k]
                        for (i, j, k), v in mp.action.items()})
+
+
+@st.composite
+def rescaled_corrupted_pairs(draw):
+    """A rescaled pair with one action constant off where action grading
+    and the unit action cannot see it: a defect whose sides carry both
+    the ring's and the action's denominators."""
+    mp = draw(rescaled_pairs())
+    slots = graded_slots(mp.ring.basis, mp.module_basis, mp.module_basis)
+    if not slots:
+        return mp
+    return ModulePair(mp.ring, mp.module_basis, changed(
+        mp.action, draw(st.sampled_from(slots)), draw(nonzero)))
 
 
 class TestSparseTensor:
@@ -197,34 +211,40 @@ class TestCommonMaps:
 
 class TestCertificate:
     @settings(max_examples=100, deadline=None)
-    @given(st.one_of(any_ring, any_pair))
+    @given(st.one_of(any_ring, any_pair, rescaled_corrupted_pairs()))
     def test_integer_certificate_finds_the_fraction_defects(self, payload):
         # the generator-middle defects of the scaled maps are those of the
         # maps as given, times D**2; so the integer certificate finds a
         # defect exactly when the Fraction scan does
         ring, action, den = ring_and_action(payload)
         common = lcm(ring._den, den)
-        middles = generators(ring)
-        ints = list(associativity_defects(*common_maps(payload), middles))
-        fractions = list(associativity_defects(ring._action_products, action,
-                                               middles))
+        middles, width = generators(ring), payload.module_basis.size
+        ints = associativity_defects(*common_maps(payload), width, middles)
+        fractions = associativity_defects(ring._action_products, action,
+                                          width, middles)
         square = common * common
         assert ints == [(at, square * a, square * b)
                         for at, a, b in fractions]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.one_of(any_ring, any_pair))
+    @given(st.one_of(any_ring, any_pair, rescaled_corrupted_pairs()))
     def test_certified_defects_are_all_defects_or_none(self, payload):
         # once grading, the unit axioms and (for a pair) the ring's own
         # associativity hold, the certificate yields every defect of the
-        # maps as given, or none when there are none
+        # maps as given, with the values the all-triples oracle computes
+        # from them and printed as it prints them, or none when there are
+        # none
         ring, action, den = ring_and_action(payload)
         check = validate_module if isinstance(payload, ModulePair) \
             else validate
         assume(not any(v.axiom in CHEAP or v.axiom.startswith("nu-")
                        for v in check(payload)))
-        assert list(_defects_unless_certified(payload, True)) == \
-            list(associativity_defects(ring._action_products, action))
+        certified = _defects_unless_certified(payload, True)
+        oracle = all_triples_defects(ring._action_products, action,
+                                     ring.size, payload.module_basis.size)
+        assert certified == oracle
+        assert [f"{a} != {b}" for _, a, b in certified] == \
+            [f"{a} != {b}" for _, a, b in oracle]
 
 
 def pick_inserting_every_product(ring):

@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from frobdiag.boundary import ModulePair
+from frobdiag.boundary import ModulePair, validate_module
 from frobdiag.catalog import (catalog_names, complex_projective,
                               cylinder_pair, disk_pair, point, resolve,
                               sphere, torus)
@@ -86,6 +87,25 @@ class TestValidate:
             "graded-commutativity at (1, 2, 3): 2 != 1",
         ]
 
+    def test_failing_validation_keeps_only_its_defects(self):
+        # h^3.h^4 = 2h^7 breaks associativity alone: the certificate
+        # fails, and the run over every middle factor keeps its failing
+        # entries only; holding every triple it visits would take about
+        # 5 MiB here
+        ring = complex_projective(60)
+        tensor = dict(ring.tensor)
+        tensor[(3, 4, 7)] = 2
+        bad = RingStructure(ring.basis, tensor)
+        tracemalloc.start()
+        try:
+            report = validate(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {v.axiom for v in report} == {"associativity",
+                                             "graded-commutativity"}
+        assert peak < 2**20
+
     def test_allow_noncommutative_skips_only_that_axiom(self):
         # no Koszul sign
         literal_torus = kunneth_product(sphere(1), sphere(1),
@@ -97,7 +117,10 @@ class TestValidate:
 
 
 def all_triples_defects(products, action, n_ring, n_module):
-    """``associativity_defects`` as it was: every ``(i, j, k)`` visited."""
+    """The associativity defects by their definition, the oracle that
+    shares no code with :func:`associativity_defects`: every ``(i, j,
+    k)`` visited, and each side, ``(y_i.y_j).x_k`` and ``y_i.(y_j.x_k)``,
+    contracted over the middle index on its own."""
     by_ring, by_module = {}, {}
     for (i, m), coeffs in action.items():
         by_ring.setdefault(i, {})[m] = coeffs
@@ -141,6 +164,20 @@ def ideal_pair(n: int, first: int) -> ModulePair:
     return ModulePair(ring, module_basis, action)
 
 
+def left_factor_pair() -> ModulePair:
+    """sphere:2 acting on ``H*(S^2 x S^2)`` through the left factor.
+
+    The module is larger than the ring, so a defect search that takes
+    the ring's size for the module's cannot agree with the all-triples
+    loop.
+    """
+    module_basis = GradedBasis(labels=("1", "a", "b", "ab"),
+                               degrees=(0, 2, 2, 4), formal_dimension=4,
+                               unit_index=None, top_index=3)
+    action = {(0, j, j): 1 for j in range(4)} | {(1, 0, 1): 1, (1, 2, 3): 1}
+    return ModulePair(sphere(2), module_basis, action)
+
+
 def corrupted(mp: ModulePair, rng: random.Random) -> ModulePair:
     """``mp`` with one to three entries of its ring or action changed."""
     tensor, action = dict(mp.ring.tensor), dict(mp.action)
@@ -163,11 +200,16 @@ def corrupted(mp: ModulePair, rng: random.Random) -> ModulePair:
 
 
 def defect_lists(mp: ModulePair):
+    """The defects by the routine, by the all-triples oracle, and as
+    ``validate_module`` reports them (which passes the width itself)."""
     nr, nm = mp.ring.size, mp.module_basis.size
-    return (list(associativity_defects(mp.ring._action_products,
-                                       mp._action_products)),
+    reported = [(v.indices, v.detail) for v in validate_module(mp)
+                if v.axiom == "module-associativity"]
+    return (associativity_defects(mp.ring._action_products,
+                                  mp._action_products, nm),
             all_triples_defects(mp.ring._action_products, mp._action_products,
-                                nr, nm))
+                                nr, nm),
+            reported)
 
 
 class TestAssociativityDefects:
@@ -175,21 +217,23 @@ class TestAssociativityDefects:
              cylinder_pair(complex_projective(3)), cylinder_pair(torus(3)),
              cylinder_pair(kunneth_product(complex_projective(2), sphere(2),
                                            SignMode.LITERAL)),
-             ideal_pair(3, 1), ideal_pair(4, 2), ideal_pair(5, 5)]
+             ideal_pair(3, 1), ideal_pair(4, 2), ideal_pair(5, 5),
+             left_factor_pair()]
 
     @pytest.mark.parametrize("index", range(len(PAIRS)))
     def test_valid_pairs_match_all_triples(self, index):
         mp = self.PAIRS[index]
-        new, old = defect_lists(mp)
-        assert new == old == []
+        new, old, reported = defect_lists(mp)
+        assert new == old == reported == []
 
     def test_corrupted_pairs_match_all_triples(self):
         rng = random.Random(20)
         with_defects = 0
         for mp in self.PAIRS:
             for _ in range(25):
-                new, old = defect_lists(corrupted(mp, rng))
+                new, old, reported = defect_lists(corrupted(mp, rng))
                 assert new == old
+                assert reported == [(at, f"{a} != {b}") for at, a, b in old]
                 with_defects += bool(old)
         assert with_defects >= 100
 
@@ -203,7 +247,7 @@ class TestAssociativityDefects:
                 bad = corrupted(ModulePair(ring, ring.basis, ring.tensor),
                                 rng).ring
                 products = bad._action_products
-                new = list(associativity_defects(products, products))
+                new = associativity_defects(products, products, bad.size)
                 old = all_triples_defects(products, products,
                                           bad.size, bad.size)
                 assert new == old
@@ -251,9 +295,9 @@ class TestIntegralConstants:
                                 rng).ring
                 twin = {key: {k: Fraction(v) for k, v in coeffs.items()}
                         for key, coeffs in bad._action_products.items()}
-                ints = list(associativity_defects(bad._action_products,
-                                                  bad._action_products))
-                fractions = list(associativity_defects(twin, twin))
+                ints = associativity_defects(bad._action_products,
+                                             bad._action_products, bad.size)
+                fractions = associativity_defects(twin, twin, bad.size)
                 assert ints == fractions
                 assert [f"{a} != {b}" for _, a, b in ints] == \
                     [f"{a} != {b}" for _, a, b in fractions]
