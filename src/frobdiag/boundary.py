@@ -42,11 +42,10 @@ class ModulePair(_Constants):
     """A ring acting on a graded module, with a relative top class.
 
     The action's constants are stored once, as ints over one denominator
-    (:class:`frobdiag.constants._Constants`); ``action`` and
-    ``action_coefficients`` are exact views of them.  A pair whose action
-    is its ring's product, such as a cylinder or a closed ring embedded
-    as a pair, shares the ring's stored map (:meth:`_from_ints`) and its
-    views.
+    (:class:`frobdiag.constants._Constants`); ``action`` is their only
+    exact form.  A pair whose action is its ring's product, such as a
+    cylinder or a closed ring embedded as a pair, shares the ring's
+    stored map (:meth:`_from_ints`) and its ``tensor``.
     """
 
     __slots__ = ("ring", "module_basis")
@@ -68,7 +67,7 @@ class ModulePair(_Constants):
         mp = cls.__new__(cls)
         mp.ring = ring
         mp.module_basis = module_basis
-        mp._store(ints, den, None)
+        mp._store(ints, den)
         return mp
 
     def _shares_product(self) -> bool:
@@ -83,18 +82,8 @@ class ModulePair(_Constants):
                 else self._flat_view())
 
     @property
-    def _action_products(self) -> ProductMap:
-        return (self.ring._action_products if self._shares_product()
-                else self._exact_view())
-
-    @property
     def formal_dimension(self) -> int:
         return self.module_basis.formal_dimension
-
-    def action_coefficients(self, i: int,
-                            j: int) -> Mapping[int, int | Fraction]:
-        """Sparse coefficients of ``y_i ^ x_j``."""
-        return self._action_products.get((i, j), {})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModulePair):
@@ -113,7 +102,7 @@ def act(mp: ModulePair, y: Sequence[Fraction],
     """Bilinear extension of the action tensor: ``y ^ x``."""
     if len(y) != mp.ring.size or len(x) != mp.module_basis.size:
         raise ValueError("element lengths do not match ring/module bases")
-    return bilinear_product(mp._action_products, y, x, mp.module_basis.size)
+    return bilinear_product(mp, y, x)
 
 
 def validate_module(mp: ModulePair,

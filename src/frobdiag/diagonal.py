@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 from .linalg import (Matrix, SingularMatrixError, SparseRow,  # noqa: F401
                      _Echelon, _insert, _integral, _kernel, _particular,
                      _reduce, invert, nullspace, rank, solve)
-from .constants import common_maps
+from .constants import _lowest_terms, common_maps
 from .ring import (GradedBasis, RingElement, RingStructure,  # noqa: F401
                    _off_grade, _top_index, generators, multiply,
                    pairing_matrix, unit_element)
@@ -161,8 +161,9 @@ def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
     The product is taken term by term over the nonzero coefficients of
     ``u`` and ``v``, scaled to integers: ``(x_a (x) x_b).(x_c (x) x_d)
     = sign x_a.x_c (x) x_b.x_d`` for each pair of terms, through the two
-    rings' products.  It shares no code with the symmetry-system builder
-    :func:`_symmetry_system`.
+    rings' stored maps (the constants times their ``D``).  Each sum is
+    divided once, by the four denominators together.  It shares no code
+    with the symmetry-system builder :func:`_symmetry_system`.
     """
     for w in (u, v):
         _require_over(ring_left, ring_right, w)
@@ -170,18 +171,19 @@ def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
     v_terms, v_den = _integral_terms(v)
     deg_l = ring_left.basis.degrees
     deg_r = ring_right.basis.degrees
+    left_ints, right_ints = ring_left._ints, ring_right._ints
     v_by_left: dict[int, list[tuple[int, int]]] = {}
     for (c, d), vcd in v_terms.items():
         v_by_left.setdefault(c, []).append((d, vcd))
     out: TermMap = {}
     for (a, b), uab in u_terms.items():
         for c, v_row in v_by_left.items():
-            left = ring_left.product_coefficients(a, c)
+            left = left_ints.get((a, c))
             if not left:
                 continue
             signed = uab * koszul_sign(mode, deg_r[b], deg_l[c])
             for d, vcd in v_row:
-                right = ring_right.product_coefficients(b, d)
+                right = right_ints.get((b, d))
                 if not right:
                     continue
                 coeff = signed * vcd
@@ -189,7 +191,7 @@ def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
                     ce = coeff * le
                     for f, rf in right.items():
                         out[e, f] = out.get((e, f), 0) + ce * rf
-    den = u_den * v_den
+    den = u_den * v_den * ring_left._den * ring_right._den
     rows: list[list] = [[] for _ in range(ring_left.size)]
     for (e, f), value in out.items():
         rows[e].append((f, Fraction(value, den)))
@@ -592,34 +594,36 @@ def kunneth_product(ring_a: RingStructure, ring_b: RingStructure,
     product of spaces; LITERAL mode multiplies componentwise with no sign
     (for rings with odd-degree classes this breaks graded commutativity,
     which validation will report).
+
+    The factors' stored maps are multiplied entry by entry, over ``E =
+    D_a D_b``: the lcm of the product's denominators when each factor
+    has an entry 1, such as the unit's square.  For each prime ``p``,
+    take from each factor an entry with the most ``p`` in its
+    denominator (the entry 1 if none has any); neither numerator has
+    ``p``, so their product has the summed power, that in ``E``.  Other
+    factors go through :func:`frobdiag.constants._lowest_terms`.
     """
-    na, nb = ring_a.size, ring_b.size
-    deg_a, deg_b = ring_a.basis.degrees, ring_b.basis.degrees
-
-    def flat(i: int, ip: int) -> int:
-        return i * nb + ip
-
-    labels = tuple(f"{la}*{lb}" for la in ring_a.basis.labels
-                   for lb in ring_b.basis.labels)
-    degrees = tuple(deg_a[i] + deg_b[ip]
-                    for i in range(na) for ip in range(nb))
-    top_a, top_b = ring_a.basis.top_index, ring_b.basis.top_index
-    top = flat(top_a, top_b) if top_a is not None and top_b is not None \
-        else None
+    a, b = ring_a.basis, ring_b.basis
+    nb, deg_a, deg_b = b.size, a.degrees, b.degrees
+    top = (a.top_index * nb + b.top_index
+           if a.top_index is not None and b.top_index is not None else None)
     basis = GradedBasis(
-        labels=labels,
-        degrees=degrees,
-        formal_dimension=(ring_a.basis.formal_dimension
-                          + ring_b.basis.formal_dimension),
-        unit_index=flat(ring_a.basis.unit_index, ring_b.basis.unit_index),
-        top_index=top,
-    )
-    tensor: dict[tuple[int, int, int], int | Fraction] = {}
-    for (i, j, k), va in ring_a.tensor.items():
-        for (ip, jp, kp), vb in ring_b.tensor.items():
-            sign = koszul_sign(mode, deg_b[ip], deg_a[j])
-            v = sign * va * vb
-            if type(v) is not int and v.denominator == 1:
-                v = v.numerator  # the form the product keeps as its view
-            tensor[(flat(i, ip), flat(j, jp), flat(k, kp))] = v
-    return RingStructure(basis, tensor)
+        labels=tuple(f"{la}*{lb}" for la in a.labels for lb in b.labels),
+        degrees=tuple(da + db for da in deg_a for db in deg_b),
+        formal_dimension=a.formal_dimension + b.formal_dimension,
+        unit_index=a.unit_index * nb + b.unit_index, top_index=top)
+    right = [(ip, jp, deg_b[ip], [*coeffs.items()])
+             for (ip, jp), coeffs in ring_b._ints.items()]
+    ints: dict[tuple[int, int], dict[int, int]] = {}
+    for (i, j), coeffs in ring_a._ints.items():
+        left = [(k * nb, va) for k, va in coeffs.items()]
+        row, col = i * nb, j * nb
+        for ip, jp, d, terms in right:
+            sign = koszul_sign(mode, d, deg_a[j])
+            out = ints[row + ip, col + jp] = {}
+            for k, va in left:
+                va *= sign
+                for kp, vb in terms:
+                    out[k + kp] = va * vb
+    return RingStructure._from_ints(
+        basis, *_lowest_terms(ints, ring_a._den * ring_b._den))

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .constants import (ProductMap, SparseTensor, _Constants, _exact,
-                        common_maps, sparse_tensor)
+                        _lowest_terms, common_maps, sparse_tensor)
 from .linalg import (Matrix, Vector, _Echelon, _insert, _integral, invert,
                      rank)
 
@@ -82,12 +82,11 @@ class RingStructure(_Constants):
     """A graded basis plus the sparse multiplication tensor.
 
     The constants are stored once, as ints over one denominator
-    (:class:`_Constants`); ``tensor`` and ``product_coefficients`` are
-    exact views of them.  ``_generators`` caches :func:`generators`,
-    which is filled on first use.  A ring is the pair whose module is the
-    ring, acting by its product: its ``ring`` is itself, its
-    ``module_basis`` its basis and its ``_action_products`` its exact
-    product map, so code written for a pair takes a ring as it is.
+    (:class:`_Constants`); ``tensor`` is their only exact form.
+    ``_generators`` caches :func:`generators`, which is filled on first
+    use.  A ring is the pair whose module is the ring, acting by its
+    product: its ``ring`` is itself and its ``module_basis`` its basis,
+    so code written for a pair takes a ring as it is.
     """
 
     __slots__ = ("basis", "_generators")
@@ -110,7 +109,7 @@ class RingStructure(_Constants):
         ring = cls.__new__(cls)
         ring.basis = basis
         ring._generators = None
-        ring._store(ints, den, None)
+        ring._store(ints, den)
         return ring
 
     @property
@@ -130,15 +129,6 @@ class RingStructure(_Constants):
         """The nonzero constants ``(i, j, k) -> value``, each an int where
         integral and a Fraction otherwise."""
         return self._flat_view()
-
-    @property
-    def _action_products(self) -> ProductMap:
-        return self._exact_view()
-
-    def product_coefficients(self, i: int,
-                             j: int) -> Mapping[int, int | Fraction]:
-        """Coefficients of ``x_i . x_j`` as a sparse map ``k -> value``."""
-        return self._exact_view().get((i, j), {})
 
     def __eq__(self, other: object) -> bool:
         # equal constants have one lcm of denominators, and equal
@@ -165,14 +155,15 @@ def unit_element(ring: RingStructure) -> RingElement:
     return basis_element(ring, ring.basis.unit_index)
 
 
-def bilinear_product(products: ProductMap, a: Sequence[Fraction],
-                     b: Sequence[Fraction], size: int) -> Vector:
-    """``sum a[i] b[j] products[(i, j)]`` as a length-``size`` tuple.
-
-    Only pairs of nonzero coefficients are multiplied, and only where
-    ``products`` has a term for them.
+def bilinear_product(acting: RingStructure | ModulePair,
+                     a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
+    """``sum a[i] b[j] (y_i ^ x_j)`` over the module basis of ``acting``
+    (a ring, acting by its product, or a pair): summed over the stored
+    map, the constants times ``D``, and divided by ``D`` once.  Only
+    nonzero pairs of coefficients with a term in the map are multiplied.
     """
-    out = [Fraction(0)] * size
+    products, den = acting._ints, acting._den
+    out = [Fraction(0)] * acting.module_basis.size
     b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if not ai:
@@ -183,7 +174,7 @@ def bilinear_product(products: ProductMap, a: Sequence[Fraction],
                 c = ai * bj
                 for k, v in coeffs.items():
                     out[k] += c * v
-    return tuple(out)
+    return tuple(out) if den == 1 else tuple(v / den for v in out)
 
 
 def multiply(ring: RingStructure, a: Sequence[Fraction],
@@ -193,7 +184,7 @@ def multiply(ring: RingStructure, a: Sequence[Fraction],
     if len(a) != n or len(b) != n:
         raise ValueError(
             f"element length mismatch: {len(a)}, {len(b)} over basis of {n}")
-    return bilinear_product(ring._action_products, a, b, n)
+    return bilinear_product(ring, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +539,8 @@ def change_basis(ring: RingStructure, p: Matrix) -> RingStructure:
     t[i,j,k] q[c,k]`` over the nonzero terms of ``t``, ``p`` and ``q``.
     The sums run in ints: ``p``, ``q`` and the stored constants are ints
     over ``dp``, ``dq`` and ``D``, so each ``t'`` is an int ``s`` over
-    ``E = dp**2 dq D``.  With ``G`` the gcd of ``E`` and every ``s``,
-    ``E / G`` is the lcm of the reduced denominators of the ``s / E``,
-    and the ``s / G`` are the new ring's stored constants over it.
+    ``E = dp**2 dq D``, brought to the stored form by
+    :func:`frobdiag.constants._lowest_terms`.
     """
     n = ring.size
     if p.shape != (n, n):
@@ -576,10 +566,9 @@ def change_basis(ring: RingStructure, p: Matrix) -> RingStructure:
                 for c, v in moved.items():
                     key = (a, b, c)
                     sums[key] = sums.get(key, 0) + scale * v
-    e = dp * dp * dq * ring._den
-    g = gcd(e, *sums.values())
     ints: dict[tuple[int, int], dict[int, int]] = {}
     for (a, b, c), s in sorted(sums.items()):
         if s:
-            ints.setdefault((a, b), {})[c] = s // g
-    return RingStructure._from_ints(ring.basis, ints, e // g)
+            ints.setdefault((a, b), {})[c] = s
+    return RingStructure._from_ints(
+        ring.basis, *_lowest_terms(ints, dp * dp * dq * ring._den))

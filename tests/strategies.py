@@ -9,7 +9,9 @@ patterns; the all-zero and the one-nonzero cases are drawn on purpose.
 Corrupted rings and pairs have one structure constant changed where the
 grading and the unit axioms cannot see it.  Rational rings are drawn rings
 moved once more by a diagonal change with non-integral entries, so their
-structure constants have denominators.
+structure constants have denominators.  Rescaled pairs scale the module
+basis of such a ring's pair the same way, so that the action has other
+denominators than the ring.
 """
 
 from __future__ import annotations
@@ -60,6 +62,17 @@ def unflatten(vec, left_basis: GradedBasis,
                        left_basis, right_basis)
 
 
+def exact_map(acting) -> dict[tuple[int, int], dict[int, int | Fraction]]:
+    """The exact constants of a ring's product, or of a pair's action, as
+    the map ``(i, j) -> {k: value}``, grouped from the public ``tensor``
+    or ``action``."""
+    flat = acting.action if isinstance(acting, ModulePair) else acting.tensor
+    out: dict[tuple[int, int], dict[int, int | Fraction]] = {}
+    for (i, j, k), v in flat.items():
+        out.setdefault((i, j), {})[k] = v
+    return out
+
+
 def check_frobenius_chain(ring: RingStructure) -> bool:
     """Check ``<(x_a . x_b), x_c> = <x_a, (x_b . x_c)>`` for all triples.
 
@@ -69,11 +82,12 @@ def check_frobenius_chain(ring: RingStructure) -> bool:
     """
     p = pairing_matrix(ring)
     n = ring.size
+    products = exact_map(ring)
     for a in range(n):
         for b in range(n):
-            ab = ring.product_coefficients(a, b)
+            ab = products.get((a, b), {})
             for c in range(n):
-                bc = ring.product_coefficients(b, c)
+                bc = products.get((b, c), {})
                 lhs = sum((v * p[j, c] for j, v in ab.items()), Fraction(0))
                 rhs = sum((p[a, i] * v for i, v in bc.items()), Fraction(0))
                 if lhs != rhs:
@@ -302,6 +316,22 @@ def pairs(draw, ring_strategy: st.SearchStrategy = rings()) -> ModulePair:
     ``ring_strategy``."""
     return draw(st.sampled_from((cylinder_pair, closed_as_pair)))(
         draw(ring_strategy))
+
+
+@st.composite
+def rescaled_pairs(draw) -> ModulePair:
+    """A pair of a rational ring with each module basis element but the
+    top one scaled by a drawn non-integral rational ``c``: the action
+    ``y_i ^ x_j = sum_k a[i,j,k] x_k`` becomes ``a[i,j,k] c_j / c_k``, so
+    it has other denominators than its ring's product."""
+    mp = draw(pairs(rational_rings()))
+    top = mp.module_basis.top_index
+    c = [Fraction(1) if j == top
+         else draw(nonzero.filter(lambda v: v.denominator > 1))
+         for j in range(mp.module_basis.size)]
+    return ModulePair(mp.ring, mp.module_basis,
+                      {(i, j, k): v * c[j] / c[k]
+                       for (i, j, k), v in mp.action.items()})
 
 
 @st.composite

@@ -20,8 +20,9 @@ from frobdiag.diagonal import (SignMode, SingularPairingError, TensorClass,
 from frobdiag.linalg import Matrix, rank
 from frobdiag.ring import (GradedBasis, MissingTopClassError, RingStructure,
                            basis_element, pairing_matrix)
-from strategies import (ODD_RING_NAMES, block_rows, elements, matrices,
-                        modes, nonzero, pairs, rings)
+from strategies import (ODD_RING_NAMES, block_rows, elements, exact_map,
+                        matrices, modes, nonzero, pairs, rational_rings,
+                        rescaled_pairs, rings)
 
 PAIRS = {
     "disk:1": disk_pair(1),
@@ -329,6 +330,7 @@ def dense_relative_residuals(mp, mode, w):
     ring_deg = mp.ring.basis.degrees
     mod_deg = mp.module_basis.degrees
     unit_deg = ring_deg[mp.ring.basis.unit_index]
+    products, action = exact_map(mp.ring), exact_map(mp)
     entries = []
     for k in range(nr):
         yk = basis_element(mp.ring, k)
@@ -337,15 +339,13 @@ def dense_relative_residuals(mp, mode, w):
             row = w.mu.row(i)
             signed = tuple(koszul_sign(mode, ring_deg[j], unit_deg) * row[j]
                            for j in range(nr))
-            lhs_rows.append(dense_bilinear(mp.ring._action_products, signed,
-                                           yk, nr))
+            lhs_rows.append(dense_bilinear(products, signed, yk, nr))
         rhs_cols = []
         for j in range(nr):
             col = tuple(w.mu[l, j] for l in range(nm))
             signed = tuple(koszul_sign(mode, unit_deg, mod_deg[l]) * col[l]
                            for l in range(nm))
-            rhs_cols.append(dense_bilinear(mp._action_products, yk, signed,
-                                           nm))
+            rhs_cols.append(dense_bilinear(action, yk, signed, nm))
         for i in range(nm):
             for s in range(nr):
                 value = lhs_rows[i][s] - rhs_cols[s][i]
@@ -358,10 +358,11 @@ class TestSparseActionMatchesDense:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_act(self, data):
-        mp = data.draw(pairs())
+        mp = data.draw(st.one_of(pairs(), pairs(rational_rings()),
+                                 rescaled_pairs()))
         y = data.draw(elements(mp.ring.size))
         x = data.draw(elements(mp.module_basis.size))
-        assert act(mp, y, x) == dense_bilinear(mp._action_products, y, x,
+        assert act(mp, y, x) == dense_bilinear(exact_map(mp), y, x,
                                                mp.module_basis.size)
 
     @settings(max_examples=60, deadline=None)

@@ -26,8 +26,8 @@ from frobdiag.diagonal import (SignMode, TensorClass, check_symmetry,
 from frobdiag.ring import (GradedBasis, RingStructure, associativity_defects,
                            generators, validate)
 from strategies import (RING_NAMES, bad_action_pair, changed,
-                        corrupted_pairs, corrupted_rings, graded_slots,
-                        matrices, pairs, rings, validated)
+                        corrupted_pairs, corrupted_rings, exact_map,
+                        graded_slots, matrices, pairs, rings, validated)
 from test_ring import all_triples_defects
 
 # larger rings, where generators leave out most middle factors
@@ -60,7 +60,7 @@ class TestValidationCertificate:
         assert report.violations == full_scan(
             validate, ring, allow_noncommutative=allow).violations
         if not any(v.axiom in CHEAP for v in report):
-            products = ring._action_products
+            products = exact_map(ring)
             certified, full = scans(products, products, ring, ring.size)
             assert (certified == []) == (full == [])
 
@@ -73,9 +73,8 @@ class TestValidationCertificate:
                                               mp).violations
         if not any(v.axiom in CHEAP or v.axiom.startswith("nu-")
                    for v in report):
-            certified, full = scans(mp.ring._action_products,
-                                    mp._action_products, mp.ring,
-                                    mp.module_basis.size)
+            certified, full = scans(exact_map(mp.ring), exact_map(mp),
+                                    mp.ring, mp.module_basis.size)
             assert (certified == []) == (full == [])
 
     @pytest.mark.parametrize("name", ["cp:5", "torus:3",
@@ -97,15 +96,15 @@ class TestValidationCertificate:
             bad_pair = ModulePair(mp.ring, mp.module_basis, changed(
                 mp.action, rng.choice(action_slots), rng.choice((1, -1, 2))))
             for check, payload, action, over in (
-                    (validate, bad_ring, bad_ring._action_products, bad_ring),
-                    (validate_module, bad_pair, bad_pair._action_products,
+                    (validate, bad_ring, exact_map(bad_ring), bad_ring),
+                    (validate_module, bad_pair, exact_map(bad_pair),
                      mp.ring)):
                 report = check(payload)
                 assert not any(v.axiom in CHEAP or v.axiom.startswith("nu-")
                                for v in report)
                 assert report.violations == \
                     full_scan(check, payload).violations
-                certified, full = scans(over._action_products, action, over,
+                certified, full = scans(exact_map(over), action, over,
                                         payload.module_basis.size)
                 assert (certified == []) == (full == [])
                 with_defects += bool(full)
@@ -124,7 +123,7 @@ class TestValidationCertificate:
         report = validate(ring)
         assert not report.ok
         assert report.violations == full_scan(validate, ring).violations
-        products = ring._action_products
+        products = exact_map(ring)
         assert [v.indices for v in report] == \
             [indices for indices, _, _ in
              all_triples_defects(products, products, 3, 3)]
@@ -162,7 +161,7 @@ class TestPairSharingItsRingsProduct:
                      if v.axiom == "nu-associativity"]
             assert [(v.indices, v.detail) for v in report
                     if v.axiom == "module-associativity"] == found
-            products = bad._action_products
+            products = exact_map(bad)
             assert [indices for indices, _ in found] == \
                 [indices for indices, _, _ in
                  all_triples_defects(products, products, bad.size,

@@ -23,8 +23,8 @@ from frobdiag.linalg import Matrix, invert
 from frobdiag.ring import (RingStructure, ValidationReport, change_basis,
                            multiply, validate)
 from strategies import (apply, changed, corrupted_pairs, corrupted_rings,
-                        nonzero, off_grade_pairs, off_grade_rings, rings,
-                        unimodular_degree_preserving)
+                        exact_map, nonzero, off_grade_pairs, off_grade_rings,
+                        rings, unimodular_degree_preserving)
 
 
 def dense_change_basis(ring, p):
@@ -79,13 +79,14 @@ def dense_validate(ring, allow_noncommutative=False):
     deg = ring.basis.degrees
     n = ring.size
     u = ring.basis.unit_index
+    products = exact_map(ring)
     for (i, j, k), v in sorted(ring.tensor.items()):
         if deg[k] != deg[i] + deg[j]:
             report.add("grading", (i, j, k),
                        f"entry {v} has degree {deg[i]}+{deg[j]} -> {deg[k]}")
     for i in range(n):
-        for side, coeffs in (("left", ring.product_coefficients(u, i)),
-                             ("right", ring.product_coefficients(i, u))):
+        for side, coeffs in (("left", products.get((u, i), {})),
+                             ("right", products.get((i, u), {}))):
             for k in range(n):
                 expected = int(k == i)
                 actual = coeffs.get(k, 0)
@@ -100,8 +101,8 @@ def dense_validate(ring, allow_noncommutative=False):
         for i in range(n):
             for j in range(i, n):
                 sign = -1 if (deg[i] % 2 and deg[j] % 2) else 1
-                fwd = ring.product_coefficients(i, j)
-                bwd = ring.product_coefficients(j, i)
+                fwd = products.get((i, j), {})
+                bwd = products.get((j, i), {})
                 for k in set(fwd) | set(bwd):
                     a = fwd.get(k, 0)
                     b = bwd.get(k, 0)
@@ -125,8 +126,9 @@ def dense_validate_module(mp, allow_noncommutative=False):
                        f"entry {v} has degree {ring_deg[i]}+{mod_deg[j]} "
                        f"-> {mod_deg[k]}")
     unit = mp.ring.basis.unit_index
+    action = exact_map(mp)
     for j in range(mp.module_basis.size):
-        coeffs = mp.action_coefficients(unit, j)
+        coeffs = action.get((unit, j), {})
         for k in range(mp.module_basis.size):
             expected = int(k == j)
             actual = coeffs.get(k, 0)

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,16 +18,18 @@ from frobdiag.diagonal import (NoSolutionError, NonUniqueSolutionError,
                                kunneth_product, left_factor, pairing_inverse,
                                pure_tensor, right_factor,
                                solve_symmetric_space, tensor_multiply)
+from frobdiag.document import emit_document, parse_document
 from frobdiag.linalg import Matrix, _integral, _reduce, rank
-from frobdiag.ring import (MissingTopClassError, RingStructure,
+from frobdiag.ring import (GradedBasis, MissingTopClassError, RingStructure,
                            basis_element, multiply, unit_element, validate)
 from strategies import (ODD_RING_NAMES, bad_action_pair, block_rows, builder,
                         corrupted_pairs, corrupted_rings, echelon_of,
-                        elements, equations, flatten,
+                        elements, equations, exact_map, flatten,
                         inserted_one_at_a_time, matrices, modes,
                         non_associative_ring, nonzero, off_grade_pairs,
-                        off_grade_rings, pairs, reference_system, rings,
-                        symmetric_family, validated)
+                        off_grade_rings, pairs, rational_rings,
+                        reference_system, rings, symmetric_family,
+                        validated)
 
 EVEN_RINGS = {
     "sphere:2": sphere(2),
@@ -621,6 +624,35 @@ class TestKunneth:
         assert any(v.axiom == "graded-commutativity" for v in report)
         assert validate(t, allow_noncommutative=True).ok
 
+    @settings(max_examples=40, deadline=None)
+    @given(rational_rings(), rational_rings(), modes)
+    def test_rational_factors(self, ring_a, ring_b, mode):
+        # the product of the stored maps over D_a D_b is the ring that the
+        # public constructor builds from the exact products, with the lcm
+        # of the product's denominators as its D, and it reads back from
+        # its document
+        prod = kunneth_product(ring_a, ring_b, mode)
+        nb = ring_b.size
+        deg_a, deg_b = ring_a.basis.degrees, ring_b.basis.degrees
+        tensor = {(i * nb + ip, j * nb + jp, k * nb + kp):
+                  koszul_sign(mode, deg_b[ip], deg_a[j]) * va * vb
+                  for (i, j, k), va in ring_a.tensor.items()
+                  for (ip, jp, kp), vb in ring_b.tensor.items()}
+        assert prod == RingStructure(prod.basis, tensor)
+        assert prod._den == lcm(*(Fraction(v).denominator
+                                  for v in prod.tensor.values()))
+        assert prod._den == ring_a._den * ring_b._den
+        assert parse_document(emit_document("product", prod))[1] == prod
+
+    def test_factors_without_an_entry_one(self):
+        # 2 times 1/2 is 1: D_a D_b = 2 is not the product's lcm, so the
+        # stored constants are brought to lowest terms
+        basis = GradedBasis(("a",), (0,), 0)
+        prod = kunneth_product(RingStructure(basis, {(0, 0, 0): 2}),
+                               RingStructure(basis, {(0, 0, 0): "1/2"}))
+        assert (prod._ints, prod._den) == ({(0, 0): {0: 1}}, 1)
+        assert prod == RingStructure(prod.basis, {(0, 0, 0): 1})
+
 
 # ---------------------------------------------------------------------------
 # the zero-skipping products against the dense loops they replaced
@@ -628,7 +660,7 @@ class TestKunneth:
 def dense_multiply(ring, a, b):
     """``multiply`` as a loop over every key of the product map."""
     out = [Fraction(0)] * ring.size
-    for (i, j), coeffs in ring._action_products.items():
+    for (i, j), coeffs in exact_map(ring).items():
         c = a[i] * b[j]
         if c == 0:
             continue
@@ -648,6 +680,7 @@ def dense_tensor_multiply(ring_left, ring_right, mode, u, v):
     deg_l = ring_left.basis.degrees
     deg_r = ring_right.basis.degrees
     nl, nr = ring_left.size, ring_right.size
+    left_map, right_map = exact_map(ring_left), exact_map(ring_right)
     out = [[Fraction(0)] * nr for _ in range(nl)]
     for a in range(nl):
         for b in range(nr):
@@ -655,7 +688,7 @@ def dense_tensor_multiply(ring_left, ring_right, mode, u, v):
             if uab == 0:
                 continue
             for c in range(nl):
-                left = ring_left.product_coefficients(a, c)
+                left = left_map.get((a, c))
                 if not left:
                     continue
                 for d in range(nr):
@@ -663,7 +696,7 @@ def dense_tensor_multiply(ring_left, ring_right, mode, u, v):
                     if vcd == 0:
                         continue
                     coeff = uab * vcd * koszul_sign(mode, deg_r[b], deg_l[c])
-                    right = ring_right.product_coefficients(b, d)
+                    right = right_map.get((b, d), {})
                     for e, le in left.items():
                         for f, rf in right.items():
                             out[e][f] += coeff * le * rf
@@ -702,7 +735,7 @@ class TestSparseProductsMatchDense:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_multiply(self, data):
-        ring = data.draw(rings())
+        ring = data.draw(st.one_of(rings(), rational_rings()))
         a = data.draw(elements(ring.size))
         b = data.draw(elements(ring.size))
         assert multiply(ring, a, b) == dense_multiply(ring, a, b)
@@ -719,7 +752,8 @@ class TestSparseProductsMatchDense:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_tensor_multiply(self, data):
-        ring, mode = data.draw(rings()), data.draw(modes)
+        ring = data.draw(st.one_of(rings(), rational_rings()))
+        mode = data.draw(modes)
         n = ring.size
         u = TensorClass(data.draw(matrices(n, n)), ring.basis, ring.basis)
         v = TensorClass(data.draw(matrices(n, n)), ring.basis, ring.basis)

@@ -32,8 +32,9 @@ from frobdiag.ring import (GradedBasis, RingStructure,
                            associativity_defects, basis_element, generators,
                            validate)
 from strategies import (changed, corrupted_pairs, corrupted_rings,
-                        graded_slots, matrices, modes, nonzero, pairs,
-                        rational_rings, rings, validated)
+                        exact_map, graded_slots, matrices, modes, nonzero,
+                        pairs, rational_rings, rescaled_pairs, rings,
+                        validated)
 from test_ring import all_triples_defects
 
 CHEAP = ("grading", "unit", "action-grading", "unit-action")
@@ -62,26 +63,8 @@ any_pair = st.one_of(pairs(), pairs(rational_rings()), corrupted_pairs(),
 
 
 def ring_and_action(payload):
-    """The ring, the action's product map and the action's denominator."""
-    if isinstance(payload, ModulePair):
-        return payload.ring, payload._action_products, payload._den
-    return payload, payload._action_products, payload._den
-
-
-@st.composite
-def rescaled_pairs(draw):
-    """A pair of a rational ring with each module basis element but the
-    top one scaled by a drawn non-integral rational ``c``: the action
-    ``y_i ^ x_j = sum_k a[i,j,k] x_k`` becomes ``a[i,j,k] c_j / c_k``, so
-    it has other denominators than its ring's product."""
-    mp = draw(pairs(rational_rings()))
-    top = mp.module_basis.top_index
-    c = [Fraction(1) if j == top
-         else draw(nonzero.filter(lambda v: v.denominator > 1))
-         for j in range(mp.module_basis.size)]
-    return ModulePair(mp.ring, mp.module_basis,
-                      {(i, j, k): v * c[j] / c[k]
-                       for (i, j, k), v in mp.action.items()})
+    """The ring, the action's exact map and the action's denominator."""
+    return payload.ring, exact_map(payload), payload._den
 
 
 @st.composite
@@ -111,23 +94,20 @@ class TestSparseTensor:
         big = 10 ** 30
         raw = {(0, 0, 0): big, (0, 1, 1): "3/6", (1, 0, 1): Fraction(4, 2),
                (1, 1, 0): 0, (1, 1, 1): Fraction(-2, 3)}
-        ints, den, view = sparse_tensor(raw, (2, 2, 2), "t")
+        ints, den = sparse_tensor(raw, (2, 2, 2), "t")
         assert den == 6
         assert ints == {(0, 0): {0: 6 * big}, (0, 1): {1: 3},
                         (1, 0): {1: 12}, (1, 1): {1: -4}}
         assert all(type(v) is int for c in ints.values() for v in c.values())
-        # a string, an integral Fraction and a zero are not the view's form
-        assert view is None
         ring = RingStructure(GradedBasis(("a", "b"), (0, 0), 0), raw)
         assert ring.tensor == {(0, 0, 0): big, (0, 1, 1): Fraction(1, 2),
                                (1, 0, 1): 2, (1, 1, 1): Fraction(-2, 3)}
         assert [type(v) for v in ring.tensor.values()] == \
             [int, Fraction, int, Fraction]
-        assert ring.product_coefficients(0, 1) == {1: Fraction(1, 2)}
-        # a map already in the view's form is kept as the view, not copied
+        assert exact_map(ring)[0, 1] == {1: Fraction(1, 2)}
         clean = {(0, 0, 0): big, (1, 1, 1): Fraction(-2, 3)}
         kept = RingStructure(GradedBasis(("a", "b"), (0, 0), 0), clean)
-        assert kept.tensor is clean and kept.tensor[0, 0, 0] is big
+        assert kept.tensor == clean and type(kept.tensor[0, 0, 0]) is int
         assert kept._ints == {(0, 0): {0: 3 * big}, (1, 1): {1: -2}}
         assert sparse_tensor({(0, 0, 0): 1}, (1, 1, 1), "t")[1] == 1
 
@@ -139,7 +119,7 @@ class TestCommonMaps:
         ring, action, den = ring_and_action(payload)
         common = lcm(ring._den, den)
         for scaled, given_map in zip(common_maps(payload),
-                                     (ring._action_products, action)):
+                                     (exact_map(ring), action)):
             assert scaled.keys() == given_map.keys()
             for key, coeffs in given_map.items():
                 assert scaled[key] == {k: common * v
@@ -149,10 +129,10 @@ class TestCommonMaps:
     @pytest.mark.parametrize("name", catalog_names())
     def test_den_one_returns_the_maps_themselves(self, name):
         payload = resolve(name).payload
-        ring, action, den = ring_and_action(payload)
-        assert lcm(ring._den, den) == 1
+        ring = payload.ring
+        assert ring._den == payload._den == 1
         products, acted = common_maps(payload)
-        assert products is ring._action_products and acted is action
+        assert products is ring._ints and acted is payload._ints
         assert payload._common is None
 
     def test_copies_are_built_once_and_only_when_the_dens_differ(self):
@@ -220,7 +200,7 @@ class TestCertificate:
         common = lcm(ring._den, den)
         middles, width = generators(ring), payload.module_basis.size
         ints = associativity_defects(*common_maps(payload), width, middles)
-        fractions = associativity_defects(ring._action_products, action,
+        fractions = associativity_defects(exact_map(ring), action,
                                           width, middles)
         square = common * common
         assert ints == [(at, square * a, square * b)
@@ -240,7 +220,7 @@ class TestCertificate:
         assume(not any(v.axiom in CHEAP or v.axiom.startswith("nu-")
                        for v in check(payload)))
         certified = _defects_unless_certified(payload, True)
-        oracle = all_triples_defects(ring._action_products, action,
+        oracle = all_triples_defects(exact_map(ring), action,
                                      ring.size, payload.module_basis.size)
         assert certified == oracle
         assert [f"{a} != {b}" for _, a, b in certified] == \
@@ -257,7 +237,7 @@ def pick_inserting_every_product(ring):
     if any(deg[i] == 0 for i in candidates):
         return candidates
     echelon = _Echelon()
-    for (i, j), coeffs in ring._action_products.items():
+    for (i, j), coeffs in exact_map(ring).items():
         if i != unit and j != unit:
             _insert(echelon, _integral(coeffs)[0])
     return [k for k in candidates if _insert(echelon, {k: 1})]
@@ -285,11 +265,10 @@ class TestGeneratorPick:
         # (the product map itself when D = 1); torus:3 and cp:2 x cp:2
         # have degrees of rank 3, where moved products have several terms
         kept = {key: dict(coeffs) for key, coeffs in ring._ints.items()}
-        products = {key: dict(coeffs)
-                    for key, coeffs in ring._action_products.items()}
+        products = exact_map(ring)
         generators(ring)
         assert ring._ints == kept and ring._common is None
-        assert ring._action_products == products
+        assert exact_map(ring) == products
 
     @pytest.mark.parametrize("n", [10, 60, 200])
     def test_cp_inserts_each_distinct_product_once(self, monkeypatch, n):
@@ -365,8 +344,8 @@ def unscaled(function, *args):
         return _reduce((_integral(row)[0] for row in rows), echelon, zeros)
 
     with mock.patch.object(diagonal, "common_maps",
-                           lambda acting: (acting.ring._action_products,
-                                           acting._action_products)), \
+                           lambda acting: (exact_map(acting.ring),
+                                           exact_map(acting))), \
             mock.patch.object(diagonal, "_reduce", reduce_integral):
         return function(*args)
 

@@ -14,7 +14,7 @@ from frobdiag.ring import (GradedBasis, MissingTopClassError, RingStructure,
                            associativity_defects, basis_element, change_basis,
                            check_poincare_duality, multiply, pairing_matrix,
                            unit_element, validate)
-from strategies import check_frobenius_chain
+from strategies import check_frobenius_chain, exact_map
 
 
 def degenerate_ring() -> RingStructure:
@@ -205,10 +205,9 @@ def defect_lists(mp: ModulePair):
     nr, nm = mp.ring.size, mp.module_basis.size
     reported = [(v.indices, v.detail) for v in validate_module(mp)
                 if v.axiom == "module-associativity"]
-    return (associativity_defects(mp.ring._action_products,
-                                  mp._action_products, nm),
-            all_triples_defects(mp.ring._action_products, mp._action_products,
-                                nr, nm),
+    products, action = exact_map(mp.ring), exact_map(mp)
+    return (associativity_defects(products, action, nm),
+            all_triples_defects(products, action, nr, nm),
             reported)
 
 
@@ -246,7 +245,7 @@ class TestAssociativityDefects:
             for _ in range(30):
                 bad = corrupted(ModulePair(ring, ring.basis, ring.tensor),
                                 rng).ring
-                products = bad._action_products
+                products = exact_map(bad)
                 new = associativity_defects(products, products, bad.size)
                 old = all_triples_defects(products, products,
                                           bad.size, bad.size)
@@ -293,10 +292,10 @@ class TestIntegralConstants:
             for _ in range(30):
                 bad = corrupted(ModulePair(ring, ring.basis, ring.tensor),
                                 rng).ring
+                products = exact_map(bad)
                 twin = {key: {k: Fraction(v) for k, v in coeffs.items()}
-                        for key, coeffs in bad._action_products.items()}
-                ints = associativity_defects(bad._action_products,
-                                             bad._action_products, bad.size)
+                        for key, coeffs in products.items()}
+                ints = associativity_defects(products, products, bad.size)
                 fractions = associativity_defects(twin, twin, bad.size)
                 assert ints == fractions
                 assert [f"{a} != {b}" for _, a, b in ints] == \
