@@ -106,9 +106,12 @@ def _class_text(mu: Matrix, left_labels: Sequence[str],
                 right_labels: Sequence[str]) -> str:
     parts = []
     for (i, j), v in mu.terms():
+        if parts:
+            parts.append(" - " if v < 0 else " + ")
+            v = abs(v)
         coeff = "" if v == 1 else ("-" if v == -1 else f"{v}*")
         parts.append(f"{coeff}{left_labels[i]}(x){right_labels[j]}")
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    return "".join(parts) if parts else "0"
 
 
 def _validation_json(report: ValidationReport) -> list[dict]:

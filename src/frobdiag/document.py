@@ -21,7 +21,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _quote  # C escaper
 from typing import Any, Callable, NoReturn
 
@@ -219,6 +221,14 @@ def _reject_entry(item: Any, ints: ProductMap,
                          "is read by _parse_tensor")
 
 
+def _int_indices(entries: list[dict]) -> bool:
+    """Whether every ``i``, ``j`` and ``k`` of ``entries``, objects that
+    hold those keys, is exactly an int: JSON ``true`` and ``1.0`` equal
+    ``1`` under ``==``, but :func:`_parse_tensor` refuses them."""
+    return set(map(type, chain.from_iterable(
+        map(itemgetter("i", "j", "k"), entries)))) <= {int}
+
+
 def _optional_index(mapping: dict, key: str, location: str) -> int | None:
     value = mapping.get(key)
     if value is None:
@@ -238,6 +248,11 @@ def parse_document(text: str) -> tuple[str, Payload]:
     checked here; run the validators on the returned payload.  A pair
     whose action equals its ring's product, value for value, shares the
     ring's stored map (:meth:`frobdiag.boundary.ModulePair._from_ints`).
+    When the module has the ring's size and its ``action`` list equals
+    the ``lambda`` list, entry for entry with int indices (as a cylinder
+    or a closed ring embedded as a pair is written), that list is not
+    read a second time: the ring's map, read and checked from
+    ``lambda``, is the action's.
     """
     try:
         raw = json.loads(text)
@@ -289,8 +304,14 @@ def parse_document(text: str) -> tuple[str, Payload]:
         _expect(mod, "basis", list, "module"), "module.basis")
     mod_top = _optional_index(mod, "top", "module")
     nm = len(mod_labels)
-    action, action_den, bad = _parse_tensor(
-        _expect(mod, "action", list, "module"), "module.action", (n, nm, nm))
+    listed = _expect(mod, "action", list, "module")
+    if nm == n and listed == raw["lambda"] and _int_indices(listed):
+        action, action_den, bad = ints, den, None   # lambda, over again
+    else:
+        action, action_den, bad = _parse_tensor(listed, "module.action",
+                                                (n, nm, nm))
+        if nm == n and action_den == den and action == ints:
+            action = ints   # equal, but written in another spelling
     try:
         module_basis = GradedBasis(labels=mod_labels, degrees=mod_degrees,
                                    formal_dimension=dimension,
@@ -299,8 +320,6 @@ def parse_document(text: str) -> tuple[str, Payload]:
         raise DocumentError(str(exc), "module") from None
     if bad is not None:
         raise DocumentError(f"action index {bad} out of range", "module")
-    if nm == n and action_den == den and action == ints:
-        action = ints
     return name, ModulePair._from_ints(ring, module_basis, action,
                                        action_den)
 
@@ -316,7 +335,12 @@ def _tensor_json(tensor: dict) -> list[dict]:
 
 
 def document_dict(name: str, payload: Payload) -> dict:
-    """Canonical JSON-ready dictionary for a ring or module pair."""
+    """Canonical JSON-ready dictionary for a ring or module pair.
+
+    A pair that shares its ring's product map gets the ``lambda`` list
+    object as its ``action``: the entries are built once and written
+    twice.
+    """
     ring = payload.ring
     doc = {
         "name": name,
@@ -331,7 +355,8 @@ def document_dict(name: str, payload: Payload) -> dict:
         doc["module"] = {
             "basis": _basis_json(payload.module_basis),
             "top": payload.module_basis.top_index,
-            "action": _tensor_json(payload.action),
+            "action": (doc["lambda"] if payload._shares_product()
+                       else _tensor_json(payload.action)),
         }
     return doc
 

@@ -805,6 +805,20 @@ def test_matrix_text_pads_each_column_to_its_widest_entry():
     assert cli._matrix_text(Matrix([])) == "  (empty)"
 
 
+def test_class_text_writes_labels_verbatim(invoke, tmp_path):
+    # the sign goes into the joiner; a label holding "+ -" is not rewritten
+    doc = json.loads(emit_document("sphere:2", resolve("sphere:2").payload))
+    doc["basis"][1]["label"] = "p+ -q"
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = invoke("diag", str(path))
+    assert code == 0
+    assert "class: 1(x)p+ -q + p+ -q(x)1\n" in out
+    mu = Matrix([["-1/2", -1], [-3, 1]])
+    assert cli._class_text(mu, ["a", "-b"], ["c", "d"]) == \
+        "-1/2*a(x)c - a(x)d - 3*-b(x)c + -b(x)d"
+
+
 class TestCatalogVerb:
     def test_lists_names(self, invoke):
         code, out, _ = invoke("catalog")

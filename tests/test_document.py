@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobdiag.boundary import ModulePair, relative_pairing_matrix
-from frobdiag.catalog import catalog_names, resolve
-from frobdiag.document import (DocumentError, emit_document, indented_json,
-                               parse_document)
+from frobdiag.catalog import catalog_names, cylinder_pair, resolve
+from frobdiag.document import (DocumentError, document_dict, emit_document,
+                               indented_json, parse_document)
 from frobdiag.linalg import Matrix
 from frobdiag.ring import RingStructure, change_basis, pairing_matrix
 from strategies import pairs, rational_rings, rings
@@ -354,6 +354,68 @@ class TestDuplicateLabels:
             parse_document(json.dumps(doc))
         assert str(excinfo.value) == \
             f"module.basis[1]: duplicate label '{'z' * 39}..."
+
+
+class TestSharedProductList:
+    """A pair document whose action list is its lambda list over again
+    is read once: the pair takes the ring's map.  A list that only
+    compares equal, an index written ``true`` or ``1.0``, or a module of
+    another size is read and checked as any other."""
+
+    @pytest.mark.parametrize("name", ["cylinder:cp:3", "closed:torus:2",
+                                      "cylinder:moved:torus:3"])
+    def test_repeated_list_shares_the_ring_map(self, name):
+        payload = (cylinder_pair(moved_torus3()) if name.endswith("torus:3")
+                   else resolve(name).payload)
+        doc = json.loads(emit_document(name, payload))
+        assert doc["module"]["action"] == doc["lambda"]
+        _, parsed = parse_document(json.dumps(doc))
+        assert parsed._shares_product()
+        assert parsed == payload
+        ring = RingStructure(parsed.ring.basis, _written(doc["lambda"]))
+        _same_constants(parsed, ModulePair(ring, parsed.module_basis,
+                                           _written(doc["module"]["action"])))
+
+    @pytest.mark.parametrize("index, kind", [(True, "an integer"),
+                                             (1.0, "int")])
+    def test_index_equal_to_an_int_is_refused(self, invoke, tmp_path,
+                                              index, kind):
+        doc = sphere_pair_doc()
+        assert doc["module"]["action"][2]["i"] == 1
+        doc["module"]["action"][2]["i"] = index
+        assert doc["module"]["action"] == doc["lambda"]
+        message = f"module.action[2]: field 'i' must be {kind}"
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == message
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(doc))
+        assert invoke("pair", str(path)) == (2, "", f"{path}: {message}\n")
+
+    def test_shorter_module_is_range_checked(self):
+        doc = json.loads(emit_document("closed:cp:2",
+                                      resolve("closed:cp:2").payload))
+        doc["module"]["basis"].pop()
+        doc["module"]["top"] = None
+        assert doc["module"]["action"] == doc["lambda"]
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(json.dumps(doc))
+        assert str(excinfo.value) == \
+            "module: action index (0, 2, 2) out of range"
+
+    @pytest.mark.parametrize("name", ["cylinder:cp:3", "closed:torus:2"])
+    def test_shared_product_is_built_once(self, name):
+        shared = resolve(name).payload
+        doc = document_dict(name, shared)
+        assert doc["module"]["action"] is doc["lambda"]
+        # the public constructor stores a map of its own
+        own = ModulePair(shared.ring, shared.module_basis,
+                         dict(shared.ring.tensor))
+        assert not own._shares_product()
+        doc = document_dict(name, own)
+        assert doc["module"]["action"] is not doc["lambda"]
+        assert doc["module"]["action"] == doc["lambda"]
+        assert emit_document(name, own) == emit_document(name, shared)
 
 
 GOLDEN = Path(__file__).parent / "golden"
