@@ -19,7 +19,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .boundary import (ModulePair, check_relative_symmetry,
                        check_relative_top_normalization,
@@ -32,7 +32,7 @@ from .diagonal import (NonUniqueSolutionError, NoSolutionError, SignMode,
                        SingularPairingError, check_symmetry,
                        check_top_normalization, class_in_span, diagonal_class,
                        kunneth_product, solve_symmetric_space)
-from .document import (DocumentError, _cut, emit_document, indented_json,
+from .document import (DocumentError, _cut, _write, emit_document,
                        parse_document)
 from .linalg import Matrix
 from .ring import (MissingTopClassError, RingStructure, ValidationReport,
@@ -76,30 +76,26 @@ def _load_input(text: str, mode: SignMode) -> tuple[str, Any]:
     return entry.name, entry.payload
 
 
-def _matrix_json(m: Matrix) -> list[list[str]]:
-    """Every entry of ``m`` as a string; only the stored nonzero ones
-    are formatted (an int prints as the equal Fraction does)."""
-    cells = [["0"] * m.cols for _ in range(m.rows)]
-    for cell, row in zip(cells, m._data):
-        for j, v in row.items():
-            cell[j] = str(v)
-    return cells
-
-
 def _matrix_text(m: Matrix, indent: str = "  ") -> str:
     if m.rows == 0:
         return indent + "(empty)"
-    cells = _matrix_json(m)
-    widths = [max(map(len, column)) for column in zip(*cells)]
-    return "\n".join(indent + " ".join(map(str.rjust, row, widths))
-                     for row in cells)
+    widths = [1] * m.cols
+    for row in m._data:
+        for j, v in row.items():
+            widths[j] = max(widths[j], len(str(v)))
+    return "\n".join(indent + line for line in _text_rows(m, widths))
 
 
-def _class_terms(mu: Matrix, left_labels: Sequence[str],
-                 right_labels: Sequence[str]) -> list[dict]:
-    return [{"i": i, "j": j, "left": left_labels[i],
-             "right": right_labels[j], "value": str(v)}
-            for (i, j), v in mu.terms()]
+def _text_rows(m: Matrix, widths: Sequence[int]) -> Iterator[str]:
+    """Each row of ``m``, its cells joined by spaces, cell ``j`` right-
+    justified to ``widths[j]``: a copy of the row of ``"0"`` cells with
+    the stored entries set (an int prints as the equal Fraction does)."""
+    zeros = ["0".rjust(w) for w in widths]
+    for row in m._data:
+        cells = zeros.copy()
+        for j, v in row.items():
+            cells[j] = str(v).rjust(widths[j])
+        yield " ".join(cells)
 
 
 def _class_text(mu: Matrix, left_labels: Sequence[str],
@@ -125,7 +121,11 @@ def _residual_json(report) -> list[dict]:
 
 
 def _print_json(payload: dict) -> None:
-    print(indented_json(payload))
+    """Write ``payload`` to stdout as :func:`indented_json` text and a
+    newline, a piece at a time (one matrix row or class term at most)."""
+    out = sys.stdout.write
+    _write(payload, "\n", out)
+    out("\n")
 
 
 class _Route(NamedTuple):
@@ -222,9 +222,9 @@ def _diag_report(name: str, payload, route: _Route, mode: SignMode,
             "name": name,
             "kind": route.kind,
             "mode": mode.value,
-            "pairing": _matrix_json(pairing),
-            "mu": _matrix_json(w.mu),
-            "class": _class_terms(w.mu, *labels),
+            "pairing": pairing,
+            "mu": w.mu,
+            "class": w,
             "residual": _residual_json(residual),
             "symmetric": residual.ok,
             "top_normalization": normalized,
@@ -267,7 +267,7 @@ def cmd_diag(args: argparse.Namespace) -> int:
 def _report_singular(name: str, payload, route: _Route, exc: Exception,
                      output: str) -> None:
     try:
-        pairing = _matrix_json(route.pairing(payload))
+        pairing = route.pairing(payload)
     except MissingTopClassError:
         pairing = None
     if output == "json":
@@ -277,8 +277,8 @@ def _report_singular(name: str, payload, route: _Route, exc: Exception,
         print(f"{name}: {exc}", file=sys.stderr)
         if pairing is not None:
             print("pairing matrix:", file=sys.stderr)
-            for row in pairing:
-                print("  " + " ".join(row), file=sys.stderr)
+            for line in _text_rows(pairing, [1] * pairing.cols):
+                print("  " + line, file=sys.stderr)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -297,7 +297,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "name": name,
             "mode": mode.value,
             "dimension": len(space),
-            "basis": [_matrix_json(s.mu) for s in space],
+            "basis": [s.mu for s in space],
             "inverse_class_member": member,
         })
     else:

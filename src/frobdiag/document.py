@@ -29,6 +29,8 @@ from typing import Any, Callable, NoReturn
 
 from .boundary import ModulePair
 from .constants import ProductMap
+from .diagonal import TensorClass
+from .linalg import Matrix
 from .ring import GradedBasis, RingStructure
 
 Payload = RingStructure | ModulePair
@@ -371,11 +373,16 @@ def indented_json(value: Any) -> str:
 
     ``json.dumps`` falls back to its pure-Python encoder whenever it is
     given an indent, and visits every value in Python.  This writer
-    quotes strings with the encoder's C escaper, writes a scalar of an
-    exact type through one table lookup, and writes a list of strings,
-    such as a matrix row, in one ``join``.  It takes str, int, bool,
-    None, lists and dicts with str keys, and raises ``TypeError`` for any
-    other type, floats and tuples included.
+    quotes strings with the encoder's C escaper and writes a scalar of an
+    exact type through one table lookup.  It takes str, int, bool, None,
+    lists and dicts with str keys, and two types of this package, written
+    as the JSON of their dense or term forms: a
+    :class:`~frobdiag.linalg.Matrix` as its list of rows, each a list of
+    its entries as rational strings (``"0"`` where nothing is stored), and
+    a :class:`~frobdiag.diagonal.TensorClass` as the list of its nonzero
+    terms in row-major order, each an object of ``i``, ``j``, the ``left``
+    and ``right`` labels and the ``value`` string.  It raises
+    ``TypeError`` for any other type, floats and tuples included.
     """
     out: list[str] = []
     _write(value, "\n", out.append)
@@ -392,7 +399,11 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 
 
 def _write(value: Any, newline: str, out: Callable[[str], Any]) -> None:
-    """Append the text of ``value`` whose lines start with ``newline``."""
+    """Pass the text of ``value``, whose lines start with ``newline``, to
+    ``out`` a piece at a time, as :func:`indented_json` writes it.  No
+    piece holds more than one matrix row or one class term beside its
+    scalars, so a caller that writes each piece out at once holds no
+    more than that."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         out(scalar(value))
@@ -421,14 +432,15 @@ def _write(value: Any, newline: str, out: Callable[[str], Any]) -> None:
             return
         inner = newline + "  "
         head, comma = "[" + inner, "," + inner
-        if all(map(str.__instancecheck__, value)):   # all strings
-            out(head + comma.join(map(_quote, value)) + newline + "]")
-            return
         for item in value:
             out(head)
             _write(item, inner, out)
             head = comma
         out(newline + "]")
+    elif isinstance(value, Matrix):
+        _write_rows(value, newline, out)
+    elif isinstance(value, TensorClass):
+        _write_terms(value, newline, out)
     elif isinstance(value, str):    # subclasses, as json.dumps takes them
         out(_quote(value))
     elif isinstance(value, int):
@@ -436,3 +448,45 @@ def _write(value: Any, newline: str, out: Callable[[str], Any]) -> None:
     else:
         raise TypeError(
             f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_rows(m: Matrix, newline: str, out: Callable[[str], Any]) -> None:
+    """The rows of ``m``, one piece each: a copy of the row of ``"0"``
+    cells with the stored entries set.  A rational needs no escaping, and
+    an int prints as the equal Fraction does."""
+    if not m.rows:
+        out("[]")
+        return
+    inner = newline + "  "
+    cell = inner + "  "
+    zeros, sep = ['"0"'] * m.cols, "," + cell
+    first, close = ("[" + cell, inner + "]") if m.cols else ("[", "]")
+    head, comma = "[" + inner + first, "," + inner + first
+    for row in m._data:
+        cells = zeros.copy()
+        for j, v in row.items():
+            cells[j] = '"%s"' % v
+        out(head + sep.join(cells) + close)
+        head = comma
+    out(newline + "]")
+
+
+def _write_terms(w: TensorClass, newline: str,
+                 out: Callable[[str], Any]) -> None:
+    """The nonzero terms of ``w`` in row-major order, one piece each."""
+    if w.mu.is_zero():
+        out("[]")
+        return
+    inner = newline + "  "
+    field = "," + inner + "  "
+    term = ("{" + inner + '  "i": %d' + field + '"j": %d' + field
+            + '"left": %s' + field + '"right": %s' + field + '"value": "%s"'
+            + inner + "}")
+    lefts = list(map(_quote, w.left_basis.labels))
+    rights = list(map(_quote, w.right_basis.labels))
+    head, comma = "[" + inner, "," + inner
+    for i, row in enumerate(w.mu._data):
+        for j in sorted(row):
+            out(head + term % (i, j, lefts[i], rights[j], row[j]))
+            head = comma
+    out(newline + "]")

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobdiag import boundary
 from frobdiag.boundary import (ModulePair, act, check_relative_symmetry,
                                check_relative_top_normalization,
                                relative_class_in_span,
@@ -17,6 +19,7 @@ from frobdiag.catalog import (catalog_names, closed_as_pair,
 from frobdiag.diagonal import (SignMode, SingularPairingError, TensorClass,
                                check_symmetry, diagonal_class, koszul_sign,
                                solve_symmetric_space)
+from frobdiag.document import emit_document, parse_document
 from frobdiag.linalg import Matrix, rank
 from frobdiag.ring import (GradedBasis, MissingTopClassError, RingStructure,
                            basis_element, pairing_matrix)
@@ -80,6 +83,107 @@ class TestValidateModule:
         mp = ModulePair(bad_ring, ring.basis, dict(ring.tensor))
         report = validate_module(mp)
         assert any(v.axiom == "nu-unit" for v in report)
+
+
+def _corrupted(ring, changes):
+    """``ring`` with the entries of ``changes`` set (0 deletes one)."""
+    tensor = dict(ring.tensor)
+    for key, value in changes.items():
+        if value:
+            tensor[key] = value
+        else:
+            del tensor[key]
+    return RingStructure(ring.basis, tensor)
+
+
+def _unshared(mp):
+    """``mp`` with its action in a map of its own, so that every action
+    pass of :func:`validate_module` runs."""
+    return ModulePair(mp.ring, mp.module_basis, dict(mp.action))
+
+
+class TestSharedProductPasses:
+    """A pair that shares its ring's product skips the action-grading and
+    unit-action passes only where the ring's report proves them clean."""
+
+    CORRUPTED = {
+        "cylinder:cp:2, off grade": (
+            cylinder_pair(_corrupted(complex_projective(2), {(1, 1, 1): 3})),
+            ["nu-grading at (1, 1, 1): entry 3 has degree 2+2 -> 2",
+             "action-grading at (1, 1, 1): entry 3 has degree 2+3 -> 3"]),
+        "cylinder:cp:2, unit": (
+            cylinder_pair(_corrupted(complex_projective(2), {(0, 1, 1): 2})),
+            ["nu-unit at (1, 1): left unit product gives 2, expected 1",
+             "nu-associativity at (0, 0, 1, 1): 2 != 4",
+             "nu-associativity at (0, 1, 1, 2): 2 != 1",
+             "nu-associativity at (1, 0, 1, 2): 1 != 2",
+             "nu-graded-commutativity at (0, 1, 1): 2 != 1",
+             "unit-action at (1, 1): unit acts with 2, expected 1",
+             "module-associativity at (0, 0, 1, 1): 2 != 4",
+             "module-associativity at (0, 1, 1, 2): 2 != 1",
+             "module-associativity at (1, 0, 1, 2): 1 != 2"]),
+        "closed:torus:2, both": (
+            closed_as_pair(_corrupted(torus(2), {(1, 2, 1): 1,
+                                                 (0, 3, 3): 0})),
+            ["nu-grading at (1, 2, 1): entry 1 has degree 1+1 -> 1",
+             "nu-unit at (3, 3): left unit product gives 0, expected 1",
+             "nu-associativity at (0, 1, 2, 3): -1 != 0",
+             "nu-associativity at (0, 2, 1, 3): 1 != 0",
+             "nu-associativity at (1, 2, 2, 1): 1 != 0",
+             "nu-associativity at (1, 2, 2, 3): -1 != 0",
+             "nu-associativity at (2, 1, 2, 3): 0 != 1",
+             "nu-graded-commutativity at (0, 3, 3): 0 != 1",
+             "nu-graded-commutativity at (1, 2, 1): 1 != -0",
+             "action-grading at (1, 2, 1): entry 1 has degree 1+1 -> 1",
+             "unit-action at (3, 3): unit acts with 0, expected 1",
+             "module-associativity at (0, 1, 2, 3): -1 != 0",
+             "module-associativity at (0, 2, 1, 3): 1 != 0",
+             "module-associativity at (1, 2, 2, 1): 1 != 0",
+             "module-associativity at (1, 2, 2, 3): -1 != 0",
+             "module-associativity at (2, 1, 2, 3): 0 != 1"]),
+    }
+
+    @pytest.mark.parametrize("name", CORRUPTED)
+    def test_corrupted_pairs_keep_their_reports(self, name):
+        mp, expected = self.CORRUPTED[name]
+        assert mp._shares_product()
+        assert [str(v) for v in validate_module(mp)] == expected
+        assert [str(v) for v in validate_module(_unshared(mp))] == expected
+
+    def test_module_degrees_off_a_constant_shift_are_checked(self):
+        doc = json.loads(emit_document("cylinder:cp:2",
+                                       resolve("cylinder:cp:2").payload))
+        doc["module"]["basis"][1]["degree"] = 4   # shifts 1, 2, 1
+        _, mp = parse_document(json.dumps(doc))
+        assert mp._shares_product()
+        expected = ["action-grading at (1, 0, 1): entry 1 has degree "
+                    "2+1 -> 4",
+                    "action-grading at (1, 1, 2): entry 1 has degree "
+                    "2+4 -> 5"]
+        assert [str(v) for v in validate_module(mp)] == expected
+        assert [str(v) for v in validate_module(_unshared(mp))] == expected
+
+    @pytest.mark.parametrize("mp,runs", [
+        (cylinder_pair(complex_projective(3)), 0),
+        (closed_as_pair(torus(2)), 0),
+        (_unshared(cylinder_pair(complex_projective(3))), 1),
+    ], ids=["cylinder", "closed", "unshared"])
+    def test_clean_shared_pairs_skip_both_passes(self, monkeypatch, mp,
+                                                 runs):
+        calls = []
+
+        def counted(name):
+            rule = getattr(boundary, name)
+
+            def run(*args):
+                calls.append(name)
+                return rule(*args)
+            return run
+
+        for name in ("_off_grade", "_off_unit"):
+            monkeypatch.setattr(boundary, name, counted(name))
+        assert validate_module(mp).ok
+        assert calls == ["_off_grade", "_off_unit"] * runs
 
 
 class TestAction:

@@ -665,6 +665,45 @@ class TestInternalError:
 
 
 
+class TestNothingWrittenBeforeTheChecks:
+    """A JSON report goes out a piece at a time, but only once every
+    check behind it has run: a check that fails leaves stdout empty."""
+
+    @pytest.mark.parametrize("check,argv", [
+        ("class_in_span", ["solve", "cp:3"]),
+        ("relative_class_in_span", ["solve", "cylinder:cp:2"]),
+        ("check_symmetry", ["diag", "cp:3"]),
+        ("check_symmetry", ["diag", "torus:2", "--mode", "graded"]),
+        ("check_relative_symmetry", ["pair", "cp:3"]),
+        ("check_relative_symmetry", ["pair", "cylinder:cp:2"]),
+    ])
+    def test_a_failing_check_writes_nothing(self, invoke, monkeypatch,
+                                            check, argv):
+        def fail(*args):
+            raise RuntimeError("check failed")
+
+        monkeypatch.setattr(cli, check, fail)
+        code, out, err = invoke(*argv, "--output", "json")
+        assert (code, out) == (70, "")
+        assert err == ("frobdiag: internal error (RuntimeError): check "
+                       "failed\n")
+
+    def test_an_invalid_document_prints_only_its_violations(
+            self, invoke, tmp_path):
+        doc = json.loads(emit_document("cp:2", resolve("cp:2").payload))
+        for entry in doc["lambda"]:
+            if (entry["i"], entry["j"], entry["k"]) == (0, 1, 1):
+                entry["value"] = "2"    # the unit doubles h
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for verb in ("diag", "solve", "pair"):
+            code, out, err = invoke(verb, str(path), "--output", "json")
+            assert (code, err) == (1, "")
+            report = json.loads(out)
+            assert list(report) == ["name", "ok", "violations"]
+            assert report["ok"] is False and report["violations"]
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("argv, lines", [
         # about 400 KB of JSON, far past a pipe's buffer: the writes fail

@@ -1,5 +1,6 @@
 import enum
 import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 from frobdiag.boundary import ModulePair, relative_pairing_matrix
 from frobdiag.catalog import catalog_names, cylinder_pair, resolve
-from frobdiag.document import (DocumentError, document_dict, emit_document,
-                               indented_json, parse_document)
+from frobdiag.diagonal import TensorClass
+from frobdiag.document import (DocumentError, _write, document_dict,
+                               emit_document, indented_json, parse_document)
 from frobdiag.linalg import Matrix
-from frobdiag.ring import RingStructure, change_basis, pairing_matrix
+from frobdiag.ring import (GradedBasis, RingStructure, change_basis,
+                           pairing_matrix)
 from strategies import pairs, rational_rings, rings
 
 
@@ -528,6 +531,63 @@ writer_values = st.recursive(
     max_leaves=16)
 
 
+matrix_entries = (st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+                  | st.fractions(max_denominator=10 ** 9))
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None):
+    """A :class:`Matrix` of up to 4x4 with int and Fraction entries; any
+    row may be empty, and either side may be 0."""
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    return Matrix.sparse(
+        [draw(st.dictionaries(st.integers(0, cols - 1), matrix_entries,
+                              max_size=cols)).items() if cols else ()
+         for _ in range(rows)], cols)
+
+
+@st.composite
+def tensor_classes(draw):
+    """A :class:`TensorClass` over bases whose labels need escaping."""
+    bases = []
+    for _ in range(2):
+        labels = draw(st.lists(awkward_text, min_size=1, max_size=4,
+                               unique=True))
+        bases.append(GradedBasis(labels=tuple(labels),
+                                 degrees=(0,) * len(labels),
+                                 formal_dimension=0, unit_index=None,
+                                 top_index=None))
+    mu = draw(sparse_matrices(bases[0].size, bases[1].size))
+    return TensorClass(mu, *bases)
+
+
+def _dense(value):
+    """``value`` with each matrix as its rows of entry strings and each
+    class as its list of term objects, the form the writer prints."""
+    if isinstance(value, Matrix):
+        cells = [["0"] * value.cols for _ in range(value.rows)]
+        for (i, j), v in value.terms():
+            cells[i][j] = str(v)
+        return cells
+    if isinstance(value, TensorClass):
+        left, right = value.left_basis.labels, value.right_basis.labels
+        return [{"i": i, "j": j, "left": left[i], "right": right[j],
+                 "value": str(v)} for (i, j), v in value.mu.terms()]
+    if isinstance(value, dict):
+        return {key: _dense(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_dense(item) for item in value]
+    return value
+
+
+report_values = st.recursive(
+    writer_scalars | sparse_matrices() | tensor_classes(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(awkward_text, children, max_size=4)),
+    max_leaves=8)
+
+
 class _Colour(str, enum.Enum):
     RED = "red"
 
@@ -549,6 +609,21 @@ class TestIndentedJson:
                                        {"k": [True, None, "x"]}])
     def test_empty_containers_and_subclasses(self, value):
         assert indented_json(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(report_values)
+    def test_matrices_and_classes_are_written_densely(self, value):
+        expected = json.dumps(_dense(value), indent=2)
+        assert indented_json(value) == expected
+        piecewise = io.StringIO()
+        _write(value, "\n", piecewise.write)
+        assert piecewise.getvalue() == expected
+
+    @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (1, 1)])
+    def test_matrix_edges(self, rows, cols):
+        m = Matrix.zeros(rows, cols)
+        value = {"m": m, "in": [m, {"deeper": m}]}
+        assert indented_json(value) == json.dumps(_dense(value), indent=2)
 
     @pytest.mark.parametrize("value", [1.5, [0, 1.0], (1, 2), ["a", (1,)],
                                        {1: "a"}, {"a": {None: 1}},
