@@ -15,23 +15,20 @@ gives a regression path back to the absolute case.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .diagonal import (SignMode, SingularPairingError, SymmetryReport,
-                       TensorClass, _normalized_solve, _symmetric_space,
-                       _symmetry_residuals, _symmetry_system, class_in_span)
-# multiply, nullspace, rank and solve are imported only for the
-# benchmark's traced run (perfbench/spans.py), which wraps them in this
-# module by name
-from .linalg import (Matrix, Vector, SingularMatrixError,  # noqa: F401
-                     invert, nullspace, rank, solve)
+from .diagonal import (SignMode, SingularPairingError, TensorClass,
+                       _normalized_solve, _require_over, _symmetric_space,
+                       _symmetry_system, check_symmetry, class_in_span)
+# nullspace, rank and solve are imported only for the benchmark's traced
+# run (perfbench/spans.py), which wraps them in this module by name, as
+# it wraps multiply
+from .linalg import (SingularMatrixError, invert, nullspace,  # noqa: F401
+                     rank, solve)
 from .constants import ProductMap, _Constants, _exact, sparse_tensor
-from .ring import (GradedBasis, RingStructure, ValidationReport,  # noqa: F401
+from .ring import (GradedBasis, RingStructure, ValidationReport,
                    _defects_unless_certified, _off_grade, _off_unit,
-                   _top_entries, _top_index, bilinear_product, multiply,
-                   validate)
-
-ModuleElement = Vector
+                   _top_index, multiply, pairing_matrix, validate)
 
 # the one symmetry-system builder under the pair's name: the solvers here
 # pass it, so the traced run counts their systems in this layer
@@ -95,14 +92,6 @@ class ModulePair(_Constants):
     def __repr__(self) -> str:
         return (f"ModulePair(ring of {self.ring.size} over module of "
                 f"{self.module_basis.size}, dim {self.formal_dimension})")
-
-
-def act(mp: ModulePair, y: Sequence[Fraction],
-        x: Sequence[Fraction]) -> ModuleElement:
-    """Bilinear extension of the action tensor: ``y ^ x``."""
-    if len(y) != mp.ring.size or len(x) != mp.module_basis.size:
-        raise ValueError("element lengths do not match ring/module bases")
-    return bilinear_product(mp, y, x)
 
 
 def validate_module(mp: ModulePair,
@@ -187,14 +176,6 @@ def validate_module(mp: ModulePair,
 # ---------------------------------------------------------------------------
 # the relative pairing and its inverse class
 
-def relative_pairing_matrix(mp: ModulePair) -> Matrix:
-    """Matrix ``(i, j) -> top coefficient of y_i ^ x_j``.
-
-    Rows run over the ring basis, columns over the module basis.
-    """
-    return _top_entries(mp)
-
-
 def relative_diagonal_class(mp: ModulePair,
                             mode: SignMode = SignMode.LITERAL
                             ) -> TensorClass:
@@ -206,7 +187,7 @@ def relative_diagonal_class(mp: ModulePair,
     unit indicator, demanding uniqueness.
     """
     if mode is SignMode.LITERAL:
-        p = relative_pairing_matrix(mp)
+        p = pairing_matrix(mp)
         try:
             return TensorClass(invert(p), mp.module_basis, mp.ring.basis)
         except SingularMatrixError as exc:
@@ -229,28 +210,8 @@ def check_relative_top_normalization(mp: ModulePair,
     Raises ``ValueError`` if ``w`` does not live over this module pair.
     """
     top = _top_index(mp)
-    _require_over_pair(mp, w)
+    _require_over(mp.module_basis, mp.ring.basis, w)
     return w.mu._data[top] == {mp.ring.basis.unit_index: 1}
-
-
-# ---------------------------------------------------------------------------
-# the relative symmetry condition
-
-def check_relative_symmetry(mp: ModulePair,
-                            w: TensorClass) -> SymmetryReport:
-    """Residuals of ``w.(1(x)y_k) - (y_k(x)1).w`` for every ring element.
-
-    The residual oracle :func:`frobdiag.diagonal._symmetry_residuals`
-    with the pair's module basis and action; for the pair whose module is
-    the ring this is :func:`frobdiag.diagonal.check_symmetry`.
-    """
-    _require_over_pair(mp, w)
-    return _symmetry_residuals(mp, w)
-
-
-def _require_over_pair(mp: ModulePair, w: TensorClass) -> None:
-    if w.left_basis != mp.module_basis or w.right_basis != mp.ring.basis:
-        raise ValueError("class does not live over this module pair")
 
 
 def solve_relative_symmetric_space(mp: ModulePair) -> list[TensorClass]:
@@ -258,5 +219,11 @@ def solve_relative_symmetric_space(mp: ModulePair) -> list[TensorClass]:
     return _symmetric_space(_relative_symmetry_system, mp)
 
 
-# one span check serves both cases; the pair name is kept for callers
+# the closed functions take a pair as they take a ring, the pair whose
+# module is the ring; the pair names are kept for callers: ``act(mp, y,
+# x)`` is ``y ^ x``, and the relative pairing matrix has ring rows and
+# module columns
+act = multiply
+relative_pairing_matrix = pairing_matrix
+check_relative_symmetry = check_symmetry
 relative_class_in_span = class_in_span

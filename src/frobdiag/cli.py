@@ -76,14 +76,14 @@ def _load_input(text: str, mode: SignMode) -> tuple[str, Any]:
     return entry.name, entry.payload
 
 
-def _matrix_text(m: Matrix, indent: str = "  ") -> str:
+def _matrix_text(m: Matrix) -> str:
     if m.rows == 0:
-        return indent + "(empty)"
+        return "  (empty)"
     widths = [1] * m.cols
     for row in m._data:
         for j, v in row.items():
             widths[j] = max(widths[j], len(str(v)))
-    return "\n".join(indent + line for line in _text_rows(m, widths))
+    return "\n".join("  " + line for line in _text_rows(m, widths))
 
 
 def _text_rows(m: Matrix, widths: Sequence[int]) -> Iterator[str]:
@@ -147,8 +147,9 @@ def _route(payload) -> _Route:
     """The route of a ring, or of a module pair over its ring.
 
     The names are read when a verb runs, so a name replaced on this module
-    after import is the one called.  ``relative_class_in_span`` is
-    ``class_in_span``: the pair name keeps the cases apart in traced runs.
+    after import is the one called.  ``relative_pairing_matrix``,
+    ``check_relative_symmetry`` and ``relative_class_in_span`` are the
+    closed functions: the pair names keep the cases apart in traced runs.
     """
     if isinstance(payload, ModulePair):
         return _Route(

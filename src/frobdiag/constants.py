@@ -97,7 +97,7 @@ class _Constants:
     a ring shows as ``tensor`` and a pair as ``action``, built on first
     use and kept.  ``_common`` keeps the copies that :func:`common_maps`
     builds when the ring's denominator differs from this one, and
-    ``_pairing`` the pairing matrix (:func:`frobdiag.ring._top_entries`).
+    ``_pairing`` the pairing matrix (:func:`frobdiag.ring.pairing_matrix`).
     ``_valid`` is set by a clean :func:`frobdiag.ring.validate` of a ring
     or :func:`frobdiag.boundary.validate_module` of a pair, and never
     cleared, as the constants never change; the symmetry systems and the

@@ -25,8 +25,8 @@ time: ``{column: int}`` rows that the elimination kernel reads as they
 are, and the columns of its one-term equations, which it settles as
 zero unknowns first.  Its solution and kernel classes are read off as
 sparse maps.  The split needs structure constants that respect
-degrees; a ring or pair that breaks grading is one block
-(:func:`_reduce_blocks` gives the argument).
+degrees; a ring or pair that breaks grading is split as if every degree
+were 0, into one block (:func:`_reduce_blocks` gives the argument).
 """
 
 from __future__ import annotations
@@ -147,10 +147,10 @@ def right_factor(ring_left: RingStructure, ring_right: RingStructure,
     return pure_tensor(ring_left, ring_right, unit_element(ring_left), b)
 
 
-def _require_over(ring_left: RingStructure, ring_right: RingStructure,
+def _require_over(left_basis: GradedBasis, right_basis: GradedBasis,
                   w: TensorClass) -> None:
-    if w.left_basis != ring_left.basis or w.right_basis != ring_right.basis:
-        raise ValueError("tensor class does not live over the given rings")
+    if w.left_basis != left_basis or w.right_basis != right_basis:
+        raise ValueError("tensor class does not live over the given bases")
 
 
 def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
@@ -166,7 +166,7 @@ def tensor_multiply(ring_left: RingStructure, ring_right: RingStructure,
     with the symmetry-system builder :func:`_symmetry_system`.
     """
     for w in (u, v):
-        _require_over(ring_left, ring_right, w)
+        _require_over(ring_left.basis, ring_right.basis, w)
     u_terms, u_den = _integral_terms(u)
     v_terms, v_den = _integral_terms(v)
     deg_l = ring_left.basis.degrees
@@ -257,7 +257,7 @@ def check_top_normalization(ring: RingStructure, w: TensorClass) -> bool:
     Raises ``ValueError`` if ``w`` does not live over ``ring (x) ring``.
     """
     top, unit = _top_index(ring), ring.basis.unit_index
-    _require_over(ring, ring, w)
+    _require_over(ring.basis, ring.basis, w)
     rows = w.mu._data
     return rows[top] == {unit: 1} and all(
         row.get(top, 0) == int(i == unit) for i, row in enumerate(rows))
@@ -293,22 +293,12 @@ class SymmetryReport:
         return iter(self.entries)
 
 
-def check_symmetry(ring: RingStructure, w: TensorClass) -> SymmetryReport:
-    """Residuals of ``w.(1(x)x_k) - (x_k(x)1).w`` over every basis element.
-
-    An empty report means ``w`` is symmetric.  This is the residual
-    oracle :func:`_symmetry_residuals` of the pair whose module is the
-    ring, as :func:`frobdiag.boundary.check_relative_symmetry` is.
-    """
-    _require_over(ring, ring, w)
-    return _symmetry_residuals(ring, w)
-
-
-def _symmetry_residuals(acting: RingStructure | ModulePair,
-                        w: TensorClass) -> SymmetryReport:
+def check_symmetry(acting: RingStructure | ModulePair,
+                   w: TensorClass) -> SymmetryReport:
     """Residuals of ``w.(1(x)y_k) - (y_k(x)1).w`` for every ring element.
 
-    ``w`` lives in module (x) ring, and ``acting`` is the pair whose
+    An empty report means ``w`` is symmetric.  ``w`` lives in module (x)
+    ring (``ValueError`` otherwise), and ``acting`` is the pair whose
     action map expands ``y_k ^ x_l`` over the module basis, or a closed
     ring, the pair whose module is the ring.  The work is done in ints:
     ``w`` is scaled to integer terms by the lcm ``den`` of its
@@ -333,6 +323,7 @@ def _symmetry_residuals(acting: RingStructure | ModulePair,
     ``acting``, every basis element is checked and the full report
     returned.
     """
+    _require_over(acting.module_basis, acting.ring.basis, w)
     ring = acting.ring
     products, action_products = common_maps(acting)
     terms, den = _integral_terms(w)
@@ -370,14 +361,31 @@ class _ProductIndex(NamedTuple):
     pairs: dict[int, list[tuple[dict, int, list]]]
     # degree -> the ring basis indices of that degree
     slots: dict[int, list[int]]
+    # the module's and the ring's degrees that the blocks are split by
+    degrees: tuple[Sequence[int], Sequence[int]]
+    # the total degrees of the unknowns, in increasing order
+    blocks: list[int]
 
 
 def _product_index(acting: RingStructure | ModulePair) -> _ProductIndex:
     """The :class:`_ProductIndex` of the ring's product and ``acting``'s
     action over one common denominator (:func:`common_maps`), for the
-    probes that :func:`_symmetry_system` names."""
+    probes that :func:`_symmetry_system` names.
+
+    The degrees are the bases' own if every term of the two maps lands in
+    the sum of its factors' degrees, and 0 for every basis element
+    otherwise, so that the whole system is the one block 0.  This is the
+    grading rule that validation checks (:func:`frobdiag.ring._off_grade`),
+    so a validated ``acting`` passes it; otherwise the rule is applied to
+    the maps here.
+    """
     ring = acting.ring
-    nr, ring_deg = ring.size, ring.basis.degrees
+    nr = ring.size
+    ring_deg, module_deg = ring.basis.degrees, acting.module_basis.degrees
+    if not acting._valid and (
+            _off_grade(ring._ints, ring_deg, ring_deg)
+            or _off_grade(acting._ints, ring_deg, module_deg)):
+        ring_deg, module_deg = (0,) * nr, (0,) * len(module_deg)
     probes = generators(ring) if acting._valid else range(nr)
     products, action = common_maps(acting)
     right: dict[int, dict[int, list]] = {k: {} for k in probes}
@@ -393,20 +401,21 @@ def _product_index(acting: RingStructure | ModulePair) -> _ProductIndex:
                 left.setdefault((k, i), []).append((l * nr, c))
     pairs: dict[int, list] = {}
     for k, by_s in right.items():
-        for i, d in enumerate(acting.module_basis.degrees):
+        for i, d in enumerate(module_deg):
             pairs.setdefault(d - ring_deg[k], []).append(
                 (by_s, i * nr, left.get((k, i), ())))
     slots: dict[int, list[int]] = {}
     for s, d in enumerate(ring_deg):
         slots.setdefault(d, []).append(s)
-    return _ProductIndex(pairs, slots)
+    blocks = sorted({a + b for a in set(module_deg) for b in set(ring_deg)})
+    return _ProductIndex(pairs, slots, (module_deg, ring_deg), blocks)
 
 
-def _symmetry_system(acting: RingStructure | ModulePair,
-                     degree: int | None = None,
+def _symmetry_system(acting: RingStructure | ModulePair, degree: int,
                      index: _ProductIndex | None = None
                      ) -> tuple[list[SparseRow], list[int]]:
-    """Sparse linear system in the flattened unknowns ``mu[i*nr + j]``.
+    """Sparse linear system in the flattened unknowns ``mu[i*nr + j]``,
+    one block of it.
 
     The unknowns are the coefficients of a class in module (x) ring, where
     ``acting`` is the pair whose action map expands ``y_k ^ x_l`` over
@@ -425,11 +434,12 @@ def _symmetry_system(acting: RingStructure | ModulePair,
     ``mu`` is 0 there, so no map is made for it.  Nothing is settled
     here (:func:`_reduce` does that).
 
-    ``degree``, when given, keeps the block of equations with ``|x_i| +
-    |y_s| - |y_k| == degree`` (:func:`_reduce_blocks`), visited alone:
-    for each ring degree ``r``, the ``(k, i)`` with ``|x_i| - |y_k| ==
-    degree - r`` against the slots ``s`` of degree ``r``.  ``index`` is
-    :func:`_product_index` of ``acting``.
+    Only the block of equations with ``|x_i| + |y_s| - |y_k| == degree``
+    is built (:func:`_reduce_blocks`), in the degrees of ``index``, the
+    :func:`_product_index` of ``acting`` (made here when not given),
+    and visited alone: for each ring degree ``r``, the ``(k, i)`` with
+    ``|x_i| - |y_k| == degree - r`` against the slots ``s`` of degree
+    ``r``.
 
     The probes ``k`` are the ring's generators
     (:func:`frobdiag.ring.generators`) when ``acting`` has passed
@@ -444,17 +454,11 @@ def _symmetry_system(acting: RingStructure | ModulePair,
     form.  Without that precondition the two may differ, so an
     unvalidated ring or pair gets every probe.
     """
-    pairs, slots = _product_index(acting) if index is None else index
-    if degree is None:
-        groups = [(chain.from_iterable(pairs.values()),
-                   range(acting.ring.size))]
-    else:
-        groups = [(pairs.get(degree - r, ()), ring_slots)
-                  for r, ring_slots in slots.items()]
+    index = _product_index(acting) if index is None else index
     rows: list[SparseRow] = []
     zeros: list[int] = []
-    for group, ring_slots in groups:
-        for by_s, base, acted in group:
+    for r, ring_slots in index.slots.items():
+        for by_s, base, acted in index.pairs.get(degree - r, ()):
             for s in ring_slots:
                 row = {base + j: c for j, c in by_s.get(s, ())}
                 for l_base, c in acted:
@@ -475,25 +479,6 @@ def _symmetry_system(acting: RingStructure | ModulePair,
 SystemBuilder = Callable[..., tuple[list[SparseRow], list[int]]]
 
 
-def _blocks(acting: RingStructure | ModulePair) -> list[int | None]:
-    """The blocks that :func:`_reduce_blocks` reduces one at a time.
-
-    If every term of the ring's product and of ``acting``'s action lands
-    in the sum of its factors' degrees, these are the total degrees of
-    the unknowns, in increasing order; otherwise ``[None]``, the whole
-    system as one block.  This is the grading rule that validation
-    checks (:func:`frobdiag.ring._off_grade`), so a validated ``acting``
-    passes it; otherwise the rule is applied to the maps here.
-    """
-    ring = acting.ring
-    ring_deg, module_deg = ring.basis.degrees, acting.module_basis.degrees
-    if acting._valid or not (
-            _off_grade(ring._ints, ring_deg, ring_deg)
-            or _off_grade(acting._ints, ring_deg, module_deg)):
-        return sorted({a + b for a in set(module_deg) for b in set(ring_deg)})
-    return [None]
-
-
 def _reduce_blocks(build: SystemBuilder,
                    acting: RingStructure | ModulePair,
                    pins: Sequence[tuple[tuple[int, int], int]] = ()
@@ -510,35 +495,33 @@ def _reduce_blocks(build: SystemBuilder,
     When the ring's product and the action respect degrees, equation
     ``(k, i, s)`` touches ``mu[i, j]`` with ``|y_j| + |y_k| = |y_s|`` and
     ``mu[l, s]`` with ``|y_k| + |x_l| = |x_i|``: all of total degree
-    ``|x_i| + |y_s| - |y_k|``, one that :func:`_blocks` lists.  So the
-    blocks share no unknown: no pivot row of one holds a column of
-    another, each is reduced as if alone, by decreasing lead with
-    nothing cleared upward, and only one block's rows are held at a
-    time.  The reduced form is unique, so the result is the whole
-    system's.  When a term breaks the grading (an unvalidated ring or
-    pair), an equation may lie in no listed block, and :func:`_blocks`
-    makes the whole system one block.
+    ``|x_i| + |y_s| - |y_k|``, one of the blocks that
+    :func:`_product_index` lists.  So the blocks share no unknown: no
+    pivot row of one holds a column of another, each is reduced as if
+    alone, by decreasing lead with nothing cleared upward, and only one
+    block's rows are held at a time.  The reduced form is unique, so the
+    result is the whole system's.  When a term of an unvalidated ring or
+    pair breaks the grading, an equation may lie in no block of the
+    bases' degrees, so the index takes every degree as 0: the whole
+    system is the one block 0.
 
     The kernel alone holds a block's list of rows, through an iterator,
     so the list and the rows that drop out are freed after its first
     pass.
     """
-    ring = acting.ring
-    nr = ring.size
+    nr = acting.ring.size
     width = acting.module_basis.size * nr
-    ring_deg, module_deg = ring.basis.degrees, acting.module_basis.degrees
     index = _product_index(acting)
-    blocks = _blocks(acting)
-    pinned = {degree: ([], []) for degree in blocks}
+    module_deg, ring_deg = index.degrees
+    pinned = {degree: ([], []) for degree in index.blocks}
     for (i, j), value in pins:
-        pin_rows, pin_zeros = pinned[
-            None if blocks == [None] else module_deg[i] + ring_deg[j]]
+        pin_rows, pin_zeros = pinned[module_deg[i] + ring_deg[j]]
         if value:
             pin_rows.append({i * nr + j: 1, width: value})
         else:
             pin_zeros.append(i * nr + j)
     echelon = _Echelon()
-    for degree in blocks:
+    for degree in index.blocks:
         pin_rows, pin_zeros = pinned.pop(degree)
         rows, zeros = build(acting, degree, index)
         rows = chain(pin_rows, rows)  # now the list's only holder

@@ -414,10 +414,7 @@ def _write(value: Any, newline: str, out: Callable[[str], Any]) -> None:
         inner = newline + "  "
         head, comma = "{" + inner, "," + inner
         for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(
-                    f"keys must be str, not {type(key).__name__}")
-            head += _quote(key) + ": "
+            head += _quote(key) + ": "  # a TypeError for a key not a str
             scalar = _SCALARS.get(type(item))
             if scalar is not None:
                 out(head + scalar(item))

@@ -155,15 +155,20 @@ def unit_element(ring: RingStructure) -> RingElement:
     return basis_element(ring, ring.basis.unit_index)
 
 
-def bilinear_product(acting: RingStructure | ModulePair,
-                     a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    """``sum a[i] b[j] (y_i ^ x_j)`` over the module basis of ``acting``
-    (a ring, acting by its product, or a pair): summed over the stored
-    map, the constants times ``D``, and divided by ``D`` once.  Only
-    nonzero pairs of coefficients with a term in the map are multiplied.
-    """
+def multiply(acting: RingStructure | ModulePair, a: Sequence[Fraction],
+             b: Sequence[Fraction]) -> Vector:
+    """``sum a[i] b[j] (y_i ^ x_j)``, the bilinear extension of the
+    structure constants of ``acting``: a ring's product, or a pair's
+    action of ring elements ``a`` on module elements ``b``.  It is summed
+    over the stored map, the constants times ``D``, and divided by ``D``
+    once; only nonzero pairs of coefficients with a term in the map are
+    multiplied."""
+    nr, nm = acting.ring.size, acting.module_basis.size
+    if len(a) != nr or len(b) != nm:
+        raise ValueError(f"element length mismatch: {len(a)}, {len(b)} "
+                         f"over bases of {nr}, {nm}")
     products, den = acting._ints, acting._den
-    out = [Fraction(0)] * acting.module_basis.size
+    out = [Fraction(0)] * nm
     b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if not ai:
@@ -175,16 +180,6 @@ def bilinear_product(acting: RingStructure | ModulePair,
                 for k, v in coeffs.items():
                     out[k] += c * v
     return tuple(out) if den == 1 else tuple(v / den for v in out)
-
-
-def multiply(ring: RingStructure, a: Sequence[Fraction],
-             b: Sequence[Fraction]) -> RingElement:
-    """Bilinear extension of the structure tensor to ring elements."""
-    n = ring.size
-    if len(a) != n or len(b) != n:
-        raise ValueError(
-            f"element length mismatch: {len(a)}, {len(b)} over basis of {n}")
-    return bilinear_product(ring, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +408,7 @@ def validate(ring: RingStructure,
                 a, b = fwd.get(k, 0), bwd.get(k, 0)
                 if a != sign * b:
                     report.add("graded-commutativity", (i, j, k),
-                               f"{_exact(a, den)} != "
-                               f"{'-' if sign < 0 else ''}{_exact(b, den)}")
+                               f"{_exact(a, den)} != {_exact(sign * b, den)}")
     if report.ok:
         ring._valid = True
     return report
@@ -488,15 +482,6 @@ def _pick_generators(ring: RingStructure) -> list[int]:
 # ---------------------------------------------------------------------------
 # duality
 
-def pairing_matrix(ring: RingStructure) -> Matrix:
-    """Matrix ``(i, j) -> coefficient of the top class in x_i . x_j``.
-
-    This is the intersection form of the underlying manifold when the top
-    class is normalized against the fundamental class.
-    """
-    return _top_entries(ring)
-
-
 def _top_index(acting: RingStructure | ModulePair) -> int:
     """The top index of the module that ``acting`` acts on (for a ring,
     its own basis)."""
@@ -507,11 +492,17 @@ def _top_index(acting: RingStructure | ModulePair) -> int:
     return top
 
 
-def _top_entries(acting: RingStructure | ModulePair) -> Matrix:
-    """The matrix ``(i, j) -> top coefficient of y_i ^ x_j`` of ``acting``,
-    with ring rows and module columns, read exactly off the stored map's
-    terms (:class:`_Constants`) on first use and kept on ``acting``; a
-    :class:`Matrix` is immutable, so every caller can share it."""
+def pairing_matrix(acting: RingStructure | ModulePair) -> Matrix:
+    """Matrix ``(i, j) -> top coefficient of y_i ^ x_j``, with ring rows
+    and module columns: for a ring, the coefficient of the top class in
+    ``x_i . x_j``, the intersection form of the underlying manifold when
+    the top class is normalized against the fundamental class; for a
+    pair, the relative pairing.
+
+    It is read exactly off the stored map's terms (:class:`_Constants`)
+    on first use and kept on ``acting``; a :class:`Matrix` is immutable,
+    so every caller can share it.
+    """
     if acting._pairing is None:
         top = _top_index(acting)
         den = acting._den

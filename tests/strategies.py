@@ -27,7 +27,7 @@ from frobdiag.boundary import (ModulePair, _relative_symmetry_system,
 from frobdiag.catalog import (catalog_names, closed_as_pair, cylinder_pair,
                               resolve)
 from frobdiag.constants import common_maps
-from frobdiag.diagonal import (SignMode, TensorClass, _blocks,
+from frobdiag.diagonal import (SignMode, TensorClass, _product_index,
                                _symmetry_system, check_symmetry, left_factor,
                                right_factor, tensor_multiply)
 from frobdiag.linalg import Matrix, _Echelon, _insert
@@ -123,7 +123,8 @@ def symmetric_family(ring: RingStructure, mode: SignMode, w: TensorClass,
 def builder(payload):
     """The symmetry-system builder that the solvers of a ring or a pair
     pass to ``diagonal._reduce_blocks``: ``build(payload, degree)`` is
-    the block of that total degree, or the whole system for ``None``."""
+    the block of that total degree (every degree is 0, and the whole
+    system the block 0, for a payload that breaks grading unvalidated)."""
     if isinstance(payload, ModulePair):
         return _relative_symmetry_system
     return _symmetry_system
@@ -181,9 +182,10 @@ def block_rows(payload) -> tuple[list[tuple], int]:
     and is given as the row ``((c, 1),)``.  A payload that has passed
     validation gets the rows of its generator probes only."""
     build = builder(payload)
+    index = _product_index(payload)
     rows = []
-    for degree in _blocks(payload):
-        block, zeros = build(payload, degree)
+    for degree in index.blocks:
+        block, zeros = build(payload, degree, index)
         rows += [tuple(sorted(row.items())) for row in block]
         rows += [((c, 1),) for c in zeros]
     return rows, payload.module_basis.size * payload.ring.size

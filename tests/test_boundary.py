@@ -17,12 +17,12 @@ from frobdiag.catalog import (catalog_names, closed_as_pair,
                               complex_projective, cylinder_pair, disk_pair,
                               resolve, sphere, torus)
 from frobdiag.diagonal import (SignMode, SingularPairingError, TensorClass,
-                               check_symmetry, diagonal_class, koszul_sign,
-                               solve_symmetric_space)
+                               check_symmetry, class_in_span, diagonal_class,
+                               koszul_sign, solve_symmetric_space)
 from frobdiag.document import emit_document, parse_document
 from frobdiag.linalg import Matrix, rank
 from frobdiag.ring import (GradedBasis, MissingTopClassError, RingStructure,
-                           basis_element, pairing_matrix)
+                           basis_element, multiply, pairing_matrix)
 from strategies import (ODD_RING_NAMES, block_rows, elements, exact_map,
                         matrices, modes, nonzero, pairs, rational_rings,
                         rescaled_pairs, rings)
@@ -133,7 +133,7 @@ class TestSharedProductPasses:
              "nu-associativity at (1, 2, 2, 3): -1 != 0",
              "nu-associativity at (2, 1, 2, 3): 0 != 1",
              "nu-graded-commutativity at (0, 3, 3): 0 != 1",
-             "nu-graded-commutativity at (1, 2, 1): 1 != -0",
+             "nu-graded-commutativity at (1, 2, 1): 1 != 0",
              "action-grading at (1, 2, 1): entry 1 has degree 1+1 -> 1",
              "unit-action at (3, 3): unit acts with 0, expected 1",
              "module-associativity at (0, 1, 2, 3): -1 != 0",
@@ -201,6 +201,41 @@ class TestAction:
         xt = (Fraction(0), Fraction(1))  # x*t
         assert act(mp, x, ut) == xt
         assert act(mp, x, xt) == (Fraction(0),) * 2
+
+
+class TestClosedFunctionsTakeAPair:
+    """The closed functions take a pair as they take a ring, whatever the
+    size of its module, and the pair names are those same functions."""
+
+    def test_pair_names_are_the_closed_functions(self):
+        assert act is multiply
+        assert relative_pairing_matrix is pairing_matrix
+        assert check_relative_symmetry is check_symmetry
+        assert relative_class_in_span is class_in_span
+
+    def test_module_of_another_size_than_its_ring(self):
+        # sphere:2 acting on one class m of degree 2 by 1 ^ m = m alone,
+        # so x ^ m = 0: ring rows 1, x against the module column m
+        ring = sphere(2)
+        module = GradedBasis(labels=("m",), degrees=(2,),
+                             formal_dimension=2, unit_index=None,
+                             top_index=0)
+        mp = ModulePair(ring, module, {(0, 0, 0): 1})
+        assert validate_module(mp).ok
+        assert pairing_matrix(mp) == Matrix([[1], [0]])
+        assert multiply(mp, (Fraction(3), Fraction(5)), (Fraction(1, 2),)) \
+            == (Fraction(3, 2),)
+        with pytest.raises(ValueError, match="length mismatch"):
+            multiply(mp, (Fraction(1),), (Fraction(1),))
+        # m (x) x is symmetric; m (x) 1 has the residual m (x) x for the
+        # probe x, from (1 (x) x) on the right with nothing on the left
+        for mu, residuals in ((Matrix([[0, 1]]), []),
+                              (Matrix([[1, 0]]), [(1, 0, 1, 1)])):
+            w = TensorClass(mu, module, ring.basis)
+            assert [(e.probe, e.left, e.right, e.value)
+                    for e in check_symmetry(mp, w)] == residuals
+        with pytest.raises(ValueError, match="does not live over"):
+            check_symmetry(mp, diagonal_class(ring))
 
 
 class TestRelativePairing:

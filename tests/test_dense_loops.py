@@ -108,7 +108,7 @@ def dense_validate(ring, allow_noncommutative=False):
                     b = bwd.get(k, 0)
                     if a != sign * b:
                         report.add("graded-commutativity", (i, j, k),
-                                   f"{a} != {'-' if sign < 0 else ''}{b}")
+                                   f"{a} != {sign * b}")
     return report
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -222,6 +223,18 @@ def normalization_pins(payload) -> list:
             for slot in ([(top, j), (j, top)] if closed else [(top, j)])]
 
 
+def bases_degrees(payload) -> tuple:
+    """The degrees of the module and of the ring basis of a payload, as
+    ``diagonal._ProductIndex.degrees`` holds them."""
+    return payload.module_basis.degrees, payload.ring.basis.degrees
+
+
+def degree_zero(payload) -> tuple:
+    """:func:`bases_degrees` with every degree 0: those of the index of a
+    payload that breaks grading unvalidated, whose system is one block."""
+    return tuple((0,) * len(d) for d in bases_degrees(payload))
+
+
 def whole_echelon(payload, pins=()):
     """One ``_reduce`` of the whole system, every equation a row
     (``strategies.reference_system``), and the pin rows, the right-hand
@@ -243,7 +256,8 @@ class TestDegreeBlocks:
         pins = normalization_pins(payload) if data.draw(st.booleans()) \
             else []
         build = builder(payload)
-        assert diagonal._blocks(payload) != [None]
+        assert diagonal._product_index(payload).degrees == \
+            bases_degrees(payload)
         blocked, width = diagonal._reduce_blocks(build, payload, pins)
         assert width == reference_system(payload)[1]
         assert echelon_of(blocked) == echelon_of(whole_echelon(payload, pins))
@@ -256,11 +270,13 @@ class TestDegreeBlocks:
         ring = RingStructure(base.basis, {**base.tensor, (2, 2, 0): 1})
         assert [v.axiom for v in validate(ring)][0] == "grading"
         build = builder(ring)
-        assert diagonal._blocks(ring) == [None]
+        index = diagonal._product_index(ring)
+        assert (index.degrees, index.blocks) == (degree_zero(ring), [0])
         whole = echelon_of(whole_echelon(ring))
         assert echelon_of(diagonal._reduce_blocks(build, ring)[0]) == whole
         # split by degree anyway, that equation is lost
-        monkeypatch.setattr(diagonal, "_blocks", lambda *_: [0, 2, 4, 6, 8])
+        monkeypatch.setattr(diagonal, "_off_grade", lambda *_: [])
+        assert diagonal._product_index(ring).blocks == [0, 2, 4, 6, 8]
         assert echelon_of(diagonal._reduce_blocks(build, ring)[0]) != whole
 
 
@@ -389,12 +405,21 @@ class TestBuilderOracle:
     @settings(max_examples=80, deadline=None)
     @given(oracle_payloads())
     def test_rows_and_zeros_split_the_reference_equations(self, payload):
+        # each block is the reference's block of its degree, or, in the
+        # degree-0 index, the whole system; together they are the whole
         build = builder(payload)
-        for degree in (None, *diagonal._blocks(payload)):
-            rows, zeros = build(payload, degree)
+        index = diagonal._product_index(payload)
+        graded = index.degrees == bases_degrees(payload)
+        assert graded or index.degrees == degree_zero(payload)
+        together = Counter()
+        for degree in index.blocks:
+            rows, zeros = build(payload, degree, index)
             assert all(len(row) > 1 for row in rows)
-            assert equations(rows, zeros) == \
-                equations(reference_system(payload, degree)[0]), degree
+            block = equations(rows, zeros)
+            assert block == equations(reference_system(
+                payload, degree if graded else None)[0]), degree
+            together += block
+        assert together == equations(reference_system(payload)[0])
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -415,30 +440,38 @@ class TestBuilderOracle:
             echelon_of(inserted_one_at_a_time(rows))
 
 
+def split(payload) -> tuple:
+    """The degrees and the blocks of the product index of a payload."""
+    index = diagonal._product_index(payload)
+    return index.degrees, index.blocks
+
+
 class TestBlocks:
     def test_validated_blocks_are_the_scanned_ones_on_the_catalog(self):
         for name in catalog_names():
             for mode in SignMode:
                 payload = resolve(name, mode).payload
                 assert not payload._valid
-                assert diagonal._blocks(validated(payload)) == \
-                    diagonal._blocks(payload), (name, mode)
+                assert split(validated(payload)) == split(payload), \
+                    (name, mode)
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(rings(), pairs()))
     def test_validated_blocks_are_the_scanned_ones(self, payload):
-        scanned = diagonal._blocks(payload)
-        assert scanned != [None]
-        assert diagonal._blocks(validated(payload)) == scanned
+        scanned = split(payload)
+        assert scanned[0] == bases_degrees(payload)
+        assert split(validated(payload)) == scanned
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(rings(), pairs(), corrupted_rings(), corrupted_pairs(),
                      off_grade_rings(), off_grade_pairs()))
     def test_one_block_exactly_when_validation_reports_grading(self,
                                                                payload):
-        # one grading rule: the unvalidated split gives up on degree
-        # blocks exactly where validation reports an off-grade entry
-        whole = diagonal._blocks(payload) == [None]
+        # one grading rule: the unvalidated split takes every degree as
+        # 0, one block, exactly where validation reports an off-grade entry
+        degrees, blocks = split(payload)
+        whole = degrees != bases_degrees(payload)
+        assert not whole or (degrees, blocks) == (degree_zero(payload), [0])
         report = (validate(payload) if payload is payload.ring
                   else validate_module(payload))
         assert whole == any(v.axiom in ("grading", "nu-grading",
@@ -450,9 +483,9 @@ class TestBlocks:
         ring = complex_projective(2)
         twin = validated(ring)
         twin._ints = {**twin._ints, (2, 2): {0: 1}}
-        assert diagonal._blocks(twin) == [0, 2, 4, 6, 8]
+        assert split(twin) == (bases_degrees(ring), [0, 2, 4, 6, 8])
         twin._valid = False
-        assert diagonal._blocks(twin) == [None]
+        assert split(twin) == (degree_zero(ring), [0])
 
 
 class TestTopNormalization:

@@ -9,6 +9,7 @@ patterns, kernels and reduced forms stay as they are, and so does every
 reported value.  Rational rings are drawn so that ``D > 1`` is exercised.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from unittest import mock
@@ -22,7 +23,7 @@ from frobdiag import ring as ring_module
 from frobdiag.boundary import (ModulePair, check_relative_symmetry,
                                relative_diagonal_class, validate_module)
 from frobdiag.catalog import catalog_names, resolve
-from frobdiag.diagonal import (SignMode, TensorClass, _blocks,
+from frobdiag.diagonal import (SignMode, TensorClass, _product_index,
                                _symmetry_system, check_symmetry, left_factor,
                                right_factor, tensor_multiply)
 from frobdiag.linalg import Matrix, _integral, _reduce, nullspace
@@ -32,9 +33,9 @@ from frobdiag.ring import (GradedBasis, RingStructure,
                            associativity_defects, basis_element, generators,
                            validate)
 from strategies import (changed, corrupted_pairs, corrupted_rings,
-                        exact_map, graded_slots, matrices, modes, nonzero,
-                        pairs, rational_rings, rescaled_pairs, rings,
-                        validated)
+                        equations, exact_map, graded_slots, matrices, modes,
+                        nonzero, pairs, rational_rings, reference_system,
+                        rescaled_pairs, rings, validated)
 from test_ring import all_triples_defects
 
 CHEAP = ("grading", "unit", "action-grading", "unit-action")
@@ -358,11 +359,13 @@ class TestSystem:
                                       pairs(rational_rings())))
         ring, action, den = ring_and_action(payload)
         common = lcm(ring._den, den)
-        # the whole system, then each block the solvers build
-        # (a one-term equation is its column alone, on either side)
+        # each block the solvers build, which together are the whole
+        # system (a one-term equation is its column alone, on either side)
         width = payload.module_basis.size * ring.size
-        for degree in (None, *_blocks(payload)):
+        together = Counter()
+        for degree in _product_index(payload).blocks:
             rows, zeros = _symmetry_system(payload, degree)
+            together += equations(rows, zeros)
             plain_rows, plain_zeros = unscaled(_symmetry_system, payload,
                                                degree)
             assert zeros == plain_zeros
@@ -374,6 +377,7 @@ class TestSystem:
                 [*(r.items() for r in rows), *pinned], width)) == \
                 nullspace(Matrix.sparse(
                     [*(r.items() for r in plain_rows), *pinned], width))
+        assert together == equations(reference_system(payload)[0])
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from frobdiag import boundary, linalg
 from frobdiag.catalog import resolve
-from frobdiag.diagonal import _symmetry_system
+from frobdiag.diagonal import _product_index, _symmetry_system
 from frobdiag.linalg import (Matrix, SingularMatrixError, frac, invert,
                              nullspace, rank, rref, solve)
 from strategies import (apply, echelon_of, equations, inserted_one_at_a_time,
-                        validated)
+                        reference_system, validated)
 
 
 def vector(values) -> tuple[Fraction, ...]:
@@ -391,7 +391,14 @@ class TestEliminationOrder:
         # its chain took 328,350
         ring = resolve(f"cp:{n}").payload
         twin = validated(ring)
-        rows, _ = _symmetry_system(twin)
+        index = _product_index(twin)
+        rows, zeros = [], []
+        for degree in index.blocks:
+            block, block_zeros = _symmetry_system(twin, degree, index)
+            rows += block
+            zeros += block_zeros
+        assert equations(rows, zeros) == \
+            equations(reference_system(twin)[0])
         # validated, the system probes h, the one generator, alone; a
         # fresh copy probes every basis element, so in its middle block
         # it has h's equations, rows and zero columns, and more

@@ -87,6 +87,19 @@ class TestValidate:
             "graded-commutativity at (1, 2, 3): 2 != 1",
         ]
 
+    @pytest.mark.parametrize("value, detail", [
+        (0, "-1 != 0"), (-3, "-1 != 3"), (Fraction(-1, 2), "-1 != 1/2")])
+    def test_graded_commutativity_detail_signs_the_value(self, value,
+                                                         detail):
+        # torus:2 has a.b = -ab against b.a = ab; with b.a set to value,
+        # the detail compares a.b with -(b.a), read as one number: no
+        # "-0" for a removed entry, no "--3" for a negative one
+        tensor = {**torus(2).tensor, (2, 1, 3): value}
+        report = validate(RingStructure(torus(2).basis, tensor))
+        assert [str(v) for v in report
+                if v.axiom == "graded-commutativity"] == \
+            [f"graded-commutativity at (1, 2, 3): {detail}"]
+
     def test_failing_validation_keeps_only_its_defects(self):
         # h^3.h^4 = 2h^7 breaks associativity alone: the certificate
         # fails, and the run over every middle factor keeps its failing
